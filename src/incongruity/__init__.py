@@ -46,7 +46,6 @@ from .similarity import (
 )
 from .synthetic import generate_corpus, toy_embedding_tables
 from .text import (
-    CasingPolicy,
     ContentWordSet,
     TokenizedSentence,
     content_words,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Augmentation",
-    "CasingPolicy",
     "ContentWordSet",
     "EmbeddingTable",
     "ExperimentConfig",

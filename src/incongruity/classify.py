@@ -201,15 +201,30 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
         bias = float(_expect(lines[2], "bias"))
         threshold = float(_expect(lines[3], "threshold"))
         name_count = int(_expect(lines[4], "names"))
+        if dimension > name_count:
+            raise ModelFormatError(
+                f"{path}: line 2: dim {dimension} exceeds {name_count} names"
+            )
         names = lines[5 : 5 + name_count]
         if len(names) != name_count:
             raise ModelFormatError("truncated name section")
         weight_header = 5 + name_count
         weight_count = int(_expect(lines[weight_header], "weights"))
+        weight_lines = lines[weight_header + 1 : weight_header + 1 + weight_count]
+        if len(weight_lines) != weight_count:
+            raise ModelFormatError(
+                f"{path}: line {weight_header + 1}: declares {weight_count} "
+                f"weights, file has {len(weight_lines)}"
+            )
         weights = np.zeros(dimension, dtype=np.float64)
-        for line in lines[weight_header + 1 : weight_header + 1 + weight_count]:
+        for lineno, line in enumerate(weight_lines, start=weight_header + 2):
             fid_text, _, value_text = line.partition(" ")
-            weights[int(fid_text)] = float(value_text)
+            fid = int(fid_text)
+            if not 0 <= fid < dimension:
+                raise ModelFormatError(
+                    f"{path}: line {lineno}: weight id {fid} outside [0, {dimension})"
+                )
+            weights[fid] = float(value_text)
     except (IndexError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise

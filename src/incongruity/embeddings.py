@@ -13,8 +13,8 @@ supported:
   are both accepted).
 
 Words are NFC-normalized on load and matched by exact string equality.
-No case folding happens at this layer; casing policy belongs to the text
-pipeline that resolves sentence tokens against a table.
+No case folding happens at this layer; the text pipeline decides how
+sentence tokens resolve against a table.
 """
 
 from __future__ import annotations
@@ -95,16 +95,13 @@ class EmbeddingTable:
         """Return the stored float32 row for ``word`` (KeyError if absent)."""
         return self._vectors[self._index[word]]
 
-    def _norm(self, word: str) -> float:
+    def norm(self, word: str) -> float:
+        """Euclidean norm of the word's vector, computed in float64."""
         if self._norms is None:
             self._norms = np.linalg.norm(
                 self._vectors.astype(np.float64), axis=1
             )
         return float(self._norms[self._index[word]])
-
-    def norm(self, word: str) -> float:
-        """Euclidean norm of the word's vector, computed in float64."""
-        return self._norm(word)
 
     def similarity(self, word_a: str, word_b: str) -> float:
         """Cosine similarity between two vocabulary words.
@@ -112,8 +109,8 @@ class EmbeddingTable:
         Uses the cached norms; the result is identical to calling
         :func:`cosine_similarity` on the two stored vectors.
         """
-        na = self._norm(word_a)
-        nb = self._norm(word_b)
+        na = self.norm(word_a)
+        nb = self.norm(word_b)
         if na == 0.0 or nb == 0.0:
             raise DegenerateVectorError(
                 f"zero-norm vector for {word_a if na == 0.0 else word_b!r}"
@@ -201,6 +198,10 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
                 f"{path}: record {record} ({word!r}): truncated vector"
             )
         matrix[record] = np.frombuffer(data, dtype="<f4", count=dim, offset=pos)
+        if not np.isfinite(matrix[record]).all():
+            raise EmbeddingFormatError(
+                f"{path}: record {record} ({word!r}): non-finite vector component"
+            )
         pos = end
         # Tolerate both record layouts: floats directly followed by the
         # next word, or a single newline between records.
@@ -254,6 +255,10 @@ def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno}: non-numeric vector component"
                 ) from exc
+            if not np.isfinite(row).all():
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: non-finite vector component"
+                )
             if word in seen:
                 raise EmbeddingFormatError(
                     f"{path}: duplicate word {word!r} (line {lineno})"

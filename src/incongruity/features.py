@@ -29,9 +29,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .embeddings import EmbeddingTable
 from .similarity import Augmentation, embed_features
-from .text import DEFAULT_CASING, CasingPolicy, TokenizedSentence, is_punctuation
+from .text import TokenizedSentence, is_punctuation
 
 PRIOR_SETS = ("L", "G", "B", "J")
 
@@ -183,14 +185,21 @@ class FeatureRegistry:
 
 
 class FeatureVector:
-    """Sparse feature map keyed by registry ids.  Zero values are absent."""
+    """Sparse feature vector keyed by registry ids.  Zero values are absent.
 
-    __slots__ = ("_values",)
+    The nonzero entries are held as two aligned read-only arrays, ids
+    ascending, built once at construction.
+    """
+
+    __slots__ = ("_ids", "_values")
 
     def __init__(self, values: Mapping[int, float] | None = None):
-        self._values = {
-            fid: float(v) for fid, v in (values or {}).items() if v != 0.0
-        }
+        nonzero = {fid: float(v) for fid, v in (values or {}).items() if v != 0.0}
+        ids = sorted(nonzero)
+        self._ids = np.array(ids, dtype=np.int64)
+        self._values = np.array([nonzero[fid] for fid in ids], dtype=np.float64)
+        self._ids.setflags(write=False)
+        self._values.setflags(write=False)
 
     @classmethod
     def from_fragments(
@@ -218,28 +227,16 @@ class FeatureVector:
                 values[fid] = float(value)
         return cls(values)
 
-    def get(self, fid: int, default: float = 0.0) -> float:
-        return self._values.get(fid, default)
-
     def items(self) -> Iterator[tuple[int, float]]:
-        return iter(sorted(self._values.items()))
-
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(self._values)
+        """(id, value) pairs, ids ascending."""
+        return zip(self._ids.tolist(), self._values.tolist())
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._ids)
 
-    def as_arrays(self):
-        """(ids, values) as aligned numpy arrays with ids ascending."""
-        import numpy as np
-
-        if not self._values:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        ids = np.array(sorted(self._values), dtype=np.int64)
-        values = np.array([self._values[int(i)] for i in ids], dtype=np.float64)
-        return ids, values
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, values) as aligned read-only numpy arrays with ids ascending."""
+        return self._ids, self._values
 
 
 _NGRAM_PREFIX = {1: "uni", 2: "bi", 3: "tri"}
@@ -425,7 +422,6 @@ class ExperimentConfig:
     prior_set: str
     augmentation: Augmentation = Augmentation.NONE
     embedding: str = ""
-    intersected: bool = False
 
     def __post_init__(self):
         if self.prior_set not in PRIOR_SETS:
@@ -460,8 +456,6 @@ def build_config_features(
     registry: FeatureRegistry,
     *,
     stopwords: frozenset[str],
-    casing: CasingPolicy = DEFAULT_CASING,
-    distance_exponent: int = 2,
 ) -> FeatureVector:
     """Extract the full feature vector for one sentence under ``config``."""
     fragments: list[Mapping[str, float]] = []
@@ -492,8 +486,6 @@ def build_config_features(
                 table,
                 config.augmentation,
                 stopwords=stopwords,
-                casing=casing,
-                distance_exponent=distance_exponent,
             )
         )
     return FeatureVector.from_fragments(registry, fragments)

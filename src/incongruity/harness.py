@@ -37,13 +37,7 @@ from .features import (
     default_lexicon,
 )
 from .similarity import Augmentation
-from .text import (
-    DEFAULT_CASING,
-    CasingPolicy,
-    TokenizedSentence,
-    default_stopwords,
-    tokenize,
-)
+from .text import TokenizedSentence, default_stopwords, tokenize
 
 AUGMENTATIONS = (
     Augmentation.NONE,
@@ -249,8 +243,6 @@ class Resources:
     stopwords: frozenset[str] = dataclasses.field(
         default_factory=default_stopwords
     )
-    casing: CasingPolicy = DEFAULT_CASING
-    distance_exponent: int = 2
 
     def with_default_lexicon(self) -> "Resources":
         if self.lexicon is not None:
@@ -293,8 +285,6 @@ def extract_features(
             resources.lexicon,
             registry,
             stopwords=resources.stopwords,
-            casing=resources.casing,
-            distance_exponent=resources.distance_exponent,
         )
         for sentence in sentences
     ]
@@ -397,7 +387,7 @@ def run_matrix(
 
     cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
     for prior in PRIOR_SETS:
-        base_config = ExperimentConfig(prior, Augmentation.NONE, "", intersect)
+        base_config = ExperimentConfig(prior, Augmentation.NONE, "")
         base = run_config(
             base_config,
             instances,
@@ -413,7 +403,7 @@ def run_matrix(
             )
         for name in names:
             for augmentation in AUGMENTATIONS[1:]:
-                config = ExperimentConfig(prior, augmentation, name, intersect)
+                config = ExperimentConfig(prior, augmentation, name)
                 cells[(prior, augmentation, name)] = run_config(
                     config,
                     instances,
@@ -480,12 +470,6 @@ _DEVIATION_NOTE = (
 )
 
 
-def _row_label(prior: str, augmentation: Augmentation) -> str:
-    if augmentation is Augmentation.NONE:
-        return prior
-    return f"{prior}+{augmentation.label}"
-
-
 def emit_report(
     matrix: MatrixResult,
     gains: GainTables,
@@ -509,9 +493,9 @@ def emit_report(
     return text
 
 
-def _cell_metrics(matrix: MatrixResult, key) -> MetricsReport:
+def _cell(matrix: MatrixResult, key) -> ConfigResult:
     try:
-        return matrix.cells[key].metrics
+        return matrix.cells[key]
     except KeyError as exc:
         raise IncompleteMatrixError(f"missing grid cell {exc.args[0]}") from exc
 
@@ -521,7 +505,7 @@ def _report_tsv(matrix: MatrixResult, gains: GainTables) -> str:
     for name in matrix.embeddings:
         for prior in PRIOR_SETS:
             for augmentation in AUGMENTATIONS:
-                m = _cell_metrics(matrix, (prior, augmentation, name))
+                m = _cell(matrix, (prior, augmentation, name)).metrics
                 lines.append(
                     f"{name}\t{prior}\t{augmentation.label}\t"
                     f"{m.precision:.2f}\t{m.recall:.2f}\t{m.f_score:.2f}"
@@ -553,9 +537,10 @@ def _report_markdown(matrix: MatrixResult, gains: GainTables) -> str:
         out.append("| --- | --- | --- | --- |")
         for prior in PRIOR_SETS:
             for augmentation in AUGMENTATIONS:
-                m = _cell_metrics(matrix, (prior, augmentation, name))
+                cell = _cell(matrix, (prior, augmentation, name))
+                m = cell.metrics
                 out.append(
-                    f"| {_row_label(prior, augmentation)} | {m.precision:.2f} "
+                    f"| {cell.config.label} | {m.precision:.2f} "
                     f"| {m.recall:.2f} | {m.f_score:.2f} |"
                 )
         out.append("")
@@ -578,91 +563,3 @@ def _report_markdown(matrix: MatrixResult, gains: GainTables) -> str:
         out.append(f"| {name} | {gains.per_embedding[name]:.2f} |")
     out.append("")
     return "\n".join(out) + "\n"
-
-
-def parse_report(text: str, fmt: str = "markdown") -> dict:
-    """Parse a report back into its numbers (for round-trip checks).
-
-    Returns ``{"cells": {(prior, augmentation, embedding): (P, R, F)},
-    "gains": {(embedding, augmentation): gain},
-    "average_gains": {embedding: gain}}``.
-    """
-    if fmt == "tsv":
-        return _parse_tsv(text)
-    if fmt == "markdown":
-        return _parse_markdown(text)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _parse_label(label: str) -> tuple[str, Augmentation]:
-    prior, _, augmentation = label.partition("+")
-    return prior, Augmentation.parse(augmentation) if augmentation else Augmentation.NONE
-
-
-def _parse_tsv(text: str) -> dict:
-    sections: list[list[str]] = [[]]
-    for line in text.splitlines():
-        if line == "":
-            sections.append([])
-        else:
-            sections[-1].append(line)
-    sections = [s for s in sections if s]
-    cells = {}
-    for line in sections[0][1:]:
-        name, prior, augmentation, p, r, f = line.split("\t")
-        cells[(prior, Augmentation.parse(augmentation), name)] = (
-            float(p),
-            float(r),
-            float(f),
-        )
-    gains = {}
-    for line in sections[1][1:]:
-        name, augmentation, value = line.split("\t")
-        gains[(name, Augmentation.parse(augmentation.lstrip("+")))] = float(value)
-    average_gains = {}
-    for line in sections[2][1:]:
-        name, value = line.split("\t")
-        average_gains[name] = float(value)
-    return {"cells": cells, "gains": gains, "average_gains": average_gains}
-
-
-def _parse_markdown(text: str) -> dict:
-    cells = {}
-    gains = {}
-    average_gains = {}
-    current_embedding = None
-    section = None
-    embedding_order: list[str] = []
-    for line in text.splitlines():
-        if line.startswith("## Embedding: "):
-            current_embedding = line[len("## Embedding: ") :].split(" (")[0]
-            section = "cells"
-            continue
-        if line.startswith("## Mean F gain by augmentation"):
-            section = "gains"
-            continue
-        if line.startswith("## Mean F gain by embedding"):
-            section = "average"
-            continue
-        if not line.startswith("|") or line.startswith("| ---"):
-            continue
-        fields = [f.strip() for f in line.strip("|").split("|")]
-        if section == "cells":
-            if fields[0] == "features":
-                continue
-            prior, augmentation = _parse_label(fields[0])
-            cells[(prior, augmentation, current_embedding)] = tuple(
-                float(v) for v in fields[1:4]
-            )
-        elif section == "gains":
-            if fields[0] == "augmentation":
-                embedding_order = fields[1:]
-                continue
-            augmentation = Augmentation.parse(fields[0].lstrip("+"))
-            for name, value in zip(embedding_order, fields[1:]):
-                gains[(name, augmentation)] = float(value)
-        elif section == "average":
-            if fields[0] == "embedding":
-                continue
-            average_gains[fields[0]] = float(fields[1])
-    return {"cells": cells, "gains": gains, "average_gains": average_gains}

@@ -13,8 +13,8 @@ Two four-value blocks summarize the pair structure:
   similar pair, the weakest best match, and the two analogues over each
   word's most dissimilar counterpart.
 * distance-weighted (WS): identical structure computed on
-  score / distance**exponent, which discounts pairs that sit far apart
-  in the sentence.  The exponent defaults to 2.
+  score / distance**2, which discounts pairs that sit far apart in the
+  sentence.
 
 Feature names ("emb.s.max_sim", ...) are a persisted contract: anything
 written to feature files or model files uses exactly these strings.
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable, cosine_similarity
-from .text import (
-    DEFAULT_CASING,
-    CasingPolicy,
-    ContentWordSet,
-    TokenizedSentence,
-    content_words,
-)
+from .text import ContentWordSet, TokenizedSentence, content_words
 
 
 class InsufficientContentError(ValueError):
@@ -145,29 +139,13 @@ def unweighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, 
     return _extremes(pairwise.scores)
 
 
-def weighted_features(
-    pairwise: PairwiseScores, exponent: int = 2
-) -> tuple[float, float, float, float]:
-    """The WS block: the same extremes on score / distance**exponent."""
+def weighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, float]:
+    """The WS block: the same extremes on score / distance**2."""
     weighted = pairwise.scores / np.power(
-        pairwise.distances.astype(np.float64), exponent,
+        pairwise.distances.astype(np.float64), 2,
         out=np.ones_like(pairwise.scores), where=pairwise.distances > 0,
     )
     return _extremes(weighted)
-
-
-@dataclass(frozen=True)
-class SimilarityFeatures:
-    """Both blocks for one sentence, in feature-name order."""
-
-    s_max_sim: float
-    s_min_sim: float
-    s_max_dissim: float
-    s_min_dissim: float
-    ws_max_sim: float
-    ws_min_sim: float
-    ws_max_dissim: float
-    ws_min_dissim: float
 
 
 def embed_features(
@@ -176,8 +154,6 @@ def embed_features(
     which: Augmentation,
     *,
     stopwords: frozenset[str],
-    casing: CasingPolicy = DEFAULT_CASING,
-    distance_exponent: int = 2,
 ) -> dict[str, float]:
     """Compute the named similarity features for one sentence.
 
@@ -189,13 +165,13 @@ def embed_features(
     if which is Augmentation.NONE:
         raise ValueError("embed_features needs a non-empty block selection")
     try:
-        pairs = pairwise_scores(content_words(sentence, stopwords, table, casing))
+        pairs = pairwise_scores(content_words(sentence, stopwords, table))
     except InsufficientContentError:
         s_values = (0.0, 0.0, 0.0, 0.0)
         ws_values = (0.0, 0.0, 0.0, 0.0)
     else:
         s_values = unweighted_features(pairs)
-        ws_values = weighted_features(pairs, distance_exponent)
+        ws_values = weighted_features(pairs)
     features: dict[str, float] = {}
     if which in (Augmentation.S, Augmentation.S_AND_WS):
         features.update(zip(S_FEATURE_NAMES, s_values))

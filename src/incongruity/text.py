@@ -2,14 +2,16 @@
 
 The tokenizer splits on Unicode whitespace and detaches leading/trailing
 punctuation runs as their own tokens, so "Great." becomes [Great, .] and
-"Wow!!!" becomes [Wow, !!!].  Token positions are raw indices into the
+"Wow!!!" becomes [Wow, !!!].  A token's position is its index in the
 token list; stopwords and punctuation keep their positions, which matters
 when later stages measure token distances.
+
+Sentence tokens are matched against an embedding vocabulary by exact
+string first, then by their lowercased form.
 """
 
 from __future__ import annotations
 
-import enum
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -35,27 +37,10 @@ def is_punctuation(token: str) -> bool:
 
 @dataclass(frozen=True)
 class TokenizedSentence:
-    """A sentence as raw text plus its token sequence.
-
-    ``positions[i]`` is always ``i``; the field exists so downstream
-    consumers that subset tokens keep an explicit record of where each
-    token sat in the original sequence.
-    """
+    """A sentence as raw text plus its token sequence."""
 
     raw: str
     tokens: tuple[str, ...]
-    positions: tuple[int, ...]
-    stopword_flags: tuple[bool, ...] | None = None
-    invocab_flags: tuple[bool, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.positions):
-            raise ValueError("tokens and positions must have equal length")
-        if self.positions != tuple(range(len(self.tokens))):
-            raise ValueError("positions must be 0, 1, ... in order")
-        for flags in (self.stopword_flags, self.invocab_flags):
-            if flags is not None and len(flags) != len(self.tokens):
-                raise ValueError("flag array length must match token count")
 
 
 def tokenize(text: str) -> TokenizedSentence:
@@ -83,31 +68,14 @@ def tokenize(text: str) -> TokenizedSentence:
             tokens.append(chunk[trail:])
     if not tokens:
         raise EmptySentenceError(f"no tokens in input {text!r}")
-    return TokenizedSentence(
-        raw=text, tokens=tuple(tokens), positions=tuple(range(len(tokens)))
-    )
+    return TokenizedSentence(raw=text, tokens=tuple(tokens))
 
 
-class CasingPolicy(enum.Enum):
-    """How sentence tokens are matched against embedding vocabularies."""
+def resolve_vocab_word(table: EmbeddingTable, token: str) -> str | None:
+    """Map a token to the table word it should use, or None if out of vocab.
 
-    EXACT = "exact"
-    LOWERCASE = "lowercase"
-    EXACT_THEN_LOWERCASE = "exact_then_lowercase"
-
-
-DEFAULT_CASING = CasingPolicy.EXACT_THEN_LOWERCASE
-
-
-def resolve_vocab_word(
-    table: EmbeddingTable, token: str, casing: CasingPolicy = DEFAULT_CASING
-) -> str | None:
-    """Map a token to the table word it should use, or None if out of vocab."""
-    if casing is CasingPolicy.EXACT:
-        return token if token in table else None
-    if casing is CasingPolicy.LOWERCASE:
-        lowered = token.lower()
-        return lowered if lowered in table else None
+    An exact match wins; otherwise the lowercased token is tried.
+    """
     if token in table:
         return token
     lowered = token.lower()
@@ -175,53 +143,28 @@ class ContentWordSet:
         return tuple(entry.word for entry in self.entries)
 
 
-def annotate(
-    sentence: TokenizedSentence,
-    stopwords: frozenset[str],
-    table: EmbeddingTable | None = None,
-    casing: CasingPolicy = DEFAULT_CASING,
-) -> TokenizedSentence:
-    """Return a copy of ``sentence`` with stopword and in-vocab flags filled."""
-    stop = tuple(tok.casefold() in stopwords for tok in sentence.tokens)
-    if table is None:
-        invocab = tuple(False for _ in sentence.tokens)
-    else:
-        invocab = tuple(
-            resolve_vocab_word(table, tok, casing) is not None
-            for tok in sentence.tokens
-        )
-    return TokenizedSentence(
-        raw=sentence.raw,
-        tokens=sentence.tokens,
-        positions=sentence.positions,
-        stopword_flags=stop,
-        invocab_flags=invocab,
-    )
-
-
 def content_words(
     sentence: TokenizedSentence,
     stopwords: frozenset[str],
     table: EmbeddingTable,
-    casing: CasingPolicy = DEFAULT_CASING,
 ) -> ContentWordSet:
     """Select the sentence's content-word types.
 
     A token survives when it is not pure punctuation, not a stopword
-    (case-folded test), and resolves to a table word under the casing
-    policy.  Tokens resolving to the same vocabulary word merge into one
+    (case-folded test), and resolves to a table word (exact match, then
+    lowercase).  Tokens resolving to the same vocabulary word merge into one
     entry carrying every occurrence position.  Tokens whose vector has
     zero norm are skipped so every surviving entry supports a defined
     cosine.
     """
     order: list[str] = []
     positions: dict[str, list[int]] = {}
-    for pos, token in zip(sentence.positions, sentence.tokens):
+    for pos, token in enumerate(sentence.tokens):
         if is_punctuation(token):
             continue
         if token.casefold() in stopwords:
             continue
-        key = resolve_vocab_word(table, token, casing)
+        key = resolve_vocab_word(table, token)
         if key is None:
             continue
         if key not in positions:

@@ -230,6 +230,36 @@ class TestModelIO:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def write_model(self, path, edit):
+        """Save a two-name, two-weight model, then rewrite its lines with ``edit``."""
+        registry = FeatureRegistry()
+        registry.intern("a")
+        registry.intern("b")
+        save_model(path, LinearModel(np.array([1.0, 2.0]), 0.0, 0.0), registry)
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("fid", ["-1", "2"])
+    def test_out_of_range_weight_id_names_line(self, tmp_path, fid):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: lines[:-1] + [f"{fid} 5.0"]
+        )
+        with pytest.raises(ModelFormatError, match=f"line 10: weight id {fid}"):
+            load_model(path)
+
+    def test_missing_weight_lines_name_header(self, tmp_path):
+        path = self.write_model(tmp_path / "model.txt", lambda lines: lines[:-1])
+        with pytest.raises(ModelFormatError, match="line 8: declares 2 weights"):
+            load_model(path)
+
+    def test_dim_beyond_names_rejected(self, tmp_path):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: [lines[0], "dim 3", *lines[2:]]
+        )
+        with pytest.raises(ModelFormatError, match="line 2: dim 3 exceeds 2 names"):
+            load_model(path)
+
     def test_registry_must_cover_weights(self, tmp_path):
         registry = FeatureRegistry()
         model = LinearModel(np.array([1.0]), 0.0, 0.0)

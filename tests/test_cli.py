@@ -4,8 +4,9 @@ from click.testing import CliRunner
 
 from incongruity.cli import main
 from incongruity.embeddings import load_embeddings
-from incongruity.harness import load_dataset, parse_report
+from incongruity.harness import load_dataset
 from incongruity.synthetic import toy_embedding_tables
+from test_harness import table_rows
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +184,12 @@ class TestRunMatrix:
         result = self.run_it(runner, workspace, report)
         assert result.exit_code == 0, result.output
         assert "(64 grid cells)" in result.output
-        parsed = parse_report(report.read_text(encoding="utf-8"), "markdown")
-        assert len(parsed["cells"]) == 64
-        assert len(parsed["gains"]) == 12
-        assert len(parsed["average_gains"]) == 4
+        sections = report.read_text(encoding="utf-8").split("\n## ")[1:]
+        cells = [row for section in sections[:-2] for row in table_rows(section)]
+        assert len(cells) == 64
+        gains = table_rows(sections[-2])
+        assert len(gains) == 3 and all(len(row) == 1 + 4 for row in gains)
+        assert len(table_rows(sections[-1])) == 4
 
     def test_reruns_are_byte_identical(self, runner, workspace, tmp_path):
         first = tmp_path / "first.tsv"

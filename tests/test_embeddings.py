@@ -64,6 +64,13 @@ class TestTextLoader:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(path, "text_vectors")
 
+    @pytest.mark.parametrize("component", ["nan", "inf"])
+    def test_non_finite_component_names_line(self, tmp_path, component):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"good 1.0 0.0\nbad {component} 1.0\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+            load_embeddings(path, "text_vectors")
+
     def test_duplicate_word_names_word(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0\nb 2.0\na 3.0\n", encoding="utf-8")
@@ -137,6 +144,13 @@ class TestBinaryLoader:
             tmp_path / "vecs.bin", [("dup", [1.0]), ("dup", [2.0])]
         )
         with pytest.raises(EmbeddingFormatError, match="'dup'"):
+            load_embeddings(path, "binary_w2v")
+
+    def test_non_finite_component_names_record(self, tmp_path):
+        path = write_binary(
+            tmp_path / "vecs.bin", [("good", [1.0, 0.0]), ("bad", [float("nan"), 1.0])]
+        )
+        with pytest.raises(EmbeddingFormatError, match="record 1 \\('bad'\\): non-finite"):
             load_embeddings(path, "binary_w2v")
 
     def test_trailing_garbage(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_table
 from incongruity.features import (
@@ -67,8 +69,7 @@ class TestRegistry:
 class TestFeatureVector:
     def test_zero_values_are_absent(self):
         vector = FeatureVector({0: 1.0, 1: 0.0, 2: -2.5})
-        assert vector.ids == frozenset({0, 2})
-        assert vector.get(1) == 0.0
+        assert dict(vector.items()) == {0: 1.0, 2: -2.5}
         assert len(vector) == 2
 
     def test_from_fragments_interns_zeros_but_drops_them(self):
@@ -77,7 +78,10 @@ class TestFeatureVector:
             registry, [{"a": 1.0, "b": 0.0}, {"c": 3.0}]
         )
         assert registry.names == ("a", "b", "c")
-        assert vector.ids == {registry.intern("a"), registry.intern("c")}
+        assert dict(vector.items()) == {
+            registry.intern("a"): 1.0,
+            registry.intern("c"): 3.0,
+        }
 
     def test_duplicate_name_across_fragments_rejected(self):
         registry = FeatureRegistry()
@@ -91,7 +95,7 @@ class TestFeatureVector:
         vector = FeatureVector.from_fragments(
             registry, [{"old": 2.0, "new": 5.0}]
         )
-        assert vector.ids == {0}
+        assert dict(vector.items()) == {0: 2.0}
 
     def test_as_arrays_sorted_and_aligned(self):
         vector = FeatureVector({7: 1.5, 2: -1.0, 11: 4.0})
@@ -99,6 +103,23 @@ class TestFeatureVector:
         np.testing.assert_array_equal(ids, [2, 7, 11])
         np.testing.assert_array_equal(values, [-1.0, 1.5, 4.0])
         assert ids.dtype == np.int64
+
+    def test_as_arrays_are_read_only(self):
+        ids, values = FeatureVector({3: 1.0}).as_arrays()
+        with pytest.raises(ValueError):
+            ids[0] = 4
+        with pytest.raises(ValueError):
+            values[0] = 2.0
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=10_000),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_items_are_nonzero_mapping_items_sorted_by_id(self, mapping):
+        expected = sorted((fid, v) for fid, v in mapping.items() if v != 0.0)
+        assert list(FeatureVector(mapping).items()) == expected
 
 
 class TestNgrams:
@@ -334,7 +355,8 @@ class TestBuildConfigFeatures:
             ExperimentConfig("B", Augmentation.S, "emb-a"),
             registry,
         )
-        assert plain.ids <= augmented.ids
+        plain_ids = {fid for fid, _ in plain.items()}
+        assert plain_ids <= {fid for fid, _ in augmented.items()}
 
     def test_degenerate_sentence_still_interns_block_names(self):
         # Stopwords still produce n-grams; only the similarity block

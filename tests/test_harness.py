@@ -27,7 +27,6 @@ from incongruity.harness import (
     extract_features,
     load_dataset,
     metrics_from_predictions,
-    parse_report,
     run_config,
     run_matrix,
     save_dataset_tsv,
@@ -426,6 +425,25 @@ class TestComputeGains:
         assert gains.per_embedding[name] == pytest.approx(expected_avg)
 
 
+def report_cells(matrix):
+    """(embedding, prior, augmentation, cell) in report order."""
+    for name in matrix.embeddings:
+        for prior in PRIOR_SETS:
+            for augmentation in AUGMENTATIONS:
+                yield name, prior, augmentation, matrix.cells[(prior, augmentation, name)]
+
+
+def two_decimals(cell):
+    m = cell.metrics
+    return [f"{value:.2f}" for value in (m.precision, m.recall, m.f_score)]
+
+
+def table_rows(markdown):
+    """Data rows of the first Markdown table in ``markdown``, as cell lists."""
+    table = [line for line in markdown.splitlines() if line.startswith("|")]
+    return [[field.strip() for field in line.strip("|").split("|")] for line in table[2:]]
+
+
 class TestReports:
     def test_same_matrix_emits_identical_bytes(self, small_matrix):
         gains = compute_gains(small_matrix)
@@ -436,25 +454,46 @@ class TestReports:
 
     def test_tsv_round_trips_at_two_decimals(self, small_matrix):
         gains = compute_gains(small_matrix)
-        parsed = parse_report(emit_report(small_matrix, gains, "tsv"), "tsv")
-        assert len(parsed["cells"]) == 64
-        for key, cell in small_matrix.cells.items():
-            p, r, f = parsed["cells"][key]
-            assert p == round(cell.metrics.precision, 2)
-            assert r == round(cell.metrics.recall, 2)
-            assert f == round(cell.metrics.f_score, 2)
-        for key, value in gains.per_augmentation.items():
-            assert parsed["gains"][key] == round(value, 2)
-        for name, value in gains.per_embedding.items():
-            assert parsed["average_gains"][name] == round(value, 2)
+        text = emit_report(small_matrix, gains, "tsv")
+        cells, per_augmentation, per_embedding = [
+            section.splitlines()[1:] for section in text.rstrip("\n").split("\n\n")
+        ]
+        names = small_matrix.embeddings
+        assert cells == [
+            "\t".join((name, prior, augmentation.label, *two_decimals(cell)))
+            for name, prior, augmentation, cell in report_cells(small_matrix)
+        ]
+        assert len(cells) == 64
+        assert per_augmentation == [
+            f"{name}\t+{augmentation.label}\t"
+            f"{gains.per_augmentation[(name, augmentation)]:.2f}"
+            for name in names
+            for augmentation in AUGMENTATIONS[1:]
+        ]
+        assert per_embedding == [
+            f"{name}\t{gains.per_embedding[name]:.2f}" for name in names
+        ]
 
     def test_markdown_round_trips_at_two_decimals(self, small_matrix):
         gains = compute_gains(small_matrix)
-        parsed = parse_report(
-            emit_report(small_matrix, gains, "markdown"), "markdown"
-        )
-        tsv_parsed = parse_report(emit_report(small_matrix, gains, "tsv"), "tsv")
-        assert parsed == tsv_parsed
+        text = emit_report(small_matrix, gains, "markdown")
+        sections = text.split("\n## ")[1:]
+        names = small_matrix.embeddings
+        assert len(sections) == len(names) + 2
+        cells = [row for section in sections[: len(names)] for row in table_rows(section)]
+        assert cells == [
+            [prior if augmentation is Augmentation.NONE else f"{prior}+{augmentation.label}",
+             *two_decimals(cell)]
+            for _, prior, augmentation, cell in report_cells(small_matrix)
+        ]
+        assert table_rows(sections[-2]) == [
+            [f"+{augmentation.label}"]
+            + [f"{gains.per_augmentation[(name, augmentation)]:.2f}" for name in names]
+            for augmentation in AUGMENTATIONS[1:]
+        ]
+        assert table_rows(sections[-1]) == [
+            [name, f"{gains.per_embedding[name]:.2f}"] for name in names
+        ]
 
     def test_markdown_header_documents_the_run(self, small_matrix):
         gains = compute_gains(small_matrix)

@@ -125,13 +125,6 @@ class TestWeightedBlock:
         pairs = PairwiseScores(tuple("abcde"), scores, distances)
         assert weighted_features(pairs) == unweighted_features(pairs)
 
-    def test_exponent_knob(self):
-        scores = np.array([[np.nan, 0.8], [0.8, np.nan]])
-        distances = np.array([[0, 4], [4, 0]])
-        pairs = PairwiseScores(("x", "y"), scores, distances)
-        np.testing.assert_allclose(weighted_features(pairs, exponent=1), (0.2,) * 4)
-        np.testing.assert_allclose(weighted_features(pairs, exponent=2), (0.05,) * 4)
-
     def test_reference_matrix_against_oracle(self, table_one):
         n = len(table_one.words)
         weighted = table_one.scores / table_one.distances.astype(float) ** 2
@@ -232,16 +225,11 @@ class TestEmbedFeatures:
             ["left", "right"],
             np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32),
         )
-        sentence = tokenize("left pad pad right")
-        base = embed_features(
-            sentence, table, Augmentation.S_AND_WS,
-            stopwords=frozenset({"pad"}), distance_exponent=1,
+        # The pair sits 3 tokens apart, so WS is S over 3 squared.
+        features = embed_features(
+            tokenize("left pad pad right"), table, Augmentation.S_AND_WS,
+            stopwords=frozenset({"pad"}),
         )
-        squared = embed_features(
-            sentence, table, Augmentation.S_AND_WS,
-            stopwords=frozenset({"pad"}), distance_exponent=2,
-        )
-        assert base["emb.s.max_sim"] == squared["emb.s.max_sim"]
         np.testing.assert_allclose(
-            squared["emb.ws.max_sim"], base["emb.ws.max_sim"] / 3.0, atol=1e-12
+            features["emb.ws.max_sim"], features["emb.s.max_sim"] / 9.0, atol=1e-12
         )

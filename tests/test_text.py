@@ -3,9 +3,7 @@ import pytest
 
 from incongruity.embeddings import EmbeddingTable
 from incongruity.text import (
-    CasingPolicy,
     EmptySentenceError,
-    annotate,
     content_words,
     default_stopwords,
     is_punctuation,
@@ -33,10 +31,6 @@ class TestTokenize:
 
     def test_internal_punctuation_kept(self):
         assert tokenize("don't stop").tokens == ("don't", "stop")
-
-    def test_positions_are_sequential(self):
-        sentence = tokenize("one two three.")
-        assert sentence.positions == (0, 1, 2, 3)
 
     def test_eleven_token_reference_sentence(self):
         sentence = tokenize("A woman needs a man like a fish needs a bicycle")
@@ -94,22 +88,11 @@ def small_table():
 
 
 class TestCasingPolicy:
-    def test_exact(self):
-        table = small_table()
-        assert resolve_vocab_word(table, "Paris", CasingPolicy.EXACT) == "Paris"
-        assert resolve_vocab_word(table, "Man", CasingPolicy.EXACT) is None
-
-    def test_lowercase(self):
-        table = small_table()
-        assert resolve_vocab_word(table, "Man", CasingPolicy.LOWERCASE) == "man"
-        assert resolve_vocab_word(table, "Paris", CasingPolicy.LOWERCASE) is None
-
     def test_exact_then_lowercase(self):
         table = small_table()
-        policy = CasingPolicy.EXACT_THEN_LOWERCASE
-        assert resolve_vocab_word(table, "Paris", policy) == "Paris"
-        assert resolve_vocab_word(table, "Man", policy) == "man"
-        assert resolve_vocab_word(table, "unknown", policy) is None
+        assert resolve_vocab_word(table, "Paris") == "Paris"
+        assert resolve_vocab_word(table, "Man") == "man"
+        assert resolve_vocab_word(table, "unknown") is None
 
 
 class TestContentWords:
@@ -172,11 +155,3 @@ class TestContentWords:
         for one, two in zip(first.entries, second.entries):
             np.testing.assert_array_equal(one.vector, two.vector)
 
-
-class TestAnnotate:
-    def test_flags_filled(self):
-        sentence = tokenize("The man ...")
-        annotated = annotate(sentence, frozenset({"the"}), small_table())
-        assert annotated.stopword_flags == (True, False, False)
-        assert annotated.invocab_flags == (False, True, False)
-        assert len(annotated.stopword_flags) == len(annotated.tokens)
