@@ -64,6 +64,9 @@ class EmbeddingTable:
             )
         if matrix.shape[1] == 0:
             raise ValueError("vectors must have at least one dimension")
+        if not np.isfinite(matrix).all():
+            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
+            raise ValueError(f"non-finite vector component for word {words[bad]!r}")
         index: dict[str, int] = {}
         for i, word in enumerate(words):
             if word in index:
@@ -132,12 +135,14 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
     The computation is symmetric in its arguments bit-for-bit, runs in
     float64 regardless of input dtype, and never returns NaN: a zero-norm
-    operand raises :class:`DegenerateVectorError` instead.
+    operand raises :class:`DegenerateVectorError`, a non-finite one ValueError.
     """
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
+    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
+        raise ValueError("cosine undefined for a non-finite vector component")
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:

@@ -5,6 +5,9 @@ pair gets a raw cosine score and a token distance (the minimum absolute
 position difference over all occurrence pairs, measured on raw token
 positions so stopwords and punctuation still count as distance).
 
+The cosines are one Gram matrix of the unit-normalized float64 rows, clamped
+and exactly symmetric; they can differ from ``cosine_similarity`` in the last bits.
+
 Two four-value blocks summarize the pair structure:
 
 * unweighted (S): for each word i, best_i is the maximum pair score with
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, cosine_similarity
+from .embeddings import EmbeddingTable
 from .text import ContentWordSet, TokenizedSentence, content_words
 
 
@@ -99,33 +103,27 @@ def pairwise_scores(content: ContentWordSet) -> PairwiseScores:
         raise InsufficientContentError(
             f"need at least 2 content-word types, found {n}"
         )
-    scores = np.full((n, n), np.nan, dtype=np.float64)
-    distances = np.zeros((n, n), dtype=np.int64)
     entries = content.entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = cosine_similarity(entries[i].vector, entries[j].vector)
-            scores[i, j] = value
-            scores[j, i] = value
-            gap = min(
-                abs(p - q)
-                for p in entries[i].positions
-                for q in entries[j].positions
-            )
-            distances[i, j] = gap
-            distances[j, i] = gap
+    rows = np.array([entry.vector for entry in entries], dtype=np.float64)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    gram = rows @ rows.T
+    # The product need not round (i, j) and (j, i) alike; the elementwise
+    # minimum with the transpose is exactly symmetric.
+    scores = np.clip(np.minimum(gram, gram.T), -1.0, 1.0)
+    np.fill_diagonal(scores, np.nan)
+    positions = np.concatenate([entry.positions for entry in entries])
+    starts = list(accumulate((len(entry.positions) for entry in entries[:-1]), initial=0))
+    gaps = np.abs(positions[:, None] - positions[None, :])
+    distances = np.minimum.reduceat(np.minimum.reduceat(gaps, starts), starts, axis=1)
     return PairwiseScores(content.words, scores, distances)
 
 
 def _extremes(matrix: np.ndarray) -> tuple[float, float, float, float]:
-    n = matrix.shape[0]
-    off_diagonal = ~np.eye(n, dtype=bool)
-    best = np.empty(n)
-    worst = np.empty(n)
-    for i in range(n):
-        row = matrix[i][off_diagonal[i]]
-        best[i] = row.max()
-        worst[i] = row.min()
+    # Masking the diagonal with infinities rather than calling nanmax and
+    # nanmin keeps a NaN pair score visible in the result.
+    off_diagonal = ~np.eye(len(matrix), dtype=bool)
+    best = np.where(off_diagonal, matrix, -np.inf).max(axis=1)
+    worst = np.where(off_diagonal, matrix, np.inf).min(axis=1)
     return (
         float(best.max()),
         float(best.min()),
@@ -141,11 +139,7 @@ def unweighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, 
 
 def weighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, float]:
     """The WS block: the same extremes on score / distance**2."""
-    weighted = pairwise.scores / np.power(
-        pairwise.distances.astype(np.float64), 2,
-        out=np.ones_like(pairwise.scores), where=pairwise.distances > 0,
-    )
-    return _extremes(weighted)
+    return _extremes(pairwise.scores / pairwise.distances**2)
 
 
 def embed_features(

@@ -105,12 +105,8 @@ def default_stopwords() -> frozenset[str]:
     global _DEFAULT_STOPWORDS
     if _DEFAULT_STOPWORDS is None:
         ref = resources.files("incongruity.data").joinpath("stopwords.txt")
-        words = set()
-        for line in ref.read_text(encoding="utf-8").splitlines():
-            entry = line.split("#", 1)[0].strip()
-            if entry:
-                words.add(unicodedata.normalize("NFC", entry).casefold())
-        _DEFAULT_STOPWORDS = frozenset(words)
+        with resources.as_file(ref) as path:
+            _DEFAULT_STOPWORDS = load_stopwords(path)
     return _DEFAULT_STOPWORDS
 
 

@@ -203,6 +203,13 @@ class TestCosine:
         with pytest.raises(ValueError, match="mismatch"):
             cosine_similarity([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operand_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_similarity([bad, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_similarity([1.0, 0.0], [1.0, bad])
+
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -293,6 +300,11 @@ class TestTableValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
             EmbeddingTable("t", ["a"], np.ones((2, 2), dtype=np.float32))
+
+    def test_non_finite_row_rejected_naming_word(self):
+        vectors = np.array([[1.0, 0.0], [np.nan, 0.0], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match="'b'"):
+            EmbeddingTable("t", ["a", "b", "c"], vectors)
 
     def test_vectors_read_only(self, toy_table):
         with pytest.raises(ValueError):

@@ -26,9 +26,7 @@ class TestPairwiseScores:
         n = len(pairs.words)
         assert np.isnan(pairs.scores.diagonal()).all()
         off = ~np.eye(n, dtype=bool)
-        np.testing.assert_allclose(
-            pairs.scores[off], pairs.scores.T[off], atol=1e-9
-        )
+        np.testing.assert_array_equal(pairs.scores[off], pairs.scores.T[off])
         assert (pairs.distances[off] >= 1).all()
 
     def test_distance_uses_minimum_occurrence_gap(self):
@@ -39,6 +37,39 @@ class TestPairwiseScores:
         i = pairs.words.index("w000")
         j = pairs.words.index("w001")
         assert pairs.distances[i, j] == 2
+
+    def test_each_pair_matches_scalar_oracle(self):
+        table = random_table(30, 12, seed=10)
+        stopwords = frozenset({"the", "of"})
+        pool = list(table.vocab[:8]) + ["the", "of", "zzz-oov", "!"]
+        rng = np.random.default_rng(11)
+        # Short random sentences repeat words, stopwords and OOV tokens.
+        sentences = [
+            [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(2, 12)))]
+            for _ in range(60)
+        ]
+        sentences.append(["w010", "w011"])
+        sentences.append(list(table.vocab) + ["the", "w000", "zzz-oov"] * 3 + ["w005"])
+        checked = 0
+        for tokens in sentences:
+            selected = content_words(tokenize(" ".join(tokens)), stopwords, table)
+            if len(selected) < 2:
+                continue
+            checked += 1
+            pairs = pairwise_scores(selected)
+            entries = selected.entries
+            for i in range(len(entries)):
+                for j in range(len(entries)):
+                    if i == j:
+                        continue
+                    assert pairs.scores[i, j] == pytest.approx(
+                        oracles.cosine(entries[i].vector, entries[j].vector),
+                        rel=0, abs=1e-12,
+                    )
+                    assert pairs.distances[i, j] == oracles.min_distance(
+                        entries[i].positions, entries[j].positions
+                    )
+        assert checked >= 40
 
     def test_insufficient_content_raises(self):
         table = random_table(5, 4, seed=5)
@@ -70,6 +101,14 @@ class TestUnweightedBlock:
         distances = np.array([[0, 1], [1, 0]])
         pairs = PairwiseScores(("x", "y"), scores, distances)
         assert unweighted_features(pairs) == (0.4, 0.4, 0.4, 0.4)
+
+    def test_nan_score_propagates(self):
+        scores = np.array(
+            [[np.nan, np.nan, 0.2], [np.nan, np.nan, 0.5], [0.2, 0.5, np.nan]]
+        )
+        distances = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        pairs = PairwiseScores(("x", "y", "z"), scores, distances)
+        assert np.isnan(unweighted_features(pairs)).all()
 
     def test_order_permutation_invariance(self):
         table = random_table(8, 10, seed=6)

@@ -1,5 +1,9 @@
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from incongruity.embeddings import EmbeddingTable
 from incongruity.text import (
@@ -41,6 +45,14 @@ class TestTokenize:
     def test_empty_input_raises(self):
         with pytest.raises(EmptySentenceError):
             tokenize("   ")
+
+    @given(st.text())
+    def test_tokens_partition_the_non_space_text(self, text):
+        assume(text.strip())
+        tokens = tokenize(text).tokens
+        assert all(token and not any(ch.isspace() for ch in token) for token in tokens)
+        normalized = unicodedata.normalize("NFC", text)
+        assert "".join(tokens) == "".join(normalized.split())
 
     def test_is_punctuation(self):
         assert is_punctuation("!!!")
