@@ -255,7 +255,7 @@ def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
                     f"found {len(components)}"
                 )
             try:
-                row = np.array([float(c) for c in components], dtype=np.float32)
+                row = np.array(components, dtype=np.float32)
             except ValueError as exc:
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno}: non-numeric vector component"

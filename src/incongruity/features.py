@@ -452,27 +452,23 @@ def build_config_features(
     sentence: TokenizedSentence,
     config: ExperimentConfig,
     tables: Mapping[str, EmbeddingTable],
-    lexicon: Lexicon | None,
-    registry: FeatureRegistry,
+    lexicon: Lexicon,
     *,
     stopwords: frozenset[str],
-) -> FeatureVector:
-    """Extract the full feature vector for one sentence under ``config``."""
+) -> list[Mapping[str, float]]:
+    """One sentence's fragments under ``config``: the prior set's, then the
+    similarity block if an augmentation is selected.  They do not depend on
+    any registry; :meth:`FeatureVector.from_fragments` interns them."""
     fragments: list[Mapping[str, float]] = []
     if config.prior_set == "L":
         fragments.append(ngram_features(sentence, 3))
+    elif config.prior_set == "G":
+        fragments.append(ngram_features(sentence, 1))
+        fragments.append(lexicon_category_features(sentence, lexicon))
+    elif config.prior_set == "B":
+        fragments.append(pragmatic_features(sentence, lexicon))
     else:
-        if lexicon is None:
-            raise ConfigurationError(
-                f"prior set {config.prior_set!r} requires a lexicon"
-            )
-        if config.prior_set == "G":
-            fragments.append(ngram_features(sentence, 1))
-            fragments.append(lexicon_category_features(sentence, lexicon))
-        elif config.prior_set == "B":
-            fragments.append(pragmatic_features(sentence, lexicon))
-        else:
-            fragments.append(incongruity_features(sentence, lexicon))
+        fragments.append(incongruity_features(sentence, lexicon))
     if config.augmentation is not Augmentation.NONE:
         table = tables.get(config.embedding)
         if table is None:
@@ -481,11 +477,6 @@ def build_config_features(
                 f"available: {sorted(tables)}"
             )
         fragments.append(
-            embed_features(
-                sentence,
-                table,
-                config.augmentation,
-                stopwords=stopwords,
-            )
+            embed_features(sentence, table, config.augmentation, stopwords=stopwords)
         )
-    return FeatureVector.from_fragments(registry, fragments)
+    return fragments

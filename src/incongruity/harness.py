@@ -1,11 +1,12 @@
 """Corpus ingestion, stratified cross-validation, experiment grid, reports.
 
 The harness runs feature configurations over a labeled corpus with
-stratified k-fold cross-validation.  Within each fold the feature
-registry is fit on training instances only and frozen before test
-extraction, so no feature id can originate in test data.  Pooled
-metrics concatenate the per-fold test predictions and are the primary
-numbers; per-fold values are kept alongside.
+stratified k-fold cross-validation.  Features are extracted once per
+corpus; only interning is per fold.  Within each fold the feature
+registry is fit on training fragments only and frozen before test
+fragments are interned, so no feature id can originate in test data.
+Pooled metrics concatenate the per-fold test predictions and are the
+primary numbers; per-fold values are kept alongside.
 
 ``run_matrix`` evaluates every (prior set, augmentation, embedding)
 cell; ``compute_gains`` reduces the grid to mean F gains per
@@ -24,11 +25,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import DegenerateTrainingError, TrainConfig, train
+from .classify import TrainConfig, train
 from .embeddings import EmbeddingTable, intersect_vocabularies
 from .features import (
     PRIOR_SETS,
-    ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
     FeatureVector,
@@ -36,7 +36,7 @@ from .features import (
     build_config_features,
     default_lexicon,
 )
-from .similarity import Augmentation
+from .similarity import Augmentation, embed_features
 from .text import TokenizedSentence, default_stopwords, tokenize
 
 AUGMENTATIONS = (
@@ -56,10 +56,6 @@ class DatasetParseError(ValueError):
 
 class SplitError(ValueError):
     """The corpus cannot be split as requested."""
-
-
-class ExperimentError(RuntimeError):
-    """A configuration run failed; the message names the fold."""
 
 
 class IncompleteMatrixError(ValueError):
@@ -239,15 +235,10 @@ class Resources:
     embeddings: Mapping[str, EmbeddingTable] = dataclasses.field(
         default_factory=dict
     )
-    lexicon: Lexicon | None = None
+    lexicon: Lexicon = dataclasses.field(default_factory=default_lexicon)
     stopwords: frozenset[str] = dataclasses.field(
         default_factory=default_stopwords
     )
-
-    def with_default_lexicon(self) -> "Resources":
-        if self.lexicon is not None:
-            return self
-        return dataclasses.replace(self, lexicon=default_lexicon())
 
 
 @dataclass(frozen=True)
@@ -257,18 +248,16 @@ class ConfigResult:
     predictions: tuple[Prediction, ...]
 
 
-def _validate_embedding(config: ExperimentConfig, resources: Resources) -> None:
-    if config.augmentation is Augmentation.NONE:
-        if config.embedding and resources.embeddings and config.embedding not in resources.embeddings:
-            raise ConfigurationError(
-                f"unknown embedding id {config.embedding!r}"
-            )
-        return
-    if config.embedding not in resources.embeddings:
-        raise ConfigurationError(
-            f"unknown embedding id {config.embedding!r}; "
-            f"available: {sorted(resources.embeddings)}"
-        )
+def _fragments(
+    sentence: TokenizedSentence, config: ExperimentConfig, resources: Resources
+) -> list[Mapping[str, float]]:
+    return build_config_features(
+        sentence,
+        config,
+        resources.embeddings,
+        resources.lexicon,
+        stopwords=resources.stopwords,
+    )
 
 
 def extract_features(
@@ -278,16 +267,52 @@ def extract_features(
     registry: FeatureRegistry,
 ) -> list[FeatureVector]:
     return [
-        build_config_features(
-            sentence,
-            config,
-            resources.embeddings,
-            resources.lexicon,
-            registry,
-            stopwords=resources.stopwords,
-        )
-        for sentence in sentences
+        FeatureVector.from_fragments(registry, _fragments(s, config, resources))
+        for s in sentences
     ]
+
+
+def _cross_validate(
+    config: ExperimentConfig,
+    instances: Sequence[LabeledInstance],
+    fragments: Sequence[Sequence[Mapping[str, float]]],
+    splits: Sequence[tuple[list[int], list[int]]],
+    train_config: TrainConfig | None,
+) -> ConfigResult:
+    """Cross-validate ``config`` on pre-extracted per-instance fragments.
+
+    Per split: intern the training fragments into a fresh registry, freeze
+    it, train, and predict each test instance from its fragments interned
+    against the frozen registry.  The pooled metrics concatenate all test
+    predictions.
+    """
+    train_config = train_config or TrainConfig()
+    all_predictions: list[Prediction] = []
+    per_fold: list[FoldMetrics] = []
+    for fold_index, (train_idx, test_idx) in enumerate(splits):
+        registry = FeatureRegistry()
+        train_vectors = [
+            FeatureVector.from_fragments(registry, fragments[i]) for i in train_idx
+        ]
+        registry.freeze()
+        model = train(
+            [(vector, instances[i].label) for vector, i in zip(train_vectors, train_idx)],
+            train_config,
+        )
+        fold_predictions = []
+        for i in test_idx:
+            score, predicted = model.predict(
+                FeatureVector.from_fragments(registry, fragments[i])
+            )
+            fold_predictions.append(
+                Prediction(instances[i].id, instances[i].label, predicted, score, fold_index)
+            )
+        per_fold.append(FoldMetrics(*metrics_from_predictions(fold_predictions)))
+        all_predictions.extend(fold_predictions)
+
+    pooled = metrics_from_predictions(all_predictions)
+    report = MetricsReport(*pooled, per_fold=tuple(per_fold))
+    return ConfigResult(config, report, tuple(all_predictions))
 
 
 def run_config(
@@ -299,52 +324,11 @@ def run_config(
     seed: int = 0,
     train_config: TrainConfig | None = None,
 ) -> ConfigResult:
-    """Cross-validate one configuration.
-
-    Per fold: fit a fresh feature registry on the training split, freeze
-    it, extract test features against the frozen registry, train, and
-    predict.  The pooled metrics concatenate all test predictions.
-    """
-    _validate_embedding(config, resources)
-    train_config = train_config or TrainConfig()
+    """Cross-validate one configuration; features are extracted once, not per fold."""
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
-
-    all_predictions: list[Prediction] = []
-    per_fold: list[FoldMetrics] = []
-    for fold_index, (train_idx, test_idx) in enumerate(splits):
-        try:
-            registry = FeatureRegistry()
-            train_vectors = extract_features(
-                [sentences[i] for i in train_idx], config, resources, registry
-            )
-            registry.freeze()
-            test_vectors = extract_features(
-                [sentences[i] for i in test_idx], config, resources, registry
-            )
-            model = train(
-                [
-                    (vector, instances[i].label)
-                    for vector, i in zip(train_vectors, train_idx)
-                ],
-                train_config,
-            )
-        except (ConfigurationError, DegenerateTrainingError, ValueError) as exc:
-            raise ExperimentError(
-                f"config {config.label}: fold {fold_index}: {exc}"
-            ) from exc
-        fold_predictions = []
-        for vector, i in zip(test_vectors, test_idx):
-            score, predicted = model.predict(vector)
-            fold_predictions.append(
-                Prediction(instances[i].id, instances[i].label, predicted, score, fold_index)
-            )
-        per_fold.append(FoldMetrics(*metrics_from_predictions(fold_predictions)))
-        all_predictions.extend(fold_predictions)
-
-    pooled = metrics_from_predictions(all_predictions)
-    report = MetricsReport(*pooled, per_fold=tuple(per_fold))
-    return ConfigResult(config, report, tuple(all_predictions))
+    fragments = [_fragments(s, config, resources) for s in sentences]
+    return _cross_validate(config, instances, fragments, splits, train_config)
 
 
 @dataclass(frozen=True)
@@ -371,6 +355,8 @@ def run_matrix(
 ) -> MatrixResult:
     """Run every (prior set, augmentation, embedding) combination.
 
+    A cell's fragments are its prior set's plus the part of its table's
+    S+WS block that its augmentation selects; each is extracted once.
     Cells with augmentation ``none`` do not depend on the embedding, so
     they are computed once per prior set and replicated across embedding
     keys; their metrics are consequently constant along that axis.
@@ -384,18 +370,21 @@ def run_matrix(
             embeddings={t.name: t for t in tables},
         )
     names = tuple(resources.embeddings)
+    splits = stratified_kfold(instances, k=folds, seed=seed)
+    sentences = [tokenize(inst.text) for inst in instances]
+    blocks = {
+        name: [
+            embed_features(s, table, Augmentation.S_AND_WS, stopwords=resources.stopwords)
+            for s in sentences
+        ]
+        for name, table in resources.embeddings.items()
+    }
 
     cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
     for prior in PRIOR_SETS:
-        base_config = ExperimentConfig(prior, Augmentation.NONE, "")
-        base = run_config(
-            base_config,
-            instances,
-            resources,
-            folds=folds,
-            seed=seed,
-            train_config=train_config,
-        )
+        base_config = ExperimentConfig(prior)
+        priors = [_fragments(s, base_config, resources) for s in sentences]
+        base = _cross_validate(base_config, instances, priors, splits, train_config)
         for name in names:
             cells[(prior, Augmentation.NONE, name)] = dataclasses.replace(
                 base,
@@ -403,14 +392,16 @@ def run_matrix(
             )
         for name in names:
             for augmentation in AUGMENTATIONS[1:]:
-                config = ExperimentConfig(prior, augmentation, name)
-                cells[(prior, augmentation, name)] = run_config(
-                    config,
+                fragments = [
+                    [*prior_fragments, {n: block[n] for n in augmentation.feature_names}]
+                    for prior_fragments, block in zip(priors, blocks[name])
+                ]
+                cells[(prior, augmentation, name)] = _cross_validate(
+                    ExperimentConfig(prior, augmentation, name),
                     instances,
-                    resources,
-                    folds=folds,
-                    seed=seed,
-                    train_config=train_config,
+                    fragments,
+                    splits,
+                    train_config,
                 )
     vocab_sizes = {name: len(resources.embeddings[name]) for name in names}
     return MatrixResult(

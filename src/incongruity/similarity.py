@@ -51,6 +51,13 @@ class Augmentation(enum.Enum):
     def label(self) -> str:
         return self.value
 
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        """The similarity feature names this selection adds, in block order."""
+        s = S_FEATURE_NAMES if self in (Augmentation.S, Augmentation.S_AND_WS) else ()
+        ws = WS_FEATURE_NAMES if self in (Augmentation.WS, Augmentation.S_AND_WS) else ()
+        return s + ws
+
     @classmethod
     def parse(cls, text: str) -> "Augmentation":
         for member in cls:
@@ -161,14 +168,8 @@ def embed_features(
     try:
         pairs = pairwise_scores(content_words(sentence, stopwords, table))
     except InsufficientContentError:
-        s_values = (0.0, 0.0, 0.0, 0.0)
-        ws_values = (0.0, 0.0, 0.0, 0.0)
+        values = (0.0,) * 8
     else:
-        s_values = unweighted_features(pairs)
-        ws_values = weighted_features(pairs)
-    features: dict[str, float] = {}
-    if which in (Augmentation.S, Augmentation.S_AND_WS):
-        features.update(zip(S_FEATURE_NAMES, s_values))
-    if which in (Augmentation.WS, Augmentation.S_AND_WS):
-        features.update(zip(WS_FEATURE_NAMES, ws_values))
-    return features
+        values = unweighted_features(pairs) + weighted_features(pairs)
+    block = dict(zip(S_FEATURE_NAMES + WS_FEATURE_NAMES, values))
+    return {name: block[name] for name in which.feature_names}

@@ -203,7 +203,7 @@ class TestPipelineDirection:
             corpus = generate_corpus(300, 0.3, seed=0)
             resources = Resources(
                 embeddings=toy_embedding_tables(seed=0)
-            ).with_default_lexicon()
+            )
             base = run_config(
                 ExperimentConfig("L"), corpus, resources, folds=5, seed=0
             )
@@ -238,7 +238,7 @@ class TestHarnessInvariants:
 
             resources = Resources(
                 embeddings=toy_embedding_tables(seed=0)
-            ).with_default_lexicon()
+            )
             config = ExperimentConfig("L", Augmentation.S, "emb-a")
             sentences = [tokenize(i.text) for i in corpus]
             train_idx, test_idx = splits[0]

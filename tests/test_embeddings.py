@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from incongruity.embeddings import (
     DegenerateVectorError,
@@ -96,6 +100,22 @@ class TestTextLoader:
         table = load_embeddings(path, "text_vectors")
         assert "Paris" in table and "paris" in table
         assert not np.array_equal(table.vector("Paris"), table.vector("paris"))
+
+    @given(
+        st.floats(
+            min_value=-float(np.finfo(np.float32).max),
+            max_value=float(np.finfo(np.float32).max),
+        ),
+        st.sampled_from([repr, "{:.6f}".format, "{:.17e}".format]),
+    )
+    def test_component_parses_as_float32_of_its_float(self, x, render):
+        component = render(x)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "vecs.txt"
+            path.write_text(f"w {component}\n", encoding="utf-8")
+            table = load_embeddings(path, "text_vectors")
+        expected = np.float32(float(component))
+        assert table.vector("w").tobytes() == expected.tobytes()
 
 
 class TestBinaryLoader:

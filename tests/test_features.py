@@ -314,15 +314,14 @@ class TestBuildConfigFeatures:
 
     def build(self, text, config, registry=None):
         registry = registry if registry is not None else FeatureRegistry()
-        vector = build_config_features(
+        fragments = build_config_features(
             tokenize(text),
             config,
             self.tables,
             self.lexicon,
-            registry,
             stopwords=self.stopwords,
         )
-        return vector, registry
+        return FeatureVector.from_fragments(registry, fragments), registry
 
     def names_of(self, vector, registry):
         return {registry.name_of(fid) for fid, _ in vector.items()}
@@ -371,15 +370,3 @@ class TestBuildConfigFeatures:
         config = ExperimentConfig("L", Augmentation.S, "missing")
         with pytest.raises(ConfigurationError, match="missing"):
             self.build("w000 w001", config)
-
-    def test_lexicon_required_for_dictionary_priors(self):
-        registry = FeatureRegistry()
-        with pytest.raises(ConfigurationError):
-            build_config_features(
-                tokenize("w000"),
-                ExperimentConfig("G"),
-                self.tables,
-                None,
-                registry,
-                stopwords=self.stopwords,
-            )

@@ -4,18 +4,19 @@ from pathlib import Path
 
 import pytest
 
+from incongruity import harness
 from incongruity.classify import TrainConfig
 from incongruity.features import (
     ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
     PRIOR_SETS,
+    default_lexicon,
 )
 from incongruity.harness import (
     AUGMENTATIONS,
     ConfigResult,
     DatasetParseError,
-    ExperimentError,
     IncompleteMatrixError,
     LabeledInstance,
     MatrixResult,
@@ -41,7 +42,7 @@ FIXTURE_CORPUS = Path(__file__).parent / "data" / "fixture_corpus.tsv"
 
 @pytest.fixture(scope="module")
 def resources():
-    return Resources(embeddings=toy_embedding_tables(seed=0)).with_default_lexicon()
+    return Resources(embeddings=toy_embedding_tables(seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -275,18 +276,6 @@ class TestRunConfig:
                 seed=0,
             )
 
-    def test_fold_errors_name_config_and_fold(self, fixture_instances):
-        bare = Resources(embeddings=toy_embedding_tables(seed=0))
-        with pytest.raises(ExperimentError, match="config G: fold 0"):
-            run_config(
-                ExperimentConfig("G"),
-                fixture_instances,
-                bare,
-                folds=5,
-                seed=0,
-                train_config=TrainConfig(epochs=1),
-            )
-
     def test_frozen_registry_blocks_test_only_features(self, resources):
         train_sentences = [tokenize("the cat and the dog sat")]
         test_sentences = [tokenize("a brand new unseen sentence arrived")]
@@ -339,6 +328,55 @@ class TestRunMatrix:
         # Each variant carries unique filler words, so intersecting must
         # shrink every vocabulary.
         assert sizes.pop() < min(len(t) for t in resources.embeddings.values())
+
+    def test_cells_match_single_config_runs(self, small_matrix, resources):
+        instances = generate_corpus(30, 0.4, seed=9)
+        for key, cell in small_matrix.cells.items():
+            single = run_config(
+                cell.config,
+                instances,
+                resources,
+                folds=3,
+                seed=0,
+                train_config=TrainConfig(epochs=2),
+            )
+            assert single.predictions == cell.predictions, key
+            assert single.metrics == cell.metrics, key
+
+    @pytest.mark.parametrize("folds", [2, 4])
+    def test_features_built_once_per_corpus(self, resources, monkeypatch, folds):
+        calls = {"tokenize": 0, "build": 0, "embed": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "tokenize", counting("tokenize", harness.tokenize))
+        monkeypatch.setattr(
+            harness,
+            "build_config_features",
+            counting("build", harness.build_config_features),
+        )
+        monkeypatch.setattr(
+            harness, "embed_features", counting("embed", harness.embed_features)
+        )
+        instances = generate_corpus(30, 0.4, seed=9)
+        run_matrix(
+            instances,
+            resources,
+            folds=folds,
+            seed=0,
+            train_config=TrainConfig(epochs=1),
+        )
+        n, tables = len(instances), len(resources.embeddings)
+        assert calls == {
+            "tokenize": n,
+            "build": len(PRIOR_SETS) * n,
+            "embed": tables * n,
+        }
 
     def test_missing_embeddings_rejected(self):
         with pytest.raises(ValueError):
@@ -526,8 +564,4 @@ class TestReports:
 
 class TestResources:
     def test_default_lexicon_attached_once(self):
-        bare = Resources(embeddings=toy_embedding_tables(seed=0))
-        assert bare.lexicon is None
-        filled = bare.with_default_lexicon()
-        assert filled.lexicon is not None
-        assert filled.with_default_lexicon() is filled
+        assert Resources().lexicon is default_lexicon()
