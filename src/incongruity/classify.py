@@ -3,11 +3,19 @@
 Training minimizes ``lambda/2 * ||w||^2 + (1/n) * sum_i cw_i * hinge_i``
 by seeded stochastic subgradient descent, where ``cw_i`` is ``w`` for
 positive instances and 1 for negatives, and ``lambda = 1 / (c * n)``.
+The weights are held as ``w = scale * v`` (Bottou, *Stochastic Gradient
+Descent Tricks*, 2012; Pegasos): the per-step decay ``w *= 1 - eta*lam``
+multiplies the scalar ``scale`` only, and a hinge update writes only
+the instance's nonzero ids of ``v``, so a step costs O(nnz) rather than
+O(dimension).  When ``|scale|`` falls below a floor it is folded into
+``v``, which also covers a decay factor of exactly 0.
 The intercept stays at zero during descent; after the weights converge,
 the decision threshold is chosen to maximize F-score on the training
 scores themselves.  The candidate grid is every distinct training score
 plus 0.0, so the tuned threshold can never score below the fixed-zero
 threshold, and ties break toward the lower threshold (higher recall).
+One sort of each class's scores yields the true- and false-positive
+counts of every candidate at once.
 
 Prediction is ``score = <w, x> + bias`` with the positive label assigned
 iff ``score >= threshold``; feature ids the model has never seen
@@ -16,6 +24,7 @@ contribute zero.  Training is bit-deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,12 +34,16 @@ import numpy as np
 from .features import FeatureRegistry, FeatureVector
 
 
+# Below this |scale| the trainer folds the scale into v (see ``train``).
+_SCALE_FLOOR = 1e-9
+
+
 class DegenerateTrainingError(ValueError):
     """Training data does not contain both classes."""
 
 
 class TrainingError(RuntimeError):
-    """Optimization produced non-finite weights."""
+    """Optimization produced a non-finite scale, weight, margin or score."""
 
 
 class ModelFormatError(ValueError):
@@ -82,11 +95,6 @@ class LinearModel:
         return score, int(score >= self.threshold)
 
 
-def _f_score(tp: int, fp: int, fn: int) -> float:
-    denominator = 2 * tp + fp + fn
-    return 2 * tp / denominator if denominator else 0.0
-
-
 def tune_threshold(
     scores: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
@@ -94,23 +102,22 @@ def tune_threshold(
 
     Returns (threshold, best F).  Predictions count an instance positive
     when its score is >= the threshold.  Ties in F break toward the
-    lowest threshold, which prefers recall.
+    lowest threshold, which prefers recall.  One sort per class gives,
+    for every candidate at once, how many scores of that class lie at or
+    above it.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(labels).astype(bool)
     candidates = np.unique(np.concatenate([scores, [0.0]]))
-    best_threshold = 0.0
-    best_f = -1.0
-    for threshold in candidates:
-        predicted = scores >= threshold
-        tp = int(np.sum(predicted & positive))
-        fp = int(np.sum(predicted & ~positive))
-        fn = int(np.sum(~predicted & positive))
-        f = _f_score(tp, fp, fn)
-        if f > best_f:
-            best_f = f
-            best_threshold = float(threshold)
-    return best_threshold, best_f
+    positives = np.sort(scores[positive])
+    negatives = np.sort(scores[~positive])
+    tp = len(positives) - np.searchsorted(positives, candidates, side="left")
+    fp = len(negatives) - np.searchsorted(negatives, candidates, side="left")
+    fn = len(positives) - tp
+    # A zero denominator means tp == 0, so F is 0 either way.
+    f = 2 * tp / np.maximum(2 * tp + fp + fn, 1)
+    best = int(np.argmax(f))
+    return float(candidates[best]), float(f[best])
 
 
 def train(
@@ -120,8 +127,9 @@ def train(
     """Train a linear model on (feature vector, label in {0, 1}) pairs.
 
     Raises :class:`DegenerateTrainingError` unless both classes are
-    present.  Two calls with identical data and seed produce bit-identical
-    weights.
+    present, and :class:`TrainingError` naming the epoch if the scale,
+    the weights, a margin or a training score stops being finite.  Two
+    calls with identical data and seed produce bit-identical weights.
     """
     n = len(instances)
     labels = np.array([int(label) for _, label in instances])
@@ -138,27 +146,47 @@ def train(
         class_weight = config.w if label == 1 else 1.0
         prepared.append((ids, values, y, class_weight))
 
-    weights = np.zeros(dimension, dtype=np.float64)
+    # The weights are scale * v: the decay rescales one number, and a
+    # step writes only the instance's own ids.
+    v = np.zeros(dimension, dtype=np.float64)
+    scale = 1.0
+    eta0 = config.eta0
     lam = 1.0 / (config.c * n)
     rng = np.random.default_rng(config.seed)
     step = 0
-    for epoch in range(config.epochs):
-        for index in rng.permutation(n):
-            ids, values, y, class_weight = prepared[index]
-            eta = config.eta0 / (1.0 + config.eta0 * lam * step)
-            margin = y * np.dot(weights[ids], values)
-            weights *= 1.0 - eta * lam
-            if margin < 1.0:
-                weights[ids] += (eta * class_weight) * y * values
-            step += 1
-        if not np.all(np.isfinite(weights)):
-            raise TrainingError(f"non-finite weights after epoch {epoch}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for index in rng.permutation(n).tolist():
+                ids, values, y, class_weight = prepared[index]
+                eta = eta0 / (1.0 + eta0 * lam * step)
+                margin = y * scale * float(np.dot(v[ids], values))
+                if not math.isfinite(margin):
+                    raise TrainingError(f"non-finite margin in epoch {epoch}")
+                scale *= 1.0 - eta * lam
+                # Fold the scale into v before dividing by it: a decay
+                # factor of exactly 0 (eta0 * lam == 1) zeroes the scale.
+                if abs(scale) < _SCALE_FLOOR:
+                    v *= scale
+                    scale = 1.0
+                if margin < 1.0:
+                    v[ids] += (eta * class_weight * y / scale) * values
+                step += 1
+            if not (
+                math.isfinite(scale)
+                and math.isfinite(v.min(initial=0.0))
+                and math.isfinite(v.max(initial=0.0))
+            ):
+                raise TrainingError(f"non-finite weights after epoch {epoch}")
 
-    scores = np.array(
-        [np.dot(weights[ids], values) for ids, values, _, _ in prepared]
-    )
+        # Materialize the weights in place: v becomes scale * v.
+        v *= scale
+        scores = np.array([np.dot(v[ids], values) for ids, values, _, _ in prepared])
+    if not np.all(np.isfinite(scores)):
+        raise TrainingError(
+            f"non-finite training scores after epoch {config.epochs - 1}"
+        )
     threshold, _ = tune_threshold(scores, labels)
-    return LinearModel(weights=weights, bias=0.0, threshold=threshold)
+    return LinearModel(weights=v, bias=0.0, threshold=threshold)
 
 
 _MODEL_MAGIC = "incongruity-model"

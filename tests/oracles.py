@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def cosine(u, v) -> float:
     dot = sum(float(a) * float(b) for a, b in zip(u, v))
@@ -51,3 +53,60 @@ def brute_force_blocks(words, vectors, positions, exponent: int = 2):
         / min_distance(positions[a], positions[b]) ** exponent
     )
     return s_block, ws_block
+
+
+def brute_force_threshold(scores, labels):
+    """Reference F-tuned threshold: score every candidate separately.
+
+    Candidates are the distinct scores plus 0.0, ascending; the first
+    (lowest) threshold with the highest F wins.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(labels).astype(bool)
+    candidates = np.unique(np.concatenate([scores, [0.0]]))
+    best_threshold = 0.0
+    best_f = -1.0
+    for threshold in candidates:
+        predicted = scores >= threshold
+        tp = int(np.sum(predicted & positive))
+        fp = int(np.sum(predicted & ~positive))
+        fn = int(np.sum(~predicted & positive))
+        denominator = 2 * tp + fp + fn
+        f = 2 * tp / denominator if denominator else 0.0
+        if f > best_f:
+            best_f = f
+            best_threshold = float(threshold)
+    return best_threshold, best_f
+
+
+def dense_sgd_weights(instances, config):
+    """Reference hinge-SGD weights: decay the whole dense vector every step.
+
+    Same objective, step sizes and seeded instance order as
+    ``classify.train``, without the scale-factor representation.
+    """
+    n = len(instances)
+    prepared = []
+    dimension = 0
+    for vector, label in instances:
+        ids, values = vector.as_arrays()
+        if len(ids):
+            dimension = max(dimension, int(ids[-1]) + 1)
+        y = 1.0 if label == 1 else -1.0
+        class_weight = config.w if label == 1 else 1.0
+        prepared.append((ids, values, y, class_weight))
+
+    weights = np.zeros(dimension, dtype=np.float64)
+    lam = 1.0 / (config.c * n)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    for _ in range(config.epochs):
+        for index in rng.permutation(n):
+            ids, values, y, class_weight = prepared[index]
+            eta = config.eta0 / (1.0 + config.eta0 * lam * step)
+            margin = y * np.dot(weights[ids], values)
+            weights *= 1.0 - eta * lam
+            if margin < 1.0:
+                weights[ids] += (eta * class_weight) * y * values
+            step += 1
+    return weights

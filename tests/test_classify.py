@@ -1,11 +1,20 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
+from incongruity import classify
 from incongruity.classify import (
     DegenerateTrainingError,
     LinearModel,
     ModelFormatError,
     TrainConfig,
+    TrainingError,
     load_model,
     save_model,
     train,
@@ -88,6 +97,32 @@ class TestTuneThreshold:
             zero_f = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
             assert best_f >= zero_f
 
+    # A small pool of values forces ties between scores, across classes
+    # and at exactly 0.0.
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]),
+                    st.floats(allow_nan=False),
+                ),
+                st.integers(0, 1),
+            ),
+            max_size=40,
+        )
+    )
+    @example([(0.0, 1), (0.0, 0), (0.0, 1)])
+    @example([(2.0, 0), (2.0, 0), (2.0, 1), (2.0, 1)])
+    @example([(-1.0, 1), (-1.0, 0)])
+    @example([])
+    def test_sorted_sweep_matches_brute_force(self, pairs):
+        scores = np.array([score for score, _ in pairs], dtype=np.float64)
+        labels = np.array([label for _, label in pairs], dtype=np.int64)
+        threshold, best_f = tune_threshold(scores, labels)
+        expected_threshold, expected_f = oracles.brute_force_threshold(scores, labels)
+        assert np.float64(threshold).tobytes() == np.float64(expected_threshold).tobytes()
+        assert best_f == expected_f
+
 
 class TestTrain:
     def test_separable_problem_fits_training_data(self):
@@ -162,6 +197,69 @@ class TestTrain:
             assert base.decision(bv) == scaled.decision(sv)
             assert base.predict(bv)[1] == scaled.predict(sv)[1]
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [({"a": 1e300}, 1), ({"a": 1e300}, 0)],
+            [({"a": 1e300}, 1), ({"b": 1e300}, 0)],
+        ],
+    )
+    # "error" is the tier-1 filter; under "default" numpy only warns.
+    @pytest.mark.parametrize("action", ["error", "default"])
+    def test_overflow_raises_training_error(self, rows, action):
+        registry = FeatureRegistry()
+        instances = make_instances(registry, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(TrainingError, match=r"epoch \d+"):
+                train(instances, TrainConfig(epochs=3))
+
+
+class TestDenseOracle:
+    """The scale-factor trainer against the dense step loop it replaces."""
+
+    def assert_matches_dense(self, instances, config):
+        model = train(instances, config)
+        dense = oracles.dense_sgd_weights(instances, config)
+        np.testing.assert_allclose(model.weights, dense, rtol=1e-10, atol=0)
+        return model.weights, dense
+
+    def test_noisy_rows(self):
+        registry = FeatureRegistry()
+        instances = make_instances(registry, noisy_rows(60, seed=2))
+        self.assert_matches_dense(instances, TrainConfig(epochs=15, seed=7))
+
+    def test_scale_floor_fires(self):
+        registry = FeatureRegistry()
+        instances = make_instances(registry, noisy_rows(40, seed=4))
+        n, eta0, epochs = len(instances), 0.5, 30
+        # eta0 * lam = 1 - 1e-6: the first decay leaves the scale at about
+        # 1e-6, and the later ones shrink it past the floor.
+        config = TrainConfig(c=eta0 / (n * (1.0 - 1e-6)), eta0=eta0, epochs=epochs)
+        lam = 1.0 / (config.c * n)
+        scale = 1.0
+        fired_at = None
+        for step in range(n * epochs):
+            scale *= 1.0 - eta0 / (1.0 + eta0 * lam * step) * lam
+            if abs(scale) < classify._SCALE_FLOOR:
+                fired_at = step
+                break
+        assert fired_at is not None and fired_at > 0
+        self.assert_matches_dense(instances, config)
+
+    def test_zero_decay_factor(self):
+        # c * n = 0.5, so eta0 * lam == 1 and the first step's decay
+        # factor is exactly 0: the scale must be folded before dividing.
+        registry = FeatureRegistry()
+        instances = make_instances(
+            registry,
+            [({"a": 1.0}, 1), ({"a": 1.0}, 1), ({"b": 1.0}, 0), ({"a": 1.0, "b": 1.0}, 0)],
+        )
+        config = TrainConfig(c=0.125, eta0=0.5, epochs=1, seed=0)
+        weights, dense = self.assert_matches_dense(instances, config)
+        np.testing.assert_array_equal(dense, [0.625, -0.25])
+        np.testing.assert_array_equal(weights, [0.625, -0.25])
+
 
 class TestPredict:
     def test_threshold_is_inclusive(self):
@@ -187,7 +285,49 @@ class TestPredict:
         assert model.decision(FeatureVector()) == 0.5
 
 
+# Feature names never contain line breaks: tokens are split on whitespace.
+feature_names = st.lists(
+    st.text(
+        st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1
+    ),
+    min_size=1,
+    max_size=12,
+    unique=True,
+)
+finite_weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072009e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestModelIO:
+    @given(
+        feature_names.flatmap(
+            lambda names: st.tuples(
+                st.just(names),
+                st.lists(finite_weights, max_size=len(names)),
+            )
+        ),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_save_then_load_is_bit_exact(self, names_and_weights, bias, threshold):
+        names, weight_list = names_and_weights
+        registry = FeatureRegistry()
+        for name in names:
+            registry.intern(name)
+        model = LinearModel(np.array(weight_list, dtype=np.float64), bias, threshold)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "model.txt"
+            save_model(path, model, registry)
+            loaded, loaded_registry = load_model(path)
+        # Only nonzero weights are stored, so a -0.0 weight loads as 0.0;
+        # adding 0.0 maps -0.0 to 0.0 and leaves every other value as is.
+        assert loaded.weights.tobytes() == (model.weights + 0.0).tobytes()
+        assert np.float64(loaded.bias).tobytes() == np.float64(bias).tobytes()
+        assert np.float64(loaded.threshold).tobytes() == np.float64(threshold).tobytes()
+        assert loaded_registry.names == registry.names
+
     def test_round_trip_is_exact(self, tmp_path):
         registry = FeatureRegistry()
         instances = make_instances(registry, noisy_rows(30, seed=6))
