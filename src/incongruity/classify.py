@@ -236,6 +236,11 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
         names = lines[5 : 5 + name_count]
         if len(names) != name_count:
             raise ModelFormatError("truncated name section")
+        registry = FeatureRegistry()
+        for lineno, name in enumerate(names, start=6):
+            if name in registry:
+                raise ModelFormatError(f"{path}: line {lineno}: name {name!r} listed twice")
+            registry.intern(name)
         weight_header = 5 + name_count
         weight_count = int(_expect(lines[weight_header], "weights"))
         weight_lines = lines[weight_header + 1 : weight_header + 1 + weight_count]
@@ -245,6 +250,7 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
                 f"weights, file has {len(weight_lines)}"
             )
         weights = np.zeros(dimension, dtype=np.float64)
+        seen: set[int] = set()
         for lineno, line in enumerate(weight_lines, start=weight_header + 2):
             fid_text, _, value_text = line.partition(" ")
             fid = int(fid_text)
@@ -252,14 +258,14 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
                 raise ModelFormatError(
                     f"{path}: line {lineno}: weight id {fid} outside [0, {dimension})"
                 )
+            if fid in seen:
+                raise ModelFormatError(f"{path}: line {lineno}: weight id {fid} listed twice")
+            seen.add(fid)
             weights[fid] = float(value_text)
     except (IndexError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed model file {path}") from exc
-    registry = FeatureRegistry()
-    for name in names:
-        registry.intern(name)
     registry.freeze()
     return LinearModel(weights=weights, bias=bias, threshold=threshold), registry
 

@@ -22,7 +22,6 @@ that interns names to integer ids; zero values are never stored explicitly.
 
 from __future__ import annotations
 
-import threading
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -137,31 +136,22 @@ class FeatureRegistry:
 
     Ids are dense, assigned in interning order.  Once frozen, unseen names
     intern to ``None`` so test-time extraction can silently drop features
-    the training data never produced.  Insertions are serialized with a
-    lock; lookups are plain dict reads.
+    the training data never produced.  A registry is not safe to share
+    between threads.
     """
 
     def __init__(self):
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
         self._frozen = False
-        self._lock = threading.Lock()
 
     def intern(self, name: str) -> int | None:
         fid = self._ids.get(name)
-        if fid is not None:
-            return fid
-        if self._frozen:
-            return None
-        with self._lock:
-            fid = self._ids.get(name)
-            if fid is None:
-                if self._frozen:
-                    return None
-                fid = len(self._names)
-                self._names.append(name)
-                self._ids[name] = fid
-            return fid
+        if fid is None and not self._frozen:
+            fid = len(self._names)
+            self._names.append(name)
+            self._ids[name] = fid
+        return fid
 
     def freeze(self) -> None:
         self._frozen = True
@@ -226,6 +216,15 @@ class FeatureVector:
                     continue
                 values[fid] = float(value)
         return cls(values)
+
+    @classmethod
+    def _from_arrays(cls, ids: np.ndarray, values: np.ndarray) -> "FeatureVector":
+        """Wrap aligned read-only int64 ids (ascending) and nonzero float64
+        values without copying them."""
+        vector = cls.__new__(cls)
+        vector._ids = ids
+        vector._values = values
+        return vector
 
     def items(self) -> Iterator[tuple[int, float]]:
         """(id, value) pairs, ids ascending."""

@@ -1,10 +1,14 @@
 """Corpus ingestion, stratified cross-validation, experiment grid, reports.
 
 The harness runs feature configurations over a labeled corpus with
-stratified k-fold cross-validation.  Features are extracted once per
-corpus; only interning is per fold.  Within each fold the feature
-registry is fit on training fragments only and frozen before test
-fragments are interned, so no feature id can originate in test data.
+stratified k-fold cross-validation.  Features are extracted and compiled
+once per corpus: every name is interned once into a corpus vocabulary and
+the corpus becomes one CSR triple of global ids and values.  Per fold only
+the ids are remapped: fold ids number the names of the training rows in
+first-occurrence order, exactly as a fresh :class:`FeatureRegistry` fit on
+the training fragments would, and test entries whose name no training row
+has are dropped, as by a frozen registry, so no feature id can originate
+in test data.
 Pooled metrics concatenate the per-fold test predictions and are the
 primary numbers; per-fold values are kept alongside.
 
@@ -21,7 +25,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -272,38 +276,128 @@ def extract_features(
     ]
 
 
+class _Corpus(NamedTuple):
+    """A corpus's features as one CSR triple over a corpus vocabulary.
+
+    Row i's entries are ``gids[indptr[i]:indptr[i + 1]]`` with their
+    ``values``, zeros included, in the order
+    :meth:`FeatureVector.from_fragments` visits the names.  The global ids
+    ``0 .. size - 1`` number the vocabulary.
+    """
+
+    indptr: np.ndarray
+    gids: np.ndarray
+    values: np.ndarray
+    size: int
+
+
+def _compile(rows: Sequence[Sequence[Mapping[str, float]]]) -> _Corpus:
+    """Intern each row's fragment names once into a corpus vocabulary.
+
+    A name occurring twice in one row is a namespace collision and raises
+    ValueError, as in :meth:`FeatureVector.from_fragments`.
+    """
+    vocabulary: dict[str, int] = {}
+    gids: list[int] = []
+    values: list[float] = []
+    indptr = [0]
+    for fragments in rows:
+        seen: set[str] = set()
+        for fragment in fragments:
+            for name, value in fragment.items():
+                if name in seen:
+                    raise ValueError(f"feature name {name!r} emitted twice")
+                seen.add(name)
+                gids.append(vocabulary.setdefault(name, len(vocabulary)))
+                values.append(value)
+        indptr.append(len(gids))
+    return _Corpus(
+        np.array(indptr, dtype=np.int64),
+        np.array(gids, dtype=np.int64),
+        np.array(values, dtype=np.float64),
+        len(vocabulary),
+    )
+
+
+def _augment(prior: _Corpus, block: np.ndarray) -> _Corpus:
+    """Append row i of the (n, width) ``block`` to row i of ``prior``.
+
+    Column j becomes global id ``prior.size + j``, after the prior
+    vocabulary.
+    """
+    n, width = block.shape
+    # np.insert keeps the given order of values inserted at one index.
+    row_ends = np.repeat(prior.indptr[1:], width)
+    column_ids = np.tile(prior.size + np.arange(width), n)
+    return _Corpus(
+        prior.indptr + width * np.arange(n + 1),
+        np.insert(prior.gids, row_ends, column_ids),
+        np.insert(prior.values, row_ends, block.ravel()),
+        prior.size + width,
+    )
+
+
+def _fold_vectors(
+    corpus: _Corpus, rows: Sequence[int], n_train: int
+) -> list[FeatureVector]:
+    """One fold's vectors for ``rows``, whose first ``n_train`` are training rows.
+
+    Fold ids number the training entries' names in first-occurrence order,
+    zeros included, which is the order a fresh :class:`FeatureRegistry`
+    interns them in.  An entry whose name no training row has, or whose
+    value is 0, is dropped; ids ascend within each vector.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = corpus.indptr[rows]
+    lengths = corpus.indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    # The corpus positions of the rows' entries, row after row.
+    positions = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+    gids = corpus.gids[positions]
+    values = corpus.values[positions]
+    names, first = np.unique(gids[: ends[n_train - 1]], return_index=True)
+    remap = np.full(corpus.size, -1, dtype=np.int64)
+    remap[names[np.argsort(first)]] = np.arange(len(names))
+    ids = remap[gids]
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    keep = (ids >= 0) & (values != 0.0)
+    ids, values, row_of = ids[keep], values[keep], row_of[keep]
+    order = np.lexsort((ids, row_of))
+    ids, values = ids[order], values[order]
+    ids.setflags(write=False)
+    values.setflags(write=False)
+    bounds = np.cumsum(np.bincount(row_of, minlength=len(rows))).tolist()
+    return [
+        FeatureVector._from_arrays(ids[start:end], values[start:end])
+        for start, end in zip([0] + bounds, bounds)
+    ]
+
+
 def _cross_validate(
     config: ExperimentConfig,
     instances: Sequence[LabeledInstance],
-    fragments: Sequence[Sequence[Mapping[str, float]]],
+    corpus: _Corpus,
     splits: Sequence[tuple[list[int], list[int]]],
     train_config: TrainConfig | None,
 ) -> ConfigResult:
-    """Cross-validate ``config`` on pre-extracted per-instance fragments.
+    """Cross-validate ``config`` on the compiled corpus.
 
-    Per split: intern the training fragments into a fresh registry, freeze
-    it, train, and predict each test instance from its fragments interned
-    against the frozen registry.  The pooled metrics concatenate all test
+    Per split: remap the corpus to fold ids, train on the training rows and
+    predict each test row.  The pooled metrics concatenate all test
     predictions.
     """
     train_config = train_config or TrainConfig()
     all_predictions: list[Prediction] = []
     per_fold: list[FoldMetrics] = []
     for fold_index, (train_idx, test_idx) in enumerate(splits):
-        registry = FeatureRegistry()
-        train_vectors = [
-            FeatureVector.from_fragments(registry, fragments[i]) for i in train_idx
-        ]
-        registry.freeze()
+        vectors = _fold_vectors(corpus, train_idx + test_idx, len(train_idx))
         model = train(
-            [(vector, instances[i].label) for vector, i in zip(train_vectors, train_idx)],
+            [(vector, instances[i].label) for vector, i in zip(vectors, train_idx)],
             train_config,
         )
         fold_predictions = []
-        for i in test_idx:
-            score, predicted = model.predict(
-                FeatureVector.from_fragments(registry, fragments[i])
-            )
+        for vector, i in zip(vectors[len(train_idx) :], test_idx):
+            score, predicted = model.predict(vector)
             fold_predictions.append(
                 Prediction(instances[i].id, instances[i].label, predicted, score, fold_index)
             )
@@ -324,11 +418,11 @@ def run_config(
     seed: int = 0,
     train_config: TrainConfig | None = None,
 ) -> ConfigResult:
-    """Cross-validate one configuration; features are extracted once, not per fold."""
+    """Cross-validate one configuration; features are compiled once, not per fold."""
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
-    fragments = [_fragments(s, config, resources) for s in sentences]
-    return _cross_validate(config, instances, fragments, splits, train_config)
+    corpus = _compile([_fragments(s, config, resources) for s in sentences])
+    return _cross_validate(config, instances, corpus, splits, train_config)
 
 
 @dataclass(frozen=True)
@@ -355,8 +449,9 @@ def run_matrix(
 ) -> MatrixResult:
     """Run every (prior set, augmentation, embedding) combination.
 
-    A cell's fragments are its prior set's plus the part of its table's
-    S+WS block that its augmentation selects; each is extracted once.
+    A cell's features are its prior set's plus the columns of its table's
+    S+WS block that its augmentation selects; each prior set is extracted
+    and compiled once, each block extracted once.
     Cells with augmentation ``none`` do not depend on the embedding, so
     they are computed once per prior set and replicated across embedding
     keys; their metrics are consequently constant along that axis.
@@ -372,18 +467,26 @@ def run_matrix(
     names = tuple(resources.embeddings)
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
+    # One (n, 8) S+WS array per table; its columns follow the names of
+    # Augmentation.S_AND_WS.
+    block_names = Augmentation.S_AND_WS.feature_names
     blocks = {
-        name: [
-            embed_features(s, table, Augmentation.S_AND_WS, stopwords=resources.stopwords)
-            for s in sentences
-        ]
+        name: np.array(
+            [
+                list(embed_features(
+                    s, table, Augmentation.S_AND_WS, stopwords=resources.stopwords
+                ).values())
+                for s in sentences
+            ],
+            dtype=np.float64,
+        )
         for name, table in resources.embeddings.items()
     }
 
     cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
     for prior in PRIOR_SETS:
         base_config = ExperimentConfig(prior)
-        priors = [_fragments(s, base_config, resources) for s in sentences]
+        priors = _compile([_fragments(s, base_config, resources) for s in sentences])
         base = _cross_validate(base_config, instances, priors, splits, train_config)
         for name in names:
             cells[(prior, Augmentation.NONE, name)] = dataclasses.replace(
@@ -392,14 +495,11 @@ def run_matrix(
             )
         for name in names:
             for augmentation in AUGMENTATIONS[1:]:
-                fragments = [
-                    [*prior_fragments, {n: block[n] for n in augmentation.feature_names}]
-                    for prior_fragments, block in zip(priors, blocks[name])
-                ]
+                columns = [block_names.index(n) for n in augmentation.feature_names]
                 cells[(prior, augmentation, name)] = _cross_validate(
                     ExperimentConfig(prior, augmentation, name),
                     instances,
-                    fragments,
+                    _augment(priors, blocks[name][:, columns]),
                     splits,
                     train_config,
                 )

@@ -388,6 +388,20 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match=f"line 10: weight id {fid}"):
             load_model(path)
 
+    def test_repeated_name_names_line(self, tmp_path):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: [*lines[:6], "a", *lines[7:]]
+        )
+        with pytest.raises(ModelFormatError, match="line 7: name 'a' listed twice"):
+            load_model(path)
+
+    def test_repeated_weight_id_names_line(self, tmp_path):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: lines[:-1] + ["0 5.0"]
+        )
+        with pytest.raises(ModelFormatError, match="line 10: weight id 0 listed twice"):
+            load_model(path)
+
     def test_missing_weight_lines_name_header(self, tmp_path):
         path = self.write_model(tmp_path / "model.txt", lambda lines: lines[:-1])
         with pytest.raises(ModelFormatError, match="line 8: declares 2 weights"):

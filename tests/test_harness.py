@@ -2,7 +2,10 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from incongruity import harness
 from incongruity.classify import TrainConfig
@@ -10,6 +13,7 @@ from incongruity.features import (
     ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
+    FeatureVector,
     PRIOR_SETS,
     default_lexicon,
 )
@@ -289,6 +293,78 @@ class TestRunConfig:
         assert all(fid < size_before for fid, _ in vectors[0].items())
 
 
+FOLD_NAMES = ("a", "b", "c", "d", "e", "f")
+fold_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def fold_inputs(draw):
+    """Fragment rows, train and test indices, and a block appended to each row."""
+    rows = []
+    for _ in range(draw(st.integers(2, 8))):
+        entries = draw(
+            st.lists(
+                st.tuples(st.sampled_from(FOLD_NAMES), fold_values),
+                unique_by=lambda entry: entry[0],
+                max_size=5,
+            )
+        )
+        cut = draw(st.integers(0, len(entries)))
+        rows.append([dict(entries[:cut]), dict(entries[cut:])])
+    order = draw(st.permutations(range(len(rows))))
+    n_train = draw(st.integers(1, len(rows) - 1))
+    width = draw(st.integers(0, 3))
+    block = draw(st.lists(fold_values, min_size=len(rows) * width, max_size=len(rows) * width))
+    return rows, order[:n_train], order[n_train:], np.reshape(block, (len(rows), width))
+
+
+class TestCompiledFolds:
+    @given(fold_inputs())
+    @example(
+        (
+            # Test rows: a name seen only in test ("c"), a row that is
+            # empty after filtering, a name whose only training value is 0
+            # ("z"), and a zero-valued entry of a training name ("b").
+            [
+                [{"a": 1.0, "z": 0.0}],
+                [{"b": -2.5}, {"y": 0.0}],
+                [{"c": 3.0, "a": 2.0}],
+                [{"c": 1.0}, {}],
+                [{"z": 5.0, "b": 0.0}],
+            ],
+            [1, 0],
+            [2, 3, 4],
+            np.zeros((5, 0)),
+        )
+    )
+    def test_fold_ids_match_a_fresh_then_frozen_registry(self, inputs):
+        rows, train_idx, test_idx, block = inputs
+        rows = [
+            [*fragments, {f"blk{j}": value for j, value in enumerate(block_row)}]
+            for fragments, block_row in zip(rows, block.tolist())
+        ]
+        registry = FeatureRegistry()
+        expected = [FeatureVector.from_fragments(registry, rows[i]) for i in train_idx]
+        registry.freeze()
+        expected += [FeatureVector.from_fragments(registry, rows[i]) for i in test_idx]
+
+        prior = harness._compile([fragments[:-1] for fragments in rows])
+        corpora = [harness._compile(rows), harness._augment(prior, block)]
+        for corpus in corpora:
+            vectors = harness._fold_vectors(corpus, train_idx + test_idx, len(train_idx))
+            assert len(vectors) == len(expected)
+            for vector, oracle in zip(vectors, expected):
+                ids, values = vector.as_arrays()
+                oracle_ids, oracle_values = oracle.as_arrays()
+                assert ids.dtype == oracle_ids.dtype and values.dtype == oracle_values.dtype
+                assert ids.tobytes() == oracle_ids.tobytes()
+                assert values.tobytes() == oracle_values.tobytes()
+                assert not ids.flags.writeable and not values.flags.writeable
+
+
 class TestRunMatrix:
     def test_grid_is_complete(self, small_matrix):
         assert len(small_matrix.cells) == 64
@@ -377,6 +453,47 @@ class TestRunMatrix:
             "build": len(PRIOR_SETS) * n,
             "embed": tables * n,
         }
+
+    @pytest.mark.parametrize("folds", [2, 4])
+    def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
+        calls = {"intern": 0, "from_fragments": 0, "compile": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            FeatureRegistry, "intern", counting("intern", FeatureRegistry.intern)
+        )
+        monkeypatch.setattr(
+            FeatureVector,
+            "from_fragments",
+            classmethod(counting("from_fragments", FeatureVector.from_fragments.__func__)),
+        )
+        monkeypatch.setattr(harness, "_compile", counting("compile", harness._compile))
+        run_matrix(
+            generate_corpus(30, 0.4, seed=9),
+            resources,
+            folds=folds,
+            seed=0,
+            train_config=TrainConfig(epochs=1),
+        )
+        assert calls == {"intern": 0, "from_fragments": 0, "compile": len(PRIOR_SETS)}
+
+    def test_name_emitted_twice_is_rejected(self, resources, monkeypatch):
+        def colliding(*args, **kwargs):
+            return [*build_config_features(*args, **kwargs), {"dup": 1.0}, {"dup": 0.0}]
+
+        build_config_features = harness.build_config_features
+        monkeypatch.setattr(harness, "build_config_features", colliding)
+        instances = generate_corpus(30, 0.4, seed=9)
+        with pytest.raises(ValueError, match="'dup' emitted twice"):
+            run_config(ExperimentConfig("L", Augmentation.S, "emb-a"), instances, resources)
+        with pytest.raises(ValueError, match="'dup' emitted twice"):
+            run_matrix(instances, resources, folds=3, train_config=TrainConfig(epochs=1))
 
     def test_missing_embeddings_rejected(self):
         with pytest.raises(ValueError):
