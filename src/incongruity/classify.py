@@ -20,6 +20,15 @@ counts of every candidate at once.
 Prediction is ``score = <w, x> + bias`` with the positive label assigned
 iff ``score >= threshold``; feature ids the model has never seen
 contribute zero.  Training is bit-deterministic for a fixed seed.
+
+``train_cells`` trains several models ("cells") on the same labelled rows
+in lockstep: the instance order, the ``eta`` schedule and the scale are
+shared, so one step gathers every cell's entries of the row at once.  It
+and :meth:`LinearModel.decisions` sum a row's products in one canonical
+order, left to right in ascending feature id from +0.0 (see
+``_segment_sums``), so their results do not depend on the CPU's BLAS
+kernel.  ``train`` and :meth:`LinearModel.decision` still sum with
+``np.dot``, which agrees with that order below 16 entries.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +57,19 @@ class TrainingError(RuntimeError):
 
 class ModelFormatError(ValueError):
     """A model file violates the versioned text format."""
+
+
+def _segment_sums(segments: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
+    """Sum ``terms`` per segment id in ``range(count)``.
+
+    The canonical summation order: each segment's terms are added left to
+    right in array order, starting from +0.0, so a segment's sum does not
+    depend on the other segments.  ``np.bincount`` adds its weights in
+    input order; ``np.add.reduceat`` does not (it computes
+    ``x0 + (x1 + x2)`` for three terms), and ``np.dot`` and
+    ``np.add.reduce`` switch to blocked or pairwise sums on longer inputs.
+    """
+    return np.bincount(segments, weights=terms, minlength=count)
 
 
 @dataclass(frozen=True)
@@ -93,6 +115,19 @@ class LinearModel:
         """(score, label): label is 1 iff score >= threshold (inclusive)."""
         score = self.decision(vector)
         return score, int(score >= self.threshold)
+
+    def decisions(
+        self, rows: np.ndarray, ids: np.ndarray, values: np.ndarray, n: int
+    ) -> np.ndarray:
+        """Raw scores of ``n`` rows whose entries are (row, id, value) triples.
+
+        Each row's products are summed in the canonical order (see
+        ``_segment_sums``), so entries should come in ascending id within a
+        row; unknown ids contribute 0.
+        """
+        known = ids < len(self.weights)
+        products = self.weights[ids[known]] * values[known]
+        return _segment_sums(rows[known], products, n) + self.bias
 
 
 def tune_threshold(
@@ -187,6 +222,134 @@ def train(
         )
     threshold, _ = tune_threshold(scores, labels)
     return LinearModel(weights=v, bias=0.0, threshold=threshold)
+
+
+class CellRows(NamedTuple):
+    """Labelled rows of several cells, laid out for :func:`train_cells`.
+
+    Row i's entries are ``ids[indptr[i]:indptr[i + 1]]`` with their
+    ``values`` and ``cells``: cell after cell, ids ascending within a cell,
+    values nonzero.  The ids index one flat weight vector in which cell c
+    owns ``offsets[c]:offsets[c + 1]``; ``cells`` holds intp cell indices.
+    """
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    values: np.ndarray
+    cells: np.ndarray
+    offsets: np.ndarray
+
+
+def train_cells(
+    rows: CellRows,
+    labels: Sequence[int],
+    names: Sequence[str],
+    config: TrainConfig = TrainConfig(),
+) -> list[LinearModel]:
+    """Train one model per cell of ``rows``, all cells in lockstep.
+
+    The cells share the labels, so they share the seeded instance order,
+    the ``eta`` schedule and the scale of ``w = scale * v``, floor folds
+    included; only their margins differ.  One step gathers the row's
+    entries of every cell, sums each cell's products in the canonical order
+    (``_segment_sums``) and applies the hinge update to the cells whose
+    margin is below 1.  A cell's weights and threshold therefore do not
+    depend on the other cells: they equal a run on that cell alone, bit for
+    bit, and agree with :func:`train` up to ``np.dot``'s summation order.
+
+    Raises :class:`DegenerateTrainingError` unless both classes are
+    present, and :class:`TrainingError` naming the cell (from ``names``) and
+    the epoch if a margin, the weights, the scale or a training score stops
+    being finite.
+    """
+    labels = np.asarray(labels)
+    n = len(labels)
+    if not ((labels == 1).any() and (labels == 0).any()):
+        raise DegenerateTrainingError("training data must contain both classes")
+    count = len(rows.offsets) - 1
+    offsets = rows.offsets
+    positive = labels == 1
+    bounds = rows.indptr[1:-1]
+    prepared = list(
+        zip(
+            np.split(rows.ids, bounds),
+            np.split(rows.values, bounds),
+            np.split(rows.cells, bounds),
+            np.where(positive, 1.0, -1.0).tolist(),
+            np.where(positive, config.w, 1.0).tolist(),
+        )
+    )
+
+    v = np.zeros(int(offsets[-1]), dtype=np.float64)
+    scale = 1.0
+    eta0 = config.eta0
+    lam = 1.0 / (config.c * n)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for index in rng.permutation(n).tolist():
+                ids, values, cells, y, class_weight = prepared[index]
+                eta = eta0 / (1.0 + eta0 * lam * step)
+                margins = (y * scale) * _segment_sums(cells, v[ids] * values, count)
+                # A finite total implies finite margins (and is cheaper).
+                if not math.isfinite(margins.sum()):
+                    finite = np.isfinite(margins)
+                    if not finite.all():
+                        cell = names[int(np.argmin(finite))]
+                        raise TrainingError(
+                            f"non-finite margin for cell {cell!r} in epoch {epoch}"
+                        )
+                scale *= 1.0 - eta * lam
+                # Fold the scale into v before dividing by it: a decay
+                # factor of exactly 0 (eta0 * lam == 1) zeroes the scale.
+                if abs(scale) < _SCALE_FLOOR:
+                    v *= scale
+                    scale = 1.0
+                violated = margins < 1.0
+                hits = np.count_nonzero(violated)
+                coefficient = eta * class_weight * y / scale
+                # Ids are unique within a row, so np.add.at adds each
+                # update once, like v[ids] += ..., only faster.
+                if hits == count:
+                    np.add.at(v, ids, coefficient * values)
+                elif hits:
+                    update = violated[cells]
+                    np.add.at(v, ids[update], coefficient * values[update])
+                step += 1
+            if not math.isfinite(scale):
+                raise TrainingError(
+                    f"non-finite scale for cells {', '.join(names)} after epoch {epoch}"
+                )
+            finite = np.isfinite(v)
+            if not finite.all():
+                position = int(np.argmin(finite))
+                cell = names[int(np.searchsorted(offsets, position, side="right")) - 1]
+                raise TrainingError(
+                    f"non-finite weights for cell {cell!r} after epoch {epoch}"
+                )
+
+        # Materialize the weights in place: v becomes scale * v.
+        v *= scale
+        # One row per instance, one column per cell.
+        scores = np.array([
+            _segment_sums(cells, v[ids] * values, count)
+            for ids, values, cells, _, _ in prepared
+        ])
+    finite = np.isfinite(scores).all(axis=0)
+    if not finite.all():
+        raise TrainingError(
+            f"non-finite training scores for cell {names[int(np.argmin(finite))]!r} "
+            f"after epoch {config.epochs - 1}"
+        )
+    return [
+        LinearModel(
+            weights=v[offsets[cell] : offsets[cell + 1]],
+            bias=0.0,
+            threshold=tune_threshold(scores[:, cell], labels)[0],
+        )
+        for cell in range(count)
+    ]
 
 
 _MODEL_MAGIC = "incongruity-model"

@@ -217,15 +217,6 @@ class FeatureVector:
                 values[fid] = float(value)
         return cls(values)
 
-    @classmethod
-    def _from_arrays(cls, ids: np.ndarray, values: np.ndarray) -> "FeatureVector":
-        """Wrap aligned read-only int64 ids (ascending) and nonzero float64
-        values without copying them."""
-        vector = cls.__new__(cls)
-        vector._ids = ids
-        vector._values = values
-        return vector
-
     def items(self) -> Iterator[tuple[int, float]]:
         """(id, value) pairs, ids ascending."""
         return zip(self._ids.tolist(), self._values.tolist())

@@ -8,7 +8,12 @@ the ids are remapped: fold ids number the names of the training rows in
 first-occurrence order, exactly as a fresh :class:`FeatureRegistry` fit on
 the training fragments would, and test entries whose name no training row
 has are dropped, as by a frozen registry, so no feature id can originate
-in test data.
+in test data.  An augmented cell's fold entries are derived from its prior
+set's by inserting the S/WS block columns.
+The cells of one prior set (the base cell and its augmented cells) share
+the splits, so per fold they are trained together by
+:func:`~incongruity.classify.train_cells`, and each cell's test rows are
+scored in one pass; both sum in the classifier's canonical order.
 Pooled metrics concatenate the per-fold test predictions and are the
 primary numbers; per-fold values are kept alongside.
 
@@ -29,7 +34,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import TrainConfig, train
+from .classify import CellRows, TrainConfig, train_cells
 from .embeddings import EmbeddingTable, intersect_vocabularies
 from .features import (
     PRIOR_SETS,
@@ -319,33 +324,16 @@ def _compile(rows: Sequence[Sequence[Mapping[str, float]]]) -> _Corpus:
     )
 
 
-def _augment(prior: _Corpus, block: np.ndarray) -> _Corpus:
-    """Append row i of the (n, width) ``block`` to row i of ``prior``.
-
-    Column j becomes global id ``prior.size + j``, after the prior
-    vocabulary.
-    """
-    n, width = block.shape
-    # np.insert keeps the given order of values inserted at one index.
-    row_ends = np.repeat(prior.indptr[1:], width)
-    column_ids = np.tile(prior.size + np.arange(width), n)
-    return _Corpus(
-        prior.indptr + width * np.arange(n + 1),
-        np.insert(prior.gids, row_ends, column_ids),
-        np.insert(prior.values, row_ends, block.ravel()),
-        prior.size + width,
-    )
-
-
-def _fold_vectors(
+def _fold_rows(
     corpus: _Corpus, rows: Sequence[int], n_train: int
-) -> list[FeatureVector]:
-    """One fold's vectors for ``rows``, whose first ``n_train`` are training rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fold's entries (row, id, value) for ``rows``, whose first
+    ``n_train`` are training rows; row k is ``rows[k]``.
 
     Fold ids number the training entries' names in first-occurrence order,
     zeros included, which is the order a fresh :class:`FeatureRegistry`
     interns them in.  An entry whose name no training row has, or whose
-    value is 0, is dropped; ids ascend within each vector.
+    value is 0, is dropped.  Entries are sorted by row, then id.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = corpus.indptr[rows]
@@ -363,50 +351,155 @@ def _fold_vectors(
     keep = (ids >= 0) & (values != 0.0)
     ids, values, row_of = ids[keep], values[keep], row_of[keep]
     order = np.lexsort((ids, row_of))
-    ids, values = ids[order], values[order]
-    ids.setflags(write=False)
-    values.setflags(write=False)
-    bounds = np.cumsum(np.bincount(row_of, minlength=len(rows))).tolist()
-    return [
-        FeatureVector._from_arrays(ids[start:end], values[start:end])
-        for start, end in zip([0] + bounds, bounds)
-    ]
+    return row_of[order], ids[order], values[order]
+
+
+def _augment_rows(
+    fold: tuple[np.ndarray, np.ndarray, np.ndarray], block: np.ndarray, head: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_fold_rows` of a corpus whose row k is a prior row followed by
+    ``block[k]``, computed from the prior's fold entries ``fold``.
+
+    ``head`` is the entry count of the first training row of the prior
+    corpus, zeros included.  Every row carries all ``width`` block columns,
+    so in first-occurrence order the columns take the ids ``head ..
+    head + width - 1`` and the prior ids from ``head`` on move up by
+    ``width``.  A row's block entries go before its shifted ids; zeros are
+    dropped.
+    """
+    row_of, ids, values = fold
+    n, width = block.shape
+    low = ids < head
+    # A row's insertion point is its start plus its count of ids below head.
+    lengths = np.bincount(row_of, minlength=n)
+    points = np.cumsum(lengths) - lengths + np.bincount(row_of[low], minlength=n)
+    block_values = block.ravel()
+    keep = block_values != 0.0
+    # np.insert keeps the given order of values inserted at one index.
+    points = np.repeat(points, width)[keep]
+    block_rows = np.repeat(np.arange(n), width)[keep]
+    block_ids = np.tile(head + np.arange(width), n)[keep]
+    return (
+        np.insert(row_of, points, block_rows),
+        np.insert(np.where(low, ids, ids + width), points, block_ids),
+        np.insert(values, points, block_values[keep]),
+    )
+
+
+def _cell_rows(
+    train: tuple[np.ndarray, np.ndarray, np.ndarray],
+    blocks: Sequence[np.ndarray],
+    head: int,
+) -> CellRows:
+    """Lay out the training rows of every cell for :func:`train_cells`.
+
+    ``train`` holds the prior's fold entries of the training rows and
+    ``blocks[c]`` cell c's block rows (see :func:`_augment_rows`).  Cell
+    c's ids are shifted by its offset; its weight dimension is its largest
+    training id + 1, as in ``classify.train``.  Each cell's entries are
+    written straight into their rows' slots, with no concatenation or sort.
+    """
+    n = len(blocks[0])
+    # Row k holds its prior entries and its nonzero block values.
+    base_counts = np.bincount(train[0], minlength=n)
+    counts = [base_counts + np.count_nonzero(block, axis=1) for block in blocks]
+    indptr = np.concatenate([[0], np.cumsum(np.sum(counts, axis=0))])
+    ids = np.empty(indptr[-1], dtype=np.int64)
+    values = np.empty(indptr[-1], dtype=np.float64)
+    cells = np.empty(indptr[-1], dtype=np.intp)
+    cursor = indptr[:-1].copy()
+    offsets = [0]
+    for cell, (block, count) in enumerate(zip(blocks, counts)):
+        _, cell_ids, cell_values = _augment_rows(train, block, head)
+        row_starts = np.cumsum(count) - count
+        slots = np.arange(len(cell_ids)) + np.repeat(cursor - row_starts, count)
+        ids[slots] = cell_ids + offsets[-1]
+        values[slots] = cell_values
+        cells[slots] = cell
+        cursor += count
+        offsets.append(offsets[-1] + int(cell_ids.max(initial=-1)) + 1)
+    return CellRows(indptr, ids, values, cells, np.array(offsets))
+
+
+def _fold_predictions(
+    instances: Sequence[LabeledInstance],
+    prior: _Corpus,
+    blocks: Sequence[np.ndarray],
+    names: Sequence[str],
+    fold_index: int,
+    train_idx: list[int],
+    test_idx: list[int],
+    train_config: TrainConfig,
+) -> list[list[Prediction]]:
+    """Train every cell on one fold's training rows in lockstep, then score
+    each cell's test rows in one pass.
+
+    Cell c's corpus is ``prior`` with ``blocks[c]`` appended to each row.
+    """
+    n_train = len(train_idx)
+    row_of, ids, values = _fold_rows(prior, train_idx + test_idx, n_train)
+    split = int(np.searchsorted(row_of, n_train))
+    train = (row_of[:split], ids[:split], values[:split])
+    test = (row_of[split:] - n_train, ids[split:], values[split:])
+    head = int(prior.indptr[train_idx[0] + 1] - prior.indptr[train_idx[0]])
+
+    layout = _cell_rows(train, [block[train_idx] for block in blocks], head)
+    labels = [instances[i].label for i in train_idx]
+    models = train_cells(layout, labels, names, train_config)
+    predictions = []
+    for model, block in zip(models, blocks):
+        cell_test = _augment_rows(test, block[test_idx], head)
+        scores = model.decisions(*cell_test, len(test_idx)).tolist()
+        predictions.append([
+            Prediction(
+                instances[i].id,
+                instances[i].label,
+                int(score >= model.threshold),
+                score,
+                fold_index,
+            )
+            for i, score in zip(test_idx, scores)
+        ])
+    return predictions
 
 
 def _cross_validate(
-    config: ExperimentConfig,
+    configs: Sequence[ExperimentConfig],
     instances: Sequence[LabeledInstance],
-    corpus: _Corpus,
+    prior: _Corpus,
+    blocks: Sequence[np.ndarray],
     splits: Sequence[tuple[list[int], list[int]]],
     train_config: TrainConfig | None,
-) -> ConfigResult:
-    """Cross-validate ``config`` on the compiled corpus.
+) -> list[ConfigResult]:
+    """Cross-validate each of ``configs``; config c's corpus is ``prior``
+    with the (n, width) ``blocks[c]`` appended to each row.
 
-    Per split: remap the corpus to fold ids, train on the training rows and
-    predict each test row.  The pooled metrics concatenate all test
-    predictions.
+    The cells share the splits, so per split they train together in
+    lockstep.  The pooled metrics concatenate all test predictions.
     """
     train_config = train_config or TrainConfig()
-    all_predictions: list[Prediction] = []
-    per_fold: list[FoldMetrics] = []
+    names = [config.label for config in configs]
+    predictions: list[list[Prediction]] = [[] for _ in configs]
+    per_fold: list[list[FoldMetrics]] = [[] for _ in configs]
     for fold_index, (train_idx, test_idx) in enumerate(splits):
-        vectors = _fold_vectors(corpus, train_idx + test_idx, len(train_idx))
-        model = train(
-            [(vector, instances[i].label) for vector, i in zip(vectors, train_idx)],
+        cell_predictions = _fold_predictions(
+            instances, prior, blocks, names, fold_index, train_idx, test_idx,
             train_config,
         )
-        fold_predictions = []
-        for vector, i in zip(vectors[len(train_idx) :], test_idx):
-            score, predicted = model.predict(vector)
-            fold_predictions.append(
-                Prediction(instances[i].id, instances[i].label, predicted, score, fold_index)
-            )
-        per_fold.append(FoldMetrics(*metrics_from_predictions(fold_predictions)))
-        all_predictions.extend(fold_predictions)
-
-    pooled = metrics_from_predictions(all_predictions)
-    report = MetricsReport(*pooled, per_fold=tuple(per_fold))
-    return ConfigResult(config, report, tuple(all_predictions))
+        for cell, fold_predictions in enumerate(cell_predictions):
+            fold_metrics = metrics_from_predictions(fold_predictions)
+            per_fold[cell].append(FoldMetrics(*fold_metrics))
+            predictions[cell].extend(fold_predictions)
+    return [
+        ConfigResult(
+            config,
+            MetricsReport(
+                *metrics_from_predictions(cell_predictions), per_fold=tuple(cell_folds)
+            ),
+            tuple(cell_predictions),
+        )
+        for config, cell_predictions, cell_folds in zip(configs, predictions, per_fold)
+    ]
 
 
 def run_config(
@@ -422,7 +515,11 @@ def run_config(
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
     corpus = _compile([_fragments(s, config, resources) for s in sentences])
-    return _cross_validate(config, instances, corpus, splits, train_config)
+    no_block = np.zeros((len(instances), 0))
+    [result] = _cross_validate(
+        [config], instances, corpus, [no_block], splits, train_config
+    )
+    return result
 
 
 @dataclass(frozen=True)
@@ -451,7 +548,9 @@ def run_matrix(
 
     A cell's features are its prior set's plus the columns of its table's
     S+WS block that its augmentation selects; each prior set is extracted
-    and compiled once, each block extracted once.
+    and compiled once, each block extracted once.  A prior set's cells
+    are trained in lockstep, one prior set at a time, so a fold's layout
+    holds one prior set's cells and not the whole grid's.
     Cells with augmentation ``none`` do not depend on the embedding, so
     they are computed once per prior set and replicated across embedding
     keys; their metrics are consequently constant along that axis.
@@ -485,24 +584,27 @@ def run_matrix(
 
     cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
     for prior in PRIOR_SETS:
+        # The base cell, then its augmented cells, embedding by embedding.
         base_config = ExperimentConfig(prior)
         priors = _compile([_fragments(s, base_config, resources) for s in sentences])
-        base = _cross_validate(base_config, instances, priors, splits, train_config)
+        configs = [base_config]
+        cell_blocks = [np.zeros((len(instances), 0))]
+        for name in names:
+            for augmentation in AUGMENTATIONS[1:]:
+                columns = [block_names.index(n) for n in augmentation.feature_names]
+                configs.append(ExperimentConfig(prior, augmentation, name))
+                cell_blocks.append(blocks[name][:, columns])
+        base, *augmented = _cross_validate(
+            configs, instances, priors, cell_blocks, splits, train_config
+        )
         for name in names:
             cells[(prior, Augmentation.NONE, name)] = dataclasses.replace(
                 base,
                 config=dataclasses.replace(base_config, embedding=name),
             )
-        for name in names:
-            for augmentation in AUGMENTATIONS[1:]:
-                columns = [block_names.index(n) for n in augmentation.feature_names]
-                cells[(prior, augmentation, name)] = _cross_validate(
-                    ExperimentConfig(prior, augmentation, name),
-                    instances,
-                    _augment(priors, blocks[name][:, columns]),
-                    splits,
-                    train_config,
-                )
+        for result in augmented:
+            config = result.config
+            cells[(prior, config.augmentation, config.embedding)] = result
     vocab_sizes = {name: len(resources.embeddings[name]) for name in names}
     return MatrixResult(
         cells=cells,

@@ -110,3 +110,56 @@ def dense_sgd_weights(instances, config):
                 weights[ids] += (eta * class_weight) * y * values
             step += 1
     return weights
+
+
+def sequential_sum(terms) -> float:
+    """Left-to-right sum from +0.0, one Python float addition per term."""
+    total = 0.0
+    for term in terms:
+        total += float(term)
+    return total
+
+
+def sequential_sgd_weights(instances, config):
+    """Reference one-cell weights and threshold in the canonical summation order.
+
+    The scale-factor steps of ``classify.train`` with every dot product a
+    Python loop over the instance's entries in ascending id, from +0.0
+    (``sequential_sum``); the threshold is ``brute_force_threshold`` of the
+    training scores summed the same way.  Returns (weights, threshold).
+    """
+    n = len(instances)
+    prepared = []
+    dimension = 0
+    for vector, label in instances:
+        ids, values = vector.as_arrays()
+        if len(ids):
+            dimension = max(dimension, int(ids[-1]) + 1)
+        y = 1.0 if label == 1 else -1.0
+        class_weight = config.w if label == 1 else 1.0
+        prepared.append((ids, values, y, class_weight))
+
+    def dot(v, ids, values):
+        return sequential_sum(v[i] * x for i, x in zip(ids.tolist(), values.tolist()))
+
+    v = np.zeros(dimension, dtype=np.float64)
+    scale = 1.0
+    lam = 1.0 / (config.c * n)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    for _ in range(config.epochs):
+        for index in rng.permutation(n):
+            ids, values, y, class_weight = prepared[index]
+            eta = config.eta0 / (1.0 + config.eta0 * lam * step)
+            margin = y * scale * dot(v, ids, values)
+            scale *= 1.0 - eta * lam
+            if abs(scale) < 1e-9:
+                v *= scale
+                scale = 1.0
+            if margin < 1.0:
+                v[ids] += (eta * class_weight * y / scale) * values
+            step += 1
+    v *= scale
+    scores = [dot(v, ids, values) for ids, values, _, _ in prepared]
+    threshold, _ = brute_force_threshold(scores, [label for _, label in instances])
+    return v, threshold

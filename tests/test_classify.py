@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from incongruity import classify
 from incongruity.classify import (
+    CellRows,
     DegenerateTrainingError,
     LinearModel,
     ModelFormatError,
@@ -18,6 +19,7 @@ from incongruity.classify import (
     load_model,
     save_model,
     train,
+    train_cells,
     tune_threshold,
 )
 from incongruity.features import FeatureRegistry, FeatureVector
@@ -55,6 +57,62 @@ def noisy_rows(n, seed):
         }
         rows.append((fragment, label))
     return rows
+
+
+def cell_rows(cells):
+    """CellRows for per-cell lists of feature vectors over the same rows."""
+    dims = [
+        max((int(v.as_arrays()[0][-1]) + 1 for v in vectors if len(v)), default=0)
+        for vectors in cells
+    ]
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(np.int64)
+    ids, values, cell_index, indptr = [], [], [], [0]
+    for row in zip(*cells):
+        for cell, vector in enumerate(row):
+            row_ids, row_values = vector.as_arrays()
+            ids.extend((row_ids + offsets[cell]).tolist())
+            values.extend(row_values.tolist())
+            cell_index.extend([cell] * len(row_ids))
+        indptr.append(len(ids))
+    return CellRows(
+        np.array(indptr, dtype=np.int64),
+        np.array(ids, dtype=np.int64),
+        np.array(values, dtype=np.float64),
+        np.array(cell_index, dtype=np.intp),
+        offsets,
+    )
+
+
+def float_bytes(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestSegmentSums:
+    # Segments of 16 or more terms are where np.dot stops summing left to
+    # right; a segment with no terms must come out as +0.0.
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+            ),
+            max_size=80,
+        )
+    )
+    @example([(1, -0.0), (1, -0.0), (3, 1e16), (3, 1.0), (3, -1e16)])
+    @example([(0, 0.1 * k) for k in range(20)] + [(2, 1e16)] + [(2, 1.0)] * 17)
+    def test_each_segment_is_a_left_to_right_loop(self, pairs):
+        segments = np.array([segment for segment, _ in pairs], dtype=np.intp)
+        terms = np.array([term for _, term in pairs], dtype=np.float64)
+        expected = [
+            oracles.sequential_sum(term for seg, term in pairs if seg == segment)
+            for segment in range(5)
+        ]
+        sums = classify._segment_sums(segments, terms, 5)
+        assert float_bytes(sums) == float_bytes(expected)
 
 
 class TestTuneThreshold:
@@ -261,6 +319,84 @@ class TestDenseOracle:
         np.testing.assert_array_equal(weights, [0.625, -0.25])
 
 
+class TestTrainCells:
+    """The lockstep trainer against the one-cell sequential oracle."""
+
+    def test_single_cell_matches_oracle_and_train(self):
+        registry = FeatureRegistry()
+        instances = make_instances(registry, noisy_rows(60, seed=2))
+        config = TrainConfig(epochs=15, seed=7)
+        [model] = train_cells(
+            cell_rows([[vector for vector, _ in instances]]),
+            [label for _, label in instances],
+            ["noisy"],
+            config,
+        )
+        weights, threshold = oracles.sequential_sgd_weights(instances, config)
+        assert float_bytes(model.weights) == float_bytes(weights)
+        assert model.threshold == threshold
+        np.testing.assert_allclose(
+            model.weights, train(instances, config).weights, rtol=1e-10, atol=0
+        )
+
+    def test_cells_do_not_see_each_other(self):
+        # Three cells on the same labels: wide rows (20 features, past
+        # np.dot's left-to-right range), the noisy rows, and an empty cell.
+        rng = np.random.default_rng(3)
+        labels = [int(label) for label in rng.integers(2, size=40)]
+        labels[:2] = [0, 1]
+        registry = FeatureRegistry()
+        wide = [
+            FeatureVector.from_fragments(
+                registry,
+                [{f"f{j}": float(rng.normal() + label) for j in range(20)}],
+            )
+            for label in labels
+        ]
+        noisy = [v for v, _ in make_instances(FeatureRegistry(), noisy_rows(40, 5))]
+        cells = [wide, noisy, [FeatureVector()] * len(labels)]
+        config = TrainConfig(c=0.5, epochs=6, seed=1)
+        names = ["wide", "noisy", "empty"]
+        models = train_cells(cell_rows(cells), labels, names, config)
+        for cell, (vectors, model) in enumerate(zip(cells, models)):
+            [alone] = train_cells(cell_rows([vectors]), labels, ["alone"], config)
+            weights, threshold = oracles.sequential_sgd_weights(
+                list(zip(vectors, labels)), config
+            )
+            assert float_bytes(model.weights) == float_bytes(alone.weights), cell
+            assert float_bytes(model.weights) == float_bytes(weights), cell
+            assert model.threshold == alone.threshold == threshold, cell
+        assert len(models[2].weights) == 0
+
+    def test_single_class_rejected(self):
+        vectors = [FeatureVector({0: 1.0}), FeatureVector({1: 1.0})]
+        with pytest.raises(DegenerateTrainingError):
+            train_cells(cell_rows([vectors]), [1, 1], ["one"])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [({"a": 1e300}, 1), ({"a": 1e300}, 0)],
+            [({"a": 1e300}, 1), ({"b": 1e300}, 0)],
+        ],
+    )
+    @pytest.mark.parametrize("action", ["error", "default"])
+    def test_overflowing_cell_is_named(self, rows, action):
+        normal = make_instances(FeatureRegistry(), [({"a": 1.0}, 1), ({"b": 1.0}, 0)])
+        overflowing = make_instances(FeatureRegistry(), rows)
+        cells = [
+            [vector for vector, _ in normal],
+            [vector for vector, _ in overflowing],
+            [vector for vector, _ in normal],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(TrainingError, match=r"cell 'L\+S' .*epoch \d+"):
+                train_cells(
+                    cell_rows(cells), [1, 0], ["L", "L+S", "G"], TrainConfig(epochs=3)
+                )
+
+
 class TestPredict:
     def test_threshold_is_inclusive(self):
         model = LinearModel(
@@ -283,6 +419,21 @@ class TestPredict:
             weights=np.array([1.0]), bias=0.5, threshold=0.0
         )
         assert model.decision(FeatureVector()) == 0.5
+
+    def test_batched_decisions_match_decision(self):
+        model = LinearModel(
+            weights=np.array([1.0, -1.0, 0.5]), bias=0.25, threshold=0.0
+        )
+        vectors = [
+            FeatureVector({0: 2.0, 7: 100.0}),
+            FeatureVector(),
+            FeatureVector({1: 3.0, 2: 1.0}),
+        ]
+        rows = np.array([0, 0, 2, 2])
+        ids = np.array([0, 7, 1, 2])
+        values = np.array([2.0, 100.0, 3.0, 1.0])
+        scores = model.decisions(rows, ids, values, 3)
+        assert scores.tolist() == [model.decision(vector) for vector in vectors]
 
 
 # Feature names never contain line breaks: tokens are split on whitespace.

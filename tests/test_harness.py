@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from incongruity import harness
-from incongruity.classify import TrainConfig
+import oracles
+from incongruity import classify, harness
+from incongruity.classify import LinearModel, TrainConfig
 from incongruity.features import (
     ConfigurationError,
     ExperimentConfig,
@@ -340,6 +341,17 @@ class TestCompiledFolds:
             np.zeros((5, 0)),
         )
     )
+    @example(
+        (
+            # Block columns after the first training row's two prior names
+            # and before a name first seen in the second; zero and -0.0
+            # block values are dropped.
+            [[{"a": 1.0, "b": 0.0}], [{"c": 2.0}], [{"c": 1.0, "a": 3.0}]],
+            [0, 1],
+            [2],
+            np.array([[0.5, 0.0], [-0.0, 2.0], [1.0, -1.0]]),
+        )
+    )
     def test_fold_ids_match_a_fresh_then_frozen_registry(self, inputs):
         rows, train_idx, test_idx, block = inputs
         rows = [
@@ -351,18 +363,41 @@ class TestCompiledFolds:
         registry.freeze()
         expected += [FeatureVector.from_fragments(registry, rows[i]) for i in test_idx]
 
+        fold_order = train_idx + test_idx
         prior = harness._compile([fragments[:-1] for fragments in rows])
-        corpora = [harness._compile(rows), harness._augment(prior, block)]
-        for corpus in corpora:
-            vectors = harness._fold_vectors(corpus, train_idx + test_idx, len(train_idx))
-            assert len(vectors) == len(expected)
-            for vector, oracle in zip(vectors, expected):
-                ids, values = vector.as_arrays()
+        head = int(np.diff(prior.indptr)[train_idx[0]])
+        folds = [
+            harness._fold_rows(harness._compile(rows), fold_order, len(train_idx)),
+            harness._augment_rows(
+                harness._fold_rows(prior, fold_order, len(train_idx)),
+                block[fold_order],
+                head,
+            ),
+        ]
+        for row_of, ids, values in folds:
+            assert np.all(np.diff(row_of) >= 0)
+            for row, oracle in enumerate(expected):
                 oracle_ids, oracle_values = oracle.as_arrays()
+                in_row = row_of == row
                 assert ids.dtype == oracle_ids.dtype and values.dtype == oracle_values.dtype
-                assert ids.tobytes() == oracle_ids.tobytes()
-                assert values.tobytes() == oracle_values.tobytes()
-                assert not ids.flags.writeable and not values.flags.writeable
+                assert ids[in_row].tobytes() == oracle_ids.tobytes()
+                assert values[in_row].tobytes() == oracle_values.tobytes()
+            assert len(row_of) == sum(len(oracle) for oracle in expected)
+
+
+def single_cell(rows, cell):
+    """Cell ``cell`` of a lockstep layout as a one-cell layout."""
+    mask = rows.cells == cell
+    n = len(rows.indptr) - 1
+    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
+    lengths = np.bincount(row_of[mask], minlength=n)
+    return classify.CellRows(
+        np.concatenate([[0], np.cumsum(lengths)]),
+        rows.ids[mask] - rows.offsets[cell],
+        rows.values[mask],
+        np.zeros(int(mask.sum()), dtype=np.intp),
+        np.array([0, rows.offsets[cell + 1] - rows.offsets[cell]]),
+    )
 
 
 class TestRunMatrix:
@@ -456,7 +491,17 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("folds", [2, 4])
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
-        calls = {"intern": 0, "from_fragments": 0, "compile": 0}
+        # Folds remap ids and train in lockstep: no per-fold interning, no
+        # FeatureVector, no one-cell fit and no per-row prediction.
+        calls = {
+            "intern": 0,
+            "from_fragments": 0,
+            "compile": 0,
+            "FeatureVector": 0,
+            "train": 0,
+            "predict": 0,
+            "decision": 0,
+        }
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -474,6 +519,14 @@ class TestRunMatrix:
             classmethod(counting("from_fragments", FeatureVector.from_fragments.__func__)),
         )
         monkeypatch.setattr(harness, "_compile", counting("compile", harness._compile))
+        monkeypatch.setattr(
+            FeatureVector, "__init__", counting("FeatureVector", FeatureVector.__init__)
+        )
+        monkeypatch.setattr(classify, "train", counting("train", classify.train))
+        for method in ("predict", "decision"):
+            monkeypatch.setattr(
+                LinearModel, method, counting(method, getattr(LinearModel, method))
+            )
         run_matrix(
             generate_corpus(30, 0.4, seed=9),
             resources,
@@ -481,7 +534,43 @@ class TestRunMatrix:
             seed=0,
             train_config=TrainConfig(epochs=1),
         )
-        assert calls == {"intern": 0, "from_fragments": 0, "compile": len(PRIOR_SETS)}
+        assert calls.pop("compile") == len(PRIOR_SETS)
+        assert not any(calls.values()), calls
+
+    def test_lockstep_cells_match_sequential_oracle(self, resources, monkeypatch):
+        # 31 instances in 3 folds: the training sizes differ by one.
+        instances = generate_corpus(31, 0.4, seed=9)
+        splits = stratified_kfold(instances, k=3, seed=0)
+        assert len({len(train_idx) for train_idx, _ in splits}) == 2
+        groups = []
+
+        def recording(rows, labels, names, config):
+            models = train_cells(rows, labels, names, config)
+            groups.append((rows, labels, names, config, models))
+            return models
+
+        train_cells = harness.train_cells
+        monkeypatch.setattr(harness, "train_cells", recording)
+        run_matrix(
+            instances, resources, folds=3, seed=0, train_config=TrainConfig(epochs=2)
+        )
+        assert len(groups) == len(PRIOR_SETS) * 3
+        for rows, labels, names, config, models in groups:
+            assert len(models) == 1 + 3 * len(resources.embeddings)
+            for cell, (name, model) in enumerate(zip(names, models)):
+                alone = single_cell(rows, cell)
+                bounds = zip(alone.indptr[:-1], alone.indptr[1:])
+                vectors = [
+                    FeatureVector(dict(zip(alone.ids[a:b].tolist(), alone.values[a:b].tolist())))
+                    for a, b in bounds
+                ]
+                weights, threshold = oracles.sequential_sgd_weights(
+                    list(zip(vectors, labels)), config
+                )
+                [single] = train_cells(alone, labels, [name], config)
+                assert model.weights.tobytes() == weights.tobytes(), name
+                assert model.weights.tobytes() == single.weights.tobytes(), name
+                assert model.threshold == single.threshold == threshold, name
 
     def test_name_emitted_twice_is_rejected(self, resources, monkeypatch):
         def colliding(*args, **kwargs):
