@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -224,13 +224,15 @@ def train(
     return LinearModel(weights=v, bias=0.0, threshold=threshold)
 
 
-class CellRows(NamedTuple):
+@dataclass(frozen=True)
+class CellRows:
     """Labelled rows of several cells, laid out for :func:`train_cells`.
 
-    Row i's entries are ``ids[indptr[i]:indptr[i + 1]]`` with their
-    ``values`` and ``cells``: cell after cell, ids ascending within a cell,
-    values nonzero.  The ids index one flat weight vector in which cell c
-    owns ``offsets[c]:offsets[c + 1]``; ``cells`` holds intp cell indices.
+    Row i has label ``labels[i]`` and entries ``ids[indptr[i]:indptr[i + 1]]``
+    with their ``values`` and ``cells``: cell after cell, ids ascending
+    within a cell, values nonzero.  The ids index one flat weight vector in
+    which cell c owns ``offsets[c]:offsets[c + 1]``; ``cells`` holds intp
+    cell indices.  ``len(rows)`` is the number of rows.
     """
 
     indptr: np.ndarray
@@ -238,13 +240,14 @@ class CellRows(NamedTuple):
     values: np.ndarray
     cells: np.ndarray
     offsets: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def train_cells(
-    rows: CellRows,
-    labels: Sequence[int],
-    names: Sequence[str],
-    config: TrainConfig = TrainConfig(),
+    rows: CellRows, config: TrainConfig, names: Sequence[str]
 ) -> list[LinearModel]:
     """Train one model per cell of ``rows``, all cells in lockstep.
 
@@ -262,7 +265,7 @@ def train_cells(
     the epoch if a margin, the weights, the scale or a training score stops
     being finite.
     """
-    labels = np.asarray(labels)
+    labels = np.asarray(rows.labels)
     n = len(labels)
     if not ((labels == 1).any() and (labels == 0).any()):
         raise DegenerateTrainingError("training data must contain both classes")
@@ -307,14 +310,11 @@ def train_cells(
                     v *= scale
                     scale = 1.0
                 violated = margins < 1.0
-                hits = np.count_nonzero(violated)
-                coefficient = eta * class_weight * y / scale
-                # Ids are unique within a row, so np.add.at adds each
-                # update once, like v[ids] += ..., only faster.
-                if hits == count:
-                    np.add.at(v, ids, coefficient * values)
-                elif hits:
+                if violated.any():
                     update = violated[cells]
+                    coefficient = eta * class_weight * y / scale
+                    # Ids are unique within a row, so np.add.at adds each
+                    # update once, like v[ids] += ..., only faster.
                     np.add.at(v, ids[update], coefficient * values[update])
                 step += 1
             if not math.isfinite(scale):

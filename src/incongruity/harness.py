@@ -34,7 +34,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import CellRows, TrainConfig, train_cells
+from .classify import CellRows, TrainConfig
+# Folds train through the module attribute ``train``, the name under which
+# perfbench/tracing.py times training.
+from .classify import train_cells as train
 from .embeddings import EmbeddingTable, intersect_vocabularies
 from .features import (
     PRIOR_SETS,
@@ -387,13 +390,14 @@ def _augment_rows(
 
 
 def _cell_rows(
-    train: tuple[np.ndarray, np.ndarray, np.ndarray],
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
     blocks: Sequence[np.ndarray],
     head: int,
+    labels: Sequence[int],
 ) -> CellRows:
-    """Lay out the training rows of every cell for :func:`train_cells`.
+    """Lay out the training rows of every cell for ``train_cells``.
 
-    ``train`` holds the prior's fold entries of the training rows and
+    ``entries`` holds the prior's fold entries of the training rows and
     ``blocks[c]`` cell c's block rows (see :func:`_augment_rows`).  Cell
     c's ids are shifted by its offset; its weight dimension is its largest
     training id + 1, as in ``classify.train``.  Each cell's entries are
@@ -401,7 +405,7 @@ def _cell_rows(
     """
     n = len(blocks[0])
     # Row k holds its prior entries and its nonzero block values.
-    base_counts = np.bincount(train[0], minlength=n)
+    base_counts = np.bincount(entries[0], minlength=n)
     counts = [base_counts + np.count_nonzero(block, axis=1) for block in blocks]
     indptr = np.concatenate([[0], np.cumsum(np.sum(counts, axis=0))])
     ids = np.empty(indptr[-1], dtype=np.int64)
@@ -410,7 +414,7 @@ def _cell_rows(
     cursor = indptr[:-1].copy()
     offsets = [0]
     for cell, (block, count) in enumerate(zip(blocks, counts)):
-        _, cell_ids, cell_values = _augment_rows(train, block, head)
+        _, cell_ids, cell_values = _augment_rows(entries, block, head)
         row_starts = np.cumsum(count) - count
         slots = np.arange(len(cell_ids)) + np.repeat(cursor - row_starts, count)
         ids[slots] = cell_ids + offsets[-1]
@@ -418,7 +422,7 @@ def _cell_rows(
         cells[slots] = cell
         cursor += count
         offsets.append(offsets[-1] + int(cell_ids.max(initial=-1)) + 1)
-    return CellRows(indptr, ids, values, cells, np.array(offsets))
+    return CellRows(indptr, ids, values, cells, np.array(offsets), np.asarray(labels))
 
 
 def _fold_predictions(
@@ -439,13 +443,13 @@ def _fold_predictions(
     n_train = len(train_idx)
     row_of, ids, values = _fold_rows(prior, train_idx + test_idx, n_train)
     split = int(np.searchsorted(row_of, n_train))
-    train = (row_of[:split], ids[:split], values[:split])
+    fit = (row_of[:split], ids[:split], values[:split])
     test = (row_of[split:] - n_train, ids[split:], values[split:])
     head = int(prior.indptr[train_idx[0] + 1] - prior.indptr[train_idx[0]])
 
-    layout = _cell_rows(train, [block[train_idx] for block in blocks], head)
     labels = [instances[i].label for i in train_idx]
-    models = train_cells(layout, labels, names, train_config)
+    layout = _cell_rows(fit, [block[train_idx] for block in blocks], head, labels)
+    models = train(layout, train_config, names)
     predictions = []
     for model, block in zip(models, blocks):
         cell_test = _augment_rows(test, block[test_idx], head)

@@ -59,7 +59,7 @@ def noisy_rows(n, seed):
     return rows
 
 
-def cell_rows(cells):
+def cell_rows(cells, labels):
     """CellRows for per-cell lists of feature vectors over the same rows."""
     dims = [
         max((int(v.as_arrays()[0][-1]) + 1 for v in vectors if len(v)), default=0)
@@ -80,6 +80,7 @@ def cell_rows(cells):
         np.array(values, dtype=np.float64),
         np.array(cell_index, dtype=np.intp),
         offsets,
+        np.array(labels),
     )
 
 
@@ -327,10 +328,11 @@ class TestTrainCells:
         instances = make_instances(registry, noisy_rows(60, seed=2))
         config = TrainConfig(epochs=15, seed=7)
         [model] = train_cells(
-            cell_rows([[vector for vector, _ in instances]]),
-            [label for _, label in instances],
-            ["noisy"],
+            cell_rows(
+                [[vector for vector, _ in instances]], [label for _, label in instances]
+            ),
             config,
+            ["noisy"],
         )
         weights, threshold = oracles.sequential_sgd_weights(instances, config)
         assert float_bytes(model.weights) == float_bytes(weights)
@@ -357,9 +359,9 @@ class TestTrainCells:
         cells = [wide, noisy, [FeatureVector()] * len(labels)]
         config = TrainConfig(c=0.5, epochs=6, seed=1)
         names = ["wide", "noisy", "empty"]
-        models = train_cells(cell_rows(cells), labels, names, config)
+        models = train_cells(cell_rows(cells, labels), config, names)
         for cell, (vectors, model) in enumerate(zip(cells, models)):
-            [alone] = train_cells(cell_rows([vectors]), labels, ["alone"], config)
+            [alone] = train_cells(cell_rows([vectors], labels), config, ["alone"])
             weights, threshold = oracles.sequential_sgd_weights(
                 list(zip(vectors, labels)), config
             )
@@ -371,7 +373,7 @@ class TestTrainCells:
     def test_single_class_rejected(self):
         vectors = [FeatureVector({0: 1.0}), FeatureVector({1: 1.0})]
         with pytest.raises(DegenerateTrainingError):
-            train_cells(cell_rows([vectors]), [1, 1], ["one"])
+            train_cells(cell_rows([vectors], [1, 1]), TrainConfig(), ["one"])
 
     @pytest.mark.parametrize(
         "rows",
@@ -393,7 +395,7 @@ class TestTrainCells:
             warnings.simplefilter(action, RuntimeWarning)
             with pytest.raises(TrainingError, match=r"cell 'L\+S' .*epoch \d+"):
                 train_cells(
-                    cell_rows(cells), [1, 0], ["L", "L+S", "G"], TrainConfig(epochs=3)
+                    cell_rows(cells, [1, 0]), TrainConfig(epochs=3), ["L", "L+S", "G"]
                 )
 
 

@@ -397,6 +397,7 @@ def single_cell(rows, cell):
         rows.values[mask],
         np.zeros(int(mask.sum()), dtype=np.intp),
         np.array([0, rows.offsets[cell + 1] - rows.offsets[cell]]),
+        rows.labels,
     )
 
 
@@ -544,18 +545,19 @@ class TestRunMatrix:
         assert len({len(train_idx) for train_idx, _ in splits}) == 2
         groups = []
 
-        def recording(rows, labels, names, config):
-            models = train_cells(rows, labels, names, config)
-            groups.append((rows, labels, names, config, models))
+        def recording(rows, config, names):
+            models = train_cells(rows, config, names)
+            groups.append((rows, config, names, models))
             return models
 
-        train_cells = harness.train_cells
-        monkeypatch.setattr(harness, "train_cells", recording)
+        train_cells = harness.train
+        monkeypatch.setattr(harness, "train", recording)
         run_matrix(
             instances, resources, folds=3, seed=0, train_config=TrainConfig(epochs=2)
         )
         assert len(groups) == len(PRIOR_SETS) * 3
-        for rows, labels, names, config, models in groups:
+        for rows, config, names, models in groups:
+            labels = rows.labels.tolist()
             assert len(models) == 1 + 3 * len(resources.embeddings)
             for cell, (name, model) in enumerate(zip(names, models)):
                 alone = single_cell(rows, cell)
@@ -567,7 +569,7 @@ class TestRunMatrix:
                 weights, threshold = oracles.sequential_sgd_weights(
                     list(zip(vectors, labels)), config
                 )
-                [single] = train_cells(alone, labels, [name], config)
+                [single] = train_cells(alone, config, [name])
                 assert model.weights.tobytes() == weights.tobytes(), name
                 assert model.weights.tobytes() == single.weights.tobytes(), name
                 assert model.threshold == single.threshold == threshold, name
