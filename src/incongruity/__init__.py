@@ -10,7 +10,6 @@ experiment grid with gain reports.
 from .classify import LinearModel, TrainConfig, load_model, save_model, train
 from .embeddings import (
     EmbeddingTable,
-    cosine_similarity,
     intersect_vocabularies,
     load_embeddings,
     save_text_vectors,
@@ -75,7 +74,6 @@ __all__ = [
     "build_config_features",
     "compute_gains",
     "content_words",
-    "cosine_similarity",
     "default_lexicon",
     "default_stopwords",
     "emit_report",

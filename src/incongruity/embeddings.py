@@ -1,11 +1,17 @@
-"""Word embedding tables: loading, cosine similarity, vocabulary intersection.
+"""Word embedding tables: loading and vocabulary intersection.
 
 Two interchange formats used by common pre-trained vector distributions are
 supported:
 
-* ``text_vectors`` -- UTF-8 lines ``<word> <f1> ... <fd>`` with
-  '.'-decimal floats, plus an optional leading ``<count> <dim>`` header
-  line that is auto-detected.
+* ``text_vectors`` -- UTF-8 lines ``<word> <f1> ... <fd>``, any whitespace
+  between fields, blank lines skipped.  Components are ASCII decimal
+  floats (optional sign, digits with an optional '.', optional exponent),
+  each read as a double and rounded to float32; ``nan`` and ``inf`` are
+  rejected as non-finite, digit separators (``1_0``) and non-ASCII digits
+  as non-numeric.  The first non-blank line is a ``<count> <dim>`` header
+  if it is exactly two fields of digits; it must then be ASCII digits with
+  count and dim above 0, and the file must hold ``count`` rows of ``dim``
+  components.  The file is parsed in one streamed pass.
 * ``binary_w2v`` -- an ASCII header line ``<count> <dim>\\n`` followed by
   one record per word: the word's UTF-8 bytes terminated by a single
   space, then ``dim`` little-endian float32 values, optionally followed
@@ -19,9 +25,10 @@ sentence tokens resolve against a table.
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,10 +37,6 @@ FORMATS = ("binary_w2v", "text_vectors")
 
 class EmbeddingFormatError(ValueError):
     """An embedding file violates its declared format."""
-
-
-class DegenerateVectorError(ValueError):
-    """A cosine operand has zero norm, so the similarity is undefined."""
 
 
 class EmptyIntersectionError(ValueError):
@@ -49,11 +52,22 @@ class EmbeddingTable:
 
     Vectors are stored as float32 rows, unnormalized, in file order.  Row
     norms are computed lazily once and cached; the cache is an optimization
-    only and never changes lookup results.
+    only and never changes lookup results.  A read-only float32 array that
+    owns its memory, as the loaders pass, is kept without a copy: the
+    caller hands it over.  Any other ``vectors`` is copied.
     """
 
     def __init__(self, name: str, vocab: Iterable[str], vectors: np.ndarray):
-        matrix = np.array(vectors, dtype=np.float32)
+        if (
+            isinstance(vectors, np.ndarray)
+            and vectors.dtype == np.float32
+            and vectors.base is None
+            and not vectors.flags.writeable
+        ):
+            # Saves a second copy of a large loaded table at its peak.
+            matrix = vectors
+        else:
+            matrix = np.array(vectors, dtype=np.float32)
         if matrix.ndim != 2:
             raise ValueError("vectors must form a 2-D array")
         words = tuple(vocab)
@@ -106,49 +120,6 @@ class EmbeddingTable:
             )
         return float(self._norms[self._index[word]])
 
-    def similarity(self, word_a: str, word_b: str) -> float:
-        """Cosine similarity between two vocabulary words.
-
-        Uses the cached norms; the result is identical to calling
-        :func:`cosine_similarity` on the two stored vectors.
-        """
-        na = self.norm(word_a)
-        nb = self.norm(word_b)
-        if na == 0.0 or nb == 0.0:
-            raise DegenerateVectorError(
-                f"zero-norm vector for {word_a if na == 0.0 else word_b!r}"
-            )
-        a = self.vector(word_a).astype(np.float64)
-        b = self.vector(word_b).astype(np.float64)
-        return _clamped_cosine(float(np.dot(a, b)), na, nb)
-
-
-def _clamped_cosine(dot: float, norm_a: float, norm_b: float) -> float:
-    # Rounding can push |cos| a hair past 1; clamp so downstream math
-    # never sees an out-of-range similarity.
-    value = dot / (norm_a * norm_b)
-    return max(-1.0, min(1.0, value))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-
-    The computation is symmetric in its arguments bit-for-bit, runs in
-    float64 regardless of input dtype, and never returns NaN: a zero-norm
-    operand raises :class:`DegenerateVectorError`, a non-finite one ValueError.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
-        raise ValueError("cosine undefined for a non-finite vector component")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine undefined for zero-norm vector")
-    return _clamped_cosine(float(np.dot(va, vb)), na, nb)
-
 
 def load_embeddings(path: str | Path, fmt: str, name: str | None = None) -> EmbeddingTable:
     """Load an embedding table from ``path`` in the given format.
@@ -165,6 +136,7 @@ def load_embeddings(path: str | Path, fmt: str, name: str | None = None) -> Embe
         vocab, matrix = _load_binary_w2v(path)
     else:
         vocab, matrix = _load_text_vectors(path)
+    matrix.setflags(write=False)
     return EmbeddingTable(name or path.stem, vocab, matrix)
 
 
@@ -221,63 +193,136 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
     return vocab, matrix
 
 
-def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
-    vocab: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    declared: tuple[int, int] | None = None
-    dim: int | None = None
+def _parse_components(lines: Iterable[str]) -> np.ndarray:
+    # One C-level parse: whitespace-separated ASCII decimals, each read as
+    # a double and rounded to float32, exactly as np.float32(float(c)).
+    return np.loadtxt(lines, dtype=np.float32, comments=None, ndmin=2)
+
+
+def _text_lines(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield each non-blank line's number and its ``[word, components]`` split."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if (
-                not rows
-                and declared is None
-                and len(fields) == 2
-                and all(f.isdigit() for f in fields)
-            ):
-                declared = (int(fields[0]), int(fields[1]))
-                dim = declared[1]
-                continue
-            word = _nfc(fields[0])
-            components = fields[1:]
-            if dim is None:
-                if not components:
-                    raise EmbeddingFormatError(
-                        f"{path}: line {lineno}: no vector components"
-                    )
-                dim = len(components)
-            if len(components) != dim:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: expected {dim} components, "
-                    f"found {len(components)}"
-                )
-            try:
-                row = np.array(components, dtype=np.float32)
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-numeric vector component"
-                ) from exc
-            if not np.isfinite(row).all():
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-finite vector component"
-                )
-            if word in seen:
-                raise EmbeddingFormatError(
-                    f"{path}: duplicate word {word!r} (line {lineno})"
-                )
+            parts = line.split(None, 1)
+            if parts:
+                yield lineno, parts
+
+
+def _text_header(path: Path, lineno: int, parts: list[str]) -> tuple[int, int] | None:
+    """Return ``(count, dim)`` if the first non-blank line is a header."""
+    if len(parts) != 2:
+        return None
+    fields = [parts[0], *parts[1].split()]
+    if len(fields) != 2 or not all(f.isdigit() for f in fields):
+        return None
+    if not all(f.isascii() for f in fields):
+        raise EmbeddingFormatError(
+            f"{path}: line {lineno}: malformed header {' '.join(fields)!r}; "
+            "expected '<count> <dim>' in ASCII digits"
+        )
+    count, dim = int(fields[0]), int(fields[1])
+    if count <= 0 or dim <= 0:
+        raise EmbeddingFormatError(
+            f"{path}: line {lineno}: non-positive count or dimension in header"
+        )
+    return count, dim
+
+
+def _bad_row(path: Path, lineno: int, text: str, dim: int | None) -> EmbeddingFormatError | None:
+    """Check one row's component text alone; ``dim`` is None before the first row."""
+    found = len(text.split())
+    if dim is None and found == 0:
+        return EmbeddingFormatError(f"{path}: line {lineno}: no vector components")
+    if found != dim:
+        return EmbeddingFormatError(
+            f"{path}: line {lineno}: expected {dim} components, found {found}"
+        )
+    try:
+        row = _parse_components([text])
+    except ValueError:
+        return EmbeddingFormatError(f"{path}: line {lineno}: non-numeric vector component")
+    if not np.isfinite(row).all():
+        return EmbeddingFormatError(f"{path}: line {lineno}: non-finite vector component")
+    return None
+
+
+def _parse_rows(path: Path, rows: Iterable[str], linenos: list[int], dim: int) -> np.ndarray:
+    """Parse the rows' component texts; ``linenos`` fills in as they are read."""
+    try:
+        matrix = _parse_components(rows)
+    except UnicodeDecodeError:
+        raise  # the file is not UTF-8; no row is at fault
+    except ValueError:
+        # The bulk parse does not name a file line: check the rows it was
+        # given one at a time, in file order.
+        given = set(linenos)
+        for lineno, parts in _text_lines(path):
+            if lineno in given:
+                error = _bad_row(path, lineno, parts[1], dim)
+                if error is not None:
+                    raise error from None
+        raise
+    if matrix.shape[1] != dim:
+        raise EmbeddingFormatError(
+            f"{path}: line {linenos[0]}: expected {dim} components, "
+            f"found {matrix.shape[1]}"
+        )
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise EmbeddingFormatError(
+            f"{path}: line {linenos[int(np.argmin(finite))]}: "
+            "non-finite vector component"
+        )
+    return matrix
+
+
+def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
+    vocab: list[str] = []
+    linenos: list[int] = []
+    header: tuple[int, int] | None = None
+    # A line that cannot be a row (no components, or a repeated word) ends
+    # the stream; it is judged after every row before it.
+    stop: tuple[int, str, str] | None = None
+
+    def components() -> Iterator[str]:
+        nonlocal header, stop
+        seen: set[str] = set()
+        for lineno, parts in _text_lines(path):
+            if not linenos and header is None:
+                header = _text_header(path, lineno, parts)
+                if header is not None:
+                    continue
+            word = _nfc(parts[0])
+            text = parts[1] if len(parts) == 2 else ""
+            if not text or word in seen:
+                stop = (lineno, text, word)
+                return
             seen.add(word)
             vocab.append(word)
-            rows.append(row)
-    if not rows:
-        raise EmbeddingFormatError(f"{path}: no vector rows")
-    if declared is not None and declared[0] != len(rows):
-        raise EmbeddingFormatError(
-            f"{path}: header declares {declared[0]} words but file has {len(rows)}"
+            linenos.append(lineno)
+            yield text
+
+    rows = components()
+    first = next(rows, None)
+    if header is not None:
+        dim: int | None = header[1]
+    else:
+        dim = None if first is None else len(first.split())
+    matrix = None
+    if first is not None:
+        matrix = _parse_rows(path, itertools.chain([first], rows), linenos, dim)
+    if stop is not None:
+        lineno, text, word = stop
+        raise _bad_row(path, lineno, text, dim) or EmbeddingFormatError(
+            f"{path}: duplicate word {word!r} (line {lineno})"
         )
-    return vocab, np.stack(rows)
+    if matrix is None:
+        raise EmbeddingFormatError(f"{path}: no vector rows")
+    if header is not None and header[0] != len(vocab):
+        raise EmbeddingFormatError(
+            f"{path}: header declares {header[0]} words but file has {len(vocab)}"
+        )
+    return vocab, matrix
 
 
 def save_text_vectors(table: EmbeddingTable, path: str | Path, header: bool = True) -> None:

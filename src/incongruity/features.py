@@ -156,10 +156,6 @@ class FeatureRegistry:
     def freeze(self) -> None:
         self._frozen = True
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def __len__(self) -> int:
         return len(self._names)
 

@@ -6,7 +6,8 @@ position difference over all occurrence pairs, measured on raw token
 positions so stopwords and punctuation still count as distance).
 
 The cosines are one Gram matrix of the unit-normalized float64 rows, clamped
-and exactly symmetric; they can differ from ``cosine_similarity`` in the last bits.
+and exactly symmetric; they can differ in the last bits from a cosine computed
+one pair at a time as a dot product over the product of the two norms.
 
 Two four-value blocks summarize the pair structure:
 

@@ -492,7 +492,7 @@ class TestModelIO:
         assert loaded.bias == model.bias
         assert loaded.threshold == model.threshold
         assert loaded_registry.names == registry.names
-        assert loaded_registry.frozen
+        assert loaded_registry.intern("unseen") is None
         for vector, _ in instances:
             assert loaded.decision(vector) == model.decision(vector)
 

@@ -8,11 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from incongruity.embeddings import (
-    DegenerateVectorError,
     EmbeddingFormatError,
     EmbeddingTable,
     EmptyIntersectionError,
-    cosine_similarity,
     intersect_vocabularies,
     load_embeddings,
     save_text_vectors,
@@ -118,6 +116,145 @@ class TestTextLoader:
         assert table.vector("w").tobytes() == expected.tobytes()
 
 
+def _float32_midpoint(x):
+    """The float64 halfway between float32(x) and the next float32 up."""
+    low = np.float32(x)
+    high = np.nextafter(low, np.float32(np.inf))
+    return (float(low) + float(high)) / 2
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_components = st.one_of(
+    st.floats(min_value=-_FLOAT32_MAX, max_value=_FLOAT32_MAX),
+    st.floats(width=32, allow_nan=False, allow_infinity=False)
+    .map(_float32_midpoint)
+    .filter(lambda m: abs(m) <= _FLOAT32_MAX),
+)
+_renders = st.sampled_from([repr, "{:.6f}".format, "{:.17e}".format])
+_separators = st.sampled_from([" ", "\t", "   ", " \t ", "\t\t"])
+
+
+@st.composite
+def text_tables(draw):
+    """A text table file with varied layout and its expected rows."""
+    dim = draw(st.integers(1, 5))
+    name = st.from_regex(r"[a-z]{1,6}", fullmatch=True)
+    words = draw(st.lists(name, min_size=1, max_size=40, unique=True))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = st.sampled_from(["", "  ", "\t"])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"{len(words)} {dim}")
+    rows = []
+    for word in words:
+        lines.extend(draw(st.lists(blank, max_size=2)))
+        render = draw(_renders)
+        values = draw(st.lists(_components, min_size=dim, max_size=dim))
+        components = [render(x) for x in values]
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for field in [word, *components]:
+            line += field + draw(_separators)
+        lines.append(line)
+        rows.append(components)
+    return newline.join(lines) + newline, words, rows
+
+
+class TestStreamedTextLoader:
+    @given(text_tables())
+    def test_matches_per_line_float32_of_float(self, case):
+        content, words, rows = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "vecs.txt"
+            path.write_text(content, encoding="utf-8", newline="")
+            table = load_embeddings(path, "text_vectors")
+        expected = np.array(
+            [[np.float32(float(c)) for c in row] for row in rows], dtype=np.float32
+        )
+        assert table.vocab == tuple(words)
+        assert table.vectors.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0", "expected 2 components, found 1"),
+            ("1.0 2.0 3.0", "expected 2 components, found 3"),
+            ("1.0 x", "non-numeric vector component"),
+            ("nan 1.0", "non-finite vector component"),
+            ("1.0 -inf", "non-finite vector component"),
+        ],
+    )
+    def test_error_names_file_line_not_row_index(self, tmp_path, row, message):
+        # Header and blank lines first: the bad row is row 2 but line 6.
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"2 2\n\n   \na 1 2\n\nb {row}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=f"vecs.txt: line 6: {message}$"):
+            load_embeddings(path, "text_vectors")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("x", "non-numeric vector component"), ("inf", "non-finite vector component")],
+    )
+    def test_error_past_sixty_thousand_rows_names_line(self, tmp_path, bad, message):
+        lines = ["60100 1", ""] + [f"w{i} {i}.25" for i in range(60_100)]
+        lines[60_012] = f"bad {bad}"
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=f"line 60013: {message}$"):
+            load_embeddings(path, "text_vectors")
+
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path):
+        # A non-finite row comes before a row the bulk parse rejects.
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2\nb nan 1\nc 1 x\nc 1 2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+            load_embeddings(path, "text_vectors")
+
+    def test_bad_components_on_a_repeated_word_are_named_first(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2\na 3\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: expected 2 components, found 1"):
+            load_embeddings(path, "text_vectors")
+
+    def test_word_without_components_after_rows_names_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2\n\nb\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected 2 components, found 0"):
+            load_embeddings(path, "text_vectors")
+
+    @pytest.mark.parametrize("component", ["1_0", "١٢", "１"])
+    def test_non_ascii_decimal_rejected_naming_line(self, tmp_path, component):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"a 1.0\nb {component}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-numeric vector component"):
+            load_embeddings(path, "text_vectors")
+
+    def test_non_ascii_digit_header_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("² 2\na 1 2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="vecs.txt: line 1: malformed header"):
+            load_embeddings(path, "text_vectors")
+
+    @pytest.mark.parametrize("header", ["1 0", "0 2"])
+    def test_non_positive_header_rejected_naming_file(self, tmp_path, header):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"{header}\na\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="vecs.txt: line 1: non-positive"):
+            load_embeddings(path, "text_vectors")
+
+    def test_header_dimension_checked_against_every_row(self, tmp_path):
+        # Every row agrees with the others, so only the header disagrees.
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\n\na 1 2\nb 3 4\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected 3 components, found 2"):
+            load_embeddings(path, "text_vectors")
+
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 2\n\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="no vector rows"):
+            load_embeddings(path, "text_vectors")
+
+
 class TestBinaryLoader:
     def test_without_record_newlines(self, tmp_path):
         path = write_binary(
@@ -199,69 +336,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.vectors, table.vectors)
 
 
-class TestCosine:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_vectors(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == 0.0
-
-    def test_known_angle(self):
-        # (1,0) vs (1,1): cos 45deg.
-        value = cosine_similarity([1.0, 0.0], [1.0, 1.0])
-        assert value == pytest.approx(0.70710678, abs=1e-8)
-
-    def test_opposite_vectors_clamped(self):
-        assert cosine_similarity([1.0, 0.0], [-1.0, 0.0]) == -1.0
-
-    def test_zero_norm_raises(self):
-        with pytest.raises(DegenerateVectorError):
-            cosine_similarity([0.0, 0.0], [1.0, 2.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cosine_similarity([1.0], [1.0, 2.0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_operand_raises(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            cosine_similarity([bad, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            cosine_similarity([1.0, 0.0], [1.0, bad])
-
-    def test_symmetry_is_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a = rng.standard_normal(16)
-            b = rng.standard_normal(16)
-            assert cosine_similarity(a, b) == cosine_similarity(b, a)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            a = rng.standard_normal(8)
-            b = rng.standard_normal(8)
-            k = float(rng.uniform(0.01, 100.0))
-            np.testing.assert_allclose(
-                cosine_similarity(a * k, b), cosine_similarity(a, b), atol=1e-6
-            )
-
-    def test_range_and_finiteness(self):
-        rng = np.random.default_rng(13)
-        for _ in range(500):
-            a = rng.standard_normal(5) * rng.uniform(1e-3, 1e3)
-            b = rng.standard_normal(5) * rng.uniform(1e-3, 1e3)
-            value = cosine_similarity(a, b)
-            assert -1.0 <= value <= 1.0 and np.isfinite(value)
-
-    def test_table_similarity_matches_function(self, toy_table):
-        expected = cosine_similarity(
-            toy_table.vector("alpha"), toy_table.vector("gamma")
-        )
-        assert toy_table.similarity("alpha", "gamma") == expected
-
-
 class TestIntersection:
     def make(self, name, vocab, seed):
         rng = np.random.default_rng(seed)
@@ -325,6 +399,17 @@ class TestTableValidation:
         vectors = np.array([[1.0, 0.0], [np.nan, 0.0], [np.inf, 1.0]])
         with pytest.raises(ValueError, match="'b'"):
             EmbeddingTable("t", ["a", "b", "c"], vectors)
+
+    def test_writable_input_is_copied(self):
+        vectors = np.ones((2, 2), dtype=np.float32)
+        view = vectors.view()
+        view.setflags(write=False)
+        for given in (vectors, view):
+            table = EmbeddingTable("t", ["a", "b"], given)
+            vectors[0, 0] = 5.0
+            assert table.vector("a")[0] == 1.0
+            vectors[0, 0] = 1.0
+        assert vectors.flags.writeable
 
     def test_vectors_read_only(self, toy_table):
         with pytest.raises(ValueError):

@@ -54,7 +54,6 @@ class TestRegistry:
         registry = FeatureRegistry()
         registry.intern("seen")
         registry.freeze()
-        assert registry.frozen
         assert registry.intern("unseen") is None
         assert registry.intern("seen") == 0
         assert len(registry) == 1
