@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from incongruity.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -15,6 +16,8 @@ from incongruity.embeddings import (
     load_embeddings,
     save_text_vectors,
 )
+from incongruity.similarity import InsufficientContentError, pairwise_scores
+from incongruity.text import ContentWord, ContentWordSet, content_words, tokenize
 
 
 def write_binary(path, records, header=None, trailing_newlines=False, extra=b""):
@@ -124,11 +127,13 @@ def _float32_midpoint(x):
 
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+# The largest float32 has no next float32 up, so midpoints start below it.
+_BELOW_FLOAT32_MAX = float(np.nextafter(np.float32(_FLOAT32_MAX), np.float32(0)))
 _components = st.one_of(
     st.floats(min_value=-_FLOAT32_MAX, max_value=_FLOAT32_MAX),
-    st.floats(width=32, allow_nan=False, allow_infinity=False)
-    .map(_float32_midpoint)
-    .filter(lambda m: abs(m) <= _FLOAT32_MAX),
+    st.floats(width=32, min_value=-_FLOAT32_MAX, max_value=_BELOW_FLOAT32_MAX).map(
+        _float32_midpoint
+    ),
 )
 _renders = st.sampled_from([repr, "{:.6f}".format, "{:.17e}".format])
 _separators = st.sampled_from([" ", "\t", "   ", " \t ", "\t\t"])
@@ -334,6 +339,92 @@ class TestRoundTrip:
         save_text_vectors(table, out, header=False)
         loaded = load_embeddings(out, "text_vectors")
         np.testing.assert_array_equal(loaded.vectors, table.vectors)
+
+
+def pair_score(table, word_a, word_b):
+    """The S/WS pipeline's cosine for two one-occurrence words of ``table``."""
+    selected = content_words(tokenize(f"{word_a} {word_b}"), frozenset(), table)
+    scores = pairwise_scores(selected).scores
+    assert scores[0, 1] == scores[1, 0]
+    return float(scores[0, 1])
+
+
+def cosine(a, b):
+    """``pair_score`` of two vectors stored as a two-word table."""
+    return pair_score(EmbeddingTable("pair", ["u", "v"], np.array([a, b])), "u", "v")
+
+
+class TestCosine:
+    """The cosine behind the S and WS features, from table rows to a score."""
+
+    def test_identical_vectors(self):
+        v = np.array([1.0, 2.0, 3.0])
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_orthogonal_vectors(self):
+        assert cosine([1.0, 0.0], [0.0, 5.0]) == 0.0
+
+    def test_known_angle(self):
+        # (1,0) vs (1,1): cos 45deg.
+        value = cosine([1.0, 0.0], [1.0, 1.0])
+        assert value == pytest.approx(0.70710678, abs=1e-8)
+
+    def test_opposite_vectors_clamped(self):
+        assert cosine([1.0, 0.0], [-1.0, 0.0]) == -1.0
+
+    def test_zero_norm_raises(self):
+        # A zero-norm word is not a content word, so no pair is left.
+        table = EmbeddingTable("pair", ["u", "v"], np.array([[0.0, 0.0], [1.0, 2.0]]))
+        with pytest.raises(InsufficientContentError):
+            pair_score(table, "u", "v")
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            EmbeddingTable("pair", ["u", "v"], [[1.0], [1.0, 2.0]])
+        words = ContentWordSet(
+            (
+                ContentWord("u", (0,), np.array([1.0], dtype=np.float32)),
+                ContentWord("v", (1,), np.array([1.0, 2.0], dtype=np.float32)),
+            )
+        )
+        with pytest.raises(ValueError):
+            pairwise_scores(words)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operand_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine([bad, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine([1.0, 0.0], [1.0, bad])
+
+    def test_symmetry_is_exact(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a = rng.standard_normal(16)
+            b = rng.standard_normal(16)
+            assert cosine(a, b) == cosine(b, a)
+
+    def test_scale_invariance(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            a = rng.standard_normal(8)
+            b = rng.standard_normal(8)
+            k = float(rng.uniform(0.01, 100.0))
+            np.testing.assert_allclose(cosine(a * k, b), cosine(a, b), atol=1e-6)
+
+    def test_range_and_finiteness(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            a = rng.standard_normal(5) * rng.uniform(1e-3, 1e3)
+            b = rng.standard_normal(5) * rng.uniform(1e-3, 1e3)
+            value = cosine(a, b)
+            assert -1.0 <= value <= 1.0 and np.isfinite(value)
+
+    def test_table_similarity_matches_function(self, toy_table):
+        expected = oracles.cosine(toy_table.vector("alpha"), toy_table.vector("gamma"))
+        assert pair_score(toy_table, "alpha", "gamma") == pytest.approx(
+            expected, rel=0, abs=1e-12
+        )
 
 
 class TestIntersection:
