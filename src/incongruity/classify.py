@@ -384,7 +384,13 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
     """Read a model file back into a model and a frozen registry."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bytes before the error decode; "x" stands for the bad one.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ModelFormatError(f"{path}: line {lineno}: not valid UTF-8") from exc
     try:
         if lines[0] != f"{_MODEL_MAGIC} v{_MODEL_VERSION}":
             raise ModelFormatError(f"unsupported model header {lines[0]!r}")

@@ -50,11 +50,10 @@ def _nfc(word: str) -> str:
 class EmbeddingTable:
     """Immutable mapping from words to dense vectors, with a provenance name.
 
-    Vectors are stored as float32 rows, unnormalized, in file order.  Row
-    norms are computed lazily once and cached; the cache is an optimization
-    only and never changes lookup results.  A read-only float32 array that
-    owns its memory, as the loaders pass, is kept without a copy: the
-    caller hands it over.  Any other ``vectors`` is copied.
+    Vectors are stored as float32 rows, unnormalized, in file order.  A
+    read-only float32 array that owns its memory, as the loaders pass, is
+    kept without a copy: the caller hands it over.  Any other ``vectors``
+    is copied.
     """
 
     def __init__(self, name: str, vocab: Iterable[str], vectors: np.ndarray):
@@ -91,7 +90,6 @@ class EmbeddingTable:
         self.vocab = words
         self._vectors = matrix
         self._index = index
-        self._norms: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -111,14 +109,6 @@ class EmbeddingTable:
     def vector(self, word: str) -> np.ndarray:
         """Return the stored float32 row for ``word`` (KeyError if absent)."""
         return self._vectors[self._index[word]]
-
-    def norm(self, word: str) -> float:
-        """Euclidean norm of the word's vector, computed in float64."""
-        if self._norms is None:
-            self._norms = np.linalg.norm(
-                self._vectors.astype(np.float64), axis=1
-            )
-        return float(self._norms[self._index[word]])
 
 
 def load_embeddings(path: str | Path, fmt: str, name: str | None = None) -> EmbeddingTable:
@@ -202,10 +192,14 @@ def _parse_components(lines: Iterable[str]) -> np.ndarray:
 def _text_lines(path: Path) -> Iterator[tuple[int, list[str]]]:
     """Yield each non-blank line's number and its ``[word, components]`` split."""
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split(None, 1)
-            if parts:
-                yield lineno, parts
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                parts = line.split(None, 1)
+                if parts:
+                    yield lineno, parts
+        except UnicodeDecodeError as exc:
+            # Decoding runs ahead by a buffer, so the line is not known.
+            raise EmbeddingFormatError(f"{path}: not valid UTF-8") from exc
 
 
 def _text_header(path: Path, lineno: int, parts: list[str]) -> tuple[int, int] | None:
@@ -250,7 +244,7 @@ def _parse_rows(path: Path, rows: Iterable[str], linenos: list[int], dim: int) -
     """Parse the rows' component texts; ``linenos`` fills in as they are read."""
     try:
         matrix = _parse_components(rows)
-    except UnicodeDecodeError:
+    except EmbeddingFormatError:
         raise  # the file is not UTF-8; no row is at fault
     except ValueError:
         # The bulk parse does not name a file line: check the rows it was
@@ -325,8 +319,8 @@ def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
     return vocab, matrix
 
 
-def save_text_vectors(table: EmbeddingTable, path: str | Path, header: bool = True) -> None:
-    """Write a table in ``text_vectors`` format.
+def save_text_vectors(table: EmbeddingTable, path: str | Path) -> None:
+    """Write a table in ``text_vectors`` format, with a header line.
 
     Components use the shortest decimal representation that round-trips
     to the identical float32, so load(save(T)) reproduces T's vectors
@@ -334,8 +328,7 @@ def save_text_vectors(table: EmbeddingTable, path: str | Path, header: bool = Tr
     """
     path = Path(path)
     with open(path, "w", encoding="utf-8") as handle:
-        if header:
-            handle.write(f"{len(table)} {table.dimension}\n")
+        handle.write(f"{len(table)} {table.dimension}\n")
         for word, row in zip(table.vocab, table.vectors):
             handle.write(word + " " + " ".join(str(v) for v in row) + "\n")
 

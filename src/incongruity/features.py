@@ -91,27 +91,31 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
     path = Path(path)
     entries: dict[str, set[str]] = {}
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: expected '<entry>\\t<tags>'"
-                )
-            entry = unicodedata.normalize("NFC", parts[0].strip()).lower()
-            tags = {t.strip() for t in parts[1].split(",") if t.strip()}
-            if not entry or not tags:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: empty entry or tag list"
-                )
-            unknown = tags - LEXICON_TAGS
-            if unknown:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: unknown tag(s) {sorted(unknown)}"
-                )
-            entries.setdefault(entry, set()).update(tags)
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                parts = stripped.split("\t")
+                if len(parts) != 2:
+                    raise LexiconFormatError(
+                        f"{path}: line {lineno}: expected '<entry>\\t<tags>'"
+                    )
+                entry = unicodedata.normalize("NFC", parts[0].strip()).lower()
+                tags = {t.strip() for t in parts[1].split(",") if t.strip()}
+                if not entry or not tags:
+                    raise LexiconFormatError(
+                        f"{path}: line {lineno}: empty entry or tag list"
+                    )
+                unknown = tags - LEXICON_TAGS
+                if unknown:
+                    raise LexiconFormatError(
+                        f"{path}: line {lineno}: unknown tag(s) {sorted(unknown)}"
+                    )
+                entries.setdefault(entry, set()).update(tags)
+        except UnicodeDecodeError as exc:
+            # Decoding runs ahead by a buffer, so the line is not known.
+            raise LexiconFormatError(f"{path}: not valid UTF-8") from exc
     return Lexicon(
         name or path.stem,
         {entry: frozenset(tags) for entry, tags in entries.items()},

@@ -101,7 +101,13 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
     raise :class:`DatasetParseError` naming the line.
     """
     path = Path(path)
-    content = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        content = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the error decode; "x" stands for the bad one.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetParseError(f"{path}: line {lineno}: not valid UTF-8") from exc
     if fmt == "auto":
         first = content.lstrip()[:1]
         fmt = "jsonl" if first == "{" else "tsv"
@@ -232,11 +238,8 @@ def metrics_from_predictions(
     fn = sum(1 for p in predictions if p.predicted == 0 and p.label == 1)
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    f_score = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
+    # The count form of F that classify.tune_threshold maximizes.
+    f_score = 100.0 * 2 * tp / (2 * tp + fp + fn) if tp else 0.0
     return precision, recall, f_score
 
 

@@ -56,12 +56,13 @@ _GLOBAL = 0.02
 _FAMILY = 0.43
 _CLUSTER = 0.45
 _WORD = 0.10
+# Standard deviation of each variant's additive noise.
+_JITTER = 0.02
 
 
 def toy_embedding_tables(
     seed: int = 0,
     variants: Sequence[str] = DEFAULT_VARIANTS,
-    jitter: float = 0.02,
     dimension: int = 64,
 ) -> dict[str, EmbeddingTable]:
     """Build embedding variants sharing the clustered similarity structure.
@@ -104,7 +105,7 @@ def toy_embedding_tables(
         q, r = np.linalg.qr(gaussian)
         q *= np.sign(np.diag(r))
         rotated = base @ q
-        rotated += jitter * rng.standard_normal(rotated.shape)
+        rotated += _JITTER * rng.standard_normal(rotated.shape)
         rotated *= scales[variant_index % len(scales)]
         extra = rng.standard_normal((3, dimension))
         vocab = words + [f"{name}-filler{i}" for i in range(3)]

@@ -90,10 +90,13 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     """
     words = set()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            entry = line.split("#", 1)[0].strip()
-            if entry:
-                words.add(unicodedata.normalize("NFC", entry).casefold())
+        try:
+            for line in handle:
+                entry = line.split("#", 1)[0].strip()
+                if entry:
+                    words.add(unicodedata.normalize("NFC", entry).casefold())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8") from exc
     return frozenset(words)
 
 
@@ -149,11 +152,11 @@ def content_words(
     A token survives when it is not pure punctuation, not a stopword
     (case-folded test), and resolves to a table word (exact match, then
     lowercase).  Tokens resolving to the same vocabulary word merge into one
-    entry carrying every occurrence position.  Tokens whose vector has
-    zero norm are skipped so every surviving entry supports a defined
-    cosine.
+    entry carrying every occurrence position.  Tokens whose vector has no
+    nonzero component are skipped so every surviving entry supports a
+    defined cosine.
     """
-    order: list[str] = []
+    order: list[tuple[str, np.ndarray]] = []
     positions: dict[str, list[int]] = {}
     for pos, token in enumerate(sentence.tokens):
         if is_punctuation(token):
@@ -164,13 +167,13 @@ def content_words(
         if key is None:
             continue
         if key not in positions:
-            if table.norm(key) == 0.0:
+            vector = table.vector(key)
+            if np.count_nonzero(vector) == 0:
                 continue
             positions[key] = []
-            order.append(key)
+            order.append((key, vector))
         positions[key].append(pos)
     entries = tuple(
-        ContentWord(word, tuple(positions[word]), table.vector(word))
-        for word in order
+        ContentWord(word, tuple(positions[word]), vector) for word, vector in order
     )
     return ContentWordSet(entries)

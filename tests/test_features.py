@@ -186,6 +186,13 @@ class TestLexicon:
         with pytest.raises(LexiconFormatError, match="line 1"):
             load_lexicon(path)
 
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"ok\tpositive\n\xff\tpositive\n")
+        with pytest.raises(LexiconFormatError, match="lex.tsv: not valid UTF-8$") as info:
+            load_lexicon(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_default_lexicon_has_core_tags(self):
         lexicon = default_lexicon()
         assert lexicon.polarity("great") == 1

@@ -134,6 +134,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError, match="no instances"):
             load_dataset(path)
 
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"a\t1\tfine\r\nb\t0\tbad \xff byte\n")
+        with pytest.raises(
+            DatasetParseError, match="corpus.tsv: line 2: not valid UTF-8$"
+        ) as info:
+            load_dataset(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_fixture_corpus_loads(self, fixture_instances):
         assert len(fixture_instances) == 50
         assert sum(i.label for i in fixture_instances) == 15

@@ -1,3 +1,4 @@
+import tracemalloc
 import unicodedata
 
 import numpy as np
@@ -69,6 +70,13 @@ class TestStopwords:
         words = load_stopwords(path)
         assert words == frozenset({"the", "a", "of"})
 
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\n\xff\n")
+        with pytest.raises(ValueError, match="stop.txt: not valid UTF-8$") as info:
+            load_stopwords(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_default_list_contents(self):
         words = default_stopwords()
         assert 100 <= len(words) <= 250
@@ -83,7 +91,7 @@ class TestStopwords:
 def small_table():
     return EmbeddingTable(
         "small",
-        ["woman", "needs", "man", "fish", "bicycle", "Paris", "zero"],
+        ["woman", "needs", "man", "fish", "bicycle", "Paris", "zero", "negzero", "tiny"],
         np.array(
             [
                 [1.0, 0.0, 0.0],
@@ -93,6 +101,8 @@ def small_table():
                 [1.0, 0.0, 1.0],
                 [2.0, 2.0, 2.0],
                 [0.0, 0.0, 0.0],
+                [-0.0, -0.0, -0.0],
+                [0.0, 0.0, 1e-45],  # the smallest float32 subnormal
             ],
             dtype=np.float32,
         ),
@@ -139,9 +149,26 @@ class TestContentWords:
         assert result.words == ("man",)
 
     def test_zero_norm_vectors_skipped(self):
-        sentence = tokenize("man zero fish")
+        # A row of -0.0 is zero; a row holding one subnormal is not.
+        sentence = tokenize("man zero fish negzero tiny")
         result = content_words(sentence, frozenset(), small_table())
-        assert result.words == ("man", "fish")
+        assert result.words == ("man", "fish", "tiny")
+
+    def test_selection_allocates_no_table_sized_temporary(self):
+        rng = np.random.default_rng(0)
+        vocab = [f"w{i}" for i in range(20_000)]
+        table = EmbeddingTable(
+            "large", vocab, rng.standard_normal((20_000, 50)).astype(np.float32)
+        )
+        sentence = tokenize("w1 w2 the w3 w19999 w1 missing")
+        tracemalloc.start()
+        try:
+            result = content_words(sentence, frozenset({"the"}), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.words == ("w1", "w2", "w3", "w19999")
+        assert peak < table.vectors.nbytes / 100
 
     def test_case_fallback_merges_types(self):
         sentence = tokenize("Man man")
