@@ -438,6 +438,16 @@ class ExperimentConfig:
         return cls(prior.strip(), augmentation, named.strip() or embedding)
 
 
+def embedding_table(tables: Mapping[str, EmbeddingTable], name: str) -> EmbeddingTable:
+    """``tables[name]``; an unknown name raises :class:`ConfigurationError`."""
+    table = tables.get(name)
+    if table is None:
+        raise ConfigurationError(
+            f"unknown embedding id {name!r}; available: {sorted(tables)}"
+        )
+    return table
+
+
 def build_config_features(
     sentence: TokenizedSentence,
     config: ExperimentConfig,
@@ -460,12 +470,7 @@ def build_config_features(
     else:
         fragments.append(incongruity_features(sentence, lexicon))
     if config.augmentation is not Augmentation.NONE:
-        table = tables.get(config.embedding)
-        if table is None:
-            raise ConfigurationError(
-                f"unknown embedding id {config.embedding!r}; "
-                f"available: {sorted(tables)}"
-            )
+        table = embedding_table(tables, config.embedding)
         fragments.append(
             embed_features(sentence, table, config.augmentation, stopwords=stopwords)
         )

@@ -2,14 +2,13 @@
 
 The harness runs feature configurations over a labeled corpus with
 stratified k-fold cross-validation.  Features are extracted and compiled
-once per corpus: every name is interned once into a corpus vocabulary and
-the corpus becomes one CSR triple of global ids and values.  Per fold only
-the ids are remapped: fold ids number the names of the training rows in
-first-occurrence order, exactly as a fresh :class:`FeatureRegistry` fit on
-the training fragments would, and test entries whose name no training row
-has are dropped, as by a frozen registry, so no feature id can originate
-in test data.  An augmented cell's fold entries are derived from its prior
-set's by inserting the S/WS block columns.
+once per corpus: each name gets its corpus id once, zero values are
+dropped and each row is sorted by id once, so every fold reads a row in
+the same canonical summation order; a fold only selects rows.  An
+augmented cell's row is its prior row followed by its nonzero S/WS block
+values, whose ids follow every prior id.  A name seen only in test rows is
+never updated in training, so its weight stays +0.0 (or its id lies past
+the cell's weight dimension): it changes no score.
 The cells of one prior set (the base cell and its augmented cells) share
 the splits, so per fold they are trained together by
 :func:`~incongruity.classify.train_cells`, and each cell's test rows are
@@ -47,6 +46,7 @@ from .features import (
     Lexicon,
     build_config_features,
     default_lexicon,
+    embedding_table,
 )
 from .similarity import Augmentation, embed_features
 from .text import TokenizedSentence, default_stopwords, tokenize
@@ -96,17 +96,18 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
 
     TSV rows are ``<id>\\t<label>\\t<text>`` with label 0 or 1
     (1 = sarcastic); JSONL rows are objects with ``id``, ``label`` and
-    ``text`` keys.  ``fmt`` is ``tsv``, ``jsonl``, or ``auto`` (sniffed
-    from the first line).  Bad labels, duplicate ids, and empty text
-    raise :class:`DatasetParseError` naming the line.
+    ``text`` keys.  Lines end at ``\\n`` only, with one trailing ``\\r``
+    dropped, so CRLF files load and a text may hold any other line
+    separator.  ``fmt`` is ``tsv``, ``jsonl``, or ``auto`` (sniffed from the
+    first line).  Bad labels, duplicate ids, and empty text raise
+    :class:`DatasetParseError` naming the line.
     """
     path = Path(path)
     data = path.read_bytes()
     try:
         content = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bytes before the error decode; "x" stands for the bad one.
-        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise DatasetParseError(f"{path}: line {lineno}: not valid UTF-8") from exc
     if fmt == "auto":
         first = content.lstrip()[:1]
@@ -116,7 +117,8 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
 
     instances: list[LabeledInstance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         if fmt == "tsv":
@@ -164,6 +166,17 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
 
 
 def save_dataset_tsv(instances: Sequence[LabeledInstance], path: str | Path) -> None:
+    """Write ``instances`` as TSV rows that :func:`load_dataset` reads back.
+
+    An id or text holding ``\\n`` or ``\\r``, or an id holding a tab, raises
+    ValueError naming the id, since the reader could not give it back.
+    """
+    for instance in instances:
+        if any(c in instance.id + instance.text for c in "\n\r") or "\t" in instance.id:
+            raise ValueError(
+                f"instance {instance.id!r}: an id or text with a line break, "
+                "or an id with a tab, cannot be written as a TSV row"
+            )
     with open(path, "w", encoding="utf-8") as handle:
         for instance in instances:
             handle.write(f"{instance.id}\t{instance.label}\t{instance.text}\n")
@@ -290,26 +303,27 @@ def extract_features(
 class _Corpus(NamedTuple):
     """A corpus's features as one CSR triple over a corpus vocabulary.
 
-    Row i's entries are ``gids[indptr[i]:indptr[i + 1]]`` with their
-    ``values``, zeros included, in the order
-    :meth:`FeatureVector.from_fragments` visits the names.  The global ids
-    ``0 .. size - 1`` number the vocabulary.
+    Row i's nonzero entries are ``ids[indptr[i]:indptr[i + 1]]`` with their
+    ``values``.  Each name of ``names`` got its id, its index there, once
+    per corpus, and each row was sorted by id once.  A name that no
+    training row of a fold carries keeps a zero weight in that fold.
     """
 
     indptr: np.ndarray
-    gids: np.ndarray
+    ids: np.ndarray
     values: np.ndarray
-    size: int
+    names: tuple[str, ...]
 
 
 def _compile(rows: Sequence[Sequence[Mapping[str, float]]]) -> _Corpus:
-    """Intern each row's fragment names once into a corpus vocabulary.
+    """Give each row's fragment names their corpus ids, in first-occurrence
+    order, drop zero values and sort each row's entries by id.
 
     A name occurring twice in one row is a namespace collision and raises
     ValueError, as in :meth:`FeatureVector.from_fragments`.
     """
     vocabulary: dict[str, int] = {}
-    gids: list[int] = []
+    ids: list[int] = []
     values: list[float] = []
     indptr = [0]
     for fragments in rows:
@@ -319,118 +333,87 @@ def _compile(rows: Sequence[Sequence[Mapping[str, float]]]) -> _Corpus:
                 if name in seen:
                     raise ValueError(f"feature name {name!r} emitted twice")
                 seen.add(name)
-                gids.append(vocabulary.setdefault(name, len(vocabulary)))
-                values.append(value)
-        indptr.append(len(gids))
+                fid = vocabulary.setdefault(name, len(vocabulary))
+                if value != 0.0:
+                    ids.append(fid)
+                    values.append(value)
+        indptr.append(len(ids))
+    indptr = np.array(indptr, dtype=np.int64)
+    ids = np.array(ids, dtype=np.int64)
+    order = np.lexsort((ids, np.repeat(np.arange(len(rows)), np.diff(indptr))))
     return _Corpus(
-        np.array(indptr, dtype=np.int64),
-        np.array(gids, dtype=np.int64),
-        np.array(values, dtype=np.float64),
-        len(vocabulary),
+        indptr, ids[order], np.array(values, dtype=np.float64)[order], tuple(vocabulary)
     )
 
 
-def _fold_rows(
-    corpus: _Corpus, rows: Sequence[int], n_train: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One fold's entries (row, id, value) for ``rows``, whose first
-    ``n_train`` are training rows; row k is ``rows[k]``.
+def _slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions of row-major entries, ``counts[k]`` of them in row k, when
+    row k's entries run from ``starts[k]`` on."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
-    Fold ids number the training entries' names in first-occurrence order,
-    zeros included, which is the order a fresh :class:`FeatureRegistry`
-    interns them in.  An entry whose name no training row has, or whose
-    value is 0, is dropped.  Entries are sorted by row, then id.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
+
+def _select(corpus: _Corpus, rows: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The entries (row, id, value) of corpus rows ``rows``, row k being
+    ``rows[k]``, row by row."""
     starts = corpus.indptr[rows]
-    lengths = corpus.indptr[rows + 1] - starts
-    ends = np.cumsum(lengths)
-    # The corpus positions of the rows' entries, row after row.
-    positions = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-    gids = corpus.gids[positions]
-    values = corpus.values[positions]
-    names, first = np.unique(gids[: ends[n_train - 1]], return_index=True)
-    remap = np.full(corpus.size, -1, dtype=np.int64)
-    remap[names[np.argsort(first)]] = np.arange(len(names))
-    ids = remap[gids]
+    lengths = corpus.indptr[1:][rows] - starts
+    positions = _slots(starts, lengths)
     row_of = np.repeat(np.arange(len(rows)), lengths)
-    keep = (ids >= 0) & (values != 0.0)
-    ids, values, row_of = ids[keep], values[keep], row_of[keep]
-    order = np.lexsort((ids, row_of))
-    return row_of[order], ids[order], values[order]
+    return row_of, corpus.ids[positions], corpus.values[positions]
 
 
-def _augment_rows(
-    fold: tuple[np.ndarray, np.ndarray, np.ndarray], block: np.ndarray, head: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_fold_rows` of a corpus whose row k is a prior row followed by
-    ``block[k]``, computed from the prior's fold entries ``fold``.
-
-    ``head`` is the entry count of the first training row of the prior
-    corpus, zeros included.  Every row carries all ``width`` block columns,
-    so in first-occurrence order the columns take the ids ``head ..
-    head + width - 1`` and the prior ids from ``head`` on move up by
-    ``width``.  A row's block entries go before its shifted ids; zeros are
-    dropped.
-    """
-    row_of, ids, values = fold
-    n, width = block.shape
-    low = ids < head
-    # A row's insertion point is its start plus its count of ids below head.
-    lengths = np.bincount(row_of, minlength=n)
-    points = np.cumsum(lengths) - lengths + np.bincount(row_of[low], minlength=n)
-    block_values = block.ravel()
-    keep = block_values != 0.0
-    # np.insert keeps the given order of values inserted at one index.
-    points = np.repeat(points, width)[keep]
-    block_rows = np.repeat(np.arange(n), width)[keep]
-    block_ids = np.tile(head + np.arange(width), n)[keep]
-    return (
-        np.insert(row_of, points, block_rows),
-        np.insert(np.where(low, ids, ids + width), points, block_ids),
-        np.insert(values, points, block_values[keep]),
-    )
+def _block_entries(block: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """The entries (row, id, value) of ``block``'s nonzero values, row by
+    row; column j has id ``size + j``, after every corpus id."""
+    rows, columns = np.nonzero(block)
+    return rows, size + columns, block[rows, columns]
 
 
 def _cell_rows(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    corpus: _Corpus,
+    rows: Sequence[int],
     blocks: Sequence[np.ndarray],
-    head: int,
     labels: Sequence[int],
 ) -> CellRows:
-    """Lay out the training rows of every cell for ``train_cells``.
+    """Lay out corpus rows ``rows`` of every cell for ``train_cells``.
 
-    ``entries`` holds the prior's fold entries of the training rows and
-    ``blocks[c]`` cell c's block rows (see :func:`_augment_rows`).  Cell
-    c's ids are shifted by its offset; its weight dimension is its largest
-    training id + 1, as in ``classify.train``.  Each cell's entries are
-    written straight into their rows' slots, with no concatenation or sort.
+    Cell c's row k is corpus row ``rows[k]`` followed by the nonzero values
+    of ``blocks[c][k]`` (see :func:`_block_entries`).  Ids were assigned
+    once per corpus and rows sorted once, so the entries already ascend
+    and are written straight into their slots, with no concatenation or
+    sort.  Cell c's ids are shifted by its offset; its weight dimension is
+    its largest training id + 1, as in ``classify.train``.  A name no
+    training row carries keeps a zero weight or lies past the dimension.
     """
-    n = len(blocks[0])
-    # Row k holds its prior entries and its nonzero block values.
-    base_counts = np.bincount(entries[0], minlength=n)
-    counts = [base_counts + np.count_nonzero(block, axis=1) for block in blocks]
-    indptr = np.concatenate([[0], np.cumsum(np.sum(counts, axis=0))])
+    row_of, prior_ids, prior_values = _select(corpus, rows)
+    base_counts = np.bincount(row_of, minlength=len(rows))
+    entries = [_block_entries(block[rows], len(corpus.names)) for block in blocks]
+    counts = [np.bincount(block_rows, minlength=len(rows)) for block_rows, _, _ in entries]
+    indptr = np.concatenate(
+        [[0], np.cumsum(len(blocks) * base_counts + np.sum(counts, axis=0))]
+    )
     ids = np.empty(indptr[-1], dtype=np.int64)
     values = np.empty(indptr[-1], dtype=np.float64)
     cells = np.empty(indptr[-1], dtype=np.intp)
     cursor = indptr[:-1].copy()
     offsets = [0]
-    for cell, (block, count) in enumerate(zip(blocks, counts)):
-        _, cell_ids, cell_values = _augment_rows(entries, block, head)
-        row_starts = np.cumsum(count) - count
-        slots = np.arange(len(cell_ids)) + np.repeat(cursor - row_starts, count)
-        ids[slots] = cell_ids + offsets[-1]
-        values[slots] = cell_values
-        cells[slots] = cell
-        cursor += count
-        offsets.append(offsets[-1] + int(cell_ids.max(initial=-1)) + 1)
+    for cell, ((_, block_ids, block_values), count) in enumerate(zip(entries, counts)):
+        for slots, cell_ids, cell_values in (
+            (_slots(cursor, base_counts), prior_ids, prior_values),
+            (_slots(cursor + base_counts, count), block_ids, block_values),
+        ):
+            ids[slots] = cell_ids + offsets[-1]
+            values[slots] = cell_values
+            cells[slots] = cell
+        cursor += base_counts + count
+        top = max(prior_ids.max(initial=-1), block_ids.max(initial=-1))
+        offsets.append(offsets[-1] + int(top) + 1)
     return CellRows(indptr, ids, values, cells, np.array(offsets), np.asarray(labels))
 
 
 def _fold_predictions(
     instances: Sequence[LabeledInstance],
-    prior: _Corpus,
+    corpus: _Corpus,
     blocks: Sequence[np.ndarray],
     names: Sequence[str],
     fold_index: int,
@@ -441,21 +424,20 @@ def _fold_predictions(
     """Train every cell on one fold's training rows in lockstep, then score
     each cell's test rows in one pass.
 
-    Cell c's corpus is ``prior`` with ``blocks[c]`` appended to each row.
+    Cell c's row is a ``corpus`` row followed by its row of ``blocks[c]``.
     """
-    n_train = len(train_idx)
-    row_of, ids, values = _fold_rows(prior, train_idx + test_idx, n_train)
-    split = int(np.searchsorted(row_of, n_train))
-    fit = (row_of[:split], ids[:split], values[:split])
-    test = (row_of[split:] - n_train, ids[split:], values[split:])
-    head = int(prior.indptr[train_idx[0] + 1] - prior.indptr[train_idx[0]])
-
     labels = [instances[i].label for i in train_idx]
-    layout = _cell_rows(fit, [block[train_idx] for block in blocks], head, labels)
+    layout = _cell_rows(corpus, train_idx, blocks, labels)
     models = train(layout, train_config, names)
+    test = _select(corpus, test_idx)
     predictions = []
     for model, block in zip(models, blocks):
-        cell_test = _augment_rows(test, block[test_idx], head)
+        # A row's block entries follow its prior entries, so the row's
+        # products are still summed in ascending id.
+        cell_test = [
+            np.concatenate(pair)
+            for pair in zip(test, _block_entries(block[test_idx], len(corpus.names)))
+        ]
         scores = model.decisions(*cell_test, len(test_idx)).tolist()
         predictions.append([
             Prediction(
@@ -473,13 +455,13 @@ def _fold_predictions(
 def _cross_validate(
     configs: Sequence[ExperimentConfig],
     instances: Sequence[LabeledInstance],
-    prior: _Corpus,
+    corpus: _Corpus,
     blocks: Sequence[np.ndarray],
     splits: Sequence[tuple[list[int], list[int]]],
     train_config: TrainConfig | None,
 ) -> list[ConfigResult]:
-    """Cross-validate each of ``configs``; config c's corpus is ``prior``
-    with the (n, width) ``blocks[c]`` appended to each row.
+    """Cross-validate each of ``configs``; config c's rows are ``corpus``
+    rows followed by the (n, width) ``blocks[c]`` rows.
 
     The cells share the splits, so per split they train together in
     lockstep.  The pooled metrics concatenate all test predictions.
@@ -490,7 +472,7 @@ def _cross_validate(
     per_fold: list[list[FoldMetrics]] = [[] for _ in configs]
     for fold_index, (train_idx, test_idx) in enumerate(splits):
         cell_predictions = _fold_predictions(
-            instances, prior, blocks, names, fold_index, train_idx, test_idx,
+            instances, corpus, blocks, names, fold_index, train_idx, test_idx,
             train_config,
         )
         for cell, fold_predictions in enumerate(cell_predictions):
@@ -509,6 +491,22 @@ def _cross_validate(
     ]
 
 
+def _similarity_block(
+    sentences: Sequence[TokenizedSentence], table: EmbeddingTable, resources: Resources
+) -> np.ndarray:
+    """The (n, 8) float64 S+WS values of ``sentences`` under ``table``, in
+    the order of ``Augmentation.S_AND_WS.feature_names``."""
+    which, stopwords = Augmentation.S_AND_WS, resources.stopwords
+    return np.array(
+        [list(embed_features(s, table, which, stopwords=stopwords).values()) for s in sentences]
+    )
+
+
+def _columns(augmentation: Augmentation) -> list[int]:
+    """The S+WS block columns that ``augmentation`` selects."""
+    return [Augmentation.S_AND_WS.feature_names.index(n) for n in augmentation.feature_names]
+
+
 def run_config(
     config: ExperimentConfig,
     instances: Sequence[LabeledInstance],
@@ -518,13 +516,20 @@ def run_config(
     seed: int = 0,
     train_config: TrainConfig | None = None,
 ) -> ConfigResult:
-    """Cross-validate one configuration; features are compiled once, not per fold."""
+    """Cross-validate one configuration, the computation of its cell in
+    :func:`run_matrix`: each prior name gets its corpus id once, each row is
+    sorted once, the S/WS columns come from the table's S+WS block, and a
+    name seen only in test rows keeps a zero weight."""
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
-    corpus = _compile([_fragments(s, config, resources) for s in sentences])
-    no_block = np.zeros((len(instances), 0))
+    block = np.zeros((len(instances), 0))
+    if config.augmentation is not Augmentation.NONE:
+        table = embedding_table(resources.embeddings, config.embedding)
+        block = _similarity_block(sentences, table, resources)[:, _columns(config.augmentation)]
+    prior = ExperimentConfig(config.prior_set)
+    corpus = _compile([_fragments(s, prior, resources) for s in sentences])
     [result] = _cross_validate(
-        [config], instances, corpus, [no_block], splits, train_config
+        [config], instances, corpus, [block], splits, train_config
     )
     return result
 
@@ -573,19 +578,8 @@ def run_matrix(
     names = tuple(resources.embeddings)
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
-    # One (n, 8) S+WS array per table; its columns follow the names of
-    # Augmentation.S_AND_WS.
-    block_names = Augmentation.S_AND_WS.feature_names
     blocks = {
-        name: np.array(
-            [
-                list(embed_features(
-                    s, table, Augmentation.S_AND_WS, stopwords=resources.stopwords
-                ).values())
-                for s in sentences
-            ],
-            dtype=np.float64,
-        )
+        name: _similarity_block(sentences, table, resources)
         for name, table in resources.embeddings.items()
     }
 
@@ -593,16 +587,15 @@ def run_matrix(
     for prior in PRIOR_SETS:
         # The base cell, then its augmented cells, embedding by embedding.
         base_config = ExperimentConfig(prior)
-        priors = _compile([_fragments(s, base_config, resources) for s in sentences])
+        corpus = _compile([_fragments(s, base_config, resources) for s in sentences])
         configs = [base_config]
         cell_blocks = [np.zeros((len(instances), 0))]
         for name in names:
             for augmentation in AUGMENTATIONS[1:]:
-                columns = [block_names.index(n) for n in augmentation.feature_names]
                 configs.append(ExperimentConfig(prior, augmentation, name))
-                cell_blocks.append(blocks[name][:, columns])
+                cell_blocks.append(blocks[name][:, _columns(augmentation)])
         base, *augmented = _cross_validate(
-            configs, instances, priors, cell_blocks, splits, train_config
+            configs, instances, corpus, cell_blocks, splits, train_config
         )
         for name in names:
             cells[(prior, Augmentation.NONE, name)] = dataclasses.replace(

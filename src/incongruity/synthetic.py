@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable, save_text_vectors
-from .harness import LabeledInstance
+from .harness import LabeledInstance, save_dataset_tsv
 
 WORD_CLUSTERS = (
     ("cat", "dog", "horse", "sheep", "goat", "pig"),
@@ -48,7 +48,9 @@ TEMPLATES = (
     "that {0} with the {1} was like some {2} on a {3} .",
 )
 
-DEFAULT_VARIANTS = ("emb-a", "emb-b", "emb-c", "emb-d")
+VARIANTS = ("emb-a", "emb-b", "emb-c", "emb-d")
+# One global, one per family, one per cluster and one per word: 59 needed.
+DIMENSION = 64
 
 # Component energies: same-cluster cosine ~= _GLOBAL + _FAMILY + _CLUSTER,
 # same-family ~= _GLOBAL + _FAMILY, cross-family ~= _GLOBAL.
@@ -60,12 +62,9 @@ _WORD = 0.10
 _JITTER = 0.02
 
 
-def toy_embedding_tables(
-    seed: int = 0,
-    variants: Sequence[str] = DEFAULT_VARIANTS,
-    dimension: int = 64,
-) -> dict[str, EmbeddingTable]:
-    """Build embedding variants sharing the clustered similarity structure.
+def toy_embedding_tables(seed: int = 0) -> dict[str, EmbeddingTable]:
+    """Build the ``VARIANTS`` tables, of ``DIMENSION`` components, sharing
+    the clustered similarity structure.
 
     Each variant applies its own orthogonal rotation (cosine-preserving),
     small additive jitter, and overall scale, and appends three
@@ -74,9 +73,6 @@ def toy_embedding_tables(
     """
     n_clusters = len(WORD_CLUSTERS)
     n_words = sum(len(c) for c in WORD_CLUSTERS)
-    base_dim = 1 + len(FAMILIES) + n_clusters + n_words
-    if dimension < base_dim:
-        raise ValueError(f"dimension must be at least {base_dim}")
 
     family_of = {}
     for family_index, clusters in enumerate(FAMILIES):
@@ -84,11 +80,11 @@ def toy_embedding_tables(
             family_of[cluster] = family_index
 
     words: list[str] = []
-    base = np.zeros((n_words, dimension))
+    base = np.zeros((n_words, DIMENSION))
     row = 0
     for cluster_index, cluster_words in enumerate(WORD_CLUSTERS):
         for word_index, word in enumerate(cluster_words):
-            vector = np.zeros(dimension)
+            vector = np.zeros(DIMENSION)
             vector[0] = np.sqrt(_GLOBAL)
             vector[1 + family_of[cluster_index]] = np.sqrt(_FAMILY)
             vector[1 + len(FAMILIES) + cluster_index] = np.sqrt(_CLUSTER)
@@ -99,15 +95,15 @@ def toy_embedding_tables(
 
     scales = (1.0, 2.0, 0.5, 1.5)
     tables: dict[str, EmbeddingTable] = {}
-    for variant_index, name in enumerate(variants):
+    for variant_index, name in enumerate(VARIANTS):
         rng = np.random.default_rng([seed, variant_index])
-        gaussian = rng.standard_normal((dimension, dimension))
+        gaussian = rng.standard_normal((DIMENSION, DIMENSION))
         q, r = np.linalg.qr(gaussian)
         q *= np.sign(np.diag(r))
         rotated = base @ q
         rotated += _JITTER * rng.standard_normal(rotated.shape)
         rotated *= scales[variant_index % len(scales)]
-        extra = rng.standard_normal((3, dimension))
+        extra = rng.standard_normal((3, DIMENSION))
         vocab = words + [f"{name}-filler{i}" for i in range(3)]
         matrix = np.vstack([rotated, extra]).astype(np.float32)
         tables[name] = EmbeddingTable(name, vocab, matrix)
@@ -166,8 +162,6 @@ def write_corpus_and_tables(
     tables_dir: str | Path | None = None,
 ) -> None:
     """Write a corpus TSV and, optionally, toy embedding text files."""
-    from .harness import save_dataset_tsv
-
     save_dataset_tsv(instances, corpus_path)
     if tables_dir is not None:
         directory = Path(tables_dir)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,6 +144,51 @@ class TestLoadDataset:
         ) as info:
             load_dataset(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    )
+    def test_round_trip_keeps_other_line_separators(self, tmp_path, separator):
+        instances = [
+            LabeledInstance("a", f"one{separator}two", 1),
+            LabeledInstance("b", "three", 0),
+        ]
+        path = tmp_path / "corpus.tsv"
+        save_dataset_tsv(instances, path)
+        assert load_dataset(path) == instances
+
+    def test_jsonl_text_may_hold_a_line_separator(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "label": 1, "text": "one\u2028two"}\n'
+            '{"id": "b", "label": 0, "text": "three"}\n',
+            encoding="utf-8",
+        )
+        assert [i.text for i in load_dataset(path)] == ["one\u2028two", "three"]
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"a\t1\tone two\r\nb\t0\tthree\r\n")
+        assert load_dataset(path) == [
+            LabeledInstance("a", "one two", 1),
+            LabeledInstance("b", "three", 0),
+        ]
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            LabeledInstance("a\nb", "text", 1),
+            LabeledInstance("a\rb", "text", 1),
+            LabeledInstance("a\tb", "text", 1),
+            LabeledInstance("ab", "one\ntwo", 1),
+            LabeledInstance("ab", "one\rtwo", 1),
+        ],
+    )
+    def test_writer_refuses_rows_the_reader_cannot_return(self, tmp_path, instance):
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(ValueError, match=re.escape(repr(instance.id))):
+            save_dataset_tsv([instance], path)
+        assert not path.exists()
 
     def test_fixture_corpus_loads(self, fixture_instances):
         assert len(fixture_instances) == 50
@@ -306,7 +353,8 @@ class TestRunConfig:
 FOLD_NAMES = ("a", "b", "c", "d", "e", "f")
 fold_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0]),
-    st.floats(allow_nan=False, allow_infinity=False),
+    # Bounded, so that training on these values stays finite.
+    st.floats(-1e3, 1e3),
 )
 
 
@@ -314,7 +362,7 @@ fold_values = st.one_of(
 def fold_inputs(draw):
     """Fragment rows, train and test indices, and a block appended to each row."""
     rows = []
-    for _ in range(draw(st.integers(2, 8))):
+    for _ in range(draw(st.integers(3, 8))):
         entries = draw(
             st.lists(
                 st.tuples(st.sampled_from(FOLD_NAMES), fold_values),
@@ -325,7 +373,7 @@ def fold_inputs(draw):
         cut = draw(st.integers(0, len(entries)))
         rows.append([dict(entries[:cut]), dict(entries[cut:])])
     order = draw(st.permutations(range(len(rows))))
-    n_train = draw(st.integers(1, len(rows) - 1))
+    n_train = draw(st.integers(2, len(rows) - 1))
     width = draw(st.integers(0, 3))
     block = draw(st.lists(fold_values, min_size=len(rows) * width, max_size=len(rows) * width))
     return rows, order[:n_train], order[n_train:], np.reshape(block, (len(rows), width))
@@ -352,46 +400,78 @@ class TestCompiledFolds:
     )
     @example(
         (
-            # Block columns after the first training row's two prior names
-            # and before a name first seen in the second; zero and -0.0
-            # block values are dropped.
+            # Block values in every row; zero and -0.0 block values are
+            # dropped.
             [[{"a": 1.0, "b": 0.0}], [{"c": 2.0}], [{"c": 1.0, "a": 3.0}]],
             [0, 1],
             [2],
             np.array([[0.5, 0.0], [-0.0, 2.0], [1.0, -1.0]]),
         )
     )
-    def test_fold_ids_match_a_fresh_then_frozen_registry(self, inputs):
+    def test_cells_read_corpus_rows_in_ascending_id(self, inputs):
         rows, train_idx, test_idx, block = inputs
-        rows = [
-            [*fragments, {f"blk{j}": value for j, value in enumerate(block_row)}]
-            for fragments, block_row in zip(rows, block.tolist())
-        ]
-        registry = FeatureRegistry()
-        expected = [FeatureVector.from_fragments(registry, rows[i]) for i in train_idx]
-        registry.freeze()
-        expected += [FeatureVector.from_fragments(registry, rows[i]) for i in test_idx]
+        # Training rows alternate positive and negative, so both classes train.
+        labels = [0] * len(rows)
+        for k, i in enumerate(train_idx):
+            labels[i] = 1 - k % 2
+        instances = [LabeledInstance(f"r{i}", "text", y) for i, y in enumerate(labels)]
+        corpus = harness._compile(rows)
+        size = len(corpus.names)
+        corpus_ids = {name: fid for fid, name in enumerate(corpus.names)}
+        corpus_ids.update({f"blk{j}": size + j for j in range(block.shape[1])})
+        blocks = [np.zeros((len(rows), 0)), block]
 
-        fold_order = train_idx + test_idx
-        prior = harness._compile([fragments[:-1] for fragments in rows])
-        head = int(np.diff(prior.indptr)[train_idx[0]])
-        folds = [
-            harness._fold_rows(harness._compile(rows), fold_order, len(train_idx)),
-            harness._augment_rows(
-                harness._fold_rows(prior, fold_order, len(train_idx)),
-                block[fold_order],
-                head,
-            ),
-        ]
-        for row_of, ids, values in folds:
-            assert np.all(np.diff(row_of) >= 0)
-            for row, oracle in enumerate(expected):
-                oracle_ids, oracle_values = oracle.as_arrays()
-                in_row = row_of == row
-                assert ids.dtype == oracle_ids.dtype and values.dtype == oracle_values.dtype
-                assert ids[in_row].tobytes() == oracle_ids.tobytes()
-                assert values[in_row].tobytes() == oracle_values.tobytes()
-            assert len(row_of) == sum(len(oracle) for oracle in expected)
+        groups = []
+
+        def recording(layout, config, names):
+            models = train_cells(layout, config, names)
+            groups.append((layout, models))
+            return models
+
+        train_cells = harness.train
+        with mock.patch.object(harness, "train", recording):
+            predictions = harness._fold_predictions(
+                instances, corpus, blocks, ["base", "augmented"], 0,
+                list(train_idx), list(test_idx), TrainConfig(epochs=2),
+            )
+        [(layout, models)] = groups
+
+        for cell, (model, cell_block) in enumerate(zip(models, blocks)):
+            cell_rows = [
+                [*fragments, {f"blk{j}": value for j, value in enumerate(block_row)}]
+                for fragments, block_row in zip(rows, cell_block.tolist())
+            ]
+            registry = FeatureRegistry()
+            fit = [FeatureVector.from_fragments(registry, cell_rows[i]) for i in train_idx]
+            registry.freeze()
+            seen = set()
+            for k, vector in enumerate(fit):
+                start, stop = layout.indptr[k], layout.indptr[k + 1]
+                mine = layout.cells[start:stop] == cell
+                ids = layout.ids[start:stop][mine] - layout.offsets[cell]
+                values = layout.values[start:stop][mine]
+                # Ascending within the row, so block ids follow prior ids.
+                assert np.all(np.diff(ids) > 0)
+                names = [
+                    corpus.names[i] if i < size else f"blk{i - size}" for i in ids.tolist()
+                ]
+                expected = {registry.name_of(fid): value for fid, value in vector.items()}
+                assert len(names) == len(expected)
+                assert dict(zip(names, values.tolist())) == expected
+                seen.update(ids.tolist())
+            # A name no training row carries keeps a +0.0 weight.
+            unseen = model.weights[np.setdiff1d(np.arange(len(model.weights)), list(seen))]
+            assert not np.any(unseen) and not np.any(np.signbit(unseen))
+            for i, prediction in zip(test_idx, predictions[cell]):
+                vector = FeatureVector.from_fragments(registry, cell_rows[i])
+                terms = sorted(
+                    (corpus_ids[registry.name_of(fid)], value) for fid, value in vector.items()
+                )
+                expected = oracles.sequential_sum(
+                    model.weights[fid] * value for fid, value in terms if fid in seen
+                )
+                assert prediction.instance_id == instances[i].id
+                assert prediction.score.hex() == expected.hex()
 
 
 def single_cell(rows, cell):
@@ -501,7 +581,7 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("folds", [2, 4])
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
-        # Folds remap ids and train in lockstep: no per-fold interning, no
+        # Folds select rows and train in lockstep: no per-fold interning, no
         # FeatureVector, no one-cell fit and no per-row prediction.
         calls = {
             "intern": 0,

@@ -7,9 +7,9 @@ import oracles
 from incongruity.embeddings import intersect_vocabularies, load_embeddings
 from incongruity.harness import load_dataset
 from incongruity.synthetic import (
-    DEFAULT_VARIANTS,
     FAMILIES,
     TEMPLATES,
+    VARIANTS,
     WORD_CLUSTERS,
     generate_corpus,
     toy_embedding_tables,
@@ -27,7 +27,7 @@ def cosine(table, word_a, word_b):
 class TestToyTables:
     def test_default_variants_and_shape(self):
         tables = toy_embedding_tables(seed=0)
-        assert tuple(tables) == DEFAULT_VARIANTS
+        assert tuple(tables) == VARIANTS
         for name, table in tables.items():
             assert table.name == name
             assert table.dimension == 64
@@ -68,10 +68,6 @@ class TestToyTables:
         shared = intersect_vocabularies(list(tables.values()))
         for table in shared:
             assert set(table.vocab) == ALL_CLUSTER_WORDS
-
-    def test_too_small_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            toy_embedding_tables(dimension=8)
 
 
 class TestGenerateCorpus:
@@ -162,7 +158,7 @@ class TestGenerateCorpus:
 class TestWriteCorpusAndTables:
     def test_written_files_load_back(self, tmp_path):
         instances = generate_corpus(20, 0.5, seed=11)
-        tables = toy_embedding_tables(seed=11, variants=("emb-a", "emb-b"))
+        tables = toy_embedding_tables(seed=11)
         corpus_path = tmp_path / "corpus.tsv"
         write_corpus_and_tables(
             instances, corpus_path, tables, tmp_path / "emb"
