@@ -38,14 +38,14 @@ from .harness import (
 from .similarity import (
     Augmentation,
     PairwiseScores,
-    embed_features,
     pairwise_scores,
+    similarity_block,
     unweighted_features,
     weighted_features,
 )
 from .synthetic import generate_corpus, toy_embedding_tables
 from .text import (
-    ContentWordSet,
+    ContentWords,
     TokenizedSentence,
     content_words,
     default_stopwords,
@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Augmentation",
-    "ContentWordSet",
+    "ContentWords",
     "EmbeddingTable",
     "ExperimentConfig",
     "FeatureRegistry",
@@ -77,7 +77,6 @@ __all__ = [
     "default_lexicon",
     "default_stopwords",
     "emit_report",
-    "embed_features",
     "generate_corpus",
     "intersect_vocabularies",
     "load_dataset",
@@ -90,6 +89,7 @@ __all__ = [
     "run_matrix",
     "save_model",
     "save_text_vectors",
+    "similarity_block",
     "stratified_kfold",
     "tokenize",
     "toy_embedding_tables",

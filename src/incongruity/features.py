@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .similarity import Augmentation, embed_features
+from .similarity import Augmentation
 from .text import TokenizedSentence, is_punctuation
 
 PRIOR_SETS = ("L", "G", "B", "J")
@@ -449,29 +449,15 @@ def embedding_table(tables: Mapping[str, EmbeddingTable], name: str) -> Embeddin
 
 
 def build_config_features(
-    sentence: TokenizedSentence,
-    config: ExperimentConfig,
-    tables: Mapping[str, EmbeddingTable],
-    lexicon: Lexicon,
-    *,
-    stopwords: frozenset[str],
+    sentence: TokenizedSentence, prior_set: str, lexicon: Lexicon
 ) -> list[Mapping[str, float]]:
-    """One sentence's fragments under ``config``: the prior set's, then the
-    similarity block if an augmentation is selected.  They do not depend on
-    any registry; :meth:`FeatureVector.from_fragments` interns them."""
-    fragments: list[Mapping[str, float]] = []
-    if config.prior_set == "L":
-        fragments.append(ngram_features(sentence, 3))
-    elif config.prior_set == "G":
-        fragments.append(ngram_features(sentence, 1))
-        fragments.append(lexicon_category_features(sentence, lexicon))
-    elif config.prior_set == "B":
-        fragments.append(pragmatic_features(sentence, lexicon))
-    else:
-        fragments.append(incongruity_features(sentence, lexicon))
-    if config.augmentation is not Augmentation.NONE:
-        table = embedding_table(tables, config.embedding)
-        fragments.append(
-            embed_features(sentence, table, config.augmentation, stopwords=stopwords)
-        )
-    return fragments
+    """One sentence's fragments under the prior set ``prior_set``.  They do
+    not depend on any registry; :meth:`FeatureVector.from_fragments` interns
+    them.  The S/WS values come from :func:`~incongruity.similarity.similarity_block`."""
+    if prior_set == "L":
+        return [ngram_features(sentence, 3)]
+    if prior_set == "G":
+        return [ngram_features(sentence, 1), lexicon_category_features(sentence, lexicon)]
+    if prior_set == "B":
+        return [pragmatic_features(sentence, lexicon)]
+    return [incongruity_features(sentence, lexicon)]

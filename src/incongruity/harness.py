@@ -4,9 +4,12 @@ The harness runs feature configurations over a labeled corpus with
 stratified k-fold cross-validation.  Features are extracted and compiled
 once per corpus: each name gets its corpus id once, zero values are
 dropped and each row is sorted by id once, so every fold reads a row in
-the same canonical summation order; a fold only selects rows.  An
-augmented cell's row is its prior row followed by its nonzero S/WS block
-values, whose ids follow every prior id.  A name seen only in test rows is
+the same canonical summation order; a fold only selects rows.  Every
+S/WS value comes from one (n, 8) :func:`~incongruity.similarity.similarity_block`
+per table, computed once per corpus; a cell, ``run_config`` and
+``extract_features`` select its columns.  An augmented cell's row is its
+prior row followed by its nonzero S/WS block values, whose ids follow
+every prior id.  A name seen only in test rows is
 never updated in training, so its weight stays +0.0 (or its id lies past
 the cell's weight dimension): it changes no score.
 The cells of one prior set (the base cell and its augmented cells) share
@@ -48,7 +51,7 @@ from .features import (
     default_lexicon,
     embedding_table,
 )
-from .similarity import Augmentation, embed_features
+from .similarity import Augmentation, similarity_block
 from .text import TokenizedSentence, default_stopwords, tokenize
 
 AUGMENTATIONS = (
@@ -95,12 +98,14 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
     """Read a corpus file.
 
     TSV rows are ``<id>\\t<label>\\t<text>`` with label 0 or 1
-    (1 = sarcastic); JSONL rows are objects with ``id``, ``label`` and
-    ``text`` keys.  Lines end at ``\\n`` only, with one trailing ``\\r``
-    dropped, so CRLF files load and a text may hold any other line
-    separator.  ``fmt`` is ``tsv``, ``jsonl``, or ``auto`` (sniffed from the
-    first line).  Bad labels, duplicate ids, and empty text raise
-    :class:`DatasetParseError` naming the line.
+    (1 = sarcastic); JSONL rows are objects with ``id`` (a string or an
+    integer), ``label`` (the integer 0 or 1) and ``text`` (a string) keys.
+    Lines end at ``\\n`` only, with one trailing ``\\r`` dropped, so CRLF
+    files load and a text may hold any other line separator.  ``fmt`` is
+    ``tsv``, ``jsonl``, or ``auto`` (sniffed from the first line).  Bad
+    labels, ids of another type, empty or holding a tab or line break (which
+    :func:`save_dataset_tsv` could not write back), duplicate ids, and empty
+    or non-string text raise :class:`DatasetParseError` naming the line.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -141,25 +146,42 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
                     f"{path}: line {lineno}: invalid JSON"
                 ) from exc
             try:
-                instance_id = str(record["id"])
+                instance_id = record["id"]
                 label = record["label"]
                 text = record["text"]
             except (KeyError, TypeError) as exc:
                 raise DatasetParseError(
                     f"{path}: line {lineno}: need 'id', 'label', 'text' keys"
                 ) from exc
-            if label not in (0, 1):
+            # bool is an int subclass, and 1.0 == 1: both would come back
+            # as a label or id other than the one written.
+            if isinstance(instance_id, bool) or not isinstance(instance_id, (str, int)):
+                raise DatasetParseError(
+                    f"{path}: line {lineno}: id must be a string or an integer, "
+                    f"got {instance_id!r}"
+                )
+            instance_id = str(instance_id)
+            if type(label) is not int or label not in (0, 1):
                 raise DatasetParseError(
                     f"{path}: line {lineno}: label must be 0 or 1, got {label!r}"
                 )
+            if not isinstance(text, str):
+                raise DatasetParseError(
+                    f"{path}: line {lineno}: text must be a string, got {text!r}"
+                )
+        if not instance_id or "\t" in instance_id or "\n" in instance_id or "\r" in instance_id:
+            raise DatasetParseError(
+                f"{path}: line {lineno}: id {instance_id!r} is empty or holds "
+                "a tab or line break"
+            )
         if instance_id in seen:
             raise DatasetParseError(
                 f"{path}: line {lineno}: duplicate id {instance_id!r}"
             )
-        if not str(text).strip():
+        if not text.strip():
             raise DatasetParseError(f"{path}: line {lineno}: empty text")
         seen.add(instance_id)
-        instances.append(LabeledInstance(instance_id, str(text), label))
+        instances.append(LabeledInstance(instance_id, text, label))
     if not instances:
         raise DatasetParseError(f"{path}: no instances")
     return instances
@@ -276,16 +298,21 @@ class ConfigResult:
     predictions: tuple[Prediction, ...]
 
 
-def _fragments(
-    sentence: TokenizedSentence, config: ExperimentConfig, resources: Resources
-) -> list[Mapping[str, float]]:
-    return build_config_features(
-        sentence,
-        config,
-        resources.embeddings,
-        resources.lexicon,
-        stopwords=resources.stopwords,
-    )
+def _columns(augmentation: Augmentation) -> list[int]:
+    """The S+WS block columns that ``augmentation`` selects."""
+    return [Augmentation.S_AND_WS.feature_names.index(n) for n in augmentation.feature_names]
+
+
+def _block(
+    sentences: Sequence[TokenizedSentence], config: ExperimentConfig, resources: Resources
+) -> np.ndarray:
+    """The S/WS columns ``config`` selects of its table's block, one row per
+    sentence; no columns when it selects none."""
+    if config.augmentation is Augmentation.NONE:
+        return np.zeros((len(sentences), 0))
+    table = embedding_table(resources.embeddings, config.embedding)
+    block = similarity_block(sentences, table, resources.stopwords)
+    return block[:, _columns(config.augmentation)]
 
 
 def extract_features(
@@ -294,9 +321,18 @@ def extract_features(
     resources: Resources,
     registry: FeatureRegistry,
 ) -> list[FeatureVector]:
+    """One vector per sentence under ``config``: its prior fragments, then
+    its selected S/WS values by name, interned into ``registry``."""
+    names = config.augmentation.feature_names
     return [
-        FeatureVector.from_fragments(registry, _fragments(s, config, resources))
-        for s in sentences
+        FeatureVector.from_fragments(
+            registry,
+            [
+                *build_config_features(s, config.prior_set, resources.lexicon),
+                dict(zip(names, row.tolist())),
+            ],
+        )
+        for s, row in zip(sentences, _block(sentences, config, resources))
     ]
 
 
@@ -491,22 +527,6 @@ def _cross_validate(
     ]
 
 
-def _similarity_block(
-    sentences: Sequence[TokenizedSentence], table: EmbeddingTable, resources: Resources
-) -> np.ndarray:
-    """The (n, 8) float64 S+WS values of ``sentences`` under ``table``, in
-    the order of ``Augmentation.S_AND_WS.feature_names``."""
-    which, stopwords = Augmentation.S_AND_WS, resources.stopwords
-    return np.array(
-        [list(embed_features(s, table, which, stopwords=stopwords).values()) for s in sentences]
-    )
-
-
-def _columns(augmentation: Augmentation) -> list[int]:
-    """The S+WS block columns that ``augmentation`` selects."""
-    return [Augmentation.S_AND_WS.feature_names.index(n) for n in augmentation.feature_names]
-
-
 def run_config(
     config: ExperimentConfig,
     instances: Sequence[LabeledInstance],
@@ -522,12 +542,10 @@ def run_config(
     name seen only in test rows keeps a zero weight."""
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
-    block = np.zeros((len(instances), 0))
-    if config.augmentation is not Augmentation.NONE:
-        table = embedding_table(resources.embeddings, config.embedding)
-        block = _similarity_block(sentences, table, resources)[:, _columns(config.augmentation)]
-    prior = ExperimentConfig(config.prior_set)
-    corpus = _compile([_fragments(s, prior, resources) for s in sentences])
+    block = _block(sentences, config, resources)
+    corpus = _compile(
+        [build_config_features(s, config.prior_set, resources.lexicon) for s in sentences]
+    )
     [result] = _cross_validate(
         [config], instances, corpus, [block], splits, train_config
     )
@@ -579,7 +597,7 @@ def run_matrix(
     splits = stratified_kfold(instances, k=folds, seed=seed)
     sentences = [tokenize(inst.text) for inst in instances]
     blocks = {
-        name: _similarity_block(sentences, table, resources)
+        name: similarity_block(sentences, table, resources.stopwords)
         for name, table in resources.embeddings.items()
     }
 
@@ -587,7 +605,9 @@ def run_matrix(
     for prior in PRIOR_SETS:
         # The base cell, then its augmented cells, embedding by embedding.
         base_config = ExperimentConfig(prior)
-        corpus = _compile([_fragments(s, base_config, resources) for s in sentences])
+        corpus = _compile(
+            [build_config_features(s, prior, resources.lexicon) for s in sentences]
+        )
         configs = [base_config]
         cell_blocks = [np.zeros((len(instances), 0))]
         for name in names:
@@ -650,11 +670,21 @@ def compute_gains(matrix: MatrixResult) -> GainTables:
                 deltas.append(
                     augmented.metrics.f_score - baseline.metrics.f_score
                 )
-            gain = sum(deltas) / len(deltas)
+            gain = _mean(deltas)
             per_augmentation[(name, augmentation)] = gain
             augmentation_gains.append(gain)
-        per_embedding[name] = sum(augmentation_gains) / len(augmentation_gains)
+        per_embedding[name] = _mean(augmentation_gains)
     return GainTables(per_augmentation, per_embedding)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean of ``values`` summed left to right from +0.0.  The built-in
+    ``sum`` of floats compensates from Python 3.12, so report bytes would
+    depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 _DEVIATION_NOTE = (

@@ -20,6 +20,10 @@ Two four-value blocks summarize the pair structure:
   score / distance**2, which discounts pairs that sit far apart in the
   sentence.
 
+:func:`similarity_block` is the one producer of these values: an
+(n, 8) array per corpus and table, S columns then WS columns, with a row
+of zeros for a sentence with fewer than two content-word types.
+
 Feature names ("emb.s.max_sim", ...) are a persisted contract: anything
 written to feature files or model files uses exactly these strings.
 """
@@ -29,15 +33,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .text import ContentWordSet, TokenizedSentence, content_words
-
-
-class InsufficientContentError(ValueError):
-    """Fewer than two content-word types; no pair features exist."""
+from .text import ContentWords, TokenizedSentence, content_words
 
 
 class Augmentation(enum.Enum):
@@ -100,27 +101,24 @@ class PairwiseScores:
             raise ValueError("matrix shapes must match word count")
 
 
-def pairwise_scores(content: ContentWordSet) -> PairwiseScores:
+def pairwise_scores(content: ContentWords) -> PairwiseScores:
     """Compute all pair cosines and minimum token distances.
 
-    Raises :class:`InsufficientContentError` when the sentence has fewer
-    than two content-word types.
+    Raises ValueError when the sentence has fewer than two content-word
+    types, since no pair exists.
     """
     n = len(content)
     if n < 2:
-        raise InsufficientContentError(
-            f"need at least 2 content-word types, found {n}"
-        )
-    entries = content.entries
-    rows = np.array([entry.vector for entry in entries], dtype=np.float64)
+        raise ValueError(f"need at least 2 content-word types, found {n}")
+    rows = content.rows.astype(np.float64)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     gram = rows @ rows.T
     # The product need not round (i, j) and (j, i) alike; the elementwise
     # minimum with the transpose is exactly symmetric.
     scores = np.clip(np.minimum(gram, gram.T), -1.0, 1.0)
     np.fill_diagonal(scores, np.nan)
-    positions = np.concatenate([entry.positions for entry in entries])
-    starts = list(accumulate((len(entry.positions) for entry in entries[:-1]), initial=0))
+    positions = np.concatenate(content.positions)
+    starts = list(accumulate(map(len, content.positions[:-1]), initial=0))
     gaps = np.abs(positions[:, None] - positions[None, :])
     distances = np.minimum.reduceat(np.minimum.reduceat(gaps, starts), starts, axis=1)
     return PairwiseScores(content.words, scores, distances)
@@ -150,27 +148,20 @@ def weighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, fl
     return _extremes(pairwise.scores / pairwise.distances**2)
 
 
-def embed_features(
-    sentence: TokenizedSentence,
+def similarity_block(
+    sentences: Sequence[TokenizedSentence],
     table: EmbeddingTable,
-    which: Augmentation,
-    *,
     stopwords: frozenset[str],
-) -> dict[str, float]:
-    """Compute the named similarity features for one sentence.
+) -> np.ndarray:
+    """The (n, 8) float64 S+WS values of ``sentences`` under ``table``.
 
-    Returns an ordered name -> value mapping with exactly 4 entries for
-    ``S`` or ``WS`` and 8 for ``S_AND_WS``.  Sentences with fewer than two
-    in-vocabulary content words yield all-zero values for the selected
-    block(s) rather than an error.
+    Columns follow ``Augmentation.S_AND_WS.feature_names``.  A sentence
+    with fewer than two content-word types gets a row of zeros.
     """
-    if which is Augmentation.NONE:
-        raise ValueError("embed_features needs a non-empty block selection")
-    try:
-        pairs = pairwise_scores(content_words(sentence, stopwords, table))
-    except InsufficientContentError:
-        values = (0.0,) * 8
-    else:
-        values = unweighted_features(pairs) + weighted_features(pairs)
-    block = dict(zip(S_FEATURE_NAMES + WS_FEATURE_NAMES, values))
-    return {name: block[name] for name in which.feature_names}
+    block = np.zeros((len(sentences), len(S_FEATURE_NAMES + WS_FEATURE_NAMES)))
+    for row, sentence in zip(block, sentences):
+        content = content_words(sentence, stopwords, table)
+        if len(content) >= 2:
+            pairs = pairwise_scores(content)
+            row[:] = unweighted_features(pairs) + weighted_features(pairs)
+    return block

@@ -7,7 +7,9 @@ token list; stopwords and punctuation keep their positions, which matters
 when later stages measure token distances.
 
 Sentence tokens are matched against an embedding vocabulary by exact
-string first, then by their lowercased form.
+string first, then by their lowercased form.  A sentence's content words
+are held as arrays, not one object per word: the types, their positions,
+and their table rows gathered into one (types, dimension) array.
 """
 
 from __future__ import annotations
@@ -114,66 +116,49 @@ def default_stopwords() -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class ContentWord:
-    """One content-word type: its vocabulary key, occurrence positions, vector."""
+class ContentWords:
+    """Content-word types of one sentence, ordered by first occurrence.
 
-    word: str
-    positions: tuple[int, ...]
-    vector: np.ndarray
+    Type k is ``words[k]``; it occurs at the ascending token positions
+    ``positions[k]``, and ``rows[k]`` is its table row.  ``rows`` is one
+    gathered (types, dimension) float32 array.
+    """
 
-    def __post_init__(self):
-        if not self.positions:
-            raise ValueError("a content word needs at least one position")
-        if tuple(sorted(self.positions)) != self.positions:
-            raise ValueError("positions must be ascending")
-
-
-@dataclass(frozen=True)
-class ContentWordSet:
-    """Content-word types of one sentence, ordered by first occurrence."""
-
-    entries: tuple[ContentWord, ...]
+    words: tuple[str, ...]
+    positions: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(entry.word for entry in self.entries)
+        return len(self.words)
 
 
 def content_words(
     sentence: TokenizedSentence,
     stopwords: frozenset[str],
     table: EmbeddingTable,
-) -> ContentWordSet:
+) -> ContentWords:
     """Select the sentence's content-word types.
 
     A token survives when it is not pure punctuation, not a stopword
     (case-folded test), and resolves to a table word (exact match, then
     lowercase).  Tokens resolving to the same vocabulary word merge into one
-    entry carrying every occurrence position.  Tokens whose vector has no
-    nonzero component are skipped so every surviving entry supports a
-    defined cosine.
+    type carrying every occurrence position.  Types whose row has no
+    nonzero component (all +0.0 or -0.0) are dropped, so every surviving
+    row supports a defined cosine.
     """
-    order: list[tuple[str, np.ndarray]] = []
     positions: dict[str, list[int]] = {}
     for pos, token in enumerate(sentence.tokens):
-        if is_punctuation(token):
-            continue
-        if token.casefold() in stopwords:
+        if is_punctuation(token) or token.casefold() in stopwords:
             continue
         key = resolve_vocab_word(table, token)
-        if key is None:
-            continue
-        if key not in positions:
-            vector = table.vector(key)
-            if np.count_nonzero(vector) == 0:
-                continue
-            positions[key] = []
-            order.append((key, vector))
-        positions[key].append(pos)
-    entries = tuple(
-        ContentWord(word, tuple(positions[word]), vector) for word, vector in order
+        if key is not None:
+            positions.setdefault(key, []).append(pos)
+    words = list(positions)
+    rows = np.array([table.vector(word) for word in words], dtype=np.float32)
+    # A sentence with no candidate token still has a (0, dimension) block.
+    rows = rows.reshape(len(words), table.dimension)
+    nonzero = rows.any(axis=1)
+    kept = [word for word, keep in zip(words, nonzero) if keep]
+    return ContentWords(
+        tuple(kept), tuple(tuple(positions[word]) for word in kept), rows[nonzero]
     )
-    return ContentWordSet(entries)

@@ -102,9 +102,7 @@ class TestOracleEquivalence:
                 selected = content_words(sentence, stopwords, table)
                 pairs = pairwise_scores(selected)
                 s_expected, ws_expected = oracles.brute_force_blocks(
-                    [e.word for e in selected.entries],
-                    [e.vector for e in selected.entries],
-                    [e.positions for e in selected.entries],
+                    selected.words, selected.rows, selected.positions
                 )
                 np.testing.assert_allclose(
                     unweighted_features(pairs), s_expected, atol=1e-9

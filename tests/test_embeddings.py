@@ -16,8 +16,8 @@ from incongruity.embeddings import (
     load_embeddings,
     save_text_vectors,
 )
-from incongruity.similarity import InsufficientContentError, pairwise_scores
-from incongruity.text import ContentWord, ContentWordSet, content_words, tokenize
+from incongruity.similarity import pairwise_scores, similarity_block
+from incongruity.text import content_words, tokenize
 
 
 def write_binary(path, records, header=None, trailing_newlines=False, extra=b""):
@@ -384,22 +384,18 @@ class TestCosine:
         assert cosine([1.0, 0.0], [-1.0, 0.0]) == -1.0
 
     def test_zero_norm_raises(self):
-        # A zero-norm word is not a content word, so no pair is left.
+        # A zero-norm word is dropped from the content words, so no pair is
+        # left: the block row is all zeros and no pair can be scored.
         table = EmbeddingTable("pair", ["u", "v"], np.array([[0.0, 0.0], [1.0, 2.0]]))
-        with pytest.raises(InsufficientContentError):
+        sentence = tokenize("u v")
+        assert len(content_words(sentence, frozenset(), table)) == 1
+        assert not similarity_block([sentence], table, frozenset()).any()
+        with pytest.raises(ValueError, match="at least 2"):
             pair_score(table, "u", "v")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             EmbeddingTable("pair", ["u", "v"], [[1.0], [1.0, 2.0]])
-        words = ContentWordSet(
-            (
-                ContentWord("u", (0,), np.array([1.0], dtype=np.float32)),
-                ContentWord("v", (1,), np.array([1.0, 2.0], dtype=np.float32)),
-            )
-        )
-        with pytest.raises(ValueError):
-            pairwise_scores(words)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operand_raises(self, bad):

@@ -19,6 +19,7 @@ from incongruity.features import (
     ngram_features,
     pragmatic_features,
 )
+from incongruity.harness import Resources, extract_features
 from incongruity.similarity import Augmentation
 from incongruity.text import tokenize
 
@@ -319,15 +320,12 @@ class TestBuildConfigFeatures:
         self.stopwords = frozenset({"the", "a"})
 
     def build(self, text, config, registry=None):
+        # The prior fragments come from build_config_features, the S/WS
+        # values from the table's block; extract_features joins them.
         registry = registry if registry is not None else FeatureRegistry()
-        fragments = build_config_features(
-            tokenize(text),
-            config,
-            self.tables,
-            self.lexicon,
-            stopwords=self.stopwords,
-        )
-        return FeatureVector.from_fragments(registry, fragments), registry
+        resources = Resources(self.tables, self.lexicon, self.stopwords)
+        [vector] = extract_features([tokenize(text)], config, resources, registry)
+        return vector, registry
 
     def names_of(self, vector, registry):
         return {registry.name_of(fid) for fid, _ in vector.items()}
@@ -342,6 +340,10 @@ class TestBuildConfigFeatures:
         vector, registry = self.build("love w000", ExperimentConfig("G"))
         names = self.names_of(vector, registry)
         assert names == {"uni:love", "uni:w000", "lexcat.emotion"}
+        assert build_config_features(tokenize("love w000"), "G", self.lexicon) == [
+            {"uni:love": 1.0, "uni:w000": 1.0},
+            {"lexcat.emotion": 1.0},
+        ]
 
     def test_augmentation_appends_similarity_block(self):
         config = ExperimentConfig("L", Augmentation.S_AND_WS, "emb-a")

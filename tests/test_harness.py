@@ -40,7 +40,7 @@ from incongruity.harness import (
     save_dataset_tsv,
     stratified_kfold,
 )
-from incongruity.similarity import Augmentation
+from incongruity.similarity import Augmentation, similarity_block
 from incongruity.synthetic import generate_corpus, toy_embedding_tables
 from incongruity.text import tokenize
 
@@ -189,6 +189,41 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=re.escape(repr(instance.id))):
             save_dataset_tsv([instance], path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"id": null, "label": 1, "text": "x y"}', "id must be a string or an integer"),
+            ('{"id": true, "label": 1, "text": "x y"}', "id must be a string or an integer"),
+            ('{"id": 1.5, "label": 1, "text": "x y"}', "id must be a string or an integer"),
+            ('{"id": "a", "label": true, "text": "x y"}', "label must be 0 or 1"),
+            ('{"id": "a", "label": false, "text": "x y"}', "label must be 0 or 1"),
+            ('{"id": "a", "label": 1.0, "text": "x y"}', "label must be 0 or 1"),
+            ('{"id": "a", "label": 1, "text": 5}', "text must be a string"),
+            ('{"id": "a", "label": 1, "text": ["x y"]}', "text must be a string"),
+            ('{"id": "x\\ty", "label": 0, "text": "x y"}', "id 'x\\\\ty' is empty or holds"),
+            ('{"id": "x\\ny", "label": 0, "text": "x y"}', "id 'x\\\\ny' is empty or holds"),
+            ('{"id": "x\\ry", "label": 0, "text": "x y"}', "id 'x\\\\ry' is empty or holds"),
+            ('{"id": "", "label": 0, "text": "x y"}', "id '' is empty or holds"),
+        ],
+    )
+    def test_jsonl_row_the_writer_cannot_return_names_line(self, tmp_path, row, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 7, "label": 0, "text": "fine"}\n' + row + "\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError, match=rf"corpus\.jsonl: line 2: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("row", ["a\rb\t1\tx y", "\t1\tx y"])
+    def test_tsv_id_the_writer_cannot_return_names_line(self, tmp_path, row):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\t0\tfine\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError, match=r"corpus\.tsv: line 2: id .* is empty or holds"):
+            load_dataset(path)
+
+    def test_jsonl_integer_id_loads_as_its_string(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 7, "label": 0, "text": "fine"}\n', encoding="utf-8")
+        assert load_dataset(path) == [LabeledInstance("7", "fine", 0)]
 
     def test_fixture_corpus_loads(self, fixture_instances):
         assert len(fixture_instances) == 50
@@ -348,6 +383,23 @@ class TestRunConfig:
         vectors = extract_features(test_sentences, config, resources, registry)
         assert len(registry) == size_before
         assert all(fid < size_before for fid, _ in vectors[0].items())
+
+    def test_extracted_block_values_are_similarity_block_bits(self, resources):
+        sentences = [tokenize(i.text) for i in generate_corpus(30, 0.4, seed=9)]
+        registry = FeatureRegistry()
+        config = ExperimentConfig.parse("J+S+WS", embedding="emb-a")
+        vectors = extract_features(sentences, config, resources, registry)
+        block = similarity_block(sentences, resources.embeddings["emb-a"], resources.stopwords)
+        names = Augmentation.S_AND_WS.feature_names
+        assert block.any()
+        for vector, row in zip(vectors, block.tolist()):
+            extracted = {
+                registry.name_of(fid): value.hex()
+                for fid, value in vector.items()
+                if registry.name_of(fid).startswith("emb.")
+            }
+            # Zero values are dropped from a sparse vector.
+            assert extracted == {n: v.hex() for n, v in zip(names, row) if v != 0.0}
 
 
 FOLD_NAMES = ("a", "b", "c", "d", "e", "f")
@@ -546,7 +598,7 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("folds", [2, 4])
     def test_features_built_once_per_corpus(self, resources, monkeypatch, folds):
-        calls = {"tokenize": 0, "build": 0, "embed": 0}
+        calls = {"tokenize": 0, "build": 0, "block": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -562,7 +614,7 @@ class TestRunMatrix:
             counting("build", harness.build_config_features),
         )
         monkeypatch.setattr(
-            harness, "embed_features", counting("embed", harness.embed_features)
+            harness, "similarity_block", counting("block", harness.similarity_block)
         )
         instances = generate_corpus(30, 0.4, seed=9)
         run_matrix(
@@ -576,7 +628,7 @@ class TestRunMatrix:
         assert calls == {
             "tokenize": n,
             "build": len(PRIOR_SETS) * n,
-            "embed": tables * n,
+            "block": tables,
         }
 
     @pytest.mark.parametrize("folds", [2, 4])
@@ -746,18 +798,19 @@ class TestComputeGains:
 
     def test_gains_on_real_matrix_match_hand_reduction(self, small_matrix):
         gains = compute_gains(small_matrix)
+        # Means sum left to right, whatever the built-in sum() does.
         name = small_matrix.embeddings[0]
-        expected = sum(
+        expected = oracles.sequential_sum(
             small_matrix.cells[(prior, Augmentation.S, name)].metrics.f_score
             - small_matrix.cells[(prior, Augmentation.NONE, name)].metrics.f_score
             for prior in PRIOR_SETS
         ) / len(PRIOR_SETS)
-        assert gains.per_augmentation[(name, Augmentation.S)] == pytest.approx(expected)
-        expected_avg = sum(
+        assert gains.per_augmentation[(name, Augmentation.S)] == expected
+        expected_avg = oracles.sequential_sum(
             gains.per_augmentation[(name, augmentation)]
             for augmentation in AUGMENTATIONS[1:]
         ) / 3
-        assert gains.per_embedding[name] == pytest.approx(expected_avg)
+        assert gains.per_embedding[name] == expected_avg
 
 
 def report_cells(matrix):

@@ -4,14 +4,15 @@ import pytest
 import oracles
 from conftest import random_table
 from incongruity.embeddings import EmbeddingTable
+from incongruity.features import ExperimentConfig, FeatureRegistry
+from incongruity.harness import Resources, extract_features
 from incongruity.similarity import (
     Augmentation,
-    InsufficientContentError,
     PairwiseScores,
     S_FEATURE_NAMES,
     WS_FEATURE_NAMES,
-    embed_features,
     pairwise_scores,
+    similarity_block,
     unweighted_features,
     weighted_features,
 )
@@ -57,24 +58,23 @@ class TestPairwiseScores:
                 continue
             checked += 1
             pairs = pairwise_scores(selected)
-            entries = selected.entries
-            for i in range(len(entries)):
-                for j in range(len(entries)):
+            rows, positions = selected.rows, selected.positions
+            for i in range(len(selected)):
+                for j in range(len(selected)):
                     if i == j:
                         continue
                     assert pairs.scores[i, j] == pytest.approx(
-                        oracles.cosine(entries[i].vector, entries[j].vector),
-                        rel=0, abs=1e-12,
+                        oracles.cosine(rows[i], rows[j]), rel=0, abs=1e-12,
                     )
                     assert pairs.distances[i, j] == oracles.min_distance(
-                        entries[i].positions, entries[j].positions
+                        positions[i], positions[j]
                     )
         assert checked >= 40
 
     def test_insufficient_content_raises(self):
         table = random_table(5, 4, seed=5)
         sentence = tokenize("w000 w000 oov")
-        with pytest.raises(InsufficientContentError):
+        with pytest.raises(ValueError, match="at least 2"):
             pairwise_scores(content_words(sentence, frozenset(), table))
 
 
@@ -194,69 +194,70 @@ class TestOracleEquivalence:
             checked += 1
             pairs = pairwise_scores(selected)
             s_expected, ws_expected = oracles.brute_force_blocks(
-                [e.word for e in selected.entries],
-                [e.vector for e in selected.entries],
-                [e.positions for e in selected.entries],
+                selected.words, selected.rows, selected.positions
             )
             np.testing.assert_allclose(unweighted_features(pairs), s_expected, atol=1e-9)
             np.testing.assert_allclose(weighted_features(pairs), ws_expected, atol=1e-9)
         assert checked >= 100
 
 
+def emb_names(config_text, sentence, table):
+    """The S/WS names ``extract_features`` interns for ``config_text``, in order."""
+    registry = FeatureRegistry()
+    config = ExperimentConfig.parse(config_text, embedding=table.name)
+    resources = Resources({table.name: table}, stopwords=frozenset())
+    extract_features([sentence], config, resources, registry)
+    return tuple(name for name in registry.names if name.startswith("emb."))
+
+
 class TestEmbedFeatures:
+    """The S/WS block: ``similarity_block`` rows and the names a config selects."""
+
     def test_s_block_has_exactly_four_features(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("w000 w001 w002")
-        features = embed_features(
-            sentence, table, Augmentation.S, stopwords=frozenset()
-        )
-        assert tuple(features) == S_FEATURE_NAMES
+        assert emb_names("L+S", sentence, table) == S_FEATURE_NAMES
 
     def test_combined_block_has_exactly_eight_features(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("w000 w001 w002")
-        features = embed_features(
-            sentence, table, Augmentation.S_AND_WS, stopwords=frozenset()
-        )
-        assert tuple(features) == S_FEATURE_NAMES + WS_FEATURE_NAMES
+        assert similarity_block([sentence], table, frozenset()).shape == (1, 8)
+        assert emb_names("L+S+WS", sentence, table) == S_FEATURE_NAMES + WS_FEATURE_NAMES
+        assert Augmentation.S_AND_WS.feature_names == S_FEATURE_NAMES + WS_FEATURE_NAMES
 
     def test_degenerate_sentence_yields_zeros(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("the of")
-        features = embed_features(
-            sentence, table, Augmentation.S_AND_WS, stopwords=frozenset({"the", "of"})
-        )
-        assert set(features.values()) == {0.0}
-        assert len(features) == 8
+        block = similarity_block([sentence], table, frozenset({"the", "of"}))
+        assert block.shape == (1, 8)
+        assert not block.any()
 
     def test_single_content_word_yields_zeros(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("w000 w000 oov !")
-        features = embed_features(
-            sentence, table, Augmentation.WS, stopwords=frozenset()
-        )
-        assert set(features.values()) == {0.0}
+        assert not similarity_block([sentence], table, frozenset()).any()
+
+    def test_no_candidate_token_gives_empty_rows_and_zeros(self):
+        # Stopwords, punctuation and OOV tokens only: no row is gathered.
+        table = random_table(10, 5, seed=30)
+        sentence = tokenize("The of ! ... zzz-oov")
+        selected = content_words(sentence, frozenset({"the", "of"}), table)
+        assert len(selected) == 0
+        assert selected.rows.shape == (0, table.dimension)
+        block = similarity_block([sentence], table, frozenset({"the", "of"}))
+        assert block.shape == (1, 8) and not block.any()
 
     def test_all_values_finite(self):
         table = random_table(25, 8, seed=31)
         rng = np.random.default_rng(32)
+        sentences = []
         for _ in range(100):
             k = int(rng.integers(1, 8))
             words = [f"w{int(rng.integers(25)):03d}" for _ in range(k)]
-            features = embed_features(
-                tokenize(" ".join(words)),
-                table,
-                Augmentation.S_AND_WS,
-                stopwords=frozenset(),
-            )
-            assert all(np.isfinite(v) for v in features.values())
-
-    def test_none_selection_rejected(self):
-        table = random_table(5, 4, seed=33)
-        with pytest.raises(ValueError):
-            embed_features(
-                tokenize("w000 w001"), table, Augmentation.NONE, stopwords=frozenset()
-            )
+            sentences.append(tokenize(" ".join(words)))
+        block = similarity_block(sentences, table, frozenset())
+        assert block.shape == (100, 8)
+        assert np.isfinite(block).all()
 
     def test_ws_respects_exponent(self):
         table = EmbeddingTable(
@@ -265,10 +266,10 @@ class TestEmbedFeatures:
             np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32),
         )
         # The pair sits 3 tokens apart, so WS is S over 3 squared.
-        features = embed_features(
-            tokenize("left pad pad right"), table, Augmentation.S_AND_WS,
-            stopwords=frozenset({"pad"}),
+        [row] = similarity_block(
+            [tokenize("left pad pad right")], table, frozenset({"pad"})
         )
+        features = dict(zip(Augmentation.S_AND_WS.feature_names, row))
         np.testing.assert_allclose(
             features["emb.ws.max_sim"], features["emb.s.max_sim"] / 9.0, atol=1e-12
         )

@@ -127,16 +127,16 @@ class TestContentWords:
     def test_duplicate_type_merges_positions(self):
         sentence = tokenize("A woman needs a man like a fish needs a bicycle")
         result = content_words(sentence, frozenset({"a", "like"}), small_table())
-        by_word = {entry.word: entry for entry in result.entries}
-        assert by_word["needs"].positions == (2, 8)
-        assert by_word["man"].positions == (4,)
+        by_word = dict(zip(result.words, result.positions))
+        assert by_word["needs"] == (2, 8)
+        assert by_word["man"] == (4,)
 
     def test_punctuation_dropped_but_keeps_distance(self):
         sentence = tokenize("man , fish")
         result = content_words(sentence, frozenset(), small_table())
         assert result.words == ("man", "fish")
-        by_word = {entry.word: entry for entry in result.entries}
-        assert by_word["fish"].positions == (2,)
+        by_word = dict(zip(result.words, result.positions))
+        assert by_word["fish"] == (2,)
 
     def test_out_of_vocab_dropped(self):
         sentence = tokenize("man rides xylophone")
@@ -153,6 +153,7 @@ class TestContentWords:
         sentence = tokenize("man zero fish negzero tiny")
         result = content_words(sentence, frozenset(), small_table())
         assert result.words == ("man", "fish", "tiny")
+        assert len(result) == len(result.positions) == len(result.rows) == 3
 
     def test_selection_allocates_no_table_sized_temporary(self):
         rng = np.random.default_rng(0)
@@ -174,13 +175,16 @@ class TestContentWords:
         sentence = tokenize("Man man")
         result = content_words(sentence, frozenset(), small_table())
         assert result.words == ("man",)
-        assert result.entries[0].positions == (0, 1)
+        assert result.positions == ((0, 1),)
 
     def test_vectors_match_table(self):
         table = small_table()
         sentence = tokenize("man fish")
         result = content_words(sentence, frozenset(), table)
-        np.testing.assert_array_equal(result.entries[0].vector, table.vector("man"))
+        assert result.rows.dtype == np.float32
+        assert result.rows.shape == (2, table.dimension)
+        np.testing.assert_array_equal(result.rows[0], table.vector("man"))
+        np.testing.assert_array_equal(result.rows[1], table.vector("fish"))
 
     def test_type_level_idempotence(self):
         # Re-extracting from a sentence rebuilt out of the selected words
@@ -191,6 +195,5 @@ class TestContentWords:
         rebuilt = tokenize(" ".join(first.words))
         second = content_words(rebuilt, frozenset({"a", "like"}), table)
         assert first.words == second.words
-        for one, two in zip(first.entries, second.entries):
-            np.testing.assert_array_equal(one.vector, two.vector)
+        np.testing.assert_array_equal(first.rows, second.rows)
 
