@@ -77,7 +77,12 @@ class EmbeddingTable:
             )
         if matrix.shape[1] == 0:
             raise ValueError("vectors must have at least one dimension")
-        if not np.isfinite(matrix).all():
+        # min and max propagate NaN and expose an infinity without a
+        # table-sized temporary (a NaN may flag an invalid comparison on the
+        # way); only a failing table is searched by row.
+        with np.errstate(invalid="ignore"):
+            finite = not matrix.size or np.isfinite([matrix.min(), matrix.max()]).all()
+        if not finite:
             bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
             raise ValueError(f"non-finite vector component for word {words[bad]!r}")
         index: dict[str, int] = {}
@@ -105,6 +110,11 @@ class EmbeddingTable:
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
+
+    def rows_of(self, words: Sequence[str]) -> np.ndarray:
+        """The int64 index of each word's row in :attr:`vectors`, -1 if absent."""
+        found = map(self._index.get, words, itertools.repeat(-1))
+        return np.fromiter(found, np.int64, len(words))
 
     def vector(self, word: str) -> np.ndarray:
         """Return the stored float32 row for ``word`` (KeyError if absent)."""

@@ -375,7 +375,8 @@ def incongruity_features(
     The polarity sequence keeps +1/-1 for positive/negative tokens in
     order and skips neutral tokens entirely.  Implicit-incongruity
     phrases are counted by non-overlapping substring match against the
-    lowercased raw sentence.
+    NFC-normalized, lowercased raw sentence, the form lexicon entries and
+    tokens take.
     """
     sequence = [
         p for p in (lexicon.polarity(t) for t in sentence.tokens) if p != 0
@@ -395,7 +396,7 @@ def incongruity_features(
     if polarity_sum:
         fragment["incong.polarity"] = float(polarity_sum)
 
-    haystack = sentence.raw.lower()
+    haystack = unicodedata.normalize("NFC", sentence.raw).lower()
     matches = sum(
         haystack.count(phrase)
         for phrase in lexicon.with_tag("implicit_incongruity_phrase")

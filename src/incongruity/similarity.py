@@ -5,9 +5,10 @@ pair gets a raw cosine score and a token distance (the minimum absolute
 position difference over all occurrence pairs, measured on raw token
 positions so stopwords and punctuation still count as distance).
 
-The cosines are one Gram matrix of the unit-normalized float64 rows, clamped
-and exactly symmetric; they can differ in the last bits from a cosine computed
-one pair at a time as a dot product over the product of the two norms.
+The cosines are one Gram matrix per sentence of its unit-normalized float64
+rows, clamped and exactly symmetric; they can differ in the last bits from a
+cosine computed one pair at a time as a dot product over the product of the
+two norms.
 
 Two four-value blocks summarize the pair structure:
 
@@ -22,7 +23,12 @@ Two four-value blocks summarize the pair structure:
 
 :func:`similarity_block` is the one producer of these values: an
 (n, 8) array per corpus and table, S columns then WS columns, with a row
-of zeros for a sentence with fewer than two content-word types.
+of zeros for a sentence with fewer than two content-word types.  It takes
+the corpus's content words from :func:`~incongruity.text.content_index`
+and runs each stage -- gather, normalize, Gram product, distances,
+extremes -- once per chunk of sentences with the same shape.
+:func:`pairwise_scores`, :func:`unweighted_features` and
+:func:`weighted_features` are the same stages applied to one sentence.
 
 Feature names ("emb.s.max_sim", ...) are a persisted contract: anything
 written to feature files or model files uses exactly these strings.
@@ -32,13 +38,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .text import ContentWords, TokenizedSentence, content_words
+from .text import CHUNK_BYTES, ContentWords, TokenizedSentence, content_index
 
 
 class Augmentation(enum.Enum):
@@ -101,8 +106,61 @@ class PairwiseScores:
             raise ValueError("matrix shapes must match word count")
 
 
+def _cosines(rows: np.ndarray) -> np.ndarray:
+    """The (k, n, n) cosines of k stacked (n, d) float32 row sets, NaN diagonal.
+
+    One Gram product per set of unit-normalized float64 rows, clamped to
+    [-1, 1].
+    """
+    rows = rows.astype(np.float64)
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    gram = rows @ rows.transpose(0, 2, 1)
+    # The product need not round (i, j) and (j, i) alike; the elementwise
+    # minimum with the transpose is exactly symmetric.
+    scores = np.clip(np.minimum(gram, gram.transpose(0, 2, 1)), -1.0, 1.0)
+    diagonal = np.arange(rows.shape[1])
+    scores[:, diagonal, diagonal] = np.nan
+    return scores
+
+
+def _distances(occurrences: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The (k, n, n) minimum token distances between the n types of k sentences.
+
+    Row i of ``occurrences`` (k, s) holds sentence i's content-word token
+    positions type by type, and type j's run starts at ``starts[i, j]``.
+    The gaps between every two occurrences are reduced by type runs, first
+    along rows and then along columns.
+    """
+    k, s = occurrences.shape
+    n = starts.shape[1]
+    gaps = np.abs(occurrences[:, :, None] - occurrences[:, None, :]).reshape(k * s, s)
+    # Every sentence's type runs, counted along the stacked rows.
+    runs = (starts + s * np.arange(k)[:, None]).ravel()
+    by_row = np.minimum.reduceat(gaps, runs, axis=0)
+    by_column = by_row.reshape(k, n, s).transpose(0, 2, 1).reshape(k * s, n)
+    return np.minimum.reduceat(by_column, runs, axis=0).reshape(k, n, n)
+
+
+def _weighted(scores: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """WS scores: each pair score over its squared distance."""
+    return scores / distances**2
+
+
+def _extremes(matrices: np.ndarray) -> np.ndarray:
+    """(k, 4) extremes of k stacked (n, n) matrices, diagonals ignored.
+
+    Per matrix: (max_i best_i, min_i best_i, max_i worst_i, min_i worst_i).
+    """
+    # Masking the diagonal with infinities rather than calling nanmax and
+    # nanmin keeps a NaN pair score visible in the result.
+    off_diagonal = ~np.eye(matrices.shape[-1], dtype=bool)
+    best = np.where(off_diagonal, matrices, -np.inf).max(axis=-1)
+    worst = np.where(off_diagonal, matrices, np.inf).min(axis=-1)
+    return np.stack([best.max(-1), best.min(-1), worst.max(-1), worst.min(-1)], axis=-1)
+
+
 def pairwise_scores(content: ContentWords) -> PairwiseScores:
-    """Compute all pair cosines and minimum token distances.
+    """All pair cosines and minimum token distances of one sentence.
 
     Raises ValueError when the sentence has fewer than two content-word
     types, since no pair exists.
@@ -110,42 +168,24 @@ def pairwise_scores(content: ContentWords) -> PairwiseScores:
     n = len(content)
     if n < 2:
         raise ValueError(f"need at least 2 content-word types, found {n}")
-    rows = content.rows.astype(np.float64)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    gram = rows @ rows.T
-    # The product need not round (i, j) and (j, i) alike; the elementwise
-    # minimum with the transpose is exactly symmetric.
-    scores = np.clip(np.minimum(gram, gram.T), -1.0, 1.0)
-    np.fill_diagonal(scores, np.nan)
-    positions = np.concatenate(content.positions)
-    starts = list(accumulate(map(len, content.positions[:-1]), initial=0))
-    gaps = np.abs(positions[:, None] - positions[None, :])
-    distances = np.minimum.reduceat(np.minimum.reduceat(gaps, starts), starts, axis=1)
-    return PairwiseScores(content.words, scores, distances)
-
-
-def _extremes(matrix: np.ndarray) -> tuple[float, float, float, float]:
-    # Masking the diagonal with infinities rather than calling nanmax and
-    # nanmin keeps a NaN pair score visible in the result.
-    off_diagonal = ~np.eye(len(matrix), dtype=bool)
-    best = np.where(off_diagonal, matrix, -np.inf).max(axis=1)
-    worst = np.where(off_diagonal, matrix, np.inf).min(axis=1)
-    return (
-        float(best.max()),
-        float(best.min()),
-        float(worst.max()),
-        float(worst.min()),
+    occurrences = np.concatenate(content.positions)
+    starts = np.cumsum([0, *map(len, content.positions[:-1])])
+    return PairwiseScores(
+        content.words,
+        _cosines(content.rows[None])[0],
+        _distances(occurrences[None], starts[None])[0],
     )
 
 
 def unweighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, float]:
     """The S block: (max_sim, min_sim, max_dissim, min_dissim) on raw scores."""
-    return _extremes(pairwise.scores)
+    return tuple(_extremes(pairwise.scores[None])[0].tolist())
 
 
 def weighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, float]:
     """The WS block: the same extremes on score / distance**2."""
-    return _extremes(pairwise.scores / pairwise.distances**2)
+    weighted = _weighted(pairwise.scores, pairwise.distances)
+    return tuple(_extremes(weighted[None])[0].tolist())
 
 
 def similarity_block(
@@ -157,11 +197,32 @@ def similarity_block(
 
     Columns follow ``Augmentation.S_AND_WS.feature_names``.  A sentence
     with fewer than two content-word types gets a row of zeros.
+
+    Sentences with the same numbers of content-word types and of their
+    occurrences are stacked, about :data:`~incongruity.text.CHUNK_BYTES`
+    of them at a time, and each stage runs once per stack.  Every set of
+    rows still gets its own Gram product, and maxima and minima do not
+    depend on order, so a row's bits do not depend on its neighbours.
     """
+    index = content_index(sentences, stopwords, table)
+    types = np.diff(index.type_ptr)
+    occurrences = np.diff(index.position_ptr[index.type_ptr])
+    scored = np.flatnonzero(types >= 2)
+    scored = scored[np.lexsort((occurrences[scored], types[scored]))]
+    edges = np.flatnonzero(np.diff(types[scored]) | np.diff(occurrences[scored])) + 1
     block = np.zeros((len(sentences), len(S_FEATURE_NAMES + WS_FEATURE_NAMES)))
-    for row, sentence in zip(block, sentences):
-        content = content_words(sentence, stopwords, table)
-        if len(content) >= 2:
-            pairs = pairwise_scores(content)
-            row[:] = unweighted_features(pairs) + weighted_features(pairs)
+    for group in np.split(scored, edges) if len(scored) else ():
+        n, s = int(types[group[0]]), int(occurrences[group[0]])
+        # The float64 rows, a few (n, n) stages and the (s, s) gaps.
+        step = max(1, CHUNK_BYTES // (8 * (n * table.dimension + 4 * n * n + 2 * s * s)))
+        for start in range(0, len(group), step):
+            members = group[start : start + step]
+            type_ids = index.type_ptr[members, None] + np.arange(n)
+            scores = _cosines(table.vectors[index.rows[type_ids]])
+            first = index.position_ptr[index.type_ptr[members], None]
+            distances = _distances(
+                index.positions[first + np.arange(s)], index.position_ptr[type_ids] - first
+            )
+            weighted = _weighted(scores, distances)
+            block[members] = np.hstack([_extremes(scores), _extremes(weighted)])
     return block

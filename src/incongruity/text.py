@@ -7,9 +7,12 @@ token list; stopwords and punctuation keep their positions, which matters
 when later stages measure token distances.
 
 Sentence tokens are matched against an embedding vocabulary by exact
-string first, then by their lowercased form.  A sentence's content words
-are held as arrays, not one object per word: the types, their positions,
-and their table rows gathered into one (types, dimension) array.
+string first, then by their lowercased form.  :func:`content_index`
+selects the content words of a whole corpus in one pass, classifying each
+distinct token string once, and holds them as flat integer arrays: per
+sentence its types' table rows, per type its token positions.
+:func:`content_words` is the same selection for one sentence, with the
+words and their table rows gathered into one (types, dimension) array.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +39,8 @@ def _is_punct_char(ch: str) -> bool:
 
 def is_punctuation(token: str) -> bool:
     """True when every character is Unicode punctuation or symbol."""
-    return bool(token) and all(_is_punct_char(ch) for ch in token)
+    # A letter is neither, and isalpha tests every character at C speed.
+    return bool(token) and not token.isalpha() and all(map(_is_punct_char, token))
 
 
 @dataclass(frozen=True)
@@ -73,17 +79,6 @@ def tokenize(text: str) -> TokenizedSentence:
     return TokenizedSentence(raw=text, tokens=tuple(tokens))
 
 
-def resolve_vocab_word(table: EmbeddingTable, token: str) -> str | None:
-    """Map a token to the table word it should use, or None if out of vocab.
-
-    An exact match wins; otherwise the lowercased token is tried.
-    """
-    if token in table:
-        return token
-    lowered = token.lower()
-    return lowered if lowered in table else None
-
-
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: UTF-8, one word per line, '#' comments allowed.
 
@@ -115,6 +110,91 @@ def default_stopwords() -> frozenset[str]:
     return _DEFAULT_STOPWORDS
 
 
+# Bytes that one step of the content-word and S/WS passes may gather; a
+# single sentence may take more.
+CHUNK_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class ContentIndex:
+    """The content-word types of a corpus, as flat integer arrays.
+
+    Sentence s owns types ``type_ptr[s]:type_ptr[s + 1]``, ordered by first
+    occurrence.  Type t is table row ``rows[t]`` and occurs at the ascending
+    token positions ``positions[position_ptr[t]:position_ptr[t + 1]]``.
+    """
+
+    type_ptr: np.ndarray
+    rows: np.ndarray
+    position_ptr: np.ndarray
+    positions: np.ndarray
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def content_index(
+    sentences: Sequence[TokenizedSentence],
+    stopwords: frozenset[str],
+    table: EmbeddingTable,
+) -> ContentIndex:
+    """Select the content-word types of every sentence in one pass.
+
+    A token is a content word when it is not pure punctuation, not a
+    stopword (case-folded test), and resolves to a table word (exact match,
+    then lowercase) whose row has a nonzero component (all +0.0 or -0.0
+    supports no cosine).  Each distinct token string is classified once.
+    Tokens of one sentence resolving to the same row merge into one type
+    carrying every occurrence position.
+    """
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    token_rows = _token_rows(sentences, stopwords, table)
+    kept = np.flatnonzero(token_rows >= 0)
+    owner = np.searchsorted(ends, kept, side="right")
+    # One key per (sentence, row); ``kept`` ascends, so the first occurrences
+    # in ascending order number the types sentence by sentence.
+    _, first, key_type = np.unique(
+        owner * len(table) + token_rows[kept], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    occurrence_type = rank[key_type]
+    first = first[order]
+    return ContentIndex(
+        type_ptr=_offsets(np.bincount(owner[first], minlength=len(sentences))),
+        rows=token_rows[kept[first]],
+        position_ptr=_offsets(np.bincount(occurrence_type, minlength=len(order))),
+        positions=(kept - (ends - lengths)[owner])[
+            np.argsort(occurrence_type, kind="stable")
+        ],
+    )
+
+
+def _token_rows(
+    sentences: Sequence[TokenizedSentence],
+    stopwords: frozenset[str],
+    table: EmbeddingTable,
+) -> np.ndarray:
+    """The table row of every content-word token in corpus order, -1 for the rest."""
+    distinct = list(dict.fromkeys(chain.from_iterable(s.tokens for s in sentences)))
+    # An exact match wins; otherwise the lowercased token is tried.
+    rows = table.rows_of(distinct)
+    missing = np.flatnonzero(rows < 0)
+    rows[missing] = table.rows_of([distinct[i].lower() for i in missing.tolist()])
+    rows[[is_punctuation(t) or t.casefold() in stopwords for t in distinct]] = -1
+    candidates = np.flatnonzero(rows >= 0)
+    step = max(1, CHUNK_BYTES // (4 * table.dimension))
+    for start in range(0, len(candidates), step):
+        part = candidates[start : start + step]
+        rows[part[~table.vectors[rows[part]].any(axis=1)]] = -1
+    row_of = dict(zip(distinct, rows.tolist()))
+    tokens = chain.from_iterable(s.tokens for s in sentences)
+    return np.fromiter(map(row_of.__getitem__, tokens), np.int64)
+
+
 @dataclass(frozen=True)
 class ContentWords:
     """Content-word types of one sentence, ordered by first occurrence.
@@ -137,28 +217,12 @@ def content_words(
     stopwords: frozenset[str],
     table: EmbeddingTable,
 ) -> ContentWords:
-    """Select the sentence's content-word types.
-
-    A token survives when it is not pure punctuation, not a stopword
-    (case-folded test), and resolves to a table word (exact match, then
-    lowercase).  Tokens resolving to the same vocabulary word merge into one
-    type carrying every occurrence position.  Types whose row has no
-    nonzero component (all +0.0 or -0.0) are dropped, so every surviving
-    row supports a defined cosine.
-    """
-    positions: dict[str, list[int]] = {}
-    for pos, token in enumerate(sentence.tokens):
-        if is_punctuation(token) or token.casefold() in stopwords:
-            continue
-        key = resolve_vocab_word(table, token)
-        if key is not None:
-            positions.setdefault(key, []).append(pos)
-    words = list(positions)
-    rows = np.array([table.vector(word) for word in words], dtype=np.float32)
-    # A sentence with no candidate token still has a (0, dimension) block.
-    rows = rows.reshape(len(words), table.dimension)
-    nonzero = rows.any(axis=1)
-    kept = [word for word, keep in zip(words, nonzero) if keep]
+    """The content-word types of one sentence: :func:`content_index` of it
+    alone, with each type's word and gathered row."""
+    index = content_index([sentence], stopwords, table)
+    ptr = index.position_ptr.tolist()
     return ContentWords(
-        tuple(kept), tuple(tuple(positions[word]) for word in kept), rows[nonzero]
+        tuple(table.vocab[row] for row in index.rows.tolist()),
+        tuple(tuple(index.positions[a:b].tolist()) for a, b in zip(ptr, ptr[1:])),
+        table.vectors[index.rows],
     )

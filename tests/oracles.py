@@ -8,6 +8,7 @@ production bookkeeping cannot hide here.
 from __future__ import annotations
 
 import math
+import unicodedata
 
 import numpy as np
 
@@ -33,26 +34,68 @@ def brute_force_blocks(words, vectors, positions, exponent: int = 2):
     """
     n = len(words)
     assert n >= 2
+    return _blocks(n, lambda a, b: cosine(vectors[a], vectors[b]), positions, exponent)
+
+
+def _blocks(n, score_of, positions, exponent=2):
     pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
 
-    def block(score_of):
+    def block(score):
         best = []
         worst = []
         for i in range(n):
             touching = []
             for a, b in pairs:
                 if i in (a, b):
-                    touching.append(score_of(a, b))
+                    touching.append(score(a, b))
             best.append(max(touching))
             worst.append(min(touching))
         return (max(best), min(best), max(worst), min(worst))
 
-    s_block = block(lambda a, b: cosine(vectors[a], vectors[b]))
+    s_block = block(score_of)
     ws_block = block(
-        lambda a, b: cosine(vectors[a], vectors[b])
-        / min_distance(positions[a], positions[b]) ** exponent
+        lambda a, b: score_of(a, b) / min_distance(positions[a], positions[b]) ** exponent
     )
     return s_block, ws_block
+
+
+def content_words(tokens, stopwords, table):
+    """Reference content-word selection, one token at a time.
+
+    Returns (words, vectors, positions) in first-occurrence order.
+    """
+    positions = {}
+    for position, token in enumerate(tokens):
+        punctuation = all(unicodedata.category(ch)[0] in "PS" for ch in token)
+        if punctuation or token.casefold() in stopwords:
+            continue
+        word = token if token in table else token.lower()
+        if word in table and any(float(x) != 0.0 for x in table.vector(word)):
+            positions.setdefault(word, []).append(position)
+    words = list(positions)
+    return words, [table.vector(w) for w in words], [positions[w] for w in words]
+
+
+def gram_block_row(tokens, stopwords, table):
+    """Reference S+WS row of one sentence in the library's arithmetic.
+
+    The cosines come from one 2-D Gram product of the unit-normalized
+    float64 rows, the smaller of (i, j) and (j, i) clamped to [-1, 1];
+    everything else is a loop.  A sentence with fewer than two types gets
+    zeros.
+    """
+    words, vectors, positions = content_words(tokens, stopwords, table)
+    if len(words) < 2:
+        return np.zeros(8)
+    unit = np.array(vectors, dtype=np.float64)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    gram = unit @ unit.T
+
+    def score_of(a, b):
+        return min(max(min(float(gram[a, b]), float(gram[b, a])), -1.0), 1.0)
+
+    s_block, ws_block = _blocks(len(words), score_of, positions)
+    return np.array(s_block + ws_block)
 
 
 def brute_force_threshold(scores, labels):

@@ -41,12 +41,7 @@ from incongruity.harness import (
     MetricsReport,
 )
 from incongruity.features import PRIOR_SETS
-from incongruity.similarity import (
-    Augmentation,
-    pairwise_scores,
-    unweighted_features,
-    weighted_features,
-)
+from incongruity.similarity import Augmentation, similarity_block, unweighted_features
 from incongruity.synthetic import generate_corpus, toy_embedding_tables
 from incongruity.text import content_words, tokenize
 
@@ -88,6 +83,7 @@ class TestOracleEquivalence:
             rng = np.random.default_rng(99)
             fillers = ("the", "of", "!", "...", "zzz-oov")
             stopwords = frozenset({"the", "of"})
+            sentences = []
             for _ in range(1000):
                 k = int(rng.integers(2, 11))
                 words = list(
@@ -98,18 +94,16 @@ class TestOracleEquivalence:
                 for filler in fillers:
                     if rng.random() < 0.2:
                         words.insert(int(rng.integers(len(words) + 1)), filler)
-                sentence = tokenize(" ".join(words))
+                sentences.append(tokenize(" ".join(words)))
+            # One corpus-level block, each row checked against the oracle.
+            block = similarity_block(sentences, table, stopwords)
+            for sentence, row in zip(sentences, block):
                 selected = content_words(sentence, stopwords, table)
-                pairs = pairwise_scores(selected)
                 s_expected, ws_expected = oracles.brute_force_blocks(
                     selected.words, selected.rows, selected.positions
                 )
-                np.testing.assert_allclose(
-                    unweighted_features(pairs), s_expected, atol=1e-9
-                )
-                np.testing.assert_allclose(
-                    weighted_features(pairs), ws_expected, atol=1e-9
-                )
+                np.testing.assert_allclose(row[:4], s_expected, atol=1e-9)
+                np.testing.assert_allclose(row[4:], ws_expected, atol=1e-9)
 
 
 class TestEmbeddingIntegration:

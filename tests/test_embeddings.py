@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,32 @@ class TestTableValidation:
         vectors = np.array([[1.0, 0.0], [np.nan, 0.0], [np.inf, 1.0]])
         with pytest.raises(ValueError, match="'b'"):
             EmbeddingTable("t", ["a", "b", "c"], vectors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_non_finite_value_rejected_naming_word(self, bad):
+        vectors = np.ones((3, 4), dtype=np.float32)
+        vectors[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite vector component for word 'b'"):
+            EmbeddingTable("t", ["a", "b", "c"], vectors)
+
+    def test_handed_over_table_allocates_nothing_table_sized(self):
+        # The word index is the same for any width, so a one-column table
+        # with the same vocabulary measures everything but the matrix checks.
+        vocab = tuple(f"w{i}" for i in range(20_000))
+
+        def peak(columns):
+            matrix = np.ones((len(vocab), columns), dtype=np.float32)
+            matrix.setflags(write=False)
+            tracemalloc.start()
+            try:
+                EmbeddingTable("t", vocab, matrix)
+                return tracemalloc.get_traced_memory()[1], matrix.nbytes
+            finally:
+                tracemalloc.stop()
+
+        baseline, _ = peak(1)
+        wide, nbytes = peak(200)
+        assert wide - baseline < 0.01 * nbytes
 
     def test_writable_input_is_copied(self):
         vectors = np.ones((2, 2), dtype=np.float32)

@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -284,6 +286,17 @@ class TestIncongruity:
             tokenize("Stuck in traffic again, lovely"), make_lexicon()
         )
         assert fragment["incong.implicit_matches"] == 1.0
+
+    def test_implicit_phrase_matches_decomposed_text(self):
+        # NFC and NFD spellings of "café" tokenize alike, so they match alike.
+        lexicon = Lexicon("nfc", {"café again": frozenset({"implicit_incongruity_phrase"})})
+        composed = unicodedata.normalize("NFC", "great, café again")
+        decomposed = unicodedata.normalize("NFD", composed)
+        assert decomposed != composed
+        assert tokenize(decomposed).tokens == tokenize(composed).tokens
+        for text in (composed, decomposed):
+            fragment = incongruity_features(tokenize(text), lexicon)
+            assert fragment["incong.implicit_matches"] == 1.0
 
     def test_includes_unigrams(self):
         fragment = incongruity_features(tokenize("plain text"), make_lexicon())

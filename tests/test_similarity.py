@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_table
+from incongruity import similarity, text
 from incongruity.embeddings import EmbeddingTable
 from incongruity.features import ExperimentConfig, FeatureRegistry
 from incongruity.harness import Resources, extract_features
@@ -16,7 +21,7 @@ from incongruity.similarity import (
     unweighted_features,
     weighted_features,
 )
-from incongruity.text import content_words, tokenize
+from incongruity.text import TokenizedSentence, content_words, tokenize
 
 
 class TestPairwiseScores:
@@ -182,23 +187,116 @@ class TestOracleEquivalence:
         stopwords = frozenset({"the", "of", "and"})
         fillers = list(stopwords) + ["!", "...", "zzz-oov"]
         rng = np.random.default_rng(21)
-        checked = 0
+        pool = list(table.vocab) + fillers
+        sentences = []
         for _ in range(300):
             length = int(rng.integers(2, 14))
-            pool = list(table.vocab) + fillers
             tokens = [pool[int(rng.integers(len(pool)))] for _ in range(length)]
-            sentence = tokenize(" ".join(tokens))
+            sentences.append(tokenize(" ".join(tokens)))
+        block = similarity_block(sentences, table, stopwords)
+        checked = 0
+        for sentence, row in zip(sentences, block):
             selected = content_words(sentence, stopwords, table)
             if len(selected) < 2:
+                assert not row.any()
                 continue
             checked += 1
-            pairs = pairwise_scores(selected)
             s_expected, ws_expected = oracles.brute_force_blocks(
                 selected.words, selected.rows, selected.positions
             )
-            np.testing.assert_allclose(unweighted_features(pairs), s_expected, atol=1e-9)
-            np.testing.assert_allclose(weighted_features(pairs), ws_expected, atol=1e-9)
+            np.testing.assert_allclose(row[:4], s_expected, atol=1e-9)
+            np.testing.assert_allclose(row[4:], ws_expected, atol=1e-9)
         assert checked >= 100
+
+
+# Rows that stress the cosine: signed zeros (dropped), the smallest float32
+# subnormal (kept), equal and opposite rows (clamped at +-1).
+_SPECIAL_ROWS = st.sampled_from(["zero", "negative zero", "subnormal", "copy", "negated"])
+_CORPUS_WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "paris", "Paris")
+
+
+@st.composite
+def kernel_corpora(draw):
+    """A table and a corpus that reach every branch of the block kernel.
+
+    Tokens include repeats, case variants that resolve to one row ("W3" to
+    "w3") or to their own ("Paris"), stopwords in either case, punctuation
+    and out-of-vocabulary tokens.
+    """
+    dim = draw(st.integers(1, 6))
+    component = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in _CORPUS_WORDS:
+        kind = draw(st.one_of(st.just("drawn"), _SPECIAL_ROWS))
+        if kind == "drawn" or not rows and kind in ("copy", "negated"):
+            rows.append(draw(st.lists(component, min_size=dim, max_size=dim)))
+        elif kind == "zero":
+            rows.append([0.0] * dim)
+        elif kind == "negative zero":
+            rows.append([-0.0] * dim)
+        elif kind == "subnormal":
+            rows.append([0.0] * (dim - 1) + [1e-45])
+        else:
+            sign = 1.0 if kind == "copy" else -1.0
+            rows.append([sign * x for x in draw(st.sampled_from(rows))])
+    table = EmbeddingTable("drawn", _CORPUS_WORDS, np.array(rows, dtype=np.float32))
+    pool = st.sampled_from(
+        [*_CORPUS_WORDS, "W3", "PARIS", "the", "The", "of", "!", "...", "zzz"]
+    )
+    corpus = draw(st.lists(st.lists(pool, min_size=1, max_size=14), max_size=30))
+    sentences = [TokenizedSentence(" ".join(t), tuple(t)) for t in corpus]
+    budget = draw(st.sampled_from([1, 300, 3000, text.CHUNK_BYTES]))
+    return table, sentences, budget
+
+
+def blocks_under_budget(budget, sentences, table, stopwords):
+    """``similarity_block`` of the whole corpus and of each sentence alone,
+    with stacks of at most ``budget`` bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(text, "CHUNK_BYTES", budget)
+        patch.setattr(similarity, "CHUNK_BYTES", budget)
+        whole = similarity_block(sentences, table, stopwords)
+        alone = [similarity_block([s], table, stopwords) for s in sentences]
+    return whole, np.concatenate([np.zeros((0, 8)), *alone])
+
+
+class TestCorpusKernel:
+    """``similarity_block`` stacks sentences; no row may depend on its stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_corpora())
+    def test_corpus_equals_one_sentence_at_a_time_bit_for_bit(self, case):
+        table, sentences, budget = case
+        whole, alone = blocks_under_budget(budget, sentences, table, frozenset({"the", "of"}))
+        assert whole.shape == (len(sentences), 8)
+        assert whole.tobytes() == alone.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_corpora())
+    def test_rows_are_the_per_sentence_gram_reference_bit_for_bit(self, case):
+        table, sentences, budget = case
+        stopwords = frozenset({"the", "of"})
+        whole, _ = blocks_under_budget(budget, sentences, table, stopwords)
+        expected = [oracles.gram_block_row(s.tokens, stopwords, table) for s in sentences]
+        assert whole.tobytes() == np.reshape(expected, (len(sentences), 8)).tobytes()
+
+    def test_memory_stays_within_a_few_chunks(self):
+        # Ten distinct words per sentence make one stack of 2,000 sentences,
+        # whose float64 rows alone would take 2,000 x 10 x 64 x 8 bytes: 10 MB.
+        table = random_table(400, 64, seed=40)
+        rng = np.random.default_rng(41)
+        sentences = [
+            tokenize(" ".join(rng.choice(table.vocab, size=10, replace=False)))
+            for _ in range(2000)
+        ]
+        tracemalloc.start()
+        try:
+            block = similarity_block(sentences, table, frozenset())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (2000, 8) and block.any(axis=1).all()
+        assert peak < 4 * text.CHUNK_BYTES + block.nbytes
 
 
 def emb_names(config_text, sentence, table):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from incongruity.embeddings import EmbeddingTable
 from incongruity.text import (
     EmptySentenceError,
+    content_index,
     content_words,
     default_stopwords,
     is_punctuation,
     load_stopwords,
-    resolve_vocab_word,
     tokenize,
 )
 
@@ -61,6 +61,11 @@ class TestTokenize:
         assert is_punctuation('"')
         assert not is_punctuation("word")
         assert not is_punctuation("don't")
+
+    @given(st.text(max_size=6))
+    def test_is_punctuation_is_every_character_punctuation_or_symbol(self, token):
+        expected = bool(token) and all(unicodedata.category(ch)[0] in "PS" for ch in token)
+        assert is_punctuation(token) == expected
 
 
 class TestStopwords:
@@ -112,9 +117,8 @@ def small_table():
 class TestCasingPolicy:
     def test_exact_then_lowercase(self):
         table = small_table()
-        assert resolve_vocab_word(table, "Paris") == "Paris"
-        assert resolve_vocab_word(table, "Man") == "man"
-        assert resolve_vocab_word(table, "unknown") is None
+        result = content_words(tokenize("Paris Man unknown"), frozenset(), table)
+        assert result.words == ("Paris", "man")
 
 
 class TestContentWords:
@@ -197,3 +201,21 @@ class TestContentWords:
         assert first.words == second.words
         np.testing.assert_array_equal(first.rows, second.rows)
 
+    def test_corpus_index_is_the_one_sentence_views_in_order(self):
+        table = small_table()
+        stopwords = frozenset({"a", "like", "the"})
+        texts = [
+            "A woman needs a man like a fish needs a bicycle",
+            "the !",
+            "Man man ,",
+            "zero tiny Paris man",
+        ]
+        sentences = [tokenize(t) for t in texts]
+        index = content_index(sentences, stopwords, table)
+        views = [content_words(s, stopwords, table) for s in sentences]
+        assert np.diff(index.type_ptr).tolist() == [len(v) for v in views]
+        assert [table.vocab[r] for r in index.rows.tolist()] == [w for v in views for w in v.words]
+        ptr = index.position_ptr.tolist()
+        assert [tuple(index.positions[a:b].tolist()) for a, b in zip(ptr, ptr[1:])] == [
+            p for v in views for p in v.positions
+        ]
