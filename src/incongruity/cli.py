@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -45,15 +46,23 @@ def _load_one(path: Path, fmt: str) -> EmbeddingTable:
     return load_embeddings(path, fmt)
 
 
+def _load_tables(paths: Iterable[Path]) -> dict[str, EmbeddingTable]:
+    """Load each file as the table named by its stem.  Two files with one
+    stem raise :class:`click.UsageError` naming both: one table would
+    silently replace the other."""
+    first: dict[str, Path] = {}
+    for path in paths:
+        other = first.setdefault(path.stem, path)
+        if other is not path:
+            raise click.UsageError(f"{other} and {path} both load as table {path.stem!r}")
+    return {stem: _load_one(path, "auto") for stem, path in first.items()}
+
+
 def _load_embedding_dir(directory: str | None) -> dict[str, EmbeddingTable]:
     if directory is None:
         return {}
-    tables: dict[str, EmbeddingTable] = {}
-    for path in sorted(Path(directory).iterdir()):
-        if path.suffix in (".txt", ".vec", ".bin"):
-            table = _load_one(path, "auto")
-            tables[table.name] = table
-    return tables
+    paths = sorted(Path(directory).iterdir())
+    return _load_tables(p for p in paths if p.suffix in (".txt", ".vec", ".bin"))
 
 
 def _build_resources(embeddings_dir, stopwords_file, lexicon_file) -> Resources:
@@ -125,7 +134,7 @@ def load_embeddings_command(path: Path, fmt: str):
 )
 def intersect_vocab_command(paths: tuple[Path, ...], out_dir: Path):
     """Restrict embedding tables to their common vocabulary."""
-    tables = [_load_one(path, "auto") for path in paths]
+    tables = list(_load_tables(paths).values())
     intersected = intersect_vocabularies(tables)
     out_dir.mkdir(parents=True, exist_ok=True)
     for table in intersected:

@@ -15,9 +15,10 @@ Four prior feature sets reproduce common sarcasm baselines:
   longest positive/negative runs, summed lexical polarity, and counts of
   implicit-incongruity phrase matches.
 
-All extractors return plain name -> value fragments.  Fragments are merged
-into a sparse :class:`FeatureVector` through a :class:`FeatureRegistry`
-that interns names to integer ids; zero values are never stored explicitly.
+All extractors return plain name -> value fragments.  ``harness._compile``,
+the one place that numbers them, interns a corpus's names through a
+:class:`FeatureRegistry`, drops zero values and sorts each row by id;
+``harness.extract_features`` returns each row as a :class:`FeatureVector`.
 """
 
 from __future__ import annotations
@@ -175,47 +176,18 @@ class FeatureRegistry:
 
 
 class FeatureVector:
-    """Sparse feature vector keyed by registry ids.  Zero values are absent.
-
-    The nonzero entries are held as two aligned read-only arrays, ids
-    ascending, built once at construction.
-    """
+    """One sentence's sparse row: aligned read-only arrays of its nonzero
+    entries, ids ascending.  ``harness.extract_features`` builds each from
+    views of its compiled corpus; the constructor holds read-only views of
+    the arrays it is given and neither sorts them nor drops zeros."""
 
     __slots__ = ("_ids", "_values")
 
-    def __init__(self, values: Mapping[int, float] | None = None):
-        nonzero = {fid: float(v) for fid, v in (values or {}).items() if v != 0.0}
-        ids = sorted(nonzero)
-        self._ids = np.array(ids, dtype=np.int64)
-        self._values = np.array([nonzero[fid] for fid in ids], dtype=np.float64)
+    def __init__(self, ids: np.ndarray, values: np.ndarray):
+        self._ids = np.asarray(ids, dtype=np.int64).view()
+        self._values = np.asarray(values, dtype=np.float64).view()
         self._ids.setflags(write=False)
         self._values.setflags(write=False)
-
-    @classmethod
-    def from_fragments(
-        cls,
-        registry: FeatureRegistry,
-        fragments: Iterable[Mapping[str, float]],
-    ) -> "FeatureVector":
-        """Intern fragment names and merge values into one sparse vector.
-
-        Names are interned even when their value is zero, so the registry
-        is stable across sentences; zero values themselves are dropped.
-        A name occurring in two fragments is a namespace collision and
-        raises ValueError.
-        """
-        values: dict[int, float] = {}
-        seen: set[str] = set()
-        for fragment in fragments:
-            for name, value in fragment.items():
-                if name in seen:
-                    raise ValueError(f"feature name {name!r} emitted twice")
-                seen.add(name)
-                fid = registry.intern(name)
-                if fid is None or value == 0.0:
-                    continue
-                values[fid] = float(value)
-        return cls(values)
 
     def items(self) -> Iterator[tuple[int, float]]:
         """(id, value) pairs, ids ascending."""
@@ -453,8 +425,8 @@ def build_config_features(
     sentence: TokenizedSentence, prior_set: str, lexicon: Lexicon
 ) -> list[Mapping[str, float]]:
     """One sentence's fragments under the prior set ``prior_set``.  They do
-    not depend on any registry; :meth:`FeatureVector.from_fragments` interns
-    them.  The S/WS values come from :func:`~incongruity.similarity.similarity_block`."""
+    not depend on any registry; ``harness._compile`` numbers them.  The S/WS
+    values come from :func:`~incongruity.similarity.similarity_block`."""
     if prior_set == "L":
         return [ngram_features(sentence, 3)]
     if prior_set == "G":

@@ -2,11 +2,13 @@
 
 The harness runs feature configurations over a labeled corpus with
 stratified k-fold cross-validation.  Features are extracted and compiled
-once per corpus: each name gets its corpus id once, zero values are
-dropped and each row is sorted by id once, so every fold reads a row in
-the same canonical summation order; a fold only selects rows.  Every
-S/WS value comes from one (n, 8) :func:`~incongruity.similarity.similarity_block`
-per table, computed once per corpus; a cell, ``run_config`` and
+once per corpus by ``_compile``, the only code that numbers features
+(``extract_features`` goes through it too): each name is interned
+through a registry once per corpus, zero values are dropped and each row
+is sorted by id once, so every fold reads a row in the same canonical
+summation order; a fold only selects rows.  Every S/WS value comes from
+one (n, 8) :func:`~incongruity.similarity.similarity_block` per table,
+computed once per corpus; a cell, ``run_config`` and
 ``extract_features`` select its columns.  An augmented cell's row is its
 prior row followed by its nonzero S/WS block values, whose ids follow
 every prior id.  A name seen only in test rows is
@@ -30,9 +32,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -322,63 +325,77 @@ def extract_features(
     registry: FeatureRegistry,
 ) -> list[FeatureVector]:
     """One vector per sentence under ``config``: its prior fragments, then
-    its selected S/WS values by name, interned into ``registry``."""
+    its selected S/WS values by name, numbered by :func:`_compile` through
+    ``registry``.  The vectors are read-only views of one compiled corpus."""
     names = config.augmentation.feature_names
-    return [
-        FeatureVector.from_fragments(
-            registry,
+    corpus = _compile(
+        (
             [
                 *build_config_features(s, config.prior_set, resources.lexicon),
                 dict(zip(names, row.tolist())),
-            ],
-        )
-        for s, row in zip(sentences, _block(sentences, config, resources))
+            ]
+            for s, row in zip(sentences, _block(sentences, config, resources))
+        ),
+        registry,
+    )
+    bounds = corpus.indptr.tolist()
+    return [
+        FeatureVector(corpus.ids[a:b], corpus.values[a:b])
+        for a, b in zip(bounds, bounds[1:])
     ]
 
 
 class _Corpus(NamedTuple):
-    """A corpus's features as one CSR triple over a corpus vocabulary.
+    """A corpus's features as one CSR triple.
 
-    Row i's nonzero entries are ``ids[indptr[i]:indptr[i + 1]]`` with their
-    ``values``.  Each name of ``names`` got its id, its index there, once
-    per corpus, and each row was sorted by id once.  A name that no
-    training row of a fold carries keeps a zero weight in that fold.
+    Row i's nonzero entries are ``ids[indptr[i]:indptr[i + 1]]``, ascending,
+    with their ``values``.  Every id lies below ``size``, the length of the
+    registry that numbered the corpus.  A name that no training row of a
+    fold carries keeps a zero weight in that fold.
     """
 
     indptr: np.ndarray
     ids: np.ndarray
     values: np.ndarray
-    names: tuple[str, ...]
+    size: int
 
 
-def _compile(rows: Sequence[Sequence[Mapping[str, float]]]) -> _Corpus:
-    """Give each row's fragment names their corpus ids, in first-occurrence
-    order, drop zero values and sort each row's entries by id.
+def _compile(
+    rows: Iterable[Sequence[Mapping[str, float]]], registry: FeatureRegistry
+) -> _Corpus:
+    """Number a corpus, one row of fragments per sentence; the only code
+    that turns fragments into rows.
 
-    A name occurring twice in one row is a namespace collision and raises
-    ValueError, as in :meth:`FeatureVector.from_fragments`.
+    Rows are read one at a time.  Every name is interned through
+    ``registry``, zero-valued ones included, so a fresh registry numbers
+    names in first-occurrence order; a zero value, and a name a frozen
+    registry does not hold, are dropped.  A name occurring twice in one
+    row is a namespace collision and raises ValueError.  Each row is
+    sorted by id once, as it is read.
     """
-    vocabulary: dict[str, int] = {}
-    ids: list[int] = []
-    values: list[float] = []
-    indptr = [0]
+    intern = registry.intern
+    # Typed arrays hold each entry once, and numpy reads them in place.
+    ids, values, indptr = array("q"), array("d"), array("q", [0])
     for fragments in rows:
         seen: set[str] = set()
+        row: list[tuple[int, float]] = []
         for fragment in fragments:
             for name, value in fragment.items():
                 if name in seen:
                     raise ValueError(f"feature name {name!r} emitted twice")
                 seen.add(name)
-                fid = vocabulary.setdefault(name, len(vocabulary))
-                if value != 0.0:
-                    ids.append(fid)
-                    values.append(value)
+                fid = intern(name)
+                if fid is not None and value != 0.0:
+                    row.append((fid, value))
+        row.sort()
+        ids.extend([fid for fid, _ in row])
+        values.extend([value for _, value in row])
         indptr.append(len(ids))
-    indptr = np.array(indptr, dtype=np.int64)
-    ids = np.array(ids, dtype=np.int64)
-    order = np.lexsort((ids, np.repeat(np.arange(len(rows)), np.diff(indptr))))
     return _Corpus(
-        indptr, ids[order], np.array(values, dtype=np.float64)[order], tuple(vocabulary)
+        np.frombuffer(indptr, dtype=np.int64),
+        np.frombuffer(ids, dtype=np.int64),
+        np.frombuffer(values, dtype=np.float64),
+        len(registry),
     )
 
 
@@ -423,7 +440,7 @@ def _cell_rows(
     """
     row_of, prior_ids, prior_values = _select(corpus, rows)
     base_counts = np.bincount(row_of, minlength=len(rows))
-    entries = [_block_entries(block[rows], len(corpus.names)) for block in blocks]
+    entries = [_block_entries(block[rows], corpus.size) for block in blocks]
     counts = [np.bincount(block_rows, minlength=len(rows)) for block_rows, _, _ in entries]
     indptr = np.concatenate(
         [[0], np.cumsum(len(blocks) * base_counts + np.sum(counts, axis=0))]
@@ -472,7 +489,7 @@ def _fold_predictions(
         # products are still summed in ascending id.
         cell_test = [
             np.concatenate(pair)
-            for pair in zip(test, _block_entries(block[test_idx], len(corpus.names)))
+            for pair in zip(test, _block_entries(block[test_idx], corpus.size))
         ]
         scores = model.decisions(*cell_test, len(test_idx)).tolist()
         predictions.append([
@@ -544,7 +561,8 @@ def run_config(
     sentences = [tokenize(inst.text) for inst in instances]
     block = _block(sentences, config, resources)
     corpus = _compile(
-        [build_config_features(s, config.prior_set, resources.lexicon) for s in sentences]
+        (build_config_features(s, config.prior_set, resources.lexicon) for s in sentences),
+        FeatureRegistry(),
     )
     [result] = _cross_validate(
         [config], instances, corpus, [block], splits, train_config
@@ -606,7 +624,8 @@ def run_matrix(
         # The base cell, then its augmented cells, embedding by embedding.
         base_config = ExperimentConfig(prior)
         corpus = _compile(
-            [build_config_features(s, prior, resources.lexicon) for s in sentences]
+            (build_config_features(s, prior, resources.lexicon) for s in sentences),
+            FeatureRegistry(),
         )
         configs = [base_config]
         cell_blocks = [np.zeros((len(instances), 0))]
@@ -660,13 +679,8 @@ def compute_gains(matrix: MatrixResult) -> GainTables:
         for augmentation in AUGMENTATIONS[1:]:
             deltas = []
             for prior in PRIOR_SETS:
-                try:
-                    augmented = matrix.cells[(prior, augmentation, name)]
-                    baseline = matrix.cells[(prior, Augmentation.NONE, name)]
-                except KeyError as exc:
-                    raise IncompleteMatrixError(
-                        f"missing grid cell {exc.args[0]}"
-                    ) from exc
+                augmented = _cell(matrix, (prior, augmentation, name))
+                baseline = _cell(matrix, (prior, Augmentation.NONE, name))
                 deltas.append(
                     augmented.metrics.f_score - baseline.metrics.f_score
                 )

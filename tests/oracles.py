@@ -98,6 +98,27 @@ def gram_block_row(tokens, stopwords, table):
     return np.array(s_block + ws_block)
 
 
+def number_row(registry, fragments):
+    """Reference numbering of one sentence's fragments, one dict per sentence.
+
+    Interns every name through ``registry`` in fragment order, zero-valued
+    ones included, keeps the nonzero values of names the registry holds and
+    returns them as (id, value) pairs, ids ascending.  A name in two
+    fragments raises ValueError.
+    """
+    values = {}
+    seen = set()
+    for fragment in fragments:
+        for name, value in fragment.items():
+            if name in seen:
+                raise ValueError(f"feature name {name!r} repeated in one row")
+            seen.add(name)
+            fid = registry.intern(name)
+            if fid is not None and value != 0.0:
+                values[fid] = float(value)
+    return sorted(values.items())
+
+
 def brute_force_threshold(scores, labels):
     """Reference F-tuned threshold: score every candidate separately.
 

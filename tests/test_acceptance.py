@@ -24,8 +24,6 @@ from incongruity.embeddings import intersect_vocabularies, load_embeddings
 from incongruity.features import (
     ExperimentConfig,
     FeatureRegistry,
-    FeatureVector,
-    ngram_features,
 )
 from incongruity.harness import (
     Resources,
@@ -152,16 +150,14 @@ class TestClassifier:
         ):
             corpus = generate_corpus(500, 0.1, seed=0)
             assert sum(i.label for i in corpus) == 50
-            registry = FeatureRegistry()
-            instances = [
-                (
-                    FeatureVector.from_fragments(
-                        registry, [ngram_features(tokenize(i.text), 3)]
-                    ),
-                    i.label,
-                )
-                for i in corpus
-            ]
+            # The L prior set: uni/bi/trigram presence.
+            vectors = extract_features(
+                [tokenize(i.text) for i in corpus],
+                ExperimentConfig("L"),
+                Resources(),
+                FeatureRegistry(),
+            )
+            instances = [(vector, i.label) for vector, i in zip(vectors, corpus)]
             config = TrainConfig(seed=0)
             first = train(instances, config)
             second = train(instances, config)

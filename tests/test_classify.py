@@ -25,10 +25,15 @@ from incongruity.classify import (
 from incongruity.features import FeatureRegistry, FeatureVector
 
 
+def as_vector(pairs):
+    """The FeatureVector of (id, value) pairs, ids ascending."""
+    return FeatureVector([fid for fid, _ in pairs], [value for _, value in pairs])
+
+
 def make_instances(registry, rows):
     """rows: list of (name -> value dict, label) pairs."""
     return [
-        (FeatureVector.from_fragments(registry, [fragment]), label)
+        (as_vector(oracles.number_row(registry, [fragment])), label)
         for fragment, label in rows
     ]
 
@@ -349,14 +354,15 @@ class TestTrainCells:
         labels[:2] = [0, 1]
         registry = FeatureRegistry()
         wide = [
-            FeatureVector.from_fragments(
-                registry,
-                [{f"f{j}": float(rng.normal() + label) for j in range(20)}],
+            as_vector(
+                oracles.number_row(
+                    registry, [{f"f{j}": float(rng.normal() + label) for j in range(20)}]
+                )
             )
             for label in labels
         ]
         noisy = [v for v, _ in make_instances(FeatureRegistry(), noisy_rows(40, 5))]
-        cells = [wide, noisy, [FeatureVector()] * len(labels)]
+        cells = [wide, noisy, [FeatureVector([], [])] * len(labels)]
         config = TrainConfig(c=0.5, epochs=6, seed=1)
         names = ["wide", "noisy", "empty"]
         models = train_cells(cell_rows(cells, labels), config, names)
@@ -371,7 +377,7 @@ class TestTrainCells:
         assert len(models[2].weights) == 0
 
     def test_single_class_rejected(self):
-        vectors = [FeatureVector({0: 1.0}), FeatureVector({1: 1.0})]
+        vectors = [FeatureVector([0], [1.0]), FeatureVector([1], [1.0])]
         with pytest.raises(DegenerateTrainingError):
             train_cells(cell_rows([vectors], [1, 1]), TrainConfig(), ["one"])
 
@@ -404,8 +410,8 @@ class TestPredict:
         model = LinearModel(
             weights=np.array([1.0]), bias=0.0, threshold=2.0
         )
-        at = FeatureVector({0: 2.0})
-        below = FeatureVector({0: 1.9999})
+        at = FeatureVector([0], [2.0])
+        below = FeatureVector([0], [1.9999])
         assert model.predict(at) == (2.0, 1)
         assert model.predict(below)[1] == 0
 
@@ -413,23 +419,22 @@ class TestPredict:
         model = LinearModel(
             weights=np.array([1.0, -1.0]), bias=0.25, threshold=0.0
         )
-        vector = FeatureVector({0: 2.0, 7: 100.0})
-        assert model.decision(vector) == 2.25
+        assert model.decision(FeatureVector([0, 7], [2.0, 100.0])) == 2.25
 
     def test_empty_vector_scores_bias(self):
         model = LinearModel(
             weights=np.array([1.0]), bias=0.5, threshold=0.0
         )
-        assert model.decision(FeatureVector()) == 0.5
+        assert model.decision(FeatureVector([], [])) == 0.5
 
     def test_batched_decisions_match_decision(self):
         model = LinearModel(
             weights=np.array([1.0, -1.0, 0.5]), bias=0.25, threshold=0.0
         )
         vectors = [
-            FeatureVector({0: 2.0, 7: 100.0}),
-            FeatureVector(),
-            FeatureVector({1: 3.0, 2: 1.0}),
+            FeatureVector([0, 7], [2.0, 100.0]),
+            FeatureVector([], []),
+            FeatureVector([1, 2], [3.0, 1.0]),
         ]
         rows = np.array([0, 0, 2, 2])
         ids = np.array([0, 7, 1, 2])

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -94,6 +96,44 @@ class TestIntersectVocab:
         b = load_embeddings(out / "emb-b.txt", "text_vectors")
         assert set(a.vocab) == set(b.vocab)
         assert len(a) == 48
+
+
+class TestSameNamedTables:
+    def test_embedding_dir_with_one_stem_twice_is_refused(
+        self, runner, workspace, tmp_path
+    ):
+        directory = tmp_path / "emb"
+        directory.mkdir()
+        shutil.copy(workspace / "emb" / "emb-a.txt", directory / "e.txt")
+        shutil.copy(workspace / "emb" / "emb-b.txt", directory / "e.vec")
+        result = runner.invoke(
+            main,
+            [
+                "extract-features",
+                "--config", "L+S:e",
+                "--dataset", str(workspace / "corpus.tsv"),
+                "--embeddings", str(directory),
+                "--out", str(tmp_path / "features.txt"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{directory / 'e.txt'} and {directory / 'e.vec'}" in result.output
+        assert not (tmp_path / "features.txt").exists()
+
+    def test_intersect_vocab_refuses_two_tables_of_one_name(
+        self, runner, workspace, tmp_path
+    ):
+        paths = [tmp_path / "a" / "e.txt", tmp_path / "b" / "e.txt"]
+        for source, path in zip(("emb-a.txt", "emb-b.txt"), paths):
+            path.parent.mkdir()
+            shutil.copy(workspace / "emb" / source, path)
+        out = tmp_path / "shared"
+        result = runner.invoke(
+            main, ["intersect-vocab", *map(str, paths), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{paths[0]} and {paths[1]}" in result.output
+        assert not out.exists()
 
 
 class TestTrainEvaluateRoundTrip:

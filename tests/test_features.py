@@ -1,10 +1,12 @@
 import unicodedata
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_table
 from incongruity.features import (
     ConfigurationError,
@@ -21,6 +23,7 @@ from incongruity.features import (
     ngram_features,
     pragmatic_features,
 )
+from incongruity import harness
 from incongruity.harness import Resources, extract_features
 from incongruity.similarity import Augmentation
 from incongruity.text import tokenize
@@ -68,17 +71,36 @@ class TestRegistry:
         assert "y" not in registry
 
 
+def extracted(rows, registry, augmentation=Augmentation.NONE, block=None):
+    """``extract_features`` when sentence k's prior fragments are ``rows[k]``
+    and its S/WS values under ``augmentation`` are ``block[k]``."""
+    sentences = [tokenize(f"s{k}") for k in range(len(rows))]
+    if block is None:
+        block = np.zeros((len(rows), 0))
+    with mock.patch.object(
+        harness, "build_config_features", lambda s, prior, lexicon: rows[int(s.raw[1:])]
+    ), mock.patch.object(harness, "_block", lambda sentences, config, resources: block):
+        return extract_features(
+            sentences, ExperimentConfig("L", augmentation, "t"), Resources(), registry
+        )
+
+
+# Frozen: name f<i> has id i, and interning adds no name.
+NUMBERED = FeatureRegistry()
+for _fid in range(10_001):
+    NUMBERED.intern(f"f{_fid}")
+NUMBERED.freeze()
+
+
 class TestFeatureVector:
     def test_zero_values_are_absent(self):
-        vector = FeatureVector({0: 1.0, 1: 0.0, 2: -2.5})
+        [vector] = extracted([[{"a": 1.0, "b": 0.0, "c": -2.5}]], FeatureRegistry())
         assert dict(vector.items()) == {0: 1.0, 2: -2.5}
         assert len(vector) == 2
 
-    def test_from_fragments_interns_zeros_but_drops_them(self):
+    def test_extraction_interns_zeros_but_drops_them(self):
         registry = FeatureRegistry()
-        vector = FeatureVector.from_fragments(
-            registry, [{"a": 1.0, "b": 0.0}, {"c": 3.0}]
-        )
+        [vector] = extracted([[{"a": 1.0, "b": 0.0}, {"c": 3.0}]], registry)
         assert registry.names == ("a", "b", "c")
         assert dict(vector.items()) == {
             registry.intern("a"): 1.0,
@@ -86,32 +108,31 @@ class TestFeatureVector:
         }
 
     def test_duplicate_name_across_fragments_rejected(self):
-        registry = FeatureRegistry()
-        with pytest.raises(ValueError):
-            FeatureVector.from_fragments(registry, [{"a": 1.0}, {"a": 2.0}])
+        with pytest.raises(ValueError, match="'a' emitted twice"):
+            extracted([[{"a": 1.0}, {"a": 2.0}]], FeatureRegistry())
 
     def test_frozen_registry_silently_drops_new_names(self):
         registry = FeatureRegistry()
         registry.intern("old")
         registry.freeze()
-        vector = FeatureVector.from_fragments(
-            registry, [{"old": 2.0, "new": 5.0}]
-        )
+        [vector] = extracted([[{"old": 2.0, "new": 5.0}]], registry)
         assert dict(vector.items()) == {0: 2.0}
 
     def test_as_arrays_sorted_and_aligned(self):
-        vector = FeatureVector({7: 1.5, 2: -1.0, 11: 4.0})
+        [vector] = extracted([[{"f7": 1.5, "f2": -1.0, "f11": 4.0}]], NUMBERED)
         ids, values = vector.as_arrays()
         np.testing.assert_array_equal(ids, [2, 7, 11])
         np.testing.assert_array_equal(values, [-1.0, 1.5, 4.0])
         assert ids.dtype == np.int64
 
     def test_as_arrays_are_read_only(self):
-        ids, values = FeatureVector({3: 1.0}).as_arrays()
-        with pytest.raises(ValueError):
-            ids[0] = 4
-        with pytest.raises(ValueError):
-            values[0] = 2.0
+        [row] = extracted([[{"a": 1.0}]], FeatureRegistry())
+        for vector in (row, FeatureVector(np.array([3]), np.array([1.0]))):
+            ids, values = vector.as_arrays()
+            with pytest.raises(ValueError):
+                ids[0] = 4
+            with pytest.raises(ValueError):
+                values[0] = 2.0
 
     @given(
         st.dictionaries(
@@ -121,7 +142,95 @@ class TestFeatureVector:
     )
     def test_items_are_nonzero_mapping_items_sorted_by_id(self, mapping):
         expected = sorted((fid, v) for fid, v in mapping.items() if v != 0.0)
-        assert list(FeatureVector(mapping).items()) == expected
+        row = [{f"f{fid}": v for fid, v in mapping.items()}]
+        [vector] = extracted([row], NUMBERED)
+        assert list(vector.items()) == expected
+
+
+EXTRACT_NAMES = ("a", "b", "c", "d", "e", "f")
+extract_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats())
+
+
+@st.composite
+def extraction_inputs(draw):
+    """Fragment rows, an augmentation with one block value per row and
+    column, and the names a frozen registry holds (None: a fresh registry)."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        entries = draw(
+            st.lists(
+                st.tuples(st.sampled_from(EXTRACT_NAMES), extract_values),
+                unique_by=lambda entry: entry[0],
+                max_size=5,
+            )
+        )
+        cut = draw(st.integers(0, len(entries)))
+        rows.append([dict(entries[:cut]), dict(entries[cut:])])
+    augmentation = draw(st.sampled_from(list(Augmentation)))
+    width = len(augmentation.feature_names)
+    block = draw(
+        st.lists(extract_values, min_size=len(rows) * width, max_size=len(rows) * width)
+    )
+    held = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from(EXTRACT_NAMES + Augmentation.S_AND_WS.feature_names),
+            unique=True,
+        )
+    )
+    return rows, augmentation, np.reshape(block, (len(rows), width)), held
+
+
+def registry_holding(held):
+    """A fresh registry, or a frozen one holding the names ``held``."""
+    registry = FeatureRegistry()
+    if held is not None:
+        for name in held:
+            registry.intern(name)
+        registry.freeze()
+    return registry
+
+
+class TestExtractFeatures:
+    @given(extraction_inputs())
+    @example(
+        (
+            # Fresh registry: zero values, a name repeated across sentences
+            # ("a"), empty rows, and block names numbered between the first
+            # row's prior names and the second row's new ones.
+            [[{"a": 1.0, "b": 0.0}, {}], [{}, {}], [{"c": -0.0, "a": 2.5}, {"d": 3.0}]],
+            Augmentation.S,
+            np.array([[0.5, 0.0, -0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, -1.0]]),
+            None,
+        )
+    )
+    @example(
+        (
+            # Frozen registry: unknown prior and block names are dropped.
+            [[{"a": 1.0, "z": 2.0}], [{"b": 4.0}]],
+            Augmentation.WS,
+            np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 0.0, 7.0, 8.0]]),
+            ["b", "emb.ws.min_sim", "a"],
+        )
+    )
+    def test_matches_per_sentence_reference(self, inputs):
+        rows, augmentation, block, held = inputs
+        registry, reference = registry_holding(held), registry_holding(held)
+        expected = [
+            oracles.number_row(
+                reference, [*fragments, dict(zip(augmentation.feature_names, values))]
+            )
+            for fragments, values in zip(rows, block.tolist())
+        ]
+        vectors = extracted(rows, registry, augmentation, block)
+        assert registry.names == reference.names
+        assert len(vectors) == len(rows)
+        for vector, pairs in zip(vectors, expected):
+            ids, values = vector.as_arrays()
+            assert ids.dtype == np.int64 and values.dtype == np.float64
+            assert ids.tolist() == [fid for fid, _ in pairs]
+            assert values.tobytes() == np.array([v for _, v in pairs]).tobytes()
+            assert not ids.flags.writeable and not values.flags.writeable
 
 
 class TestNgrams:

@@ -467,9 +467,11 @@ class TestCompiledFolds:
         for k, i in enumerate(train_idx):
             labels[i] = 1 - k % 2
         instances = [LabeledInstance(f"r{i}", "text", y) for i, y in enumerate(labels)]
-        corpus = harness._compile(rows)
-        size = len(corpus.names)
-        corpus_ids = {name: fid for fid, name in enumerate(corpus.names)}
+        corpus_names = FeatureRegistry()
+        corpus = harness._compile(rows, corpus_names)
+        size = corpus.size
+        assert size == len(corpus_names)
+        corpus_ids = {name: fid for fid, name in enumerate(corpus_names.names)}
         corpus_ids.update({f"blk{j}": size + j for j in range(block.shape[1])})
         blocks = [np.zeros((len(rows), 0)), block]
 
@@ -494,10 +496,10 @@ class TestCompiledFolds:
                 for fragments, block_row in zip(rows, cell_block.tolist())
             ]
             registry = FeatureRegistry()
-            fit = [FeatureVector.from_fragments(registry, cell_rows[i]) for i in train_idx]
+            fit = [oracles.number_row(registry, cell_rows[i]) for i in train_idx]
             registry.freeze()
             seen = set()
-            for k, vector in enumerate(fit):
+            for k, pairs in enumerate(fit):
                 start, stop = layout.indptr[k], layout.indptr[k + 1]
                 mine = layout.cells[start:stop] == cell
                 ids = layout.ids[start:stop][mine] - layout.offsets[cell]
@@ -505,9 +507,10 @@ class TestCompiledFolds:
                 # Ascending within the row, so block ids follow prior ids.
                 assert np.all(np.diff(ids) > 0)
                 names = [
-                    corpus.names[i] if i < size else f"blk{i - size}" for i in ids.tolist()
+                    corpus_names.name_of(i) if i < size else f"blk{i - size}"
+                    for i in ids.tolist()
                 ]
-                expected = {registry.name_of(fid): value for fid, value in vector.items()}
+                expected = {registry.name_of(fid): value for fid, value in pairs}
                 assert len(names) == len(expected)
                 assert dict(zip(names, values.tolist())) == expected
                 seen.update(ids.tolist())
@@ -515,9 +518,9 @@ class TestCompiledFolds:
             unseen = model.weights[np.setdiff1d(np.arange(len(model.weights)), list(seen))]
             assert not np.any(unseen) and not np.any(np.signbit(unseen))
             for i, prediction in zip(test_idx, predictions[cell]):
-                vector = FeatureVector.from_fragments(registry, cell_rows[i])
                 terms = sorted(
-                    (corpus_ids[registry.name_of(fid)], value) for fid, value in vector.items()
+                    (corpus_ids[registry.name_of(fid)], value)
+                    for fid, value in oracles.number_row(registry, cell_rows[i])
                 )
                 expected = oracles.sequential_sum(
                     model.weights[fid] * value for fid, value in terms if fid in seen
@@ -634,10 +637,20 @@ class TestRunMatrix:
     @pytest.mark.parametrize("folds", [2, 4])
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
         # Folds select rows and train in lockstep: no per-fold interning, no
-        # FeatureVector, no one-cell fit and no per-row prediction.
+        # FeatureVector, no one-cell fit and no per-row prediction.  Each
+        # prior set interns each name it emits once per corpus, so the
+        # intern count is the same at every fold count.
+        instances = generate_corpus(30, 0.4, seed=9)
+        emitted = sum(
+            len(fragment)
+            for prior in PRIOR_SETS
+            for inst in instances
+            for fragment in harness.build_config_features(
+                tokenize(inst.text), prior, resources.lexicon
+            )
+        )
         calls = {
             "intern": 0,
-            "from_fragments": 0,
             "compile": 0,
             "FeatureVector": 0,
             "train": 0,
@@ -655,11 +668,6 @@ class TestRunMatrix:
         monkeypatch.setattr(
             FeatureRegistry, "intern", counting("intern", FeatureRegistry.intern)
         )
-        monkeypatch.setattr(
-            FeatureVector,
-            "from_fragments",
-            classmethod(counting("from_fragments", FeatureVector.from_fragments.__func__)),
-        )
         monkeypatch.setattr(harness, "_compile", counting("compile", harness._compile))
         monkeypatch.setattr(
             FeatureVector, "__init__", counting("FeatureVector", FeatureVector.__init__)
@@ -670,13 +678,14 @@ class TestRunMatrix:
                 LinearModel, method, counting(method, getattr(LinearModel, method))
             )
         run_matrix(
-            generate_corpus(30, 0.4, seed=9),
+            instances,
             resources,
             folds=folds,
             seed=0,
             train_config=TrainConfig(epochs=1),
         )
         assert calls.pop("compile") == len(PRIOR_SETS)
+        assert calls.pop("intern") == emitted
         assert not any(calls.values()), calls
 
     def test_lockstep_cells_match_sequential_oracle(self, resources, monkeypatch):
@@ -703,10 +712,7 @@ class TestRunMatrix:
             for cell, (name, model) in enumerate(zip(names, models)):
                 alone = single_cell(rows, cell)
                 bounds = zip(alone.indptr[:-1], alone.indptr[1:])
-                vectors = [
-                    FeatureVector(dict(zip(alone.ids[a:b].tolist(), alone.values[a:b].tolist())))
-                    for a, b in bounds
-                ]
+                vectors = [FeatureVector(alone.ids[a:b], alone.values[a:b]) for a, b in bounds]
                 weights, threshold = oracles.sequential_sgd_weights(
                     list(zip(vectors, labels)), config
                 )
