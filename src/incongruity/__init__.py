@@ -35,29 +35,14 @@ from .harness import (
     run_matrix,
     stratified_kfold,
 )
-from .similarity import (
-    Augmentation,
-    PairwiseScores,
-    pairwise_scores,
-    similarity_block,
-    unweighted_features,
-    weighted_features,
-)
+from .similarity import Augmentation, similarity_block
 from .synthetic import generate_corpus, toy_embedding_tables
-from .text import (
-    ContentWords,
-    TokenizedSentence,
-    content_words,
-    default_stopwords,
-    load_stopwords,
-    tokenize,
-)
+from .text import TokenizedSentence, default_stopwords, load_stopwords, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Augmentation",
-    "ContentWords",
     "EmbeddingTable",
     "ExperimentConfig",
     "FeatureRegistry",
@@ -67,13 +52,11 @@ __all__ = [
     "LinearModel",
     "MatrixResult",
     "MetricsReport",
-    "PairwiseScores",
     "Resources",
     "TokenizedSentence",
     "TrainConfig",
     "build_config_features",
     "compute_gains",
-    "content_words",
     "default_lexicon",
     "default_stopwords",
     "emit_report",
@@ -84,7 +67,6 @@ __all__ = [
     "load_lexicon",
     "load_model",
     "load_stopwords",
-    "pairwise_scores",
     "run_config",
     "run_matrix",
     "save_model",
@@ -94,6 +76,4 @@ __all__ = [
     "tokenize",
     "toy_embedding_tables",
     "train",
-    "unweighted_features",
-    "weighted_features",
 ]

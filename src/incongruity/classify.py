@@ -395,8 +395,8 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
         if lines[0] != f"{_MODEL_MAGIC} v{_MODEL_VERSION}":
             raise ModelFormatError(f"unsupported model header {lines[0]!r}")
         dimension = int(_expect(lines[1], "dim"))
-        bias = float(_expect(lines[2], "bias"))
-        threshold = float(_expect(lines[3], "threshold"))
+        bias = _finite(path, 3, _expect(lines[2], "bias"))
+        threshold = _finite(path, 4, _expect(lines[3], "threshold"))
         name_count = int(_expect(lines[4], "names"))
         if dimension > name_count:
             raise ModelFormatError(
@@ -431,12 +431,23 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
                 raise ModelFormatError(f"{path}: line {lineno}: weight id {fid} listed twice")
             seen.add(fid)
             weights[fid] = float(value_text)
+        if not np.isfinite(weights).all():
+            # Only a failed check pays for finding the line.
+            for lineno, line in enumerate(weight_lines, start=weight_header + 2):
+                _finite(path, lineno, line.partition(" ")[2])
     except (IndexError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed model file {path}") from exc
     registry.freeze()
     return LinearModel(weights=weights, bias=bias, threshold=threshold), registry
+
+
+def _finite(path: str | Path, lineno: int, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{path}: line {lineno}: non-finite value {text!r}")
+    return value
 
 
 def _expect(line: str, key: str) -> str:

@@ -334,8 +334,15 @@ def save_text_vectors(table: EmbeddingTable, path: str | Path) -> None:
 
     Components use the shortest decimal representation that round-trips
     to the identical float32, so load(save(T)) reproduces T's vectors
-    bit-for-bit.
+    bit-for-bit.  A word that is empty or holds whitespace raises
+    ValueError naming the word, since the reader could not give it back.
     """
+    for word in table.vocab:
+        if word.split() != [word]:
+            raise ValueError(
+                f"word {word!r}: an empty word or one holding whitespace "
+                "cannot be written as a text-vector line"
+            )
     path = Path(path)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{len(table)} {table.dimension}\n")

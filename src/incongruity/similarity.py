@@ -27,8 +27,6 @@ of zeros for a sentence with fewer than two content-word types.  It takes
 the corpus's content words from :func:`~incongruity.text.content_index`
 and runs each stage -- gather, normalize, Gram product, distances,
 extremes -- once per chunk of sentences with the same shape.
-:func:`pairwise_scores`, :func:`unweighted_features` and
-:func:`weighted_features` are the same stages applied to one sentence.
 
 Feature names ("emb.s.max_sim", ...) are a persisted contract: anything
 written to feature files or model files uses exactly these strings.
@@ -37,13 +35,12 @@ written to feature files or model files uses exactly these strings.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .text import CHUNK_BYTES, ContentWords, TokenizedSentence, content_index
+from .text import CHUNK_BYTES, TokenizedSentence, content_index
 
 
 class Augmentation(enum.Enum):
@@ -87,25 +84,6 @@ WS_FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class PairwiseScores:
-    """Pair scores and token distances for one sentence's content words.
-
-    ``scores`` is symmetric with NaN on the diagonal (a word has no score
-    with itself); ``distances`` is symmetric with zeros on the diagonal
-    and every off-diagonal entry >= 1.
-    """
-
-    words: tuple[str, ...]
-    scores: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.words)
-        if self.scores.shape != (n, n) or self.distances.shape != (n, n):
-            raise ValueError("matrix shapes must match word count")
-
-
 def _cosines(rows: np.ndarray) -> np.ndarray:
     """The (k, n, n) cosines of k stacked (n, d) float32 row sets, NaN diagonal.
 
@@ -141,11 +119,6 @@ def _distances(occurrences: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(by_column, runs, axis=0).reshape(k, n, n)
 
 
-def _weighted(scores: np.ndarray, distances: np.ndarray) -> np.ndarray:
-    """WS scores: each pair score over its squared distance."""
-    return scores / distances**2
-
-
 def _extremes(matrices: np.ndarray) -> np.ndarray:
     """(k, 4) extremes of k stacked (n, n) matrices, diagonals ignored.
 
@@ -157,35 +130,6 @@ def _extremes(matrices: np.ndarray) -> np.ndarray:
     best = np.where(off_diagonal, matrices, -np.inf).max(axis=-1)
     worst = np.where(off_diagonal, matrices, np.inf).min(axis=-1)
     return np.stack([best.max(-1), best.min(-1), worst.max(-1), worst.min(-1)], axis=-1)
-
-
-def pairwise_scores(content: ContentWords) -> PairwiseScores:
-    """All pair cosines and minimum token distances of one sentence.
-
-    Raises ValueError when the sentence has fewer than two content-word
-    types, since no pair exists.
-    """
-    n = len(content)
-    if n < 2:
-        raise ValueError(f"need at least 2 content-word types, found {n}")
-    occurrences = np.concatenate(content.positions)
-    starts = np.cumsum([0, *map(len, content.positions[:-1])])
-    return PairwiseScores(
-        content.words,
-        _cosines(content.rows[None])[0],
-        _distances(occurrences[None], starts[None])[0],
-    )
-
-
-def unweighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, float]:
-    """The S block: (max_sim, min_sim, max_dissim, min_dissim) on raw scores."""
-    return tuple(_extremes(pairwise.scores[None])[0].tolist())
-
-
-def weighted_features(pairwise: PairwiseScores) -> tuple[float, float, float, float]:
-    """The WS block: the same extremes on score / distance**2."""
-    weighted = _weighted(pairwise.scores, pairwise.distances)
-    return tuple(_extremes(weighted[None])[0].tolist())
 
 
 def similarity_block(
@@ -223,6 +167,7 @@ def similarity_block(
             distances = _distances(
                 index.positions[first + np.arange(s)], index.position_ptr[type_ids] - first
             )
-            weighted = _weighted(scores, distances)
+            # WS: each pair score over its squared distance.
+            weighted = scores / distances**2
             block[members] = np.hstack([_extremes(scores), _extremes(weighted)])
     return block

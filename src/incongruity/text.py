@@ -11,8 +11,6 @@ string first, then by their lowercased form.  :func:`content_index`
 selects the content words of a whole corpus in one pass, classifying each
 distinct token string once, and holds them as flat integer arrays: per
 sentence its types' table rows, per type its token positions.
-:func:`content_words` is the same selection for one sentence, with the
-words and their table rows gathered into one (types, dimension) array.
 """
 
 from __future__ import annotations
@@ -193,36 +191,3 @@ def _token_rows(
     row_of = dict(zip(distinct, rows.tolist()))
     tokens = chain.from_iterable(s.tokens for s in sentences)
     return np.fromiter(map(row_of.__getitem__, tokens), np.int64)
-
-
-@dataclass(frozen=True)
-class ContentWords:
-    """Content-word types of one sentence, ordered by first occurrence.
-
-    Type k is ``words[k]``; it occurs at the ascending token positions
-    ``positions[k]``, and ``rows[k]`` is its table row.  ``rows`` is one
-    gathered (types, dimension) float32 array.
-    """
-
-    words: tuple[str, ...]
-    positions: tuple[tuple[int, ...], ...]
-    rows: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def content_words(
-    sentence: TokenizedSentence,
-    stopwords: frozenset[str],
-    table: EmbeddingTable,
-) -> ContentWords:
-    """The content-word types of one sentence: :func:`content_index` of it
-    alone, with each type's word and gathered row."""
-    index = content_index([sentence], stopwords, table)
-    ptr = index.position_ptr.tolist()
-    return ContentWords(
-        tuple(table.vocab[row] for row in index.rows.tolist()),
-        tuple(tuple(index.positions[a:b].tolist()) for a, b in zip(ptr, ptr[1:])),
-        table.vectors[index.rows],
-    )

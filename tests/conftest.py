@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from incongruity.embeddings import EmbeddingTable
-from incongruity.similarity import PairwiseScores
 
 # Five-word reference sentence: "A woman needs a man like a fish needs a
 # bicycle".  Raw token positions: woman 1, needs {2, 8}, man 4, fish 7,
@@ -30,7 +29,9 @@ FIXTURE_PAIR_SCORES = {
 }
 
 
-def fixture_pairwise() -> PairwiseScores:
+def fixture_pairwise():
+    """(words, scores, distances) of the reference sentence: the score matrix
+    has NaN on its diagonal, the distance matrix 0."""
     n = len(FIXTURE_WORDS)
     scores = np.full((n, n), np.nan)
     distances = np.zeros((n, n), dtype=np.int64)
@@ -45,11 +46,11 @@ def fixture_pairwise() -> PairwiseScores:
                 for p in FIXTURE_POSITIONS[wi]
                 for q in FIXTURE_POSITIONS[wj]
             )
-    return PairwiseScores(FIXTURE_WORDS, scores, distances)
+    return FIXTURE_WORDS, scores, distances
 
 
 @pytest.fixture
-def table_one() -> PairwiseScores:
+def table_one():
     return fixture_pairwise()
 
 

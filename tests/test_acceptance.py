@@ -39,9 +39,10 @@ from incongruity.harness import (
     MetricsReport,
 )
 from incongruity.features import PRIOR_SETS
-from incongruity.similarity import Augmentation, similarity_block, unweighted_features
+from incongruity import similarity
+from incongruity.similarity import Augmentation, similarity_block
 from incongruity.synthetic import generate_corpus, toy_embedding_tables
-from incongruity.text import content_words, tokenize
+from incongruity.text import tokenize
 
 
 @contextlib.contextmanager
@@ -65,7 +66,8 @@ class TestFeatureExtractionExactness:
         with criterion(
             "unweighted features on the reference score matrix", budget=1.0
         ):
-            values = unweighted_features(table_one)
+            _, scores, _ = table_one
+            values = similarity._extremes(scores[None])[0]
             np.testing.assert_allclose(
                 values, (0.766, 0.078, 0.078, 0.022), atol=1e-9
             )
@@ -96,9 +98,8 @@ class TestOracleEquivalence:
             # One corpus-level block, each row checked against the oracle.
             block = similarity_block(sentences, table, stopwords)
             for sentence, row in zip(sentences, block):
-                selected = content_words(sentence, stopwords, table)
                 s_expected, ws_expected = oracles.brute_force_blocks(
-                    selected.words, selected.rows, selected.positions
+                    *oracles.content_words(sentence.tokens, stopwords, table)
                 )
                 np.testing.assert_allclose(row[:4], s_expected, atol=1e-9)
                 np.testing.assert_allclose(row[4:], ws_expected, atol=1e-9)

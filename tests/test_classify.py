@@ -572,6 +572,27 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="line 2: dim 3 exceeds 2 names"):
             load_model(path)
 
+    def test_non_finite_bias_names_line(self, tmp_path):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: [*lines[:2], "bias nan", *lines[3:]]
+        )
+        with pytest.raises(ModelFormatError, match="model.txt: line 3: non-finite value 'nan'"):
+            load_model(path)
+
+    def test_non_finite_threshold_names_line(self, tmp_path):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: [*lines[:3], "threshold inf", *lines[4:]]
+        )
+        with pytest.raises(ModelFormatError, match="model.txt: line 4: non-finite value 'inf'"):
+            load_model(path)
+
+    def test_non_finite_weight_names_line(self, tmp_path):
+        path = self.write_model(
+            tmp_path / "model.txt", lambda lines: [*lines[:8], "0 -inf", lines[9]]
+        )
+        with pytest.raises(ModelFormatError, match="model.txt: line 9: non-finite value '-inf'"):
+            load_model(path)
+
     def test_non_utf8_file_names_file_and_line(self, tmp_path):
         path = self.write_model(tmp_path / "model.txt", lambda lines: lines)
         lines = path.read_bytes().split(b"\n")

@@ -98,6 +98,22 @@ class TestIntersectVocab:
         assert len(a) == 48
 
 
+    def test_word_text_vectors_cannot_hold_is_refused(self, runner, tmp_path):
+        # A binary record's word ends at a space, so it may hold a tab; the
+        # text format could not read that word back.
+        one = np.float32(1.0).tobytes()
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path in paths:
+            path.write_bytes(b"2 1\n" + b"x\ty " + one + b"z " + one)
+        out = tmp_path / "shared"
+        result = runner.invoke(
+            main, ["intersect-vocab", *map(str, paths), "--out", str(out)]
+        )
+        assert result.exit_code != 0
+        assert "word 'x\\ty'" in str(result.exception)
+        assert not list(out.iterdir())
+
+
 class TestSameNamedTables:
     def test_embedding_dir_with_one_stem_twice_is_refused(
         self, runner, workspace, tmp_path

@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -17,8 +18,8 @@ from incongruity.embeddings import (
     load_embeddings,
     save_text_vectors,
 )
-from incongruity.similarity import pairwise_scores, similarity_block
-from incongruity.text import content_words, tokenize
+from incongruity.similarity import similarity_block
+from incongruity.text import content_index, tokenize
 
 
 def write_binary(path, records, header=None, trailing_newlines=False, extra=b""):
@@ -345,6 +346,14 @@ class TestRoundTrip:
         assert loaded.vocab == table.vocab
         np.testing.assert_array_equal(loaded.vectors, table.vectors)
 
+    @pytest.mark.parametrize("word", ["a b", "", "a\tb", "a\xa0b", " a"])
+    def test_word_the_loader_cannot_read_back_is_refused(self, tmp_path, word):
+        table = EmbeddingTable("t", [word, "c"], np.array([[0.1], [2.0]], dtype=np.float32))
+        out = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=re.escape(f"word {word!r}: an empty word")):
+            save_text_vectors(table, out)
+        assert not out.exists()
+
     def test_round_trip_without_header(self, tmp_path):
         table = EmbeddingTable("t", ["a", "b"], np.array([[0.1], [2.0]], dtype=np.float32))
         out = tmp_path / "nohdr.txt"
@@ -354,11 +363,11 @@ class TestRoundTrip:
 
 
 def pair_score(table, word_a, word_b):
-    """The S/WS pipeline's cosine for two one-occurrence words of ``table``."""
-    selected = content_words(tokenize(f"{word_a} {word_b}"), frozenset(), table)
-    scores = pairwise_scores(selected).scores
-    assert scores[0, 1] == scores[1, 0]
-    return float(scores[0, 1])
+    """The S/WS pipeline's cosine for two one-occurrence words of ``table``:
+    with one pair, the four S values of its ``similarity_block`` row."""
+    [row] = similarity_block([tokenize(f"{word_a} {word_b}")], table, frozenset())
+    assert len(set(row[:4].tolist())) == 1
+    return float(row[0])
 
 
 def cosine(a, b):
@@ -384,15 +393,13 @@ class TestCosine:
     def test_opposite_vectors_clamped(self):
         assert cosine([1.0, 0.0], [-1.0, 0.0]) == -1.0
 
-    def test_zero_norm_raises(self):
+    def test_zero_norm_word_is_never_scored(self):
         # A zero-norm word is dropped from the content words, so no pair is
-        # left: the block row is all zeros and no pair can be scored.
+        # left: the block row is all zeros.
         table = EmbeddingTable("pair", ["u", "v"], np.array([[0.0, 0.0], [1.0, 2.0]]))
         sentence = tokenize("u v")
-        assert len(content_words(sentence, frozenset(), table)) == 1
+        assert content_index([sentence], frozenset(), table).rows.tolist() == [1]
         assert not similarity_block([sentence], table, frozenset()).any()
-        with pytest.raises(ValueError, match="at least 2"):
-            pair_score(table, "u", "v")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

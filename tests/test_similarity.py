@@ -13,36 +13,57 @@ from incongruity.features import ExperimentConfig, FeatureRegistry
 from incongruity.harness import Resources, extract_features
 from incongruity.similarity import (
     Augmentation,
-    PairwiseScores,
     S_FEATURE_NAMES,
     WS_FEATURE_NAMES,
-    pairwise_scores,
     similarity_block,
-    unweighted_features,
-    weighted_features,
 )
-from incongruity.text import TokenizedSentence, content_words, tokenize
+from incongruity.text import TokenizedSentence, content_index, tokenize
+
+
+def pair_matrices(vectors, positions):
+    """``_cosines`` and ``_distances`` of one sentence's content-word types."""
+    starts = np.cumsum([0, *map(len, positions[:-1])])
+    return (
+        similarity._cosines(np.array(vectors)[None])[0],
+        similarity._distances(np.concatenate(positions)[None], starts[None])[0],
+    )
+
+
+def s_block(scores):
+    """The S block of one (n, n) score matrix, as a tuple."""
+    return tuple(similarity._extremes(scores[None])[0].tolist())
+
+
+def ws_block(scores, distances):
+    """The WS block: the same extremes on score / distance**2."""
+    return s_block(scores / distances**2)
 
 
 class TestPairwiseScores:
     def test_symmetric_with_undefined_diagonal(self):
         table = random_table(6, 8, seed=3)
-        sentence = tokenize(" ".join(table.vocab[:5]))
-        pairs = pairwise_scores(content_words(sentence, frozenset(), table))
-        n = len(pairs.words)
-        assert np.isnan(pairs.scores.diagonal()).all()
-        off = ~np.eye(n, dtype=bool)
-        np.testing.assert_array_equal(pairs.scores[off], pairs.scores.T[off])
-        assert (pairs.distances[off] >= 1).all()
+        tokens = tuple(table.vocab[:5])
+        _, vectors, positions = oracles.content_words(tokens, frozenset(), table)
+        scores, distances = pair_matrices(vectors, positions)
+        assert np.isnan(scores.diagonal()).all()
+        off = ~np.eye(len(tokens), dtype=bool)
+        np.testing.assert_array_equal(scores[off], scores.T[off])
+        np.testing.assert_array_equal(distances, distances.T)
+        assert (distances[off] >= 1).all()
 
     def test_distance_uses_minimum_occurrence_gap(self):
         table = random_table(30, 6, seed=4)
         # w000 at positions 0 and 5, w001 at position 3: min gap is 2.
-        sentence = tokenize("w000 w002 w003 w001 w004 w000")
-        pairs = pairwise_scores(content_words(sentence, frozenset(), table))
-        i = pairs.words.index("w000")
-        j = pairs.words.index("w001")
-        assert pairs.distances[i, j] == 2
+        tokens = ("w000", "w002", "w003", "w001", "w004", "w000")
+        words, vectors, positions = oracles.content_words(tokens, frozenset(), table)
+        _, distances = pair_matrices(vectors, positions)
+        assert distances[words.index("w000"), words.index("w001")] == 2
+        # With only those two types, WS is S over 2 squared, exactly.
+        [row] = similarity_block(
+            [tokenize("w000 pad pad w001 pad w000")], table, frozenset({"pad"})
+        )
+        assert row[:4].any()
+        assert row[4:].tolist() == (row[:4] / 4).tolist()
 
     def test_each_pair_matches_scalar_oracle(self):
         table = random_table(30, 12, seed=10)
@@ -58,78 +79,63 @@ class TestPairwiseScores:
         sentences.append(list(table.vocab) + ["the", "w000", "zzz-oov"] * 3 + ["w005"])
         checked = 0
         for tokens in sentences:
-            selected = content_words(tokenize(" ".join(tokens)), stopwords, table)
-            if len(selected) < 2:
+            words, rows, positions = oracles.content_words(tokens, stopwords, table)
+            if len(words) < 2:
                 continue
             checked += 1
-            pairs = pairwise_scores(selected)
-            rows, positions = selected.rows, selected.positions
-            for i in range(len(selected)):
-                for j in range(len(selected)):
+            scores, distances = pair_matrices(rows, positions)
+            for i in range(len(words)):
+                for j in range(len(words)):
                     if i == j:
                         continue
-                    assert pairs.scores[i, j] == pytest.approx(
+                    assert scores[i, j] == pytest.approx(
                         oracles.cosine(rows[i], rows[j]), rel=0, abs=1e-12,
                     )
-                    assert pairs.distances[i, j] == oracles.min_distance(
+                    assert distances[i, j] == oracles.min_distance(
                         positions[i], positions[j]
                     )
         assert checked >= 40
 
-    def test_insufficient_content_raises(self):
-        table = random_table(5, 4, seed=5)
-        sentence = tokenize("w000 w000 oov")
-        with pytest.raises(ValueError, match="at least 2"):
-            pairwise_scores(content_words(sentence, frozenset(), table))
-
 
 class TestUnweightedBlock:
     def test_reference_matrix_values(self, table_one):
-        values = unweighted_features(table_one)
+        _, scores, _ = table_one
         np.testing.assert_allclose(
-            values, (0.766, 0.078, 0.078, 0.022), atol=1e-9
+            s_block(scores), (0.766, 0.078, 0.078, 0.022), atol=1e-9
         )
 
     def test_reference_matrix_against_oracle(self, table_one):
         # Independent recomputation from the raw pair list.
-        n = len(table_one.words)
+        words, scores, _ = table_one
+        n = len(words)
         best, worst = [], []
         for i in range(n):
-            row = [table_one.scores[i, j] for j in range(n) if j != i]
+            row = [scores[i, j] for j in range(n) if j != i]
             best.append(max(row))
             worst.append(min(row))
         expected = (max(best), min(best), max(worst), min(worst))
-        np.testing.assert_allclose(unweighted_features(table_one), expected, atol=0)
+        np.testing.assert_allclose(s_block(scores), expected, atol=0)
 
     def test_two_word_sentence_collapses(self):
         scores = np.array([[np.nan, 0.4], [0.4, np.nan]])
-        distances = np.array([[0, 1], [1, 0]])
-        pairs = PairwiseScores(("x", "y"), scores, distances)
-        assert unweighted_features(pairs) == (0.4, 0.4, 0.4, 0.4)
+        assert s_block(scores) == (0.4, 0.4, 0.4, 0.4)
 
     def test_nan_score_propagates(self):
         scores = np.array(
             [[np.nan, np.nan, 0.2], [np.nan, np.nan, 0.5], [0.2, 0.5, np.nan]]
         )
-        distances = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        pairs = PairwiseScores(("x", "y", "z"), scores, distances)
-        assert np.isnan(unweighted_features(pairs)).all()
+        assert np.isnan(s_block(scores)).all()
 
     def test_order_permutation_invariance(self):
         table = random_table(8, 10, seed=6)
         rng = np.random.default_rng(7)
-        sentence = tokenize(" ".join(table.vocab))
-        pairs = pairwise_scores(content_words(sentence, frozenset(), table))
-        reference = unweighted_features(pairs)
+        _, vectors, positions = oracles.content_words(table.vocab, frozenset(), table)
+        scores, _ = pair_matrices(vectors, positions)
+        reference = s_block(scores)
         for _ in range(10):
-            perm = rng.permutation(len(pairs.words))
-            shuffled = PairwiseScores(
-                tuple(pairs.words[i] for i in perm),
-                pairs.scores[np.ix_(perm, perm)],
-                pairs.distances[np.ix_(perm, perm)],
-            )
+            perm = rng.permutation(len(vectors))
             np.testing.assert_allclose(
-                unweighted_features(shuffled), reference, atol=1e-12
+                s_block(scores[np.ix_(perm, perm)]), reference, atol=1e-12
             )
 
     def test_max_ge_min_invariants(self):
@@ -138,10 +144,8 @@ class TestUnweightedBlock:
             table = random_table(10, 6, seed=100 + trial)
             k = int(rng.integers(2, 10))
             words = list(rng.choice(table.vocab, size=k, replace=False))
-            pairs = pairwise_scores(
-                content_words(tokenize(" ".join(words)), frozenset(), table)
-            )
-            max_sim, min_sim, max_dissim, min_dissim = unweighted_features(pairs)
+            [row] = similarity_block([tokenize(" ".join(words))], table, frozenset())
+            max_sim, min_sim, max_dissim, min_dissim = row[:4]
             assert max_sim >= min_sim
             assert max_dissim >= min_dissim
             assert max_sim >= max_dissim
@@ -154,9 +158,9 @@ class TestWeightedBlock:
         # squared gives ~0.0851.
         scores = np.array([[np.nan, 0.766], [0.766, np.nan]])
         distances = np.array([[0, 3], [3, 0]])
-        pairs = PairwiseScores(("woman", "man"), scores, distances)
-        values = weighted_features(pairs)
-        np.testing.assert_allclose(values, (0.766 / 9,) * 4, atol=1e-9)
+        np.testing.assert_allclose(
+            ws_block(scores, distances), (0.766 / 9,) * 4, atol=1e-9
+        )
 
     def test_adjacent_words_equal_unweighted_exactly(self):
         rng = np.random.default_rng(9)
@@ -166,19 +170,19 @@ class TestWeightedBlock:
         np.fill_diagonal(scores, np.nan)
         distances = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(distances, 0)
-        pairs = PairwiseScores(tuple("abcde"), scores, distances)
-        assert weighted_features(pairs) == unweighted_features(pairs)
+        assert ws_block(scores, distances) == s_block(scores)
 
     def test_reference_matrix_against_oracle(self, table_one):
-        n = len(table_one.words)
-        weighted = table_one.scores / table_one.distances.astype(float) ** 2
+        words, scores, distances = table_one
+        n = len(words)
+        weighted = scores / distances.astype(float) ** 2
         best, worst = [], []
         for i in range(n):
             row = [weighted[i, j] for j in range(n) if j != i]
             best.append(max(row))
             worst.append(min(row))
         expected = (max(best), min(best), max(worst), min(worst))
-        np.testing.assert_allclose(weighted_features(table_one), expected, atol=1e-12)
+        np.testing.assert_allclose(ws_block(scores, distances), expected, atol=1e-12)
 
 
 class TestOracleEquivalence:
@@ -196,14 +200,14 @@ class TestOracleEquivalence:
         block = similarity_block(sentences, table, stopwords)
         checked = 0
         for sentence, row in zip(sentences, block):
-            selected = content_words(sentence, stopwords, table)
-            if len(selected) < 2:
+            words, vectors, positions = oracles.content_words(
+                sentence.tokens, stopwords, table
+            )
+            if len(words) < 2:
                 assert not row.any()
                 continue
             checked += 1
-            s_expected, ws_expected = oracles.brute_force_blocks(
-                selected.words, selected.rows, selected.positions
-            )
+            s_expected, ws_expected = oracles.brute_force_blocks(words, vectors, positions)
             np.testing.assert_allclose(row[:4], s_expected, atol=1e-9)
             np.testing.assert_allclose(row[4:], ws_expected, atol=1e-9)
         assert checked >= 100
@@ -212,7 +216,7 @@ class TestOracleEquivalence:
 # Rows that stress the cosine: signed zeros (dropped), the smallest float32
 # subnormal (kept), equal and opposite rows (clamped at +-1).
 _SPECIAL_ROWS = st.sampled_from(["zero", "negative zero", "subnormal", "copy", "negated"])
-_CORPUS_WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "paris", "Paris")
+_CORPUS_WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "paris", "Paris", "the")
 
 
 @st.composite
@@ -220,8 +224,8 @@ def kernel_corpora(draw):
     """A table and a corpus that reach every branch of the block kernel.
 
     Tokens include repeats, case variants that resolve to one row ("W3" to
-    "w3") or to their own ("Paris"), stopwords in either case, punctuation
-    and out-of-vocabulary tokens.
+    "w3") or to their own ("Paris"), stopwords in either case (the table
+    holds "the"), punctuation and out-of-vocabulary tokens.
     """
     dim = draw(st.integers(1, 6))
     component = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -261,7 +265,8 @@ def blocks_under_budget(budget, sentences, table, stopwords):
 
 
 class TestCorpusKernel:
-    """``similarity_block`` stacks sentences; no row may depend on its stack."""
+    """``content_index`` and ``similarity_block`` take a corpus at a time; no
+    sentence's selection or row may depend on the others."""
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_corpora())
@@ -279,6 +284,22 @@ class TestCorpusKernel:
         whole, _ = blocks_under_budget(budget, sentences, table, stopwords)
         expected = [oracles.gram_block_row(s.tokens, stopwords, table) for s in sentences]
         assert whole.tobytes() == np.reshape(expected, (len(sentences), 8)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_corpora())
+    def test_content_index_is_the_oracle_selection_sentence_by_sentence(self, case):
+        table, sentences, budget = case
+        stopwords = frozenset({"the", "of"})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(text, "CHUNK_BYTES", budget)
+            index = content_index(sentences, stopwords, table)
+        assert len(index.type_ptr) == len(sentences) + 1
+        ptr = index.position_ptr.tolist()
+        for s, sentence in enumerate(sentences):
+            words, _, positions = oracles.content_words(sentence.tokens, stopwords, table)
+            types = range(index.type_ptr[s], index.type_ptr[s + 1])
+            assert [table.vocab[index.rows[t]] for t in types] == words
+            assert [index.positions[ptr[t] : ptr[t + 1]].tolist() for t in types] == positions
 
     def test_memory_stays_within_a_few_chunks(self):
         # Ten distinct words per sentence make one stack of 2,000 sentences,
@@ -339,9 +360,9 @@ class TestEmbedFeatures:
         # Stopwords, punctuation and OOV tokens only: no row is gathered.
         table = random_table(10, 5, seed=30)
         sentence = tokenize("The of ! ... zzz-oov")
-        selected = content_words(sentence, frozenset({"the", "of"}), table)
-        assert len(selected) == 0
-        assert selected.rows.shape == (0, table.dimension)
+        index = content_index([sentence], frozenset({"the", "of"}), table)
+        assert index.type_ptr.tolist() == [0, 0]
+        assert len(index.rows) == len(index.positions) == 0
         block = similarity_block([sentence], table, frozenset({"the", "of"}))
         assert block.shape == (1, 8) and not block.any()
 

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from incongruity.embeddings import intersect_vocabularies, load_embeddings
 from incongruity.harness import load_dataset
+from incongruity.similarity import similarity_block
 from incongruity.synthetic import (
     FAMILIES,
     TEMPLATES,
@@ -15,7 +16,7 @@ from incongruity.synthetic import (
     toy_embedding_tables,
     write_corpus_and_tables,
 )
-from incongruity.text import content_words, default_stopwords, tokenize
+from incongruity.text import default_stopwords, tokenize
 
 ALL_CLUSTER_WORDS = frozenset(itertools.chain.from_iterable(WORD_CLUSTERS))
 
@@ -91,9 +92,11 @@ class TestGenerateCorpus:
         table = toy_embedding_tables(seed=0)["emb-a"]
         stopwords = default_stopwords()
         for instance in generate_corpus(60, 0.4, seed=2):
-            selected = content_words(tokenize(instance.text), stopwords, table)
-            assert len(selected) == 4
-            assert set(selected.words) <= ALL_CLUSTER_WORDS
+            words, _, _ = oracles.content_words(
+                tokenize(instance.text).tokens, stopwords, table
+            )
+            assert len(words) == 4
+            assert set(words) <= ALL_CLUSTER_WORDS
 
     def test_sarcastic_sentences_mix_families(self):
         # A sarcastic sentence has a same-cluster pair and a cross-family
@@ -111,9 +114,11 @@ class TestGenerateCorpus:
         table = toy_embedding_tables(seed=0)["emb-a"]
         stopwords = default_stopwords()
         for instance in generate_corpus(80, 0.5, seed=3):
-            selected = content_words(tokenize(instance.text), stopwords, table)
-            families = {family_of[cluster_of[w]] for w in selected.words}
-            clusters = [cluster_of[w] for w in selected.words]
+            words, _, _ = oracles.content_words(
+                tokenize(instance.text).tokens, stopwords, table
+            )
+            families = {family_of[cluster_of[w]] for w in words}
+            clusters = [cluster_of[w] for w in words]
             if instance.label == 1:
                 assert len(families) == 2
                 assert len(set(clusters)) == 3  # one cluster repeats
@@ -132,8 +137,10 @@ class TestGenerateCorpus:
         table = toy_embedding_tables(seed=0)["emb-a"]
         stopwords = default_stopwords()
         for instance in instances:
-            selected = content_words(tokenize(instance.text), stopwords, table)
-            assert len({cluster_of[w] for w in selected.words}) == 4
+            words, _, _ = oracles.content_words(
+                tokenize(instance.text).tokens, stopwords, table
+            )
+            assert len({cluster_of[w] for w in words}) == 4
 
     def test_templates_use_only_stopword_fillers(self):
         stopwords = default_stopwords()
@@ -183,17 +190,13 @@ class TestEndToEndSignal:
         # The designed signal: sarcastic sentences contain both a
         # high-similarity pair and a low-similarity pair, plain sentences
         # sit uniformly in between.
-        from incongruity.similarity import pairwise_scores, unweighted_features
-
         table = toy_embedding_tables(seed=0)["emb-a"]
-        stopwords = default_stopwords()
+        instances = generate_corpus(100, 0.5, seed=5)
+        sentences = [tokenize(instance.text) for instance in instances]
+        block = similarity_block(sentences, table, default_stopwords())
         max_sims = {0: [], 1: []}
         min_dissims = {0: [], 1: []}
-        for instance in generate_corpus(100, 0.5, seed=5):
-            selected = content_words(tokenize(instance.text), stopwords, table)
-            max_sim, _, _, min_dissim = unweighted_features(
-                pairwise_scores(selected)
-            )
+        for instance, (max_sim, _, _, min_dissim) in zip(instances, block[:, :4].tolist()):
             max_sims[instance.label].append(max_sim)
             min_dissims[instance.label].append(min_dissim)
         assert min(max_sims[1]) > max(max_sims[0])

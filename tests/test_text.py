@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import oracles
 from incongruity.embeddings import EmbeddingTable
 from incongruity.text import (
     EmptySentenceError,
     content_index,
-    content_words,
     default_stopwords,
     is_punctuation,
     load_stopwords,
@@ -114,50 +114,57 @@ def small_table():
     )
 
 
+def content_of(text, stopwords, table):
+    """One sentence's ``content_index`` types as {word: token positions},
+    in first-occurrence order."""
+    index = content_index([tokenize(text)], stopwords, table)
+    ptr = index.position_ptr.tolist()
+    return {
+        table.vocab[row]: tuple(index.positions[a:b].tolist())
+        for row, a, b in zip(index.rows.tolist(), ptr, ptr[1:])
+    }
+
+
 class TestCasingPolicy:
     def test_exact_then_lowercase(self):
         table = small_table()
-        result = content_words(tokenize("Paris Man unknown"), frozenset(), table)
-        assert result.words == ("Paris", "man")
+        assert tuple(content_of("Paris Man unknown", frozenset(), table)) == ("Paris", "man")
 
 
 class TestContentWords:
     def test_reference_sentence(self):
-        sentence = tokenize("A woman needs a man like a fish needs a bicycle")
-        stopwords = frozenset({"a", "like"})
-        result = content_words(sentence, stopwords, small_table())
-        assert result.words == ("woman", "needs", "man", "fish", "bicycle")
+        text = "A woman needs a man like a fish needs a bicycle"
+        result = content_of(text, frozenset({"a", "like"}), small_table())
+        assert tuple(result) == ("woman", "needs", "man", "fish", "bicycle")
 
     def test_duplicate_type_merges_positions(self):
-        sentence = tokenize("A woman needs a man like a fish needs a bicycle")
-        result = content_words(sentence, frozenset({"a", "like"}), small_table())
-        by_word = dict(zip(result.words, result.positions))
+        text = "A woman needs a man like a fish needs a bicycle"
+        by_word = content_of(text, frozenset({"a", "like"}), small_table())
         assert by_word["needs"] == (2, 8)
         assert by_word["man"] == (4,)
 
     def test_punctuation_dropped_but_keeps_distance(self):
-        sentence = tokenize("man , fish")
-        result = content_words(sentence, frozenset(), small_table())
-        assert result.words == ("man", "fish")
-        by_word = dict(zip(result.words, result.positions))
+        by_word = content_of("man , fish", frozenset(), small_table())
+        assert tuple(by_word) == ("man", "fish")
         assert by_word["fish"] == (2,)
 
     def test_out_of_vocab_dropped(self):
-        sentence = tokenize("man rides xylophone")
-        result = content_words(sentence, frozenset(), small_table())
-        assert result.words == ("man",)
+        result = content_of("man rides xylophone", frozenset(), small_table())
+        assert tuple(result) == ("man",)
 
     def test_stopword_test_is_case_folded(self):
-        sentence = tokenize("The man")
-        result = content_words(sentence, frozenset({"the"}), small_table())
-        assert result.words == ("man",)
+        # "The" would resolve to the table's "the" row.
+        table = EmbeddingTable("t", ["the", "man"], np.eye(2, dtype=np.float32))
+        assert tuple(content_of("The man", frozenset({"the"}), table)) == ("man",)
 
     def test_zero_norm_vectors_skipped(self):
         # A row of -0.0 is zero; a row holding one subnormal is not.
-        sentence = tokenize("man zero fish negzero tiny")
-        result = content_words(sentence, frozenset(), small_table())
-        assert result.words == ("man", "fish", "tiny")
-        assert len(result) == len(result.positions) == len(result.rows) == 3
+        table = small_table()
+        index = content_index([tokenize("man zero fish negzero tiny")], frozenset(), table)
+        assert index.type_ptr.tolist() == [0, 3]
+        assert index.rows.tolist() == table.rows_of(["man", "fish", "tiny"]).tolist()
+        assert index.position_ptr.tolist() == [0, 1, 2, 3]
+        assert index.positions.tolist() == [0, 2, 4]
 
     def test_selection_allocates_no_table_sized_temporary(self):
         rng = np.random.default_rng(0)
@@ -168,37 +175,32 @@ class TestContentWords:
         sentence = tokenize("w1 w2 the w3 w19999 w1 missing")
         tracemalloc.start()
         try:
-            result = content_words(sentence, frozenset({"the"}), table)
+            index = content_index([sentence], frozenset({"the"}), table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.words == ("w1", "w2", "w3", "w19999")
+        assert index.rows.tolist() == [1, 2, 3, 19999]
         assert peak < table.vectors.nbytes / 100
 
     def test_case_fallback_merges_types(self):
-        sentence = tokenize("Man man")
-        result = content_words(sentence, frozenset(), small_table())
-        assert result.words == ("man",)
-        assert result.positions == ((0, 1),)
+        assert content_of("Man man", frozenset(), small_table()) == {"man": (0, 1)}
 
     def test_vectors_match_table(self):
         table = small_table()
-        sentence = tokenize("man fish")
-        result = content_words(sentence, frozenset(), table)
-        assert result.rows.dtype == np.float32
-        assert result.rows.shape == (2, table.dimension)
-        np.testing.assert_array_equal(result.rows[0], table.vector("man"))
-        np.testing.assert_array_equal(result.rows[1], table.vector("fish"))
+        index = content_index([tokenize("man fish")], frozenset(), table)
+        assert index.rows.dtype == np.int64
+        np.testing.assert_array_equal(table.vectors[index.rows[0]], table.vector("man"))
+        np.testing.assert_array_equal(table.vectors[index.rows[1]], table.vector("fish"))
 
     def test_type_level_idempotence(self):
         # Re-extracting from a sentence rebuilt out of the selected words
-        # returns the same types with the same vectors.
+        # returns the same types at the same rows.
         table = small_table()
-        sentence = tokenize("A woman needs a man like a fish needs a bicycle")
-        first = content_words(sentence, frozenset({"a", "like"}), table)
-        rebuilt = tokenize(" ".join(first.words))
-        second = content_words(rebuilt, frozenset({"a", "like"}), table)
-        assert first.words == second.words
+        stopwords = frozenset({"a", "like"})
+        text = "A woman needs a man like a fish needs a bicycle"
+        first = content_index([tokenize(text)], stopwords, table)
+        rebuilt = " ".join(table.vocab[row] for row in first.rows.tolist())
+        second = content_index([tokenize(rebuilt)], stopwords, table)
         np.testing.assert_array_equal(first.rows, second.rows)
 
     def test_corpus_index_is_the_one_sentence_views_in_order(self):
@@ -212,10 +214,12 @@ class TestContentWords:
         ]
         sentences = [tokenize(t) for t in texts]
         index = content_index(sentences, stopwords, table)
-        views = [content_words(s, stopwords, table) for s in sentences]
-        assert np.diff(index.type_ptr).tolist() == [len(v) for v in views]
-        assert [table.vocab[r] for r in index.rows.tolist()] == [w for v in views for w in v.words]
+        views = [oracles.content_words(s.tokens, stopwords, table) for s in sentences]
+        assert np.diff(index.type_ptr).tolist() == [len(words) for words, _, _ in views]
+        assert [table.vocab[r] for r in index.rows.tolist()] == [
+            w for words, _, _ in views for w in words
+        ]
         ptr = index.position_ptr.tolist()
-        assert [tuple(index.positions[a:b].tolist()) for a, b in zip(ptr, ptr[1:])] == [
-            p for v in views for p in v.positions
+        assert [index.positions[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == [
+            p for _, _, positions in views for p in positions
         ]
