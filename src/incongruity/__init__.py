@@ -37,7 +37,13 @@ from .harness import (
 )
 from .similarity import Augmentation, similarity_block
 from .synthetic import generate_corpus, toy_embedding_tables
-from .text import TokenizedSentence, default_stopwords, load_stopwords, tokenize
+from .text import (
+    TokenizedSentence,
+    default_stopwords,
+    load_stopwords,
+    token_table,
+    tokenize,
+)
 
 __version__ = "0.1.0"
 
@@ -73,6 +79,7 @@ __all__ = [
     "save_text_vectors",
     "similarity_block",
     "stratified_kfold",
+    "token_table",
     "tokenize",
     "toy_embedding_tables",
     "train",

@@ -7,20 +7,24 @@ from typing import Iterable
 
 import click
 
-from .classify import TrainConfig, load_model, save_model, train
+from .classify import ModelFormatError, TrainConfig, load_model, save_model, train
 from .embeddings import (
+    EmbeddingFormatError,
     EmbeddingTable,
     intersect_vocabularies,
     load_embeddings,
     save_text_vectors,
 )
 from .features import (
+    ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
+    LexiconFormatError,
     default_lexicon,
     load_lexicon,
 )
 from .harness import (
+    DatasetParseError,
     Prediction,
     Resources,
     compute_gains,
@@ -101,7 +105,27 @@ _lexicon_option = click.option(
 )
 
 
-@click.group()
+# Faults in the files and options a user gives; each names what is wrong.
+_INPUT_ERRORS = (
+    ConfigurationError,
+    DatasetParseError,
+    EmbeddingFormatError,
+    LexiconFormatError,
+    ModelFormatError,
+)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        # An input error is reported as one line and exit status 1, not as a
+        # traceback.
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Similarity-feature experiments for sarcasm detection."""
 

@@ -335,11 +335,12 @@ def save_text_vectors(table: EmbeddingTable, path: str | Path) -> None:
     Components use the shortest decimal representation that round-trips
     to the identical float32, so load(save(T)) reproduces T's vectors
     bit-for-bit.  A word that is empty or holds whitespace raises
-    ValueError naming the word, since the reader could not give it back.
+    :class:`EmbeddingFormatError` naming the word, since the reader could
+    not give it back.
     """
     for word in table.vocab:
         if word.split() != [word]:
-            raise ValueError(
+            raise EmbeddingFormatError(
                 f"word {word!r}: an empty word or one holding whitespace "
                 "cannot be written as a text-vector line"
             )

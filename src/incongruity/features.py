@@ -15,10 +15,15 @@ Four prior feature sets reproduce common sarcasm baselines:
   longest positive/negative runs, summed lexical polarity, and counts of
   implicit-incongruity phrase matches.
 
-All extractors return plain name -> value fragments.  ``harness._compile``,
-the one place that numbers them, interns a corpus's names through a
-:class:`FeatureRegistry`, drops zero values and sorts each row by id;
-``harness.extract_features`` returns each row as a :class:`FeatureVector`.
+:func:`build_config_features` extracts a prior set for a whole corpus at
+once from its :class:`~incongruity.text.TokenTable`.  Each distinct token
+string (type) is looked up in the lexicon once, each distinct word n-gram
+gets its name once, and the per-sentence values are gathered from per-type
+arrays.  The result is a list of :class:`Fragment`, each one family of
+named values over every sentence.  ``harness._compile``, the one place that
+numbers them, interns a corpus's names through a :class:`FeatureRegistry`,
+drops zero values and sorts each row by id; ``harness.extract_features``
+returns each row as a :class:`FeatureVector`.
 """
 
 from __future__ import annotations
@@ -26,14 +31,15 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .similarity import Augmentation
-from .text import TokenizedSentence, is_punctuation
+from .text import TokenTable
 
 PRIOR_SETS = ("L", "G", "B", "J")
 
@@ -70,15 +76,18 @@ class Lexicon:
 
     def polarity(self, token: str) -> int:
         """+1 for positive, -1 for negative, 0 for neutral or ambiguous."""
-        tags = self.tags(token)
-        positive = "positive" in tags
-        negative = "negative" in tags
-        if positive == negative:
-            return 0
-        return 1 if positive else -1
+        return _polarity(self.tags(token))
 
     def with_tag(self, tag: str) -> tuple[str, ...]:
         return tuple(e for e, tags in self.entries.items() if tag in tags)
+
+
+def _polarity(tags: frozenset[str]) -> int:
+    positive = "positive" in tags
+    negative = "negative" in tags
+    if positive == negative:
+        return 0
+    return 1 if positive else -1
 
 
 def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
@@ -201,181 +210,280 @@ class FeatureVector:
         return self._ids, self._values
 
 
+class Fragment(NamedTuple):
+    """One family of named values over a whole corpus: for every sentence at
+    once, what one name -> value dict held for a sentence.
+
+    Entry k gives row ``rows[k]`` the value ``values[k]`` under the name
+    ``names[name_ids[k]]``.  Rows ascend, a row's entries are in the order
+    the row emits its names, and a row holds a name at most once.  Entries
+    of one name share one name id.
+    """
+
+    names: Sequence[str]
+    rows: np.ndarray
+    name_ids: np.ndarray
+    values: np.ndarray
+
+
+def _first_per_row(rows: np.ndarray, name_ids: np.ndarray, n_names: int) -> np.ndarray:
+    """Positions of the first entry of each (row, name), ascending: a name
+    a row emits again keeps its first place, as in a dict."""
+    keys = rows * n_names + name_ids
+    order = np.argsort(keys)
+    groups = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.minimum.reduceat(order, groups)] = True
+    return np.flatnonzero(first)
+
+
+def _ones(n: int) -> np.ndarray:
+    """n values of 1.0 (presence), as a read-only view of one number."""
+    return np.broadcast_to(1.0, n)
+
+
+def _dense(names: Sequence[str], matrix: np.ndarray) -> Fragment:
+    """The nonzero values of the (n, len(names)) ``matrix``, row by row."""
+    rows, columns = np.nonzero(matrix)
+    return Fragment(names, rows, columns, matrix[rows, columns])
+
+
+def _token_sums(tokens: TokenTable, per_type: np.ndarray) -> np.ndarray:
+    """Per sentence, the sum of ``per_type`` over its tokens' types: with a
+    flag per type, how many of its tokens are of a flagged type."""
+    return np.bincount(
+        tokens.sentence_ids, weights=per_type[tokens.type_ids], minlength=len(tokens.sentences)
+    )
+
+
+class _TypeTags(NamedTuple):
+    """The lexicon tags of a corpus's types: type t carries ``tags[entry[t]]``,
+    and the last tag set, empty, is that of every type with no entry."""
+
+    entry: np.ndarray
+    tags: list[frozenset[str]]
+
+    def tagged(self, tag: str) -> np.ndarray:
+        """Per type, whether it carries ``tag``."""
+        return np.array([tag in t for t in self.tags], dtype=bool)[self.entry]
+
+    def polarity(self) -> np.ndarray:
+        """Per type, :meth:`Lexicon.polarity`."""
+        return np.array([_polarity(t) for t in self.tags], dtype=np.int64)[self.entry]
+
+
+def _type_tags(tokens: TokenTable, lexicon: Lexicon) -> _TypeTags:
+    """Look each type up in ``lexicon`` once.  Entries are stored lowercased,
+    so a type's entry is that of its lowercase form, as in
+    :meth:`Lexicon.tags`."""
+    tags = [*lexicon.entries.values(), frozenset()]
+    index = dict(zip(lexicon.entries, range(len(tags) - 1)))
+    entry = map(index.get, tokens.lower, repeat(len(tags) - 1))
+    return _TypeTags(np.fromiter(entry, np.int64, len(tokens.types)), tags)
+
+
 _NGRAM_PREFIX = {1: "uni", 2: "bi", 3: "tri"}
 
 
-def _word_tokens(sentence: TokenizedSentence) -> list[str]:
-    return [t.lower() for t in sentence.tokens if not is_punctuation(t)]
+def _word_tokens(tokens: TokenTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct lowercased words (punctuation excluded), as an object
+    array, and for each word token in corpus order its word id and its
+    sentence."""
+    vocabulary = list(dict.fromkeys(compress(tokens.lower, (~tokens.punctuation).tolist())))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    # A punctuation type's id is never read.
+    word_of_type = np.fromiter(
+        map(index.get, tokens.lower, repeat(-1)), np.int64, len(tokens.types)
+    )
+    kept = np.flatnonzero(~tokens.punctuation[tokens.type_ids])
+    words = np.array(vocabulary, dtype=object)
+    return words, word_of_type[tokens.type_ids[kept]], tokens.sentence_ids[kept]
 
 
-def ngram_features(sentence: TokenizedSentence, n_max: int) -> dict[str, float]:
-    """Binary presence of 1..n_max-grams over lowercased word tokens."""
-    if not 1 <= n_max <= 3:
-        raise ValueError("n_max must be 1, 2, or 3")
-    words = _word_tokens(sentence)
-    fragment: dict[str, float] = {}
-    for n in range(1, n_max + 1):
-        prefix = _NGRAM_PREFIX[n]
-        for start in range(len(words) - n + 1):
-            fragment[f"{prefix}:{'_'.join(words[start : start + n])}"] = 1.0
-    return fragment
+def _gram_names(
+    prefix: str, words: np.ndarray, columns: list[np.ndarray]
+) -> tuple[list[str], np.ndarray]:
+    """The names of the grams whose i-th words are ``words[columns[i]]``, and
+    each gram's name id; tuples that join to one name share an id."""
+    form = f"{prefix}:" + "_".join(["%s"] * len(columns))
+    names = list(map(form.__mod__, zip(*(words[column] for column in columns))))
+    # Only a word holding "_" lets two tuples join to one name ("a_b c" and
+    # "a b_c").
+    if len(columns) == 1 or not any("_" in word for word in words):
+        return names, np.arange(len(names))
+    position = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(position.__getitem__, names), np.int64, len(names))
 
 
-def lexicon_category_features(
-    sentence: TokenizedSentence, lexicon: Lexicon
-) -> dict[str, float]:
-    """Per-category token counts (G's dictionary block).
+def _ngrams(tokens: TokenTable, n_max: int) -> list[Fragment]:
+    """Binary presence of 1..n_max-grams over lowercased word tokens
+    (punctuation excluded), one fragment per order.
 
-    Counts how many sentence tokens carry the ``emotion`` and
-    ``psych_process`` tags; a token tagged with both increments both.
-    Categories with no hits are omitted.
+    Each distinct n-gram, as a tuple of word ids, is named once, and a row
+    holds each name once.
     """
-    fragment: dict[str, float] = {}
-    for category in ("emotion", "psych_process"):
-        count = sum(
-            1 for tok in sentence.tokens if category in lexicon.tags(tok)
-        )
-        if count:
-            fragment[f"lexcat.{category}"] = float(count)
-    return fragment
+    words, sequence, rows = _word_tokens(tokens)
+    width = max(len(words), 1)
+    # The order-n grams start at word tokens ``starts``; the one starting at
+    # token j has id ``grams[j]``, and gram g is the words ``columns[i][g]``.
+    starts = np.arange(len(sequence))
+    grams = sequence
+    columns = [np.arange(len(words))]
+    fragments = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            # An (n-1)-gram extends by the word n-1 tokens on, in its sentence.
+            starts = starts[starts + n - 1 < len(sequence)]
+            starts = starts[rows[starts + n - 1] == rows[starts]]
+            tuples, inverse = np.unique(
+                grams[starts] * width + sequence[starts + n - 1], return_inverse=True
+            )
+            heads, tails = np.divmod(tuples, width)
+            columns = [*(column[heads] for column in columns), tails]
+            grams = np.zeros(len(sequence), dtype=np.int64)
+            grams[starts] = inverse.ravel()
+        names, name_of_gram = _gram_names(_NGRAM_PREFIX[n], words, columns)
+        gram_rows, name_ids = rows[starts], name_of_gram[grams[starts]]
+        keep = _first_per_row(gram_rows, name_ids, len(names))
+        fragments.append(Fragment(names, gram_rows[keep], name_ids[keep], _ones(len(keep))))
+    return fragments
+
+
+_CATEGORY_NAMES = ("lexcat.emotion", "lexcat.psych_process")
+
+
+def _categories(tokens: TokenTable, tags: _TypeTags) -> Fragment:
+    """G's dictionary block: per category, how many tokens carry its tag; a
+    token tagged with both counts in both.  Categories with no hits are
+    omitted."""
+    counts = [_token_sums(tokens, tags.tagged(name.split(".")[1])) for name in _CATEGORY_NAMES]
+    return _dense(_CATEGORY_NAMES, np.column_stack(counts))
 
 
 _QUOTE_CHARS = set("\"'“”‘’`«»")
 _ELLIPSIS_MARKS = ("...", "…")
+_MARK_CLASSES = ("exclamation", "question", "period", "comma", "quote", "ellipsis", "other")
+_MARK_OF_CHAR = {"!": 0, "?": 1, ".": 2, ",": 3, **dict.fromkeys(_QUOTE_CHARS, 4)}
 
 
 def _has_ellipsis(token: str) -> bool:
     return any(mark in token for mark in _ELLIPSIS_MARKS)
 
 
-def _punctuation_mark_counts(tokens: Iterable[str]) -> dict[str, int]:
-    counts = {
-        "exclamation": 0,
-        "question": 0,
-        "period": 0,
-        "comma": 0,
-        "quote": 0,
-        "ellipsis": 0,
-        "other": 0,
-    }
-    for token in tokens:
-        if not is_punctuation(token):
-            continue
-        ellipses = token.count("…")
-        rest = token.replace("…", "")
-        ellipses += rest.count("...")
-        rest = rest.replace("...", "")
-        counts["ellipsis"] += ellipses
-        for ch in rest:
-            if ch == "!":
-                counts["exclamation"] += 1
-            elif ch == "?":
-                counts["question"] += 1
-            elif ch == ".":
-                counts["period"] += 1
-            elif ch == ",":
-                counts["comma"] += 1
-            elif ch in _QUOTE_CHARS:
-                counts["quote"] += 1
-            else:
-                counts["other"] += 1
+def _mark_counts(token: str) -> list[int]:
+    """How many marks of each of :data:`_MARK_CLASSES` a token holds; an
+    ellipsis ("..." or "…") counts once, not as periods."""
+    counts = [0] * len(_MARK_CLASSES)
+    counts[5] = token.count("…")
+    rest = token.replace("…", "")
+    counts[5] += rest.count("...")
+    for ch in rest.replace("...", ""):
+        counts[_MARK_OF_CHAR.get(ch, 6)] += 1
     return counts
 
 
-def _longest_run(values: list[int], sign: int) -> int:
-    longest = 0
-    current = 0
-    for value in values:
-        if value == sign:
-            current += 1
-            longest = max(longest, current)
-        else:
-            current = 0
-    return longest
+_PRAGMATIC_FLAGS = ("prag.hyperbole", "prag.quotes", "prag.ellipsis")
+_FOLLOWER_NAMES = (
+    "prag.pos_then_emphasis",
+    "prag.pos_then_ellipsis",
+    "prag.neg_then_emphasis",
+    "prag.neg_then_ellipsis",
+)
+_PRAGMATIC_COUNTS = (
+    *(f"prag.punct.{mark}" for mark in _MARK_CLASSES),
+    "prag.interjections",
+    "prag.laughter",
+)
 
 
-def pragmatic_features(
-    sentence: TokenizedSentence, lexicon: Lexicon
-) -> dict[str, float]:
-    """B's pragmatic block plus unigrams.
+def _pragmatic(
+    tokens: TokenTable, tags: _TypeTags, polarity: np.ndarray
+) -> list[Fragment]:
+    """B's pragmatic block, in the order a sentence emits it: hyperbole
+    (three or more consecutive same-polarity tokens), quotation-mark and
+    ellipsis presence, sentiment words directly followed by a punctuation
+    token holding "!" or "?" (emphasis) or an ellipsis, then the marks per
+    class and the interjection and laughter counts."""
+    n = len(tokens.sentences)
+    ids, rows = tokens.type_ids, tokens.sentence_ids
+    signed = polarity[ids]
+    # Only punctuation tokens hold marks.
+    marks = [t if punct else "" for t, punct in zip(tokens.types, tokens.punctuation.tolist())]
+    quoted = np.fromiter((bool(_QUOTE_CHARS.intersection(t)) for t in marks), bool, len(marks))
+    ellipsis = np.fromiter(map(_has_ellipsis, marks), bool, len(marks))
+    emphasis = np.fromiter(("!" in t or "?" in t for t in marks), bool, len(marks))
 
-    "Emphasis" below means an exclamation or question mark in the token
-    immediately following a sentiment word.
-    """
-    tokens = sentence.tokens
-    token_polarity = [lexicon.polarity(t) for t in tokens]
-    fragment = ngram_features(sentence, 1)
+    flags = np.zeros((n, len(_PRAGMATIC_FLAGS)))
+    run = (signed[:-2] != 0) & (signed[:-2] == signed[1:-1]) & (signed[1:-1] == signed[2:])
+    flags[rows[:-2][run & (rows[:-2] == rows[2:])], 0] = 1.0
+    flags[rows[quoted[ids]], 1] = 1.0
+    flags[rows[ellipsis[ids]], 2] = 1.0
 
-    if _longest_run(token_polarity, 1) >= 3 or _longest_run(token_polarity, -1) >= 3:
-        fragment["prag.hyperbole"] = 1.0
-    punct_tokens = [t for t in tokens if is_punctuation(t)]
-    if any(set(t) & _QUOTE_CHARS for t in punct_tokens):
-        fragment["prag.quotes"] = 1.0
-    if any(_has_ellipsis(t) for t in punct_tokens):
-        fragment["prag.ellipsis"] = 1.0
+    led = np.flatnonzero((signed[:-1] != 0) & (rows[:-1] == rows[1:]))
+    follower = ids[led + 1]
+    side = 2 * (signed[led] < 0)
+    with_emphasis, with_ellipsis = emphasis[follower], ellipsis[follower]
+    # A token's emphasis name comes before its ellipsis name.
+    slots = np.concatenate([2 * led[with_emphasis], 2 * led[with_ellipsis] + 1])
+    order = np.argsort(slots)
+    follower_rows = rows[slots[order] // 2]
+    names = np.concatenate([side[with_emphasis], side[with_ellipsis] + 1])[order]
+    keep = _first_per_row(follower_rows, names, len(_FOLLOWER_NAMES))
 
-    for i, polarity in enumerate(token_polarity[:-1]):
-        if polarity == 0:
-            continue
-        follower = tokens[i + 1]
-        if not is_punctuation(follower):
-            continue
-        side = "pos" if polarity > 0 else "neg"
-        if "!" in follower or "?" in follower:
-            fragment[f"prag.{side}_then_emphasis"] = 1.0
-        if _has_ellipsis(follower):
-            fragment[f"prag.{side}_then_ellipsis"] = 1.0
-
-    for mark_class, count in _punctuation_mark_counts(tokens).items():
-        if count:
-            fragment[f"prag.punct.{mark_class}"] = float(count)
-
-    interjections = sum(1 for t in tokens if "interjection" in lexicon.tags(t))
-    if interjections:
-        fragment["prag.interjections"] = float(interjections)
-    laughter = sum(1 for t in tokens if "laughter" in lexicon.tags(t))
-    if laughter:
-        fragment["prag.laughter"] = float(laughter)
-    return fragment
+    per_type = np.reshape([_mark_counts(t) for t in marks], (-1, len(_MARK_CLASSES)))
+    counts = np.column_stack([
+        *(_token_sums(tokens, column) for column in per_type.T),
+        _token_sums(tokens, tags.tagged("interjection")),
+        _token_sums(tokens, tags.tagged("laughter")),
+    ])
+    return [
+        _dense(_PRAGMATIC_FLAGS, flags),
+        Fragment(_FOLLOWER_NAMES, follower_rows[keep], names[keep], _ones(len(keep))),
+        _dense(_PRAGMATIC_COUNTS, counts),
+    ]
 
 
-def incongruity_features(
-    sentence: TokenizedSentence, lexicon: Lexicon
-) -> dict[str, float]:
-    """J's polarity-sequence block plus unigrams.
+_INCONGRUITY_NAMES = (
+    "incong.flips",
+    "incong.longest_pos_run",
+    "incong.longest_neg_run",
+    "incong.polarity",
+    "incong.implicit_matches",
+)
 
-    The polarity sequence keeps +1/-1 for positive/negative tokens in
-    order and skips neutral tokens entirely.  Implicit-incongruity
+
+def _incongruity(tokens: TokenTable, lexicon: Lexicon, polarity: np.ndarray) -> Fragment:
+    """J's polarity-sequence block.
+
+    A sentence's polarity sequence keeps +1/-1 for its positive/negative
+    tokens in order and skips neutral tokens entirely: its flips, its
+    longest positive and negative runs and its sum.  Implicit-incongruity
     phrases are counted by non-overlapping substring match against the
     NFC-normalized, lowercased raw sentence, the form lexicon entries and
     tokens take.
     """
-    sequence = [
-        p for p in (lexicon.polarity(t) for t in sentence.tokens) if p != 0
-    ]
-    fragment = ngram_features(sentence, 1)
-
-    flips = sum(1 for a, b in zip(sequence, sequence[1:]) if a != b)
-    if flips:
-        fragment["incong.flips"] = float(flips)
-    pos_run = _longest_run(sequence, 1)
-    if pos_run:
-        fragment["incong.longest_pos_run"] = float(pos_run)
-    neg_run = _longest_run(sequence, -1)
-    if neg_run:
-        fragment["incong.longest_neg_run"] = float(neg_run)
-    polarity_sum = sum(sequence)
-    if polarity_sum:
-        fragment["incong.polarity"] = float(polarity_sum)
-
-    haystack = unicodedata.normalize("NFC", sentence.raw).lower()
-    matches = sum(
-        haystack.count(phrase)
-        for phrase in lexicon.with_tag("implicit_incongruity_phrase")
-    )
-    if matches:
-        fragment["incong.implicit_matches"] = float(matches)
-    return fragment
+    n = len(tokens.sentences)
+    signed = polarity[tokens.type_ids]
+    polar = np.flatnonzero(signed)
+    rows, signs = tokens.sentence_ids[polar], signed[polar]
+    # A run of one sign starts where the sentence or the sign changes.
+    starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(signs, prepend=0))
+    lengths = np.diff(starts, append=len(polar))
+    run_rows, run_signs = rows[starts], signs[starts]
+    values = np.zeros((n, len(_INCONGRUITY_NAMES)))
+    # Every run after a sentence's first is one flip.
+    values[:, 0] = np.bincount(run_rows[np.diff(run_rows, prepend=-1) == 0], minlength=n)
+    for column, sign in ((1, 1), (2, -1)):
+        chosen = run_signs == sign
+        np.maximum.at(values[:, column], run_rows[chosen], lengths[chosen])
+    values[:, 3] = np.bincount(rows, weights=signs, minlength=n)
+    phrases = lexicon.with_tag("implicit_incongruity_phrase")
+    if phrases:
+        values[:, 4] = [
+            sum(map(unicodedata.normalize("NFC", s.raw).lower().count, phrases))
+            for s in tokens.sentences
+        ]
+    return _dense(_INCONGRUITY_NAMES, values)
 
 
 @dataclass(frozen=True)
@@ -422,15 +530,20 @@ def embedding_table(tables: Mapping[str, EmbeddingTable], name: str) -> Embeddin
 
 
 def build_config_features(
-    sentence: TokenizedSentence, prior_set: str, lexicon: Lexicon
-) -> list[Mapping[str, float]]:
-    """One sentence's fragments under the prior set ``prior_set``.  They do
-    not depend on any registry; ``harness._compile`` numbers them.  The S/WS
-    values come from :func:`~incongruity.similarity.similarity_block`."""
+    tokens: TokenTable, prior_set: str, lexicon: Lexicon
+) -> list[Fragment]:
+    """The fragments of every sentence of ``tokens`` under the prior set
+    ``prior_set``, in the order a sentence emits them; each type's lexicon
+    tags are looked up once.  They do not depend on any registry;
+    ``harness._compile`` numbers them.  The S/WS values come from
+    :func:`~incongruity.similarity.similarity_block`."""
     if prior_set == "L":
-        return [ngram_features(sentence, 3)]
+        return _ngrams(tokens, 3)
+    unigrams = _ngrams(tokens, 1)
+    tags = _type_tags(tokens, lexicon)
     if prior_set == "G":
-        return [ngram_features(sentence, 1), lexicon_category_features(sentence, lexicon)]
+        return [*unigrams, _categories(tokens, tags)]
+    polarity = tags.polarity()
     if prior_set == "B":
-        return [pragmatic_features(sentence, lexicon)]
-    return [incongruity_features(sentence, lexicon)]
+        return [*unigrams, *_pragmatic(tokens, tags, polarity)]
+    return [*unigrams, _incongruity(tokens, lexicon, polarity)]

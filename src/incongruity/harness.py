@@ -1,14 +1,15 @@
 """Corpus ingestion, stratified cross-validation, experiment grid, reports.
 
 The harness runs feature configurations over a labeled corpus with
-stratified k-fold cross-validation.  Features are extracted and compiled
-once per corpus by ``_compile``, the only code that numbers features
-(``extract_features`` goes through it too): each name is interned
-through a registry once per corpus, zero values are dropped and each row
-is sorted by id once, so every fold reads a row in the same canonical
-summation order; a fold only selects rows.  Every S/WS value comes from
-one (n, 8) :func:`~incongruity.similarity.similarity_block` per table,
-computed once per corpus; a cell, ``run_config`` and
+stratified k-fold cross-validation.  A corpus's tokens are numbered by type
+once (:func:`~incongruity.text.token_table`), and features are extracted
+from that table and compiled once per corpus by ``_compile``, the only code
+that numbers features (``extract_features`` goes through it too): each
+distinct name is interned through a registry once per corpus, zero values
+are dropped and each row is sorted by id once, so every fold reads a row in
+the same canonical summation order; a fold only selects rows.  Every S/WS
+value comes from one (n, 8) :func:`~incongruity.similarity.similarity_block`
+per table, computed once per corpus; a cell, ``run_config`` and
 ``extract_features`` select its columns.  An augmented cell's row is its
 prior row followed by its nonzero S/WS block values, whose ids follow
 every prior id.  A name seen only in test rows is
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,13 +50,20 @@ from .features import (
     ExperimentConfig,
     FeatureRegistry,
     FeatureVector,
+    Fragment,
     Lexicon,
     build_config_features,
     default_lexicon,
     embedding_table,
 )
 from .similarity import Augmentation, similarity_block
-from .text import TokenizedSentence, default_stopwords, tokenize
+from .text import (
+    TokenizedSentence,
+    TokenTable,
+    default_stopwords,
+    token_table,
+    tokenize,
+)
 
 AUGMENTATIONS = (
     Augmentation.NONE,
@@ -306,15 +314,13 @@ def _columns(augmentation: Augmentation) -> list[int]:
     return [Augmentation.S_AND_WS.feature_names.index(n) for n in augmentation.feature_names]
 
 
-def _block(
-    sentences: Sequence[TokenizedSentence], config: ExperimentConfig, resources: Resources
-) -> np.ndarray:
+def _block(tokens: TokenTable, config: ExperimentConfig, resources: Resources) -> np.ndarray:
     """The S/WS columns ``config`` selects of its table's block, one row per
     sentence; no columns when it selects none."""
     if config.augmentation is Augmentation.NONE:
-        return np.zeros((len(sentences), 0))
+        return np.zeros((len(tokens.sentences), 0))
     table = embedding_table(resources.embeddings, config.embedding)
-    block = similarity_block(sentences, table, resources.stopwords)
+    block = similarity_block(tokens, table)
     return block[:, _columns(config.augmentation)]
 
 
@@ -327,21 +333,31 @@ def extract_features(
     """One vector per sentence under ``config``: its prior fragments, then
     its selected S/WS values by name, numbered by :func:`_compile` through
     ``registry``.  The vectors are read-only views of one compiled corpus."""
-    names = config.augmentation.feature_names
-    corpus = _compile(
-        (
-            [
-                *build_config_features(s, config.prior_set, resources.lexicon),
-                dict(zip(names, row.tolist())),
-            ]
-            for s, row in zip(sentences, _block(sentences, config, resources))
-        ),
-        registry,
-    )
+    corpus = _compile(_fragments(sentences, config, resources), len(sentences), registry)
     bounds = corpus.indptr.tolist()
     return [
         FeatureVector(corpus.ids[a:b], corpus.values[a:b])
         for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _fragments(
+    sentences: Sequence[TokenizedSentence], config: ExperimentConfig, resources: Resources
+) -> list[Fragment]:
+    """The prior fragments of ``sentences`` under ``config``, then one of its
+    selected S/WS values that holds every block name in every row, zeros
+    included.  The token table is freed before the fragments are numbered."""
+    tokens = token_table(sentences, resources.stopwords)
+    block = _block(tokens, config, resources)
+    n, width = block.shape
+    return [
+        *build_config_features(tokens, config.prior_set, resources.lexicon),
+        Fragment(
+            config.augmentation.feature_names,
+            np.repeat(np.arange(n), width),
+            np.tile(np.arange(width), n),
+            block.ravel(),
+        ),
     ]
 
 
@@ -361,42 +377,94 @@ class _Corpus(NamedTuple):
 
 
 def _compile(
-    rows: Iterable[Sequence[Mapping[str, float]]], registry: FeatureRegistry
+    fragments: Sequence[Fragment], n_rows: int, registry: FeatureRegistry
 ) -> _Corpus:
-    """Number a corpus, one row of fragments per sentence; the only code
-    that turns fragments into rows.
+    """Number the ``n_rows`` rows of a corpus's fragments; the only code that
+    turns fragments into rows.
 
-    Rows are read one at a time.  Every name is interned through
-    ``registry``, zero-valued ones included, so a fresh registry numbers
-    names in first-occurrence order; a zero value, and a name a frozen
-    registry does not hold, are dropped.  A name occurring twice in one
-    row is a namespace collision and raises ValueError.  Each row is
-    sorted by id once, as it is read.
+    A row's entries are read fragment by fragment.  Each distinct name is
+    interned through ``registry`` once, in order of first occurrence,
+    zero-valued ones included, so a fresh registry numbers names as reading
+    the rows one by one would; a zero value, and a name a frozen registry
+    does not hold, are dropped.  A name occurring twice in one row is a
+    namespace collision and raises ValueError.  Each row is sorted by id.
     """
-    intern = registry.intern
-    # Typed arrays hold each entry once, and numpy reads them in place.
-    ids, values, indptr = array("q"), array("d"), array("q", [0])
-    for fragments in rows:
-        seen: set[str] = set()
-        row: list[tuple[int, float]] = []
-        for fragment in fragments:
-            for name, value in fragment.items():
-                if name in seen:
-                    raise ValueError(f"feature name {name!r} emitted twice")
-                seen.add(name)
-                fid = intern(name)
-                if fid is not None and value != 0.0:
-                    row.append((fid, value))
-        row.sort()
-        ids.extend([fid for fid, _ in row])
-        values.extend([value for _, value in row])
-        indptr.append(len(ids))
+    rows, ids, unknown = _numbered_entries(fragments, registry)
+    # Sorted by row, then id; unknown names' negative ids sort first.  Each
+    # array here has one element per entry, so each is freed once spent.
+    key = rows * (len(registry) + len(unknown))
+    key += ids
+    key += len(unknown)
+    order = np.argsort(key)
+    del key
+    rows = rows[order]
+    ids = ids[order]
+    values = np.concatenate([np.zeros(0), *(f.values for f in fragments)])[order]
+    del order
+    repeated = np.flatnonzero((rows[1:] == rows[:-1]) & (ids[1:] == ids[:-1]))
+    if len(repeated):
+        fid = int(ids[repeated[0]])
+        name = registry.name_of(fid) if fid >= 0 else unknown[-1 - fid]
+        raise ValueError(f"feature name {name!r} emitted twice")
+    kept = (ids >= 0) & (values != 0.0)
     return _Corpus(
-        np.frombuffer(indptr, dtype=np.int64),
-        np.frombuffer(ids, dtype=np.int64),
-        np.frombuffer(values, dtype=np.float64),
+        np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n_rows))]),
+        ids[kept],
+        values[kept],
         len(registry),
     )
+
+
+def _numbered_entries(
+    fragments: Sequence[Fragment], registry: FeatureRegistry
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Every entry's row and id, fragment after fragment, and the names a
+    frozen ``registry`` does not hold, which get the ids -1, -2, ...; the
+    names that occur are interned once each, in order of first occurrence.
+    """
+    offsets = np.cumsum([0, *(len(f.names) for f in fragments)])
+    rows = np.concatenate([np.zeros(0, np.int64), *(f.rows for f in fragments)])
+    name_ids = np.concatenate(
+        [np.zeros(0, np.int64), *(f.name_ids + o for f, o in zip(fragments, offsets))]
+    )
+    ids, unknown = _name_ids(
+        fragments, _first_occurrences(rows, name_ids, offsets[-1]), registry
+    )
+    return rows, ids[name_ids], unknown
+
+
+def _first_occurrences(rows: np.ndarray, name_ids: np.ndarray, n_names: int) -> np.ndarray:
+    """The name ids entries ``name_ids`` hold, in order of first occurrence.
+
+    A name belongs to one fragment, whose entries come in ascending row, so
+    its first entry there is its first occurrence; a row reads its
+    fragments in order.
+    """
+    first = np.full(n_names, len(name_ids))
+    np.minimum.at(first, name_ids, np.arange(len(name_ids)))
+    used = np.flatnonzero(first < len(name_ids))
+    return used[np.lexsort((first[used], rows[first[used]]))]
+
+
+def _name_ids(
+    fragments: Sequence[Fragment], used: np.ndarray, registry: FeatureRegistry
+) -> tuple[np.ndarray, list[str]]:
+    """The id of every name of ``fragments``, interning the names ``used``
+    in that order (the others get 0), and the names a frozen registry does
+    not hold, which get the ids -1, -2, ..., one per string."""
+    every_name = chain.from_iterable(f.names for f in fragments)
+    n_names = sum(len(f.names) for f in fragments)
+    names = np.fromiter(every_name, object, n_names)[used]
+    fids = list(map(registry.intern, names))
+    unknown: dict[str, int] = {}
+    if None in fids:
+        fids = [
+            -1 - unknown.setdefault(name, len(unknown)) if fid is None else fid
+            for name, fid in zip(names, fids)
+        ]
+    ids = np.zeros(n_names, dtype=np.int64)
+    ids[used] = fids
+    return ids, list(unknown)
 
 
 def _slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -558,10 +626,11 @@ def run_config(
     sorted once, the S/WS columns come from the table's S+WS block, and a
     name seen only in test rows keeps a zero weight."""
     splits = stratified_kfold(instances, k=folds, seed=seed)
-    sentences = [tokenize(inst.text) for inst in instances]
-    block = _block(sentences, config, resources)
+    tokens = token_table([tokenize(inst.text) for inst in instances], resources.stopwords)
+    block = _block(tokens, config, resources)
     corpus = _compile(
-        (build_config_features(s, config.prior_set, resources.lexicon) for s in sentences),
+        build_config_features(tokens, config.prior_set, resources.lexicon),
+        len(instances),
         FeatureRegistry(),
     )
     [result] = _cross_validate(
@@ -613,10 +682,9 @@ def run_matrix(
         )
     names = tuple(resources.embeddings)
     splits = stratified_kfold(instances, k=folds, seed=seed)
-    sentences = [tokenize(inst.text) for inst in instances]
+    tokens = token_table([tokenize(inst.text) for inst in instances], resources.stopwords)
     blocks = {
-        name: similarity_block(sentences, table, resources.stopwords)
-        for name, table in resources.embeddings.items()
+        name: similarity_block(tokens, table) for name, table in resources.embeddings.items()
     }
 
     cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
@@ -624,7 +692,8 @@ def run_matrix(
         # The base cell, then its augmented cells, embedding by embedding.
         base_config = ExperimentConfig(prior)
         corpus = _compile(
-            (build_config_features(s, prior, resources.lexicon) for s in sentences),
+            build_config_features(tokens, prior, resources.lexicon),
+            len(instances),
             FeatureRegistry(),
         )
         configs = [base_config]

@@ -24,7 +24,8 @@ Two four-value blocks summarize the pair structure:
 :func:`similarity_block` is the one producer of these values: an
 (n, 8) array per corpus and table, S columns then WS columns, with a row
 of zeros for a sentence with fewer than two content-word types.  It takes
-the corpus's content words from :func:`~incongruity.text.content_index`
+the content words of a corpus's token table from
+:func:`~incongruity.text.content_index`
 and runs each stage -- gather, normalize, Gram product, distances,
 extremes -- once per chunk of sentences with the same shape.
 
@@ -35,12 +36,11 @@ written to feature files or model files uses exactly these strings.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .text import CHUNK_BYTES, TokenizedSentence, content_index
+from .text import CHUNK_BYTES, TokenTable, content_index
 
 
 class Augmentation(enum.Enum):
@@ -132,12 +132,9 @@ def _extremes(matrices: np.ndarray) -> np.ndarray:
     return np.stack([best.max(-1), best.min(-1), worst.max(-1), worst.min(-1)], axis=-1)
 
 
-def similarity_block(
-    sentences: Sequence[TokenizedSentence],
-    table: EmbeddingTable,
-    stopwords: frozenset[str],
-) -> np.ndarray:
-    """The (n, 8) float64 S+WS values of ``sentences`` under ``table``.
+def similarity_block(tokens: TokenTable, table: EmbeddingTable) -> np.ndarray:
+    """The (n, 8) float64 S+WS values of the sentences of ``tokens`` under
+    ``table``.
 
     Columns follow ``Augmentation.S_AND_WS.feature_names``.  A sentence
     with fewer than two content-word types gets a row of zeros.
@@ -148,13 +145,13 @@ def similarity_block(
     rows still gets its own Gram product, and maxima and minima do not
     depend on order, so a row's bits do not depend on its neighbours.
     """
-    index = content_index(sentences, stopwords, table)
+    index = content_index(tokens, table)
     types = np.diff(index.type_ptr)
     occurrences = np.diff(index.position_ptr[index.type_ptr])
     scored = np.flatnonzero(types >= 2)
     scored = scored[np.lexsort((occurrences[scored], types[scored]))]
     edges = np.flatnonzero(np.diff(types[scored]) | np.diff(occurrences[scored])) + 1
-    block = np.zeros((len(sentences), len(S_FEATURE_NAMES + WS_FEATURE_NAMES)))
+    block = np.zeros((len(tokens.sentences), len(S_FEATURE_NAMES + WS_FEATURE_NAMES)))
     for group in np.split(scored, edges) if len(scored) else ():
         n, s = int(types[group[0]]), int(occurrences[group[0]])
         # The float64 rows, a few (n, n) stages and the (s, s) gaps.

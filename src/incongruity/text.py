@@ -6,11 +6,14 @@ punctuation runs as their own tokens, so "Great." becomes [Great, .] and
 token list; stopwords and punctuation keep their positions, which matters
 when later stages measure token distances.
 
-Sentence tokens are matched against an embedding vocabulary by exact
-string first, then by their lowercased form.  :func:`content_index`
-selects the content words of a whole corpus in one pass, classifying each
-distinct token string once, and holds them as flat integer arrays: per
-sentence its types' table rows, per type its token positions.
+:func:`token_table` lists a corpus's distinct token strings (types) and
+gives every token its type id; each type is classified once per corpus
+(lowercase form, punctuation, stopword), and the priors and the content
+words read those per-type arrays.  Sentence tokens are matched against an
+embedding vocabulary by exact string first, then by their lowercased form.
+:func:`content_index` selects the content words of a whole corpus and holds
+them as flat integer arrays: per sentence its types' table rows, per type
+its token positions.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ def tokenize(text: str) -> TokenizedSentence:
     normalized = unicodedata.normalize("NFC", text)
     tokens: list[str] = []
     for chunk in normalized.split():
+        # No alphanumeric character is punctuation or a symbol, so such a
+        # chunk has no runs to detach.
+        if chunk.isalnum():
+            tokens.append(chunk)
+            continue
         lead = 0
         while lead < len(chunk) and _is_punct_char(chunk[lead]):
             lead += 1
@@ -114,6 +122,49 @@ CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
+class TokenTable:
+    """A corpus's tokens as ids of its distinct token strings (types).
+
+    Sentence s holds tokens ``token_ptr[s]:token_ptr[s + 1]``; token k is
+    type ``type_ids[k]`` and belongs to sentence ``sentence_ids[k]``.  Types
+    are numbered in order of first occurrence.  Type t is the string
+    ``types[t]`` with lowercase form ``lower[t]``; ``punctuation[t]`` says
+    whether every character is punctuation or a symbol, ``stopword[t]``
+    whether its case-folded form is a stopword.
+    """
+
+    sentences: Sequence[TokenizedSentence]
+    types: list[str]
+    lower: list[str]
+    punctuation: np.ndarray
+    stopword: np.ndarray
+    type_ids: np.ndarray
+    token_ptr: np.ndarray
+    sentence_ids: np.ndarray
+
+
+def token_table(
+    sentences: Sequence[TokenizedSentence], stopwords: frozenset[str]
+) -> TokenTable:
+    """Number the tokens of ``sentences`` by type and classify each type once."""
+    tokens = list(chain.from_iterable(s.tokens for s in sentences))
+    types = list(dict.fromkeys(tokens))
+    type_of = dict(zip(types, range(len(types))))
+    lengths = np.fromiter((len(s.tokens) for s in sentences), np.int64, len(sentences))
+    folded = map(str.casefold, types)
+    return TokenTable(
+        sentences=sentences,
+        types=types,
+        lower=list(map(str.lower, types)),
+        punctuation=np.fromiter(map(is_punctuation, types), bool, len(types)),
+        stopword=np.fromiter(map(stopwords.__contains__, folded), bool, len(types)),
+        type_ids=np.fromiter(map(type_of.__getitem__, tokens), np.int64, len(tokens)),
+        token_ptr=_offsets(lengths),
+        sentence_ids=np.repeat(np.arange(len(sentences)), lengths),
+    )
+
+
+@dataclass(frozen=True)
 class ContentIndex:
     """The content-word types of a corpus, as flat integer arrays.
 
@@ -132,25 +183,19 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def content_index(
-    sentences: Sequence[TokenizedSentence],
-    stopwords: frozenset[str],
-    table: EmbeddingTable,
-) -> ContentIndex:
+def content_index(tokens: TokenTable, table: EmbeddingTable) -> ContentIndex:
     """Select the content-word types of every sentence in one pass.
 
     A token is a content word when it is not pure punctuation, not a
     stopword (case-folded test), and resolves to a table word (exact match,
     then lowercase) whose row has a nonzero component (all +0.0 or -0.0
-    supports no cosine).  Each distinct token string is classified once.
-    Tokens of one sentence resolving to the same row merge into one type
-    carrying every occurrence position.
+    supports no cosine).  Each type is resolved once.  Tokens of one
+    sentence resolving to the same row merge into one type carrying every
+    occurrence position.
     """
-    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
-    ends = np.cumsum(lengths)
-    token_rows = _token_rows(sentences, stopwords, table)
+    token_rows = _type_rows(tokens, table)[tokens.type_ids]
     kept = np.flatnonzero(token_rows >= 0)
-    owner = np.searchsorted(ends, kept, side="right")
+    owner = tokens.sentence_ids[kept]
     # One key per (sentence, row); ``kept`` ascends, so the first occurrences
     # in ascending order number the types sentence by sentence.
     _, first, key_type = np.unique(
@@ -162,32 +207,25 @@ def content_index(
     occurrence_type = rank[key_type]
     first = first[order]
     return ContentIndex(
-        type_ptr=_offsets(np.bincount(owner[first], minlength=len(sentences))),
+        type_ptr=_offsets(np.bincount(owner[first], minlength=len(tokens.sentences))),
         rows=token_rows[kept[first]],
         position_ptr=_offsets(np.bincount(occurrence_type, minlength=len(order))),
-        positions=(kept - (ends - lengths)[owner])[
+        positions=(kept - tokens.token_ptr[owner])[
             np.argsort(occurrence_type, kind="stable")
         ],
     )
 
 
-def _token_rows(
-    sentences: Sequence[TokenizedSentence],
-    stopwords: frozenset[str],
-    table: EmbeddingTable,
-) -> np.ndarray:
-    """The table row of every content-word token in corpus order, -1 for the rest."""
-    distinct = list(dict.fromkeys(chain.from_iterable(s.tokens for s in sentences)))
+def _type_rows(tokens: TokenTable, table: EmbeddingTable) -> np.ndarray:
+    """The table row of every content-word type, -1 for the rest."""
     # An exact match wins; otherwise the lowercased token is tried.
-    rows = table.rows_of(distinct)
+    rows = table.rows_of(tokens.types)
     missing = np.flatnonzero(rows < 0)
-    rows[missing] = table.rows_of([distinct[i].lower() for i in missing.tolist()])
-    rows[[is_punctuation(t) or t.casefold() in stopwords for t in distinct]] = -1
+    rows[missing] = table.rows_of([tokens.lower[i] for i in missing.tolist()])
+    rows[tokens.punctuation | tokens.stopword] = -1
     candidates = np.flatnonzero(rows >= 0)
     step = max(1, CHUNK_BYTES // (4 * table.dimension))
     for start in range(0, len(candidates), step):
         part = candidates[start : start + step]
         rows[part[~table.vectors[rows[part]].any(axis=1)]] = -1
-    row_of = dict(zip(distinct, rows.tolist()))
-    tokens = chain.from_iterable(s.tokens for s in sentences)
-    return np.fromiter(map(row_of.__getitem__, tokens), np.int64)
+    return rows

@@ -99,7 +99,8 @@ def gram_block_row(tokens, stopwords, table):
 
 
 def number_row(registry, fragments):
-    """Reference numbering of one sentence's fragments, one dict per sentence.
+    """Reference numbering of one sentence's fragments, one dict per sentence,
+    as the library's ``_compile`` numbered a corpus row by row.
 
     Interns every name through ``registry`` in fragment order, zero-valued
     ones included, keeps the nonzero values of names the registry holds and
@@ -117,6 +118,192 @@ def number_row(registry, fragments):
             if fid is not None and value != 0.0:
                 values[fid] = float(value)
     return sorted(values.items())
+
+
+# -- per-sentence tokens and prior fragments ---------------------------------
+#
+# The library tokenized one sentence at a time and built one name -> value
+# dict per prior family per sentence; these are those functions.  The
+# corpus path must give every sentence the same names, values and, through
+# ``number_row``, the same numbering.
+
+
+def _is_punct_char(ch) -> bool:
+    return unicodedata.category(ch)[0] in ("P", "S")
+
+
+def is_punctuation(token) -> bool:
+    return bool(token) and all(map(_is_punct_char, token))
+
+
+def tokenize(text):
+    """Reference tokens of ``text``: NFC, split on whitespace, each leading
+    and trailing run of punctuation or symbol characters its own token."""
+    tokens = []
+    for chunk in unicodedata.normalize("NFC", text).split():
+        lead = 0
+        while lead < len(chunk) and _is_punct_char(chunk[lead]):
+            lead += 1
+        if lead == len(chunk):
+            tokens.append(chunk)
+            continue
+        trail = len(chunk)
+        while trail > lead and _is_punct_char(chunk[trail - 1]):
+            trail -= 1
+        if lead:
+            tokens.append(chunk[:lead])
+        tokens.append(chunk[lead:trail])
+        if trail < len(chunk):
+            tokens.append(chunk[trail:])
+    return tuple(tokens)
+
+
+def _tags(lexicon, token):
+    return lexicon.entries.get(token.lower(), frozenset())
+
+
+def _polarity(lexicon, token) -> int:
+    tags = _tags(lexicon, token)
+    positive = "positive" in tags
+    negative = "negative" in tags
+    if positive == negative:
+        return 0
+    return 1 if positive else -1
+
+
+_NGRAM_PREFIX = {1: "uni", 2: "bi", 3: "tri"}
+
+
+def ngram_features(tokens, n_max):
+    """Binary presence of 1..n_max-grams over lowercased word tokens."""
+    words = [t.lower() for t in tokens if not is_punctuation(t)]
+    fragment = {}
+    for n in range(1, n_max + 1):
+        for start in range(len(words) - n + 1):
+            fragment[f"{_NGRAM_PREFIX[n]}:{'_'.join(words[start : start + n])}"] = 1.0
+    return fragment
+
+
+def lexicon_category_features(tokens, lexicon):
+    """G's per-category token counts; categories with no hits are omitted."""
+    fragment = {}
+    for category in ("emotion", "psych_process"):
+        count = sum(1 for tok in tokens if category in _tags(lexicon, tok))
+        if count:
+            fragment[f"lexcat.{category}"] = float(count)
+    return fragment
+
+
+_QUOTE_CHARS = set("\"'“”‘’`«»")
+_ELLIPSIS_MARKS = ("...", "…")
+
+
+def _has_ellipsis(token):
+    return any(mark in token for mark in _ELLIPSIS_MARKS)
+
+
+def _punctuation_mark_counts(tokens):
+    counts = dict.fromkeys(
+        ("exclamation", "question", "period", "comma", "quote", "ellipsis", "other"), 0
+    )
+    for token in tokens:
+        if not is_punctuation(token):
+            continue
+        ellipses = token.count("…")
+        rest = token.replace("…", "")
+        ellipses += rest.count("...")
+        rest = rest.replace("...", "")
+        counts["ellipsis"] += ellipses
+        for ch in rest:
+            if ch == "!":
+                counts["exclamation"] += 1
+            elif ch == "?":
+                counts["question"] += 1
+            elif ch == ".":
+                counts["period"] += 1
+            elif ch == ",":
+                counts["comma"] += 1
+            elif ch in _QUOTE_CHARS:
+                counts["quote"] += 1
+            else:
+                counts["other"] += 1
+    return counts
+
+
+def _longest_run(values, sign):
+    longest = current = 0
+    for value in values:
+        current = current + 1 if value == sign else 0
+        longest = max(longest, current)
+    return longest
+
+
+def pragmatic_features(tokens, lexicon):
+    """B's pragmatic block plus unigrams."""
+    token_polarity = [_polarity(lexicon, t) for t in tokens]
+    fragment = ngram_features(tokens, 1)
+    if _longest_run(token_polarity, 1) >= 3 or _longest_run(token_polarity, -1) >= 3:
+        fragment["prag.hyperbole"] = 1.0
+    punct_tokens = [t for t in tokens if is_punctuation(t)]
+    if any(set(t) & _QUOTE_CHARS for t in punct_tokens):
+        fragment["prag.quotes"] = 1.0
+    if any(_has_ellipsis(t) for t in punct_tokens):
+        fragment["prag.ellipsis"] = 1.0
+    for i, polarity in enumerate(token_polarity[:-1]):
+        follower = tokens[i + 1]
+        if polarity == 0 or not is_punctuation(follower):
+            continue
+        side = "pos" if polarity > 0 else "neg"
+        if "!" in follower or "?" in follower:
+            fragment[f"prag.{side}_then_emphasis"] = 1.0
+        if _has_ellipsis(follower):
+            fragment[f"prag.{side}_then_ellipsis"] = 1.0
+    for mark_class, count in _punctuation_mark_counts(tokens).items():
+        if count:
+            fragment[f"prag.punct.{mark_class}"] = float(count)
+    interjections = sum(1 for t in tokens if "interjection" in _tags(lexicon, t))
+    if interjections:
+        fragment["prag.interjections"] = float(interjections)
+    laughter = sum(1 for t in tokens if "laughter" in _tags(lexicon, t))
+    if laughter:
+        fragment["prag.laughter"] = float(laughter)
+    return fragment
+
+
+def incongruity_features(raw, tokens, lexicon):
+    """J's polarity-sequence block plus unigrams; implicit phrases are
+    counted in the NFC-normalized, lowercased raw text."""
+    sequence = [p for p in (_polarity(lexicon, t) for t in tokens) if p != 0]
+    fragment = ngram_features(tokens, 1)
+    flips = sum(1 for a, b in zip(sequence, sequence[1:]) if a != b)
+    if flips:
+        fragment["incong.flips"] = float(flips)
+    pos_run = _longest_run(sequence, 1)
+    if pos_run:
+        fragment["incong.longest_pos_run"] = float(pos_run)
+    neg_run = _longest_run(sequence, -1)
+    if neg_run:
+        fragment["incong.longest_neg_run"] = float(neg_run)
+    if sum(sequence):
+        fragment["incong.polarity"] = float(sum(sequence))
+    haystack = unicodedata.normalize("NFC", raw).lower()
+    phrases = [e for e, tags in lexicon.entries.items() if "implicit_incongruity_phrase" in tags]
+    matches = sum(haystack.count(phrase) for phrase in phrases)
+    if matches:
+        fragment["incong.implicit_matches"] = float(matches)
+    return fragment
+
+
+def prior_fragments(text, prior_set, lexicon):
+    """One sentence's fragments under ``prior_set``, in emission order."""
+    tokens = tokenize(text)
+    if prior_set == "L":
+        return [ngram_features(tokens, 3)]
+    if prior_set == "G":
+        return [ngram_features(tokens, 1), lexicon_category_features(tokens, lexicon)]
+    if prior_set == "B":
+        return [pragmatic_features(tokens, lexicon)]
+    return [incongruity_features(text, tokens, lexicon)]
 
 
 def brute_force_threshold(scores, labels):

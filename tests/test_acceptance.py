@@ -42,7 +42,7 @@ from incongruity.features import PRIOR_SETS
 from incongruity import similarity
 from incongruity.similarity import Augmentation, similarity_block
 from incongruity.synthetic import generate_corpus, toy_embedding_tables
-from incongruity.text import tokenize
+from incongruity.text import token_table, tokenize
 
 
 @contextlib.contextmanager
@@ -96,7 +96,7 @@ class TestOracleEquivalence:
                         words.insert(int(rng.integers(len(words) + 1)), filler)
                 sentences.append(tokenize(" ".join(words)))
             # One corpus-level block, each row checked against the oracle.
-            block = similarity_block(sentences, table, stopwords)
+            block = similarity_block(token_table(sentences, stopwords), table)
             for sentence, row in zip(sentences, block):
                 s_expected, ws_expected = oracles.brute_force_blocks(
                     *oracles.content_words(sentence.tokens, stopwords, table)

@@ -1,4 +1,6 @@
+import hashlib
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,9 +111,47 @@ class TestIntersectVocab:
         result = runner.invoke(
             main, ["intersect-vocab", *map(str, paths), "--out", str(out)]
         )
-        assert result.exit_code != 0
-        assert "word 'x\\ty'" in str(result.exception)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: word 'x\\ty': an empty word or one")
+        assert "Traceback" not in result.output
         assert not list(out.iterdir())
+
+
+class TestInputErrors:
+    """A fault in an input file or option is one line naming it, exit 1."""
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("dataset", "corpus.tsv: line 2: label must be 0 or 1, got '7'"),
+            ("lexicon", "lexicon.tsv: line 1: unknown tag(s) ['shiny']"),
+            ("embeddings", "bad.txt: line 2: expected 2 components, found 1"),
+            ("model", "unsupported model header 'not a model'"),
+            ("config", "unknown embedding id 'missing'"),
+        ],
+    )
+    def test_error_is_one_line_and_exit_one(self, runner, workspace, tmp_path, kind, message):
+        (tmp_path / "corpus.tsv").write_text("a\t1\tfine\nb\t7\tbad\n", encoding="utf-8")
+        (tmp_path / "lexicon.tsv").write_text("good\tshiny\n", encoding="utf-8")
+        (tmp_path / "emb").mkdir()
+        (tmp_path / "emb" / "bad.txt").write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
+        (tmp_path / "model.txt").write_text("not a model\n", encoding="utf-8")
+        corpus = str(workspace / "corpus.tsv")
+        extract = ["extract-features", "--out", str(tmp_path / "features.txt")]
+        args = {
+            "dataset": [*extract, "--config", "L", "--dataset", str(tmp_path / "corpus.tsv")],
+            "lexicon": [*extract, "--config", "G", "--dataset", corpus,
+                        "--lexicon", str(tmp_path / "lexicon.tsv")],
+            "embeddings": [*extract, "--config", "L", "--dataset", corpus,
+                           "--embeddings", str(tmp_path / "emb")],
+            "model": ["evaluate", "--config", "L", "--dataset", corpus,
+                      "--model", str(tmp_path / "model.txt")],
+            "config": [*extract, "--config", "L+S:missing", "--dataset", corpus],
+        }[kind]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith("Error: ") and message in line
 
 
 class TestSameNamedTables:
@@ -217,6 +257,38 @@ class TestTrainEvaluateRoundTrip:
         )
         assert result.exit_code == 0, result.output
         assert model_file.exists()
+
+
+# A corpus of shipped lexicon entries: sentiment runs and flips, emphasis
+# and ellipses after sentiment words, interjections, laughter, multi-tag
+# words, case variants, implicit phrases and a decomposed letter.
+LEXICON_CORPUS = Path(__file__).parent / "data" / "lexicon_corpus.tsv"
+# sha256 of its ``extract-features --config <prior>`` file, with the shipped
+# lexicon and stopwords.  A change to these bytes changes the features.
+LEXICON_CORPUS_FEATURES_SHA256 = {
+    "L": "cc3005f748a5caacc785121cc7afbd2977610704dc25c3533898c6e8dee089f5",
+    "G": "ee4685cb1ee37e2bcbfd6582447aa9368960c2a00138ce8a871959bb3d4d856b",
+    "B": "7fbd1dc59cb66301b45ac4032763158bf1ff33876fe753f2df0c5ffcf5d7654f",
+    "J": "087719e1322881241a070538a522fe5ad39d504fa12307d585edf0cb779fa2a8",
+}
+
+
+class TestLexiconCorpusFeatures:
+    @pytest.mark.parametrize("prior", sorted(LEXICON_CORPUS_FEATURES_SHA256))
+    def test_feature_file_bytes_are_pinned(self, runner, tmp_path, prior):
+        out = tmp_path / "features.txt"
+        result = runner.invoke(
+            main,
+            [
+                "extract-features",
+                "--config", prior,
+                "--dataset", str(LEXICON_CORPUS),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == LEXICON_CORPUS_FEATURES_SHA256[prior]
 
 
 class TestRunMatrix:

@@ -19,7 +19,7 @@ from incongruity.embeddings import (
     save_text_vectors,
 )
 from incongruity.similarity import similarity_block
-from incongruity.text import content_index, tokenize
+from incongruity.text import content_index, token_table, tokenize
 
 
 def write_binary(path, records, header=None, trailing_newlines=False, extra=b""):
@@ -365,7 +365,7 @@ class TestRoundTrip:
 def pair_score(table, word_a, word_b):
     """The S/WS pipeline's cosine for two one-occurrence words of ``table``:
     with one pair, the four S values of its ``similarity_block`` row."""
-    [row] = similarity_block([tokenize(f"{word_a} {word_b}")], table, frozenset())
+    [row] = similarity_block(token_table([tokenize(f"{word_a} {word_b}")], frozenset()), table)
     assert len(set(row[:4].tolist())) == 1
     return float(row[0])
 
@@ -398,8 +398,8 @@ class TestCosine:
         # left: the block row is all zeros.
         table = EmbeddingTable("pair", ["u", "v"], np.array([[0.0, 0.0], [1.0, 2.0]]))
         sentence = tokenize("u v")
-        assert content_index([sentence], frozenset(), table).rows.tolist() == [1]
-        assert not similarity_block([sentence], table, frozenset()).any()
+        assert content_index(token_table([sentence], frozenset()), table).rows.tolist() == [1]
+        assert not similarity_block(token_table([sentence], frozenset()), table).any()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_table
+from conftest import (
+    ORACLE_LEXICON_ENTRIES,
+    fragments_of_rows,
+    oracle_corpus,
+    random_table,
+)
 from incongruity.features import (
+    PRIOR_SETS,
     ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
@@ -17,16 +23,12 @@ from incongruity.features import (
     LexiconFormatError,
     build_config_features,
     default_lexicon,
-    incongruity_features,
-    lexicon_category_features,
     load_lexicon,
-    ngram_features,
-    pragmatic_features,
 )
 from incongruity import harness
 from incongruity.harness import Resources, extract_features
 from incongruity.similarity import Augmentation
-from incongruity.text import tokenize
+from incongruity.text import token_table, tokenize
 
 
 def make_lexicon() -> Lexicon:
@@ -78,8 +80,8 @@ def extracted(rows, registry, augmentation=Augmentation.NONE, block=None):
     if block is None:
         block = np.zeros((len(rows), 0))
     with mock.patch.object(
-        harness, "build_config_features", lambda s, prior, lexicon: rows[int(s.raw[1:])]
-    ), mock.patch.object(harness, "_block", lambda sentences, config, resources: block):
+        harness, "build_config_features", lambda tokens, prior, lexicon: fragments_of_rows(rows)
+    ), mock.patch.object(harness, "_block", lambda tokens, config, resources: block):
         return extract_features(
             sentences, ExperimentConfig("L", augmentation, "t"), Resources(), registry
         )
@@ -233,9 +235,67 @@ class TestExtractFeatures:
             assert not ids.flags.writeable and not values.flags.writeable
 
 
+def assert_numbered_like(vectors, registry, reference, rows):
+    """``vectors`` and ``registry`` are ``rows`` of fragments numbered by
+    ``oracles.number_row`` through ``reference``, bit for bit."""
+    expected = [oracles.number_row(reference, fragments) for fragments in rows]
+    assert registry.names == reference.names
+    assert len(vectors) == len(expected)
+    for vector, pairs in zip(vectors, expected):
+        ids, values = vector.as_arrays()
+        assert ids.tolist() == [fid for fid, _ in pairs]
+        assert values.tobytes() == np.array([v for _, v in pairs], dtype=np.float64).tobytes()
+
+
+class TestCorpusPriors:
+    """The prior fragments of a whole corpus give every sentence the names,
+    values and first-occurrence numbering of the per-sentence oracle."""
+
+    lexicon = Lexicon("oracle", ORACLE_LEXICON_ENTRIES)
+
+    def check(self, texts, prior, held):
+        """Compare through a fresh registry, then one frozen holding ``held``
+        (names chosen from the fresh registry's by ``held``)."""
+        resources = Resources(lexicon=self.lexicon, stopwords=frozenset({"a", "in"}))
+        rows = [oracles.prior_fragments(text, prior, self.lexicon) for text in texts]
+        sentences = [tokenize(text) for text in texts]
+        config = ExperimentConfig(prior)
+
+        registry, reference = FeatureRegistry(), FeatureRegistry()
+        vectors = extract_features(sentences, config, resources, registry)
+        assert_numbered_like(vectors, registry, reference, rows)
+
+        held = held([*reference.names, "uni:unseen"])
+        registry, reference = registry_holding(held), registry_holding(held)
+        vectors = extract_features(sentences, config, resources, registry)
+        assert_numbered_like(vectors, registry, reference, rows)
+
+    @given(oracle_corpus, st.sampled_from(PRIOR_SETS), st.data())
+    def test_matches_per_sentence_oracle(self, texts, prior, data):
+        # The frozen registry holds some of the names in another order, and
+        # maybe one the corpus never emits.
+        self.check(
+            texts, prior, lambda names: data.draw(st.lists(st.sampled_from(names), unique=True))
+        )
+
+    @pytest.mark.parametrize("prior", PRIOR_SETS)
+    def test_runs_and_flips_stop_at_sentence_ends(self, prior):
+        texts = ["so great LOVE", "LOVE great ! awful", "hate awful", "great"]
+        self.check(texts, prior, lambda names: names[::-2])
+
+
+def features_of(text, prior, lexicon=None):
+    """One sentence's features under ``prior`` by name, through the corpus
+    path; the lexicon defaults to :func:`make_lexicon`'s."""
+    registry = FeatureRegistry()
+    resources = Resources(lexicon=lexicon or make_lexicon(), stopwords=frozenset())
+    [vector] = extract_features([tokenize(text)], ExperimentConfig(prior), resources, registry)
+    return {registry.name_of(fid): value for fid, value in vector.items()}
+
+
 class TestNgrams:
     def test_trigram_set_for_short_sentence(self):
-        fragment = ngram_features(tokenize("Wow that was great !"), 3)
+        fragment = features_of("Wow that was great !", "L")
         assert fragment == {
             "uni:wow": 1.0,
             "uni:that": 1.0,
@@ -249,23 +309,22 @@ class TestNgrams:
         }
 
     def test_presence_is_binary(self):
-        fragment = ngram_features(tokenize("so so so"), 2)
-        assert fragment["uni:so"] == 1.0
-        assert fragment["bi:so_so"] == 1.0
-        assert len(fragment) == 2
+        fragment = features_of("so so so", "L")
+        assert fragment == {"uni:so": 1.0, "bi:so_so": 1.0, "tri:so_so_so": 1.0}
 
     def test_unigram_only(self):
-        fragment = ngram_features(tokenize("a b"), 1)
-        assert set(fragment) == {"uni:a", "uni:b"}
+        # G, B and J take unigrams only.
+        for prior in ("G", "B", "J"):
+            assert set(features_of("a b", prior)) == {"uni:a", "uni:b"}
 
     def test_punctuation_excluded_from_grams(self):
-        fragment = ngram_features(tokenize("nice , day"), 2)
+        fragment = features_of("nice , day", "L")
         assert "bi:nice_day" in fragment
         assert not any("," in name for name in fragment)
 
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            ngram_features(tokenize("a"), 4)
+    def test_words_joining_to_one_name_are_one_feature(self):
+        # ("a_b", "c") and ("a", "b_c") both join to "a_b_c".
+        assert features_of("a_b c a b_c", "L")["bi:a_b_c"] == 1.0
 
 
 class TestLexicon:
@@ -315,54 +374,51 @@ class TestLexicon:
 
 class TestCategoryCounts:
     def test_counts_per_category(self):
-        fragment = lexicon_category_features(
-            tokenize("I love to think and think"), make_lexicon()
-        )
-        assert fragment == {"lexcat.emotion": 1.0, "lexcat.psych_process": 2.0}
+        fragment = features_of("I love to think and think", "G")
+        categories = {k: v for k, v in fragment.items() if k.startswith("lexcat.")}
+        assert categories == {"lexcat.emotion": 1.0, "lexcat.psych_process": 2.0}
 
     def test_empty_when_no_hits(self):
-        fragment = lexicon_category_features(tokenize("plain words"), make_lexicon())
-        assert fragment == {}
+        fragment = features_of("plain words", "G")
+        assert fragment == {"uni:plain": 1.0, "uni:words": 1.0}
 
 
 class TestPragmatic:
     def test_includes_unigrams(self):
-        fragment = pragmatic_features(tokenize("nice day"), make_lexicon())
+        fragment = features_of("nice day", "B")
         assert fragment["uni:nice"] == 1.0
 
     def test_hyperbole_needs_run_of_three(self):
-        lexicon = make_lexicon()
-        with_run = pragmatic_features(tokenize("great great great day"), lexicon)
+        with_run = features_of("great great great day", "B")
         assert with_run["prag.hyperbole"] == 1.0
-        without = pragmatic_features(tokenize("great great day"), lexicon)
+        without = features_of("great great day", "B")
         assert "prag.hyperbole" not in without
 
     def test_sentiment_then_emphasis(self):
-        lexicon = make_lexicon()
-        fragment = pragmatic_features(tokenize("great !!"), lexicon)
+        fragment = features_of("great !!", "B")
         assert fragment["prag.pos_then_emphasis"] == 1.0
         assert fragment["prag.punct.exclamation"] == 2.0
-        fragment = pragmatic_features(tokenize("awful ..."), lexicon)
+        fragment = features_of("awful ...", "B")
         assert fragment["prag.neg_then_ellipsis"] == 1.0
         assert fragment["prag.ellipsis"] == 1.0
 
     def test_quotes_flag(self):
-        fragment = pragmatic_features(tokenize('" quoted " words'), make_lexicon())
+        fragment = features_of('" quoted " words', "B")
         assert fragment["prag.quotes"] == 1.0
         assert fragment["prag.punct.quote"] == 2.0
 
     def test_mark_counts_split_ellipsis_from_periods(self):
-        fragment = pragmatic_features(tokenize("so . it went ..."), make_lexicon())
+        fragment = features_of("so . it went ...", "B")
         assert fragment["prag.punct.period"] == 1.0
         assert fragment["prag.punct.ellipsis"] == 1.0
 
     def test_interjections_and_laughter(self):
-        fragment = pragmatic_features(tokenize("wow haha haha"), make_lexicon())
+        fragment = features_of("wow haha haha", "B")
         assert fragment["prag.interjections"] == 1.0
         assert fragment["prag.laughter"] == 2.0
 
     def test_plain_sentence_has_no_pragmatic_block(self):
-        fragment = pragmatic_features(tokenize("the cat sat"), make_lexicon())
+        fragment = features_of("the cat sat", "B")
         assert all(not name.startswith("prag.") for name in fragment)
 
 
@@ -370,30 +426,24 @@ class TestIncongruity:
     def test_flip_count_and_runs(self):
         # Polarity sequence: great(+) love(+) awful(-) great(+) -> 2 flips,
         # longest positive run 2, longest negative run 1, sum +2.
-        fragment = incongruity_features(
-            tokenize("great love awful but great"), make_lexicon()
-        )
+        fragment = features_of("great love awful but great", "J")
         assert fragment["incong.flips"] == 2.0
         assert fragment["incong.longest_pos_run"] == 2.0
         assert fragment["incong.longest_neg_run"] == 1.0
         assert fragment["incong.polarity"] == 2.0
 
     def test_neutral_tokens_do_not_break_runs(self):
-        fragment = incongruity_features(
-            tokenize("great really great day"), make_lexicon()
-        )
+        fragment = features_of("great really great day", "J")
         assert fragment["incong.longest_pos_run"] == 2.0
         assert "incong.flips" not in fragment
 
     def test_balanced_polarity_omits_sum(self):
-        fragment = incongruity_features(tokenize("great awful"), make_lexicon())
+        fragment = features_of("great awful", "J")
         assert "incong.polarity" not in fragment
         assert fragment["incong.flips"] == 1.0
 
     def test_implicit_phrase_match_is_substring_based(self):
-        fragment = incongruity_features(
-            tokenize("Stuck in traffic again, lovely"), make_lexicon()
-        )
+        fragment = features_of("Stuck in traffic again, lovely", "J")
         assert fragment["incong.implicit_matches"] == 1.0
 
     def test_implicit_phrase_matches_decomposed_text(self):
@@ -404,11 +454,11 @@ class TestIncongruity:
         assert decomposed != composed
         assert tokenize(decomposed).tokens == tokenize(composed).tokens
         for text in (composed, decomposed):
-            fragment = incongruity_features(tokenize(text), lexicon)
+            fragment = features_of(text, "J", lexicon)
             assert fragment["incong.implicit_matches"] == 1.0
 
     def test_includes_unigrams(self):
-        fragment = incongruity_features(tokenize("plain text"), make_lexicon())
+        fragment = features_of("plain text", "J")
         assert fragment == {"uni:plain": 1.0, "uni:text": 1.0}
 
 
@@ -432,6 +482,18 @@ class TestExperimentConfig:
     def test_augmentation_requires_embedding(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig("L", Augmentation.S, "")
+
+
+def fragment_dicts(fragments, row=0):
+    """Row ``row`` of each fragment as a name -> value dict."""
+    return [
+        {
+            f.names[i]: value
+            for r, i, value in zip(f.rows.tolist(), f.name_ids.tolist(), f.values.tolist())
+            if r == row
+        }
+        for f in fragments
+    ]
 
 
 class TestBuildConfigFeatures:
@@ -462,7 +524,8 @@ class TestBuildConfigFeatures:
         vector, registry = self.build("love w000", ExperimentConfig("G"))
         names = self.names_of(vector, registry)
         assert names == {"uni:love", "uni:w000", "lexcat.emotion"}
-        assert build_config_features(tokenize("love w000"), "G", self.lexicon) == [
+        tokens = token_table([tokenize("love w000")], self.stopwords)
+        assert fragment_dicts(build_config_features(tokens, "G", self.lexicon)) == [
             {"uni:love": 1.0, "uni:w000": 1.0},
             {"lexcat.emotion": 1.0},
         ]

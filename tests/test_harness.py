@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import fragments_of_rows
 from incongruity import classify, harness
 from incongruity.classify import LinearModel, TrainConfig
 from incongruity.features import (
@@ -42,7 +43,7 @@ from incongruity.harness import (
 )
 from incongruity.similarity import Augmentation, similarity_block
 from incongruity.synthetic import generate_corpus, toy_embedding_tables
-from incongruity.text import tokenize
+from incongruity.text import token_table, tokenize
 
 FIXTURE_CORPUS = Path(__file__).parent / "data" / "fixture_corpus.tsv"
 
@@ -389,7 +390,8 @@ class TestRunConfig:
         registry = FeatureRegistry()
         config = ExperimentConfig.parse("J+S+WS", embedding="emb-a")
         vectors = extract_features(sentences, config, resources, registry)
-        block = similarity_block(sentences, resources.embeddings["emb-a"], resources.stopwords)
+        tokens = token_table(sentences, resources.stopwords)
+        block = similarity_block(tokens, resources.embeddings["emb-a"])
         names = Augmentation.S_AND_WS.feature_names
         assert block.any()
         for vector, row in zip(vectors, block.tolist()):
@@ -468,7 +470,7 @@ class TestCompiledFolds:
             labels[i] = 1 - k % 2
         instances = [LabeledInstance(f"r{i}", "text", y) for i, y in enumerate(labels)]
         corpus_names = FeatureRegistry()
-        corpus = harness._compile(rows, corpus_names)
+        corpus = harness._compile(fragments_of_rows(rows), len(rows), corpus_names)
         size = corpus.size
         assert size == len(corpus_names)
         corpus_ids = {name: fid for fid, name in enumerate(corpus_names.names)}
@@ -601,7 +603,7 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("folds", [2, 4])
     def test_features_built_once_per_corpus(self, resources, monkeypatch, folds):
-        calls = {"tokenize": 0, "build": 0, "block": 0}
+        calls = {"tokenize": 0, "table": 0, "build": 0, "block": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -611,6 +613,7 @@ class TestRunMatrix:
             return wrapper
 
         monkeypatch.setattr(harness, "tokenize", counting("tokenize", harness.tokenize))
+        monkeypatch.setattr(harness, "token_table", counting("table", harness.token_table))
         monkeypatch.setattr(
             harness,
             "build_config_features",
@@ -630,7 +633,8 @@ class TestRunMatrix:
         n, tables = len(instances), len(resources.embeddings)
         assert calls == {
             "tokenize": n,
-            "build": len(PRIOR_SETS) * n,
+            "table": 1,
+            "build": len(PRIOR_SETS),
             "block": tables,
         }
 
@@ -638,16 +642,17 @@ class TestRunMatrix:
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
         # Folds select rows and train in lockstep: no per-fold interning, no
         # FeatureVector, no one-cell fit and no per-row prediction.  Each
-        # prior set interns each name it emits once per corpus, so the
-        # intern count is the same at every fold count.
+        # prior set interns each distinct name it emits once per corpus, so
+        # the intern count is the same at every fold count.
         instances = generate_corpus(30, 0.4, seed=9)
         emitted = sum(
-            len(fragment)
+            len({
+                name
+                for inst in instances
+                for fragment in oracles.prior_fragments(inst.text, prior, resources.lexicon)
+                for name in fragment
+            })
             for prior in PRIOR_SETS
-            for inst in instances
-            for fragment in harness.build_config_features(
-                tokenize(inst.text), prior, resources.lexicon
-            )
         )
         calls = {
             "intern": 0,
@@ -722,8 +727,9 @@ class TestRunMatrix:
                 assert model.threshold == single.threshold == threshold, name
 
     def test_name_emitted_twice_is_rejected(self, resources, monkeypatch):
-        def colliding(*args, **kwargs):
-            return [*build_config_features(*args, **kwargs), {"dup": 1.0}, {"dup": 0.0}]
+        def colliding(tokens, *args):
+            rows = [[{"dup": 1.0}, {"dup": 0.0}]] * len(tokens.sentences)
+            return [*build_config_features(tokens, *args), *fragments_of_rows(rows)]
 
         build_config_features = harness.build_config_features
         monkeypatch.setattr(harness, "build_config_features", colliding)

@@ -17,7 +17,7 @@ from incongruity.similarity import (
     WS_FEATURE_NAMES,
     similarity_block,
 )
-from incongruity.text import TokenizedSentence, content_index, tokenize
+from incongruity.text import TokenizedSentence, content_index, token_table, tokenize
 
 
 def pair_matrices(vectors, positions):
@@ -59,9 +59,8 @@ class TestPairwiseScores:
         _, distances = pair_matrices(vectors, positions)
         assert distances[words.index("w000"), words.index("w001")] == 2
         # With only those two types, WS is S over 2 squared, exactly.
-        [row] = similarity_block(
-            [tokenize("w000 pad pad w001 pad w000")], table, frozenset({"pad"})
-        )
+        tokens = token_table([tokenize("w000 pad pad w001 pad w000")], frozenset({"pad"}))
+        [row] = similarity_block(tokens, table)
         assert row[:4].any()
         assert row[4:].tolist() == (row[:4] / 4).tolist()
 
@@ -144,7 +143,7 @@ class TestUnweightedBlock:
             table = random_table(10, 6, seed=100 + trial)
             k = int(rng.integers(2, 10))
             words = list(rng.choice(table.vocab, size=k, replace=False))
-            [row] = similarity_block([tokenize(" ".join(words))], table, frozenset())
+            [row] = similarity_block(token_table([tokenize(" ".join(words))], frozenset()), table)
             max_sim, min_sim, max_dissim, min_dissim = row[:4]
             assert max_sim >= min_sim
             assert max_dissim >= min_dissim
@@ -197,7 +196,7 @@ class TestOracleEquivalence:
             length = int(rng.integers(2, 14))
             tokens = [pool[int(rng.integers(len(pool)))] for _ in range(length)]
             sentences.append(tokenize(" ".join(tokens)))
-        block = similarity_block(sentences, table, stopwords)
+        block = similarity_block(token_table(sentences, stopwords), table)
         checked = 0
         for sentence, row in zip(sentences, block):
             words, vectors, positions = oracles.content_words(
@@ -259,8 +258,8 @@ def blocks_under_budget(budget, sentences, table, stopwords):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(text, "CHUNK_BYTES", budget)
         patch.setattr(similarity, "CHUNK_BYTES", budget)
-        whole = similarity_block(sentences, table, stopwords)
-        alone = [similarity_block([s], table, stopwords) for s in sentences]
+        whole = similarity_block(token_table(sentences, stopwords), table)
+        alone = [similarity_block(token_table([s], stopwords), table) for s in sentences]
     return whole, np.concatenate([np.zeros((0, 8)), *alone])
 
 
@@ -292,7 +291,7 @@ class TestCorpusKernel:
         stopwords = frozenset({"the", "of"})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(text, "CHUNK_BYTES", budget)
-            index = content_index(sentences, stopwords, table)
+            index = content_index(token_table(sentences, stopwords), table)
         assert len(index.type_ptr) == len(sentences) + 1
         ptr = index.position_ptr.tolist()
         for s, sentence in enumerate(sentences):
@@ -312,7 +311,7 @@ class TestCorpusKernel:
         ]
         tracemalloc.start()
         try:
-            block = similarity_block(sentences, table, frozenset())
+            block = similarity_block(token_table(sentences, frozenset()), table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -340,30 +339,30 @@ class TestEmbedFeatures:
     def test_combined_block_has_exactly_eight_features(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("w000 w001 w002")
-        assert similarity_block([sentence], table, frozenset()).shape == (1, 8)
+        assert similarity_block(token_table([sentence], frozenset()), table).shape == (1, 8)
         assert emb_names("L+S+WS", sentence, table) == S_FEATURE_NAMES + WS_FEATURE_NAMES
         assert Augmentation.S_AND_WS.feature_names == S_FEATURE_NAMES + WS_FEATURE_NAMES
 
     def test_degenerate_sentence_yields_zeros(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("the of")
-        block = similarity_block([sentence], table, frozenset({"the", "of"}))
+        block = similarity_block(token_table([sentence], frozenset({"the", "of"})), table)
         assert block.shape == (1, 8)
         assert not block.any()
 
     def test_single_content_word_yields_zeros(self):
         table = random_table(10, 5, seed=30)
         sentence = tokenize("w000 w000 oov !")
-        assert not similarity_block([sentence], table, frozenset()).any()
+        assert not similarity_block(token_table([sentence], frozenset()), table).any()
 
     def test_no_candidate_token_gives_empty_rows_and_zeros(self):
         # Stopwords, punctuation and OOV tokens only: no row is gathered.
         table = random_table(10, 5, seed=30)
         sentence = tokenize("The of ! ... zzz-oov")
-        index = content_index([sentence], frozenset({"the", "of"}), table)
+        index = content_index(token_table([sentence], frozenset({"the", "of"})), table)
         assert index.type_ptr.tolist() == [0, 0]
         assert len(index.rows) == len(index.positions) == 0
-        block = similarity_block([sentence], table, frozenset({"the", "of"}))
+        block = similarity_block(token_table([sentence], frozenset({"the", "of"})), table)
         assert block.shape == (1, 8) and not block.any()
 
     def test_all_values_finite(self):
@@ -374,7 +373,7 @@ class TestEmbedFeatures:
             k = int(rng.integers(1, 8))
             words = [f"w{int(rng.integers(25)):03d}" for _ in range(k)]
             sentences.append(tokenize(" ".join(words)))
-        block = similarity_block(sentences, table, frozenset())
+        block = similarity_block(token_table(sentences, frozenset()), table)
         assert block.shape == (100, 8)
         assert np.isfinite(block).all()
 
@@ -385,9 +384,8 @@ class TestEmbedFeatures:
             np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32),
         )
         # The pair sits 3 tokens apart, so WS is S over 3 squared.
-        [row] = similarity_block(
-            [tokenize("left pad pad right")], table, frozenset({"pad"})
-        )
+        tokens = token_table([tokenize("left pad pad right")], frozenset({"pad"}))
+        [row] = similarity_block(tokens, table)
         features = dict(zip(Augmentation.S_AND_WS.feature_names, row))
         np.testing.assert_allclose(
             features["emb.ws.max_sim"], features["emb.s.max_sim"] / 9.0, atol=1e-12

@@ -16,7 +16,7 @@ from incongruity.synthetic import (
     toy_embedding_tables,
     write_corpus_and_tables,
 )
-from incongruity.text import default_stopwords, tokenize
+from incongruity.text import default_stopwords, token_table, tokenize
 
 ALL_CLUSTER_WORDS = frozenset(itertools.chain.from_iterable(WORD_CLUSTERS))
 
@@ -193,7 +193,7 @@ class TestEndToEndSignal:
         table = toy_embedding_tables(seed=0)["emb-a"]
         instances = generate_corpus(100, 0.5, seed=5)
         sentences = [tokenize(instance.text) for instance in instances]
-        block = similarity_block(sentences, table, default_stopwords())
+        block = similarity_block(token_table(sentences, default_stopwords()), table)
         max_sims = {0: [], 1: []}
         min_dissims = {0: [], 1: []}
         for instance, (max_sim, _, _, min_dissim) in zip(instances, block[:, :4].tolist()):

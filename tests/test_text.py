@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import unicodedata
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import oracle_sentence
 from incongruity.embeddings import EmbeddingTable
 from incongruity.text import (
     EmptySentenceError,
@@ -14,6 +16,7 @@ from incongruity.text import (
     default_stopwords,
     is_punctuation,
     load_stopwords,
+    token_table,
     tokenize,
 )
 
@@ -54,6 +57,22 @@ class TestTokenize:
         assert all(token and not any(ch.isspace() for ch in token) for token in tokens)
         normalized = unicodedata.normalize("NFC", text)
         assert "".join(tokens) == "".join(normalized.split())
+
+    @given(st.one_of(st.text(), oracle_sentence))
+    def test_matches_per_sentence_oracle(self, text):
+        assume(text.strip())
+        assert tokenize(text).tokens == oracles.tokenize(text)
+
+    def test_no_alphanumeric_character_is_punctuation_or_symbol(self):
+        # tokenize keeps a chunk for which isalnum() holds whole, without
+        # looking for punctuation runs at its ends.  That is only right
+        # while this interpreter's Unicode tables give no character both.
+        clashes = [
+            hex(code)
+            for code in range(sys.maxunicode + 1)
+            if chr(code).isalnum() and unicodedata.category(chr(code))[0] in "PS"
+        ]
+        assert clashes == []
 
     def test_is_punctuation(self):
         assert is_punctuation("!!!")
@@ -117,7 +136,7 @@ def small_table():
 def content_of(text, stopwords, table):
     """One sentence's ``content_index`` types as {word: token positions},
     in first-occurrence order."""
-    index = content_index([tokenize(text)], stopwords, table)
+    index = content_index(token_table([tokenize(text)], stopwords), table)
     ptr = index.position_ptr.tolist()
     return {
         table.vocab[row]: tuple(index.positions[a:b].tolist())
@@ -160,7 +179,8 @@ class TestContentWords:
     def test_zero_norm_vectors_skipped(self):
         # A row of -0.0 is zero; a row holding one subnormal is not.
         table = small_table()
-        index = content_index([tokenize("man zero fish negzero tiny")], frozenset(), table)
+        tokens = token_table([tokenize("man zero fish negzero tiny")], frozenset())
+        index = content_index(tokens, table)
         assert index.type_ptr.tolist() == [0, 3]
         assert index.rows.tolist() == table.rows_of(["man", "fish", "tiny"]).tolist()
         assert index.position_ptr.tolist() == [0, 1, 2, 3]
@@ -175,7 +195,7 @@ class TestContentWords:
         sentence = tokenize("w1 w2 the w3 w19999 w1 missing")
         tracemalloc.start()
         try:
-            index = content_index([sentence], frozenset({"the"}), table)
+            index = content_index(token_table([sentence], frozenset({"the"})), table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -187,7 +207,7 @@ class TestContentWords:
 
     def test_vectors_match_table(self):
         table = small_table()
-        index = content_index([tokenize("man fish")], frozenset(), table)
+        index = content_index(token_table([tokenize("man fish")], frozenset()), table)
         assert index.rows.dtype == np.int64
         np.testing.assert_array_equal(table.vectors[index.rows[0]], table.vector("man"))
         np.testing.assert_array_equal(table.vectors[index.rows[1]], table.vector("fish"))
@@ -198,9 +218,9 @@ class TestContentWords:
         table = small_table()
         stopwords = frozenset({"a", "like"})
         text = "A woman needs a man like a fish needs a bicycle"
-        first = content_index([tokenize(text)], stopwords, table)
+        first = content_index(token_table([tokenize(text)], stopwords), table)
         rebuilt = " ".join(table.vocab[row] for row in first.rows.tolist())
-        second = content_index([tokenize(rebuilt)], stopwords, table)
+        second = content_index(token_table([tokenize(rebuilt)], stopwords), table)
         np.testing.assert_array_equal(first.rows, second.rows)
 
     def test_corpus_index_is_the_one_sentence_views_in_order(self):
@@ -213,7 +233,7 @@ class TestContentWords:
             "zero tiny Paris man",
         ]
         sentences = [tokenize(t) for t in texts]
-        index = content_index(sentences, stopwords, table)
+        index = content_index(token_table(sentences, stopwords), table)
         views = [oracles.content_words(s.tokens, stopwords, table) for s in sentences]
         assert np.diff(index.type_ptr).tolist() == [len(words) for words, _, _ in views]
         assert [table.vocab[r] for r in index.rows.tolist()] == [
