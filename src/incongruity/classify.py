@@ -17,6 +17,28 @@ threshold, and ties break toward the lower threshold (higher recall).
 One sort of each class's scores yields the true- and false-positive
 counts of every candidate at once.
 
+``train`` runs its step loop only on steps that might update.  After a
+run of steps without an update it certifies the rest of the epoch at
+once: one product over the corpus gives every row's dot with ``v`` in
+some summation order, and each remaining step's ``eta``, decay factor
+and scale are computed elementwise with the loop's association, the
+scales by a left-to-right product, so they are the loop's bit for bit.
+Any two summation orders of a row's m products, blocked or fused BLAS
+kernels included, differ by at most ``2 * gamma_m * sum |v_i x_i|``,
+where ``gamma_m = m*u / (1 - m*u)`` and ``u = 2**-53`` (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2002, section 3.1), and
+``sum |v_i x_i| <= V * ||x||_1`` for ``V = max |v|``, which stays fixed
+while no step updates.  A step is certified
+when its margin exceeds 1 by more than the allowance
+``4*m*u * |scale| * V * ||x||_1 + 2**-50 * |margin|`` (the second term
+covers the rounding of the margin's own product and of underflow), when
+``V * ||x||_1`` and ``|scale| * V * ||x||_1`` stay below ``2**1022``, so
+that no summation order can overflow, and when the scale stays at or
+above the fold floor through it.  On such a step the loop would find
+``margin >= 1`` and only decay the scale, which the jump reproduces; so
+weights and thresholds are the step loop's on every BLAS kernel.  The
+first step that is not certified runs in the loop.
+
 Prediction is ``score = <w, x> + bias`` with the positive label assigned
 iff ``score >= threshold``; feature ids the model has never seen
 contribute zero.  Training is bit-deterministic for a fixed seed.
@@ -34,6 +56,7 @@ kernel.  ``train`` and :meth:`LinearModel.decision` still sum with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -53,6 +76,10 @@ class DegenerateTrainingError(ValueError):
 
 class TrainingError(RuntimeError):
     """Optimization produced a non-finite scale, weight, margin or score."""
+
+
+class TrainConfigError(ValueError):
+    """A training hyperparameter is not finite, positive or whole."""
 
 
 class ModelFormatError(ValueError):
@@ -87,14 +114,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        for name in ("c", "w", "eta0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise TrainConfigError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
+            raise TrainConfigError(
+                f"epochs must be an integer of at least 1, got {self.epochs!r}"
+            )
 
 
 @dataclass
@@ -180,6 +209,7 @@ def train(
         y = 1.0 if label == 1 else -1.0
         class_weight = config.w if label == 1 else 1.0
         prepared.append((ids, values, y, class_weight))
+    rows = _Rows.of(prepared)
 
     # The weights are scale * v: the decay rescales one number, and a
     # step writes only the instance's own ids.
@@ -189,10 +219,25 @@ def train(
     lam = 1.0 / (config.c * n)
     rng = np.random.default_rng(config.seed)
     step = 0
+    # Exact steps since the last update or the last certification that
+    # stopped short of the end of its epoch.
+    clean = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for index in rng.permutation(n).tolist():
-                ids, values, y, class_weight = prepared[index]
+            order = rng.permutation(n)
+            pending = order.tolist()
+            position = 0
+            while position < n:
+                if clean >= _CLEAN_RUN:
+                    count, scale = _certified_steps(
+                        rows, v, scale, step, eta0, lam, order[position:]
+                    )
+                    step += count
+                    position += count
+                    if position == n:
+                        break
+                    clean = 0
+                ids, values, y, class_weight = prepared[pending[position]]
                 eta = eta0 / (1.0 + eta0 * lam * step)
                 margin = y * scale * float(np.dot(v[ids], values))
                 if not math.isfinite(margin):
@@ -205,7 +250,11 @@ def train(
                     scale = 1.0
                 if margin < 1.0:
                     v[ids] += (eta * class_weight * y / scale) * values
+                    clean = 0
+                else:
+                    clean += 1
                 step += 1
+                position += 1
             if not (
                 math.isfinite(scale)
                 and math.isfinite(v.min(initial=0.0))
@@ -222,6 +271,99 @@ def train(
         )
     threshold, _ = tune_threshold(scores, labels)
     return LinearModel(weights=v, bias=0.0, threshold=threshold)
+
+
+# After this many exact steps without an update, ``train`` certifies the
+# rest of the epoch.  One certification costs about as much as 250-300
+# exact steps (0.65-0.73 ms against about 2.5 us a step, on 3,629 rows with
+# 175k entries), so the loop waits about that long before it bets that the
+# rest of the epoch is clean.  On that corpus, clean runs of 64, 256 and
+# 1,024 steps need 134, 68 and 46 certifications and 15k, 25k and 33k
+# exact steps per 50-epoch fit: 256 spends the least on the two together.
+_CLEAN_RUN = 256
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The training rows end to end, for :func:`_certified_steps`.
+
+    ``ids`` and ``values`` hold every row's entries in row order, and
+    ``starts`` where each row with entries (``nonempty``) begins.  Per
+    row: the sign ``y``, ``norms`` its ``||x||_1`` and ``slack`` its
+    ``m * 2**-51`` for m entries.
+    """
+
+    ids: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    nonempty: np.ndarray
+    y: np.ndarray
+    norms: np.ndarray
+    slack: np.ndarray
+
+    @classmethod
+    def of(cls, prepared) -> "_Rows":
+        """The rows of ``train``'s (ids, values, y, class weight) tuples."""
+        lengths = np.array([len(ids) for ids, _, _, _ in prepared], dtype=np.int64)
+        nonempty = lengths > 0
+        starts = (np.cumsum(lengths) - lengths)[nonempty]
+        values = np.concatenate([values for _, values, _, _ in prepared])
+        norms = np.zeros(len(prepared))
+        norms[nonempty] = np.add.reduceat(np.abs(values), starts)
+        return cls(
+            ids=np.concatenate([ids for ids, _, _, _ in prepared]),
+            values=values,
+            starts=starts,
+            nonempty=nonempty,
+            y=np.array([y for _, _, y, _ in prepared]),
+            norms=norms,
+            slack=lengths * 2.0**-51,
+        )
+
+
+def _certified_steps(
+    rows: _Rows,
+    v: np.ndarray,
+    scale: float,
+    step: int,
+    eta0: float,
+    lam: float,
+    pending: np.ndarray,
+) -> tuple[int, float]:
+    """How many of the next steps, over row indices ``pending``, provably
+    make no update; and the scale after them.
+
+    The steps are ``step``, ``step + 1``, ... with the weights
+    ``scale * v``.  One product over the corpus gives every row's dot
+    with ``v`` in an order other than ``np.dot``'s, and each step's
+    ``eta``, decay factor and scale are computed as in ``train``'s loop,
+    bit for bit.  A step is certified when its margin exceeds 1 by more
+    than the allowance, its magnitudes cannot overflow and the scale
+    stays at or above the floor through it (see the module docstring);
+    the count is the length of the certified prefix.
+    """
+    # NaN if v holds a NaN, which certifies nothing.
+    top = np.abs(v).max(initial=0.0)
+    products = v[rows.ids] * rows.values
+    dots = np.zeros(len(rows.y))
+    dots[rows.nonempty] = np.add.reduceat(products, rows.starts)
+    steps = np.arange(step, step + len(pending), dtype=np.float64)
+    eta = eta0 / (1.0 + eta0 * lam * steps)
+    # Left to right: scales[t] is the scale before step t, bit for bit.
+    scales = np.multiply.accumulate(np.concatenate([[scale], 1.0 - eta * lam]))
+    before = scales[:-1]
+    margins = rows.y[pending] * before * dots[pending]
+    reach = top * rows.norms[pending]
+    bound = np.abs(before) * reach
+    allowance = bound * rows.slack[pending] + 2.0**-50 * np.abs(margins)
+    certified = (
+        (margins - allowance > 1.0)
+        & (reach < 2.0**1022)
+        & (bound < 2.0**1022)
+        & (np.abs(scales[1:]) >= _SCALE_FLOOR)
+    )
+    count = len(pending) if certified.all() else int(np.argmin(certified))
+    return count, float(scales[count])
 
 
 @dataclass(frozen=True)

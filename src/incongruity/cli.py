@@ -7,10 +7,19 @@ from typing import Iterable
 
 import click
 
-from .classify import ModelFormatError, TrainConfig, load_model, save_model, train
+from .classify import (
+    DegenerateTrainingError,
+    ModelFormatError,
+    TrainConfig,
+    TrainConfigError,
+    load_model,
+    save_model,
+    train,
+)
 from .embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
+    EmptyIntersectionError,
     intersect_vocabularies,
     load_embeddings,
     save_text_vectors,
@@ -27,6 +36,7 @@ from .harness import (
     DatasetParseError,
     Prediction,
     Resources,
+    SplitError,
     compute_gains,
     emit_report,
     extract_features,
@@ -35,7 +45,7 @@ from .harness import (
     run_matrix,
 )
 from .synthetic import generate_corpus, toy_embedding_tables, write_corpus_and_tables
-from .text import default_stopwords, load_stopwords, tokenize
+from .text import StopwordFormatError, default_stopwords, load_stopwords, tokenize
 
 _EMBED_DIR_ENVVAR = "INCONGRUITY_EMBED_DIR"
 
@@ -109,9 +119,14 @@ _lexicon_option = click.option(
 _INPUT_ERRORS = (
     ConfigurationError,
     DatasetParseError,
+    DegenerateTrainingError,
     EmbeddingFormatError,
+    EmptyIntersectionError,
     LexiconFormatError,
     ModelFormatError,
+    SplitError,
+    StopwordFormatError,
+    TrainConfigError,
 )
 
 

@@ -34,6 +34,10 @@ class EmptySentenceError(ValueError):
     """Raised when asked to tokenize input with no tokens."""
 
 
+class StopwordFormatError(ValueError):
+    """A stopword file is not valid UTF-8."""
+
+
 def _is_punct_char(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
@@ -99,7 +103,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
                 if entry:
                     words.add(unicodedata.normalize("NFC", entry).casefold())
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8") from exc
+            raise StopwordFormatError(f"{path}: not valid UTF-8") from exc
     return frozenset(words)
 
 

@@ -12,6 +12,14 @@ import unicodedata
 
 import numpy as np
 
+from incongruity.classify import (
+    _SCALE_FLOOR,
+    DegenerateTrainingError,
+    LinearModel,
+    TrainingError,
+    tune_threshold,
+)
+
 
 def cosine(u, v) -> float:
     dot = sum(float(a) * float(b) for a, b in zip(u, v))
@@ -414,3 +422,74 @@ def sequential_sgd_weights(instances, config):
     scores = [dot(v, ids, values) for ids, values, _, _ in prepared]
     threshold, _ = brute_force_threshold(scores, [label for _, label in instances])
     return v, threshold
+
+
+def step_loop_train(instances, config):
+    """Reference ``classify.train``: the exact step loop, run on every step.
+
+    ``classify.train`` skips the loop on steps it proves cannot update;
+    it must return this function's weights and threshold bit for bit and
+    raise its errors.  Trains a linear model on (feature vector, label in
+    {0, 1}) pairs.
+
+    Raises :class:`DegenerateTrainingError` unless both classes are
+    present, and :class:`TrainingError` naming the epoch if the scale,
+    the weights, a margin or a training score stops being finite.  Two
+    calls with identical data and seed produce bit-identical weights.
+    """
+    n = len(instances)
+    labels = np.array([int(label) for _, label in instances])
+    if not ((labels == 1).any() and (labels == 0).any()):
+        raise DegenerateTrainingError("training data must contain both classes")
+
+    dimension = 0
+    prepared = []
+    for vector, label in instances:
+        ids, values = vector.as_arrays()
+        if len(ids):
+            dimension = max(dimension, int(ids[-1]) + 1)
+        y = 1.0 if label == 1 else -1.0
+        class_weight = config.w if label == 1 else 1.0
+        prepared.append((ids, values, y, class_weight))
+
+    # The weights are scale * v: the decay rescales one number, and a
+    # step writes only the instance's own ids.
+    v = np.zeros(dimension, dtype=np.float64)
+    scale = 1.0
+    eta0 = config.eta0
+    lam = 1.0 / (config.c * n)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for index in rng.permutation(n).tolist():
+                ids, values, y, class_weight = prepared[index]
+                eta = eta0 / (1.0 + eta0 * lam * step)
+                margin = y * scale * float(np.dot(v[ids], values))
+                if not math.isfinite(margin):
+                    raise TrainingError(f"non-finite margin in epoch {epoch}")
+                scale *= 1.0 - eta * lam
+                # Fold the scale into v before dividing by it: a decay
+                # factor of exactly 0 (eta0 * lam == 1) zeroes the scale.
+                if abs(scale) < _SCALE_FLOOR:
+                    v *= scale
+                    scale = 1.0
+                if margin < 1.0:
+                    v[ids] += (eta * class_weight * y / scale) * values
+                step += 1
+            if not (
+                math.isfinite(scale)
+                and math.isfinite(v.min(initial=0.0))
+                and math.isfinite(v.max(initial=0.0))
+            ):
+                raise TrainingError(f"non-finite weights after epoch {epoch}")
+
+        # Materialize the weights in place: v becomes scale * v.
+        v *= scale
+        scores = np.array([np.dot(v[ids], values) for ids, values, _, _ in prepared])
+    if not np.all(np.isfinite(scores)):
+        raise TrainingError(
+            f"non-finite training scores after epoch {config.epochs - 1}"
+        )
+    threshold, _ = tune_threshold(scores, labels)
+    return LinearModel(weights=v, bias=0.0, threshold=threshold)

@@ -1,10 +1,11 @@
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +16,7 @@ from incongruity.classify import (
     LinearModel,
     ModelFormatError,
     TrainConfig,
+    TrainConfigError,
     TrainingError,
     load_model,
     save_model,
@@ -38,15 +40,15 @@ def make_instances(registry, rows):
     ]
 
 
-def separable_rows(n_per_class, seed):
+def separable_rows(n_per_class, seed, signal=1.0):
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n_per_class):
         rows.append(
-            ({"pos": 1.0, "noise": float(rng.normal())}, 1)
+            ({"pos": signal, "noise": float(rng.normal())}, 1)
         )
         rows.append(
-            ({"neg": 1.0, "noise": float(rng.normal())}, 0)
+            ({"neg": signal, "noise": float(rng.normal())}, 0)
         )
     return rows
 
@@ -275,8 +277,11 @@ class TestTrain:
         instances = make_instances(registry, rows)
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
-            with pytest.raises(TrainingError, match=r"epoch \d+"):
+            with pytest.raises(TrainingError, match=r"epoch \d+") as raised:
                 train(instances, TrainConfig(epochs=3))
+            with pytest.raises(TrainingError) as expected:
+                oracles.step_loop_train(instances, TrainConfig(epochs=3))
+        assert str(raised.value) == str(expected.value)
 
 
 class TestDenseOracle:
@@ -323,6 +328,178 @@ class TestDenseOracle:
         weights, dense = self.assert_matches_dense(instances, config)
         np.testing.assert_array_equal(dense, [0.625, -0.25])
         np.testing.assert_array_equal(weights, [0.625, -0.25])
+
+
+def model_bytes(trainer, instances, config):
+    """(weights bytes, threshold hex) of a fit, or the TrainingError message."""
+    try:
+        model = trainer(instances, config)
+    except TrainingError as exc:
+        return str(exc)
+    return model.weights.tobytes(), float.hex(model.threshold)
+
+
+# np.dot sums left to right below 16 entries and in BLAS blocks above, so
+# the row lengths straddle 16 and 64.
+ROW_LENGTHS = [0, 1, 15, 16, 17, 65, 80]
+
+
+@st.composite
+def step_loop_problems(draw):
+    """(instances, config, clean run) for ``train`` against the step loop.
+
+    Rows draw their lengths from ``ROW_LENGTHS`` and their values from
+    +-1e-3 to +-1e3; some rows repeat earlier ones.  Separable problems
+    add a class indicator, so updates stop and long certified runs occur.
+    The configs include the scale-floor and zero-decay ones of
+    ``TestDenseOracle``, and the clean run that starts a certification is
+    the trainer's own or a short one, which certifies after almost every
+    step.
+    """
+    n = draw(st.integers(2, 24))
+    lengths = draw(st.lists(st.sampled_from(ROW_LENGTHS), min_size=n, max_size=n))
+    separable = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(2, size=n)
+    labels[:2] = [0, 1]
+    width = 2 + draw(st.integers(80, 120))
+    vectors = []
+    for i, (length, label) in enumerate(zip(lengths, labels)):
+        if i >= 2 and rng.random() < 0.25:
+            source = int(rng.integers(i))
+            vectors.append(vectors[source])
+            labels[i] = labels[source]
+            continue
+        ids = np.sort(rng.choice(np.arange(2, width), size=length, replace=False))
+        values = rng.choice([-1.0, 1.0], size=length) * 10.0 ** rng.uniform(-3, 3, length)
+        if separable:
+            ids = np.concatenate([[1 - label], ids])
+            values = np.concatenate([[10.0 ** rng.uniform(-1, 1)], values])
+        vectors.append(FeatureVector(ids, values))
+    instances = [(vector, int(label)) for vector, label in zip(vectors, labels)]
+
+    epochs = draw(st.integers(30, 80))
+    seed = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["default", "drawn", "floor", "zero"]))
+    if kind == "default":
+        config = TrainConfig(epochs=epochs, seed=seed)
+    elif kind == "drawn":
+        config = TrainConfig(
+            c=draw(st.floats(0.01, 100)),
+            w=draw(st.floats(0.5, 5)),
+            eta0=draw(st.floats(0.01, 2)),
+            epochs=epochs,
+            seed=seed,
+        )
+    elif kind == "floor":
+        config = TrainConfig(c=0.5 / (n * (1.0 - 1e-6)), eta0=0.5, epochs=epochs, seed=seed)
+    else:
+        config = TrainConfig(c=0.5 / n, eta0=0.5, epochs=epochs, seed=seed)
+    clean_run = draw(st.sampled_from([classify._CLEAN_RUN, 1, 7]))
+    return instances, config, clean_run
+
+
+class TestStepLoopOracle:
+    """``train`` against the exact step loop it skips on certified steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_loop_problems())
+    def test_bit_identical_to_step_loop(self, problem):
+        instances, config, clean_run = problem
+        expected = model_bytes(oracles.step_loop_train, instances, config)
+        with mock.patch.object(classify, "_CLEAN_RUN", clean_run):
+            assert model_bytes(train, instances, config) == expected
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainConfig(epochs=60, seed=3),
+            # The scale crosses the floor at step 1,000, in the middle of an
+            # epoch that the step loop would otherwise certify.
+            TrainConfig(c=0.5 / (80 * (1.0 - 1e-6)), eta0=0.5, epochs=60),
+            TrainConfig(c=0.37, w=1.7, eta0=0.3, epochs=60, seed=1),
+        ],
+    )
+    def test_certified_path_runs(self, monkeypatch, config):
+        counts = {"calls": 0, "steps": 0}
+        certify = classify._certified_steps
+
+        def counted(*args):
+            count, scale = certify(*args)
+            counts["calls"] += 1
+            counts["steps"] += count
+            return count, scale
+
+        monkeypatch.setattr(classify, "_certified_steps", counted)
+        rows = separable_rows(40, seed=6, signal=100.0)
+        instances = make_instances(FeatureRegistry(), rows)
+        expected = model_bytes(oracles.step_loop_train, instances, config)
+        assert model_bytes(train, instances, config) == expected
+        assert counts["calls"] > 0
+        assert counts["steps"] > len(instances) * config.epochs // 2
+
+
+class TestCertifiedSteps:
+    """One certification, on rows and weights set by hand."""
+
+    def certify(self, v, rows, scale=1.0, step=0, eta0=0.5, lam=1e-3):
+        v = np.asarray(v, dtype=np.float64)
+        prepared = [
+            (np.arange(len(values)), np.asarray(values, dtype=np.float64), 1.0, 1.0)
+            for values in rows
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return classify._certified_steps(
+                classify._Rows.of(prepared),
+                v,
+                scale,
+                step,
+                eta0,
+                lam,
+                np.arange(len(rows)),
+            )
+
+    def test_margin_within_allowance_is_not_certified(self):
+        # One ulp above 1 could be below 1 in another summation order.
+        assert self.certify([1.0 + 2.0**-52], [[1.0]])[0] == 0
+        assert self.certify([1.0 + 2.0**-40], [[1.0]])[0] == 1
+
+    def test_allowance_grows_with_the_row(self):
+        # The same margin, 1 + 2**-46, from one term and from 64: the order
+        # error of 64 terms may exceed its 64 ulps above 1.
+        assert self.certify([1.0 + 2.0**-46], [[1.0]])[0] == 1
+        assert self.certify([1.0 + 2.0**-46] * 64, [[1 / 64] * 64])[0] == 0
+        assert self.certify([1.0 + 2.0**-40] * 64, [[1 / 64] * 64])[0] == 1
+
+    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+    def test_non_finite_margin_is_not_certified(self, weight):
+        assert self.certify([weight], [[1.0]])[0] == 0
+
+    def test_row_that_could_overflow_is_not_certified(self):
+        # The margin is 4, but another order may sum 2**1021 + 2**1021.
+        v = [2.0**1021, 2.0**1021, -(2.0**1021), 4 - 2.0**1021]
+        assert self.certify(v, [[1.0, 1.0, -1.0, 1.0]])[0] == 0
+
+    def test_scale_floor_stops_the_run(self):
+        # Decay factors 1/2, then 2/3: the second step takes the scale
+        # below the floor, so it is left to the step loop.
+        count, scale = self.certify([1e12], [[1.0]] * 3, scale=2.5e-9, lam=1.0)
+        assert count == 1
+        assert scale == 2.5e-9 * 0.5
+
+    def test_scales_match_the_step_loop(self):
+        # eta0 * (lam * step) differs from (eta0 * lam) * step in the last
+        # bit often enough to change a decay factor of this run (at step
+        # 575) and so the scale after it.
+        eta0, lam, step = 0.7, 1.25, 300
+        count, scale = self.certify(
+            [1e3], [[1.0]] * 1000, scale=0.7, step=step, eta0=eta0, lam=lam
+        )
+        expected = 0.7
+        for t in range(step, step + 1000):
+            expected *= 1.0 - eta0 / (1.0 + eta0 * lam * t) * lam
+        assert count == 1000
+        assert float.hex(scale) == float.hex(expected)
 
 
 class TestTrainCells:
@@ -619,3 +796,17 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(eta0=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", -1.0),
+            ("c", float("nan")),
+            ("w", float("inf")),
+            ("eta0", float("nan")),
+            ("epochs", 2.5),
+        ],
+    )
+    def test_error_names_the_field(self, field, value):
+        with pytest.raises(TrainConfigError, match=rf"^{field} must be .*, got {value!r}$"):
+            TrainConfig(**{field: value})

@@ -128,16 +128,33 @@ class TestInputErrors:
             ("embeddings", "bad.txt: line 2: expected 2 components, found 1"),
             ("model", "unsupported model header 'not a model'"),
             ("config", "unknown embedding id 'missing'"),
+            ("stopwords", "stop.txt: not valid UTF-8"),
+            ("train-c", "c must be finite and positive, got nan"),
+            ("train-negative-c", "c must be finite and positive, got -1.0"),
+            ("matrix-w", "w must be finite and positive, got inf"),
+            ("one-class", "training data must contain both classes"),
+            ("folds", "class 0 has 1 instances; need at least 5 for 5-fold splits"),
+            ("intersection", "no common vocabulary across tables"),
         ],
     )
     def test_error_is_one_line_and_exit_one(self, runner, workspace, tmp_path, kind, message):
         (tmp_path / "corpus.tsv").write_text("a\t1\tfine\nb\t7\tbad\n", encoding="utf-8")
+        (tmp_path / "one-class.tsv").write_text("a\t1\tfine\nb\t1\tgood\n", encoding="utf-8")
+        (tmp_path / "three.tsv").write_text(
+            "a\t1\tfine\nb\t1\tgood\nc\t0\tbad\n", encoding="utf-8"
+        )
         (tmp_path / "lexicon.tsv").write_text("good\tshiny\n", encoding="utf-8")
+        (tmp_path / "stop.txt").write_bytes(b"the\n\xff\n")
         (tmp_path / "emb").mkdir()
         (tmp_path / "emb" / "bad.txt").write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
+        (tmp_path / "x.txt").write_text("x 1.0\n", encoding="utf-8")
+        (tmp_path / "y.txt").write_text("y 1.0\n", encoding="utf-8")
         (tmp_path / "model.txt").write_text("not a model\n", encoding="utf-8")
         corpus = str(workspace / "corpus.tsv")
         extract = ["extract-features", "--out", str(tmp_path / "features.txt")]
+        train = ["train", "--config", "L", "--model-out", str(tmp_path / "m.txt")]
+        matrix = ["run-matrix", "--embeddings", str(workspace / "emb"),
+                  "--report", str(tmp_path / "report.md"), "--epochs", "1"]
         args = {
             "dataset": [*extract, "--config", "L", "--dataset", str(tmp_path / "corpus.tsv")],
             "lexicon": [*extract, "--config", "G", "--dataset", corpus,
@@ -147,6 +164,15 @@ class TestInputErrors:
             "model": ["evaluate", "--config", "L", "--dataset", corpus,
                       "--model", str(tmp_path / "model.txt")],
             "config": [*extract, "--config", "L+S:missing", "--dataset", corpus],
+            "stopwords": [*extract, "--config", "L", "--dataset", corpus,
+                          "--stopwords", str(tmp_path / "stop.txt")],
+            "train-c": [*train, "--dataset", corpus, "--c", "nan"],
+            "train-negative-c": [*train, "--dataset", corpus, "--c", "-1"],
+            "matrix-w": [*matrix, "--dataset", corpus, "--w", "inf"],
+            "one-class": [*train, "--dataset", str(tmp_path / "one-class.tsv")],
+            "folds": [*matrix, "--dataset", str(tmp_path / "three.tsv"), "--folds", "5"],
+            "intersection": ["intersect-vocab", str(tmp_path / "x.txt"),
+                             str(tmp_path / "y.txt"), "--out", str(tmp_path / "shared")],
         }[kind]
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
@@ -273,6 +299,16 @@ LEXICON_CORPUS_FEATURES_SHA256 = {
 }
 
 
+# sha256 of its ``train --config <prior> --epochs 50`` model file.  J rows
+# have fewer than 16 entries, where np.dot sums left to right on every BLAS
+# kernel; L rows reach 28, and their model bytes were the same under the
+# Haswell and Prescott OpenBLAS kernels as well.
+LEXICON_CORPUS_MODEL_SHA256 = {
+    "L": "ba1e3545f5b5bcf5af4ef95115a31f4d075a78cbcad90708da79fd33ee3957c5",
+    "J": "b4c23be3c8f69bd7bbf16787252be1dd8f47fce0c40d408164cd72ed54e69b88",
+}
+
+
 class TestLexiconCorpusFeatures:
     @pytest.mark.parametrize("prior", sorted(LEXICON_CORPUS_FEATURES_SHA256))
     def test_feature_file_bytes_are_pinned(self, runner, tmp_path, prior):
@@ -289,6 +325,23 @@ class TestLexiconCorpusFeatures:
         assert result.exit_code == 0, result.output
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == LEXICON_CORPUS_FEATURES_SHA256[prior]
+
+    @pytest.mark.parametrize("prior", sorted(LEXICON_CORPUS_MODEL_SHA256))
+    def test_model_file_bytes_are_pinned(self, runner, tmp_path, prior):
+        out = tmp_path / "model.txt"
+        result = runner.invoke(
+            main,
+            [
+                "train",
+                "--config", prior,
+                "--dataset", str(LEXICON_CORPUS),
+                "--epochs", "50",
+                "--model-out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == LEXICON_CORPUS_MODEL_SHA256[prior]
 
 
 class TestRunMatrix:

@@ -12,6 +12,7 @@ from conftest import oracle_sentence
 from incongruity.embeddings import EmbeddingTable
 from incongruity.text import (
     EmptySentenceError,
+    StopwordFormatError,
     content_index,
     default_stopwords,
     is_punctuation,
@@ -97,7 +98,7 @@ class TestStopwords:
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes(b"the\n\xff\n")
-        with pytest.raises(ValueError, match="stop.txt: not valid UTF-8$") as info:
+        with pytest.raises(StopwordFormatError, match="stop.txt: not valid UTF-8$") as info:
             load_stopwords(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
