@@ -31,7 +31,6 @@ from .harness import (
     compute_gains,
     emit_report,
     load_dataset,
-    run_config,
     run_matrix,
     stratified_kfold,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "load_lexicon",
     "load_model",
     "load_stopwords",
-    "run_config",
     "run_matrix",
     "save_model",
     "save_text_vectors",

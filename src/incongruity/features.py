@@ -71,18 +71,12 @@ class Lexicon:
     name: str
     entries: Mapping[str, frozenset[str]]
 
-    def tags(self, entry: str) -> frozenset[str]:
-        return self.entries.get(entry.lower(), frozenset())
-
-    def polarity(self, token: str) -> int:
-        """+1 for positive, -1 for negative, 0 for neutral or ambiguous."""
-        return _polarity(self.tags(token))
-
     def with_tag(self, tag: str) -> tuple[str, ...]:
         return tuple(e for e, tags in self.entries.items() if tag in tags)
 
 
 def _polarity(tags: frozenset[str]) -> int:
+    """+1 for positive, -1 for negative, 0 for neutral or ambiguous."""
     positive = "positive" in tags
     negative = "negative" in tags
     if positive == negative:
@@ -268,14 +262,13 @@ class _TypeTags(NamedTuple):
         return np.array([tag in t for t in self.tags], dtype=bool)[self.entry]
 
     def polarity(self) -> np.ndarray:
-        """Per type, :meth:`Lexicon.polarity`."""
+        """Per type, its tags' :func:`_polarity`."""
         return np.array([_polarity(t) for t in self.tags], dtype=np.int64)[self.entry]
 
 
 def _type_tags(tokens: TokenTable, lexicon: Lexicon) -> _TypeTags:
     """Look each type up in ``lexicon`` once.  Entries are stored lowercased,
-    so a type's entry is that of its lowercase form, as in
-    :meth:`Lexicon.tags`."""
+    so a type's entry is that of its lowercase form."""
     tags = [*lexicon.entries.values(), frozenset()]
     index = dict(zip(lexicon.entries, range(len(tags) - 1)))
     entry = map(index.get, tokens.lower, repeat(len(tags) - 1))

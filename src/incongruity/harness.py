@@ -9,10 +9,10 @@ distinct name is interned through a registry once per corpus, zero values
 are dropped and each row is sorted by id once, so every fold reads a row in
 the same canonical summation order; a fold only selects rows.  Every S/WS
 value comes from one (n, 8) :func:`~incongruity.similarity.similarity_block`
-per table, computed once per corpus; a cell, ``run_config`` and
-``extract_features`` select its columns.  An augmented cell's row is its
-prior row followed by its nonzero S/WS block values, whose ids follow
-every prior id.  A name seen only in test rows is
+per table, computed once per corpus; a cell and ``extract_features``
+select its columns.  An augmented cell's row is its prior row followed by
+its nonzero S/WS block values, whose ids follow every prior id.  A name
+seen only in test rows is
 never updated in training, so its weight stays +0.0 (or its id lies past
 the cell's weight dimension): it changes no score.
 The cells of one prior set (the base cell and its augmented cells) share
@@ -59,7 +59,6 @@ from .features import (
 from .similarity import Augmentation, similarity_block
 from .text import (
     TokenizedSentence,
-    TokenTable,
     default_stopwords,
     token_table,
     tokenize,
@@ -105,18 +104,19 @@ class LabeledInstance:
             raise ValueError("instance text must be non-empty")
 
 
-def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
+def load_dataset(path: str | Path) -> list[LabeledInstance]:
     """Read a corpus file.
 
     TSV rows are ``<id>\\t<label>\\t<text>`` with label 0 or 1
     (1 = sarcastic); JSONL rows are objects with ``id`` (a string or an
     integer), ``label`` (the integer 0 or 1) and ``text`` (a string) keys.
     Lines end at ``\\n`` only, with one trailing ``\\r`` dropped, so CRLF
-    files load and a text may hold any other line separator.  ``fmt`` is
-    ``tsv``, ``jsonl``, or ``auto`` (sniffed from the first line).  Bad
-    labels, ids of another type, empty or holding a tab or line break (which
-    :func:`save_dataset_tsv` could not write back), duplicate ids, and empty
-    or non-string text raise :class:`DatasetParseError` naming the line.
+    files load and a text may hold any other line separator.  A file
+    whose first non-blank character is ``{`` is read as JSONL, any other
+    as TSV.  Bad labels, ids of another type, empty or holding a tab or
+    line break (which :func:`save_dataset_tsv` could not write back),
+    duplicate ids, and empty or non-string text raise
+    :class:`DatasetParseError` naming the line.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -125,11 +125,7 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DatasetParseError(f"{path}: line {lineno}: not valid UTF-8") from exc
-    if fmt == "auto":
-        first = content.lstrip()[:1]
-        fmt = "jsonl" if first == "{" else "tsv"
-    if fmt not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown dataset format {fmt!r}")
+    tsv = content.lstrip()[:1] != "{"
 
     instances: list[LabeledInstance] = []
     seen: set[str] = set()
@@ -137,7 +133,7 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> list[LabeledInstance]:
         line = line.removesuffix("\r")
         if not line.strip():
             continue
-        if fmt == "tsv":
+        if tsv:
             parts = line.split("\t", 2)
             if len(parts) != 3:
                 raise DatasetParseError(
@@ -314,16 +310,6 @@ def _columns(augmentation: Augmentation) -> list[int]:
     return [Augmentation.S_AND_WS.feature_names.index(n) for n in augmentation.feature_names]
 
 
-def _block(tokens: TokenTable, config: ExperimentConfig, resources: Resources) -> np.ndarray:
-    """The S/WS columns ``config`` selects of its table's block, one row per
-    sentence; no columns when it selects none."""
-    if config.augmentation is Augmentation.NONE:
-        return np.zeros((len(tokens.sentences), 0))
-    table = embedding_table(resources.embeddings, config.embedding)
-    block = similarity_block(tokens, table)
-    return block[:, _columns(config.augmentation)]
-
-
 def extract_features(
     sentences: Sequence[TokenizedSentence],
     config: ExperimentConfig,
@@ -348,7 +334,10 @@ def _fragments(
     selected S/WS values that holds every block name in every row, zeros
     included.  The token table is freed before the fragments are numbered."""
     tokens = token_table(sentences, resources.stopwords)
-    block = _block(tokens, config, resources)
+    block = np.zeros((len(sentences), 0))
+    if config.augmentation is not Augmentation.NONE:
+        table = embedding_table(resources.embeddings, config.embedding)
+        block = similarity_block(tokens, table)[:, _columns(config.augmentation)]
     n, width = block.shape
     return [
         *build_config_features(tokens, config.prior_set, resources.lexicon),
@@ -610,33 +599,6 @@ def _cross_validate(
         )
         for config, cell_predictions, cell_folds in zip(configs, predictions, per_fold)
     ]
-
-
-def run_config(
-    config: ExperimentConfig,
-    instances: Sequence[LabeledInstance],
-    resources: Resources,
-    *,
-    folds: int = 5,
-    seed: int = 0,
-    train_config: TrainConfig | None = None,
-) -> ConfigResult:
-    """Cross-validate one configuration, the computation of its cell in
-    :func:`run_matrix`: each prior name gets its corpus id once, each row is
-    sorted once, the S/WS columns come from the table's S+WS block, and a
-    name seen only in test rows keeps a zero weight."""
-    splits = stratified_kfold(instances, k=folds, seed=seed)
-    tokens = token_table([tokenize(inst.text) for inst in instances], resources.stopwords)
-    block = _block(tokens, config, resources)
-    corpus = _compile(
-        build_config_features(tokens, config.prior_set, resources.lexicon),
-        len(instances),
-        FeatureRegistry(),
-    )
-    [result] = _cross_validate(
-        [config], instances, corpus, [block], splits, train_config
-    )
-    return result
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from incongruity.classify import (
     TrainingError,
     tune_threshold,
 )
+from incongruity.features import FeatureRegistry, FeatureVector
+from incongruity.similarity import Augmentation
 
 
 def cosine(u, v) -> float:
@@ -493,3 +495,95 @@ def step_loop_train(instances, config):
         )
     threshold, _ = tune_threshold(scores, labels)
     return LinearModel(weights=v, bias=0.0, threshold=threshold)
+
+
+# -- the whole grid ----------------------------------------------------------
+
+# The ``gram_block_row`` columns of each augmentation: S, then WS.
+_BLOCK_COLUMNS = {
+    Augmentation.S: range(0, 4),
+    Augmentation.WS: range(4, 8),
+    Augmentation.S_AND_WS: range(0, 8),
+}
+
+
+def reference_matrix(instances, tables, lexicon, stopwords, splits, train_config):
+    """Reference ``harness.run_matrix`` cells, sentence by sentence and fold
+    by fold, from the oracles above.
+
+    Each prior set numbers its sentences' ``prior_fragments`` with
+    ``number_row`` through a fresh registry.  An augmented cell appends a
+    sentence's nonzero ``gram_block_row`` values of its augmentation's
+    columns, whose ids count on from the registry size.  Each fold trains
+    with ``sequential_sgd_weights`` on its training rows and scores its test
+    rows with ``sequential_sum``; an id past the weights contributes
+    nothing.  Returns {(prior, augmentation, table name): (predictions,
+    per-fold (P, R, F), pooled (P, R, F))}, a prediction being (id, label,
+    predicted, score, fold) and predictions in fold order; a base cell is
+    under every table name.
+    """
+    blocks = {
+        name: [gram_block_row(tokenize(i.text), stopwords, table) for i in instances]
+        for name, table in tables.items()
+    }
+    cells = {}
+    for prior in ("L", "G", "B", "J"):
+        registry = FeatureRegistry()
+        rows = [
+            number_row(registry, prior_fragments(i.text, prior, lexicon)) for i in instances
+        ]
+        size = len(registry)
+        base = _reference_cell(instances, rows, splits, train_config)
+        for name in tables:
+            cells[(prior, Augmentation.NONE, name)] = base
+            for augmentation, columns in _BLOCK_COLUMNS.items():
+                cell_rows = [
+                    row + [
+                        (size + j, float(block[c]))
+                        for j, c in enumerate(columns)
+                        if block[c] != 0.0
+                    ]
+                    for row, block in zip(rows, blocks[name])
+                ]
+                cells[(prior, augmentation, name)] = _reference_cell(
+                    instances, cell_rows, splits, train_config
+                )
+    return cells
+
+
+def _reference_cell(instances, rows, splits, train_config):
+    predictions, per_fold = [], []
+    for fold, (train_idx, test_idx) in enumerate(splits):
+        fit = [(_vector(rows[i]), instances[i].label) for i in train_idx]
+        weights, threshold = sequential_sgd_weights(fit, train_config)
+        fold_predictions = []
+        for i in test_idx:
+            score = sequential_sum(
+                weights[fid] * value for fid, value in rows[i] if fid < len(weights)
+            )
+            instance = instances[i]
+            fold_predictions.append(
+                (instance.id, instance.label, int(score >= threshold), score, fold)
+            )
+        per_fold.append(_precision_recall_f(fold_predictions))
+        predictions.extend(fold_predictions)
+    return predictions, per_fold, _precision_recall_f(predictions)
+
+
+def _vector(pairs):
+    return FeatureVector(
+        np.array([fid for fid, _ in pairs], dtype=np.int64),
+        np.array([value for _, value in pairs], dtype=np.float64),
+    )
+
+
+def _precision_recall_f(predictions):
+    """Positive-class percentages; F is the count form 2tp / (2tp + fp + fn)."""
+    outcomes = [(label, predicted) for _, label, predicted, _, _ in predictions]
+    tp = outcomes.count((1, 1))
+    fp = outcomes.count((0, 1))
+    fn = outcomes.count((1, 0))
+    precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
+    recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
+    f_score = 100.0 * 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+    return precision, recall, f_score

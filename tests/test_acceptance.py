@@ -30,7 +30,6 @@ from incongruity.harness import (
     compute_gains,
     emit_report,
     extract_features,
-    run_config,
     run_matrix,
     stratified_kfold,
     AUGMENTATIONS,
@@ -189,18 +188,11 @@ class TestPipelineDirection:
         ):
             corpus = generate_corpus(300, 0.3, seed=0)
             resources = Resources(
-                embeddings=toy_embedding_tables(seed=0)
+                embeddings={"emb-a": toy_embedding_tables(seed=0)["emb-a"]}
             )
-            base = run_config(
-                ExperimentConfig("L"), corpus, resources, folds=5, seed=0
-            )
-            augmented = run_config(
-                ExperimentConfig("L", Augmentation.S, "emb-a"),
-                corpus,
-                resources,
-                folds=5,
-                seed=0,
-            )
+            matrix = run_matrix(corpus, resources, folds=5, seed=0)
+            base = matrix.cells[("L", Augmentation.NONE, "emb-a")]
+            augmented = matrix.cells[("L", Augmentation.S, "emb-a")]
             gap = augmented.metrics.f_score - base.metrics.f_score
             assert gap >= 5.0, (
                 f"pooled F gap {gap:.2f} "

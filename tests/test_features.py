@@ -21,6 +21,7 @@ from incongruity.features import (
     FeatureVector,
     Lexicon,
     LexiconFormatError,
+    _type_tags,
     build_config_features,
     default_lexicon,
     load_lexicon,
@@ -77,13 +78,17 @@ def extracted(rows, registry, augmentation=Augmentation.NONE, block=None):
     """``extract_features`` when sentence k's prior fragments are ``rows[k]``
     and its S/WS values under ``augmentation`` are ``block[k]``."""
     sentences = [tokenize(f"s{k}") for k in range(len(rows))]
-    if block is None:
-        block = np.zeros((len(rows), 0))
+    # The table's own block is replaced by one whose selected columns are
+    # ``block``.
+    full = np.zeros((len(rows), len(Augmentation.S_AND_WS.feature_names)))
+    if block is not None:
+        full[:, harness._columns(augmentation)] = block
+    resources = Resources(embeddings={"t": random_table(2, 2, seed=0, name="t")})
     with mock.patch.object(
         harness, "build_config_features", lambda tokens, prior, lexicon: fragments_of_rows(rows)
-    ), mock.patch.object(harness, "_block", lambda tokens, config, resources: block):
+    ), mock.patch.object(harness, "similarity_block", lambda tokens, table: full):
         return extract_features(
-            sentences, ExperimentConfig("L", augmentation, "t"), Resources(), registry
+            sentences, ExperimentConfig("L", augmentation, "t"), resources, registry
         )
 
 
@@ -327,13 +332,20 @@ class TestNgrams:
         assert features_of("a_b c a b_c", "L")["bi:a_b_c"] == 1.0
 
 
+def polarities(text, lexicon):
+    """Each token string of ``text`` with the polarity the priors read."""
+    tokens = token_table([tokenize(text)], frozenset())
+    return dict(zip(tokens.types, _type_tags(tokens, lexicon).polarity().tolist()))
+
+
 class TestLexicon:
     def test_polarity_resolution(self):
-        lexicon = make_lexicon()
-        assert lexicon.polarity("great") == 1
-        assert lexicon.polarity("AWFUL") == -1
-        assert lexicon.polarity("table") == 0
-        assert lexicon.polarity("mixed") == 0
+        assert polarities("great AWFUL table mixed", make_lexicon()) == {
+            "great": 1,
+            "AWFUL": -1,
+            "table": 0,
+            "mixed": 0,
+        }
 
     def test_load_merges_duplicates_and_skips_comments(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -342,8 +354,10 @@ class TestLexicon:
             encoding="utf-8",
         )
         lexicon = load_lexicon(path)
-        assert lexicon.tags("happy") == {"positive", "emotion"}
-        assert lexicon.tags("sad") == {"negative", "emotion"}
+        assert lexicon.entries == {
+            "happy": {"positive", "emotion"},
+            "sad": {"negative", "emotion"},
+        }
 
     def test_unknown_tag_names_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -366,9 +380,8 @@ class TestLexicon:
 
     def test_default_lexicon_has_core_tags(self):
         lexicon = default_lexicon()
-        assert lexicon.polarity("great") == 1
-        assert lexicon.polarity("terrible") == -1
-        assert "emotion" in lexicon.tags("love")
+        assert polarities("great terrible", lexicon) == {"great": 1, "terrible": -1}
+        assert "emotion" in lexicon.entries["love"]
         assert lexicon.with_tag("implicit_incongruity_phrase")
 
 

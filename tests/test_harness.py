@@ -6,18 +6,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import fragments_of_rows
+from conftest import ORACLE_LEXICON_ENTRIES, fragments_of_rows, oracle_chunk, random_table
 from incongruity import classify, harness
 from incongruity.classify import LinearModel, TrainConfig
 from incongruity.features import (
-    ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
     FeatureVector,
+    Lexicon,
     PRIOR_SETS,
     default_lexicon,
 )
@@ -36,7 +36,6 @@ from incongruity.harness import (
     extract_features,
     load_dataset,
     metrics_from_predictions,
-    run_config,
     run_matrix,
     save_dataset_tsv,
     stratified_kfold,
@@ -56,6 +55,13 @@ def resources():
 @pytest.fixture(scope="module")
 def fixture_instances():
     return load_dataset(FIXTURE_CORPUS)
+
+
+@pytest.fixture(scope="module")
+def fixture_matrix(fixture_instances, resources):
+    return run_matrix(
+        fixture_instances, resources, folds=5, seed=0, train_config=TrainConfig(epochs=10)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -306,72 +312,37 @@ class TestMetrics:
 
 
 class TestRunConfig:
-    def test_golden_baseline_on_fixture_corpus(self, fixture_instances, resources):
-        result = run_config(
-            ExperimentConfig("L"),
-            fixture_instances,
-            resources,
-            folds=5,
-            seed=0,
-            train_config=TrainConfig(epochs=10),
-        )
+    """One configuration's cross-validated run, read off its cell of the
+    grid, and one configuration's extracted features."""
+
+    def test_golden_baseline_on_fixture_corpus(self, fixture_matrix):
+        metrics = fixture_matrix.cells[("L", Augmentation.NONE, "emb-a")].metrics
         # Trigram presence carries no label signal in this corpus, so the
         # pooled positive-class metrics bottom out at zero.
-        assert result.metrics.precision == 0.0
-        assert result.metrics.f_score == 0.0
+        assert metrics.precision == 0.0
+        assert metrics.f_score == 0.0
 
-    def test_golden_augmented_on_fixture_corpus(self, fixture_instances, resources):
-        result = run_config(
-            ExperimentConfig("L", Augmentation.S, "emb-a"),
-            fixture_instances,
-            resources,
-            folds=5,
-            seed=0,
-            train_config=TrainConfig(epochs=10),
-        )
-        assert result.metrics.f_score == pytest.approx(55.172413793, abs=1e-6)
+    def test_golden_augmented_on_fixture_corpus(self, fixture_matrix):
+        metrics = fixture_matrix.cells[("L", Augmentation.S, "emb-a")].metrics
+        assert metrics.f_score == pytest.approx(55.172413793, abs=1e-6)
 
     def test_pooled_metrics_match_prediction_recount(
-        self, fixture_instances, resources
+        self, fixture_instances, fixture_matrix
     ):
-        result = run_config(
-            ExperimentConfig("L", Augmentation.S_AND_WS, "emb-b"),
-            fixture_instances,
-            resources,
-            folds=5,
-            seed=0,
-            train_config=TrainConfig(epochs=5),
-        )
-        recounted = metrics_from_predictions(result.predictions)
-        assert recounted == (
-            result.metrics.precision,
-            result.metrics.recall,
-            result.metrics.f_score,
-        )
-        assert len(result.predictions) == len(fixture_instances)
-        assert len(result.metrics.per_fold) == 5
+        for key, cell in fixture_matrix.cells.items():
+            recounted = metrics_from_predictions(cell.predictions)
+            assert recounted == (
+                cell.metrics.precision,
+                cell.metrics.recall,
+                cell.metrics.f_score,
+            ), key
+            assert len(cell.predictions) == len(fixture_instances), key
+            assert len(cell.metrics.per_fold) == 5, key
 
-    def test_every_instance_predicted_once(self, fixture_instances, resources):
-        result = run_config(
-            ExperimentConfig("G"),
-            fixture_instances,
-            resources,
-            folds=5,
-            seed=0,
-            train_config=TrainConfig(epochs=3),
-        )
-        ids = [p.instance_id for p in result.predictions]
-        assert sorted(ids) == sorted(i.id for i in fixture_instances)
-
-    def test_unknown_embedding_fails_before_folds(self, fixture_instances, resources):
-        with pytest.raises(ConfigurationError):
-            run_config(
-                ExperimentConfig("L", Augmentation.S, "emb-z"),
-                fixture_instances,
-                resources,
-                folds=5,
-                seed=0,
-            )
+    def test_every_instance_predicted_once(self, fixture_instances, fixture_matrix):
+        for key, cell in fixture_matrix.cells.items():
+            ids = [p.instance_id for p in cell.predictions]
+            assert sorted(ids) == sorted(i.id for i in fixture_instances), key
 
     def test_frozen_registry_blocks_test_only_features(self, resources):
         train_sentences = [tokenize("the cat and the dog sat")]
@@ -547,6 +518,43 @@ def single_cell(rows, cell):
     )
 
 
+GRID_LEXICON = Lexicon("oracle", ORACLE_LEXICON_ENTRIES)
+GRID_STOPWORDS = frozenset({"a", "in", "w005"})
+GRID_WORDS = ("w000", "w001", "W001", "w002", "w003", "w004", "w005", "w006")
+
+
+@st.composite
+def grid_inputs(draw):
+    """A corpus of 2-4 folds, ragged ones included, whose sentences mix
+    table words (a stopword and a case variant among them) with lexicon
+    words and marks; 1-2 tables, a split seed, and 1-3 epochs."""
+    folds = draw(st.integers(2, 4))
+    labels = draw(
+        st.permutations(
+            [1] * draw(st.integers(folds, folds + 4))
+            + [0] * draw(st.integers(folds, folds + 7))
+        )
+    )
+    chunk = st.one_of(st.sampled_from(GRID_WORDS), oracle_chunk())
+    texts = [
+        " ".join(draw(st.lists(chunk, min_size=1, max_size=8))) for _ in labels
+    ]
+    instances = [
+        LabeledInstance(f"i{k}", text, label)
+        for k, (text, label) in enumerate(zip(texts, labels))
+    ]
+    tables = {
+        f"t{j}": random_table(7, draw(st.integers(1, 4)), draw(st.integers(0, 99)), f"t{j}")
+        for j in range(draw(st.integers(1, 2)))
+    }
+    train_config = TrainConfig(epochs=draw(st.integers(1, 3)), seed=draw(st.integers(0, 3)))
+    return instances, tables, folds, draw(st.integers(0, 3)), train_config
+
+
+def hexes(*values):
+    return [value.hex() for value in values]
+
+
 class TestRunMatrix:
     def test_grid_is_complete(self, small_matrix):
         assert len(small_matrix.cells) == 64
@@ -587,19 +595,37 @@ class TestRunMatrix:
         # shrink every vocabulary.
         assert sizes.pop() < min(len(t) for t in resources.embeddings.values())
 
-    def test_cells_match_single_config_runs(self, small_matrix, resources):
-        instances = generate_corpus(30, 0.4, seed=9)
-        for key, cell in small_matrix.cells.items():
-            single = run_config(
-                cell.config,
-                instances,
-                resources,
-                folds=3,
-                seed=0,
-                train_config=TrainConfig(epochs=2),
-            )
-            assert single.predictions == cell.predictions, key
-            assert single.metrics == cell.metrics, key
+    @settings(max_examples=25, deadline=None)
+    @given(grid_inputs())
+    def test_cells_equal_reference_matrix_bit_for_bit(self, inputs):
+        instances, tables, folds, seed, train_config = inputs
+        resources = Resources(tables, GRID_LEXICON, GRID_STOPWORDS)
+        matrix = run_matrix(
+            instances, resources, folds=folds, seed=seed, train_config=train_config
+        )
+        expected = oracles.reference_matrix(
+            instances,
+            tables,
+            GRID_LEXICON,
+            GRID_STOPWORDS,
+            stratified_kfold(instances, k=folds, seed=seed),
+            train_config,
+        )
+        assert matrix.cells.keys() == expected.keys()
+        for key, cell in matrix.cells.items():
+            predictions, per_fold, pooled = expected[key]
+            assert [
+                (p.instance_id, p.label, p.predicted, p.score.hex(), p.fold)
+                for p in cell.predictions
+            ] == [
+                (instance_id, label, predicted, score.hex(), fold)
+                for instance_id, label, predicted, score, fold in predictions
+            ], key
+            assert [
+                hexes(m.precision, m.recall, m.f_score) for m in cell.metrics.per_fold
+            ] == [hexes(*metrics) for metrics in per_fold], key
+            m = cell.metrics
+            assert hexes(m.precision, m.recall, m.f_score) == hexes(*pooled), key
 
     @pytest.mark.parametrize("folds", [2, 4])
     def test_features_built_once_per_corpus(self, resources, monkeypatch, folds):
@@ -734,8 +760,6 @@ class TestRunMatrix:
         build_config_features = harness.build_config_features
         monkeypatch.setattr(harness, "build_config_features", colliding)
         instances = generate_corpus(30, 0.4, seed=9)
-        with pytest.raises(ValueError, match="'dup' emitted twice"):
-            run_config(ExperimentConfig("L", Augmentation.S, "emb-a"), instances, resources)
         with pytest.raises(ValueError, match="'dup' emitted twice"):
             run_matrix(instances, resources, folds=3, train_config=TrainConfig(epochs=1))
 
