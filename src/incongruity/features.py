@@ -90,11 +90,12 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
     Each non-comment line is ``<word-or-phrase>\\t<tag>[,<tag>...]``;
     phrases may contain spaces.  Unknown tags raise
     :class:`LexiconFormatError` naming the line.  Repeated entries merge
-    their tag sets, so entry keys are unique in the result.
+    their tag sets, so entry keys are unique in the result.  One leading
+    UTF-8 byte-order mark is dropped.
     """
     path = Path(path)
     entries: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()

@@ -15,10 +15,11 @@ its nonzero S/WS block values, whose ids follow every prior id.  A name
 seen only in test rows is
 never updated in training, so its weight stays +0.0 (or its id lies past
 the cell's weight dimension): it changes no score.
-The cells of one prior set (the base cell and its augmented cells) share
-the splits, so per fold they are trained together by
-:func:`~incongruity.classify.train_cells`, and each cell's test rows are
-scored in one pass; both sum in the classifier's canonical order.
+Every cell shares the splits, the labels and the seed, so per fold all
+of them, the four prior sets' included, are trained together by one
+:func:`~incongruity.classify.train_cells` call, and each cell's test rows
+are scored in one pass against its own prior set's corpus; both sum in the
+classifier's canonical order.
 Pooled metrics concatenate the per-fold test predictions and are the
 primary numbers; per-fold values are kept alongside.
 
@@ -111,7 +112,8 @@ def load_dataset(path: str | Path) -> list[LabeledInstance]:
     (1 = sarcastic); JSONL rows are objects with ``id`` (a string or an
     integer), ``label`` (the integer 0 or 1) and ``text`` (a string) keys.
     Lines end at ``\\n`` only, with one trailing ``\\r`` dropped, so CRLF
-    files load and a text may hold any other line separator.  A file
+    files load and a text may hold any other line separator.  One leading
+    UTF-8 byte-order mark is dropped.  A file
     whose first non-blank character is ``{`` is read as JSONL, any other
     as TSV.  Bad labels, ids of another type, empty or holding a tab or
     line break (which :func:`save_dataset_tsv` could not write back),
@@ -121,7 +123,7 @@ def load_dataset(path: str | Path) -> list[LabeledInstance]:
     path = Path(path)
     data = path.read_bytes()
     try:
-        content = data.decode("utf-8")
+        content = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DatasetParseError(f"{path}: line {lineno}: not valid UTF-8") from exc
@@ -263,7 +265,8 @@ class MetricsReport:
     per_fold: tuple[FoldMetrics, ...] = ()
 
 
-@dataclass(frozen=True)
+# Slots: a grid holds one prediction per (cell, sentence), 52 per sentence.
+@dataclass(frozen=True, slots=True)
 class Prediction:
     instance_id: str
     label: int
@@ -305,9 +308,12 @@ class ConfigResult:
     predictions: tuple[Prediction, ...]
 
 
-def _columns(augmentation: Augmentation) -> list[int]:
-    """The S+WS block columns that ``augmentation`` selects."""
-    return [Augmentation.S_AND_WS.feature_names.index(n) for n in augmentation.feature_names]
+def _columns(augmentation: Augmentation) -> slice:
+    """The S+WS block columns that ``augmentation`` selects.  They are a run
+    of the block's (S's, WS's or both), so a selection is a view."""
+    names = augmentation.feature_names
+    start = Augmentation.S_AND_WS.feature_names.index(names[0]) if names else 0
+    return slice(start, start + len(names))
 
 
 def extract_features(
@@ -479,74 +485,100 @@ def _block_entries(block: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
     return rows, size + columns, block[rows, columns]
 
 
-def _cell_rows(
-    corpus: _Corpus,
-    rows: Sequence[int],
-    blocks: Sequence[np.ndarray],
-    labels: Sequence[int],
-) -> CellRows:
-    """Lay out corpus rows ``rows`` of every cell for ``train_cells``.
+class _GridCell(NamedTuple):
+    """One cell to cross-validate: its row i is ``corpus`` row i followed by
+    the nonzero values of the (n, width) ``block`` row i."""
 
-    Cell c's row k is corpus row ``rows[k]`` followed by the nonzero values
-    of ``blocks[c][k]`` (see :func:`_block_entries`).  Ids were assigned
-    once per corpus and rows sorted once, so the entries already ascend
-    and are written straight into their slots, with no concatenation or
-    sort.  Cell c's ids are shifted by its offset; its weight dimension is
-    its largest training id + 1, as in ``classify.train``.  A name no
-    training row carries keeps a zero weight or lies past the dimension.
+    config: ExperimentConfig
+    corpus: _Corpus
+    block: np.ndarray
+
+
+def _selections(cells: Sequence[_GridCell], rows: Sequence[int]) -> dict[int, tuple]:
+    """:func:`_select` of corpus rows ``rows``, once per corpus that
+    ``cells`` read, keyed by the corpus's ``id``."""
+    corpora = {id(cell.corpus): cell.corpus for cell in cells}
+    return {key: _select(corpus, rows) for key, corpus in corpora.items()}
+
+
+def _cell_rows(
+    cells: Sequence[_GridCell], rows: Sequence[int], labels: Sequence[int]
+) -> CellRows:
+    """Lay out rows ``rows`` of every cell for ``train_cells``.
+
+    Cell c's row k is its corpus row ``rows[k]`` followed by the nonzero
+    values of its block row ``rows[k]`` (see :func:`_block_entries`).  Cells
+    may read different corpora; each corpus's rows are selected once.  Ids
+    were assigned once per corpus and rows sorted once, so the entries
+    already ascend and are written straight into their slots, with no
+    concatenation or sort.  Cell c's ids are shifted by its offset; its
+    weight dimension is its largest training id + 1, as in
+    ``classify.train``.  A name no training row carries keeps a zero weight
+    or lies past the dimension.
     """
-    row_of, prior_ids, prior_values = _select(corpus, rows)
-    base_counts = np.bincount(row_of, minlength=len(rows))
-    entries = [_block_entries(block[rows], corpus.size) for block in blocks]
-    counts = [np.bincount(block_rows, minlength=len(rows)) for block_rows, _, _ in entries]
-    indptr = np.concatenate(
-        [[0], np.cumsum(len(blocks) * base_counts + np.sum(counts, axis=0))]
-    )
+    selected = {
+        key: (np.bincount(row_of, minlength=len(rows)), ids, values, ids.max(initial=-1))
+        for key, (row_of, ids, values) in _selections(cells, rows).items()
+    }
+    block_counts = [np.count_nonzero(cell.block[rows], axis=1) for cell in cells]
+    indptr = np.concatenate([[0], np.cumsum(sum(
+        selected[id(cell.corpus)][0] + counts for cell, counts in zip(cells, block_counts)
+    ))])
     ids = np.empty(indptr[-1], dtype=np.int64)
     values = np.empty(indptr[-1], dtype=np.float64)
-    cells = np.empty(indptr[-1], dtype=np.intp)
+    layout_cells = np.empty(indptr[-1], dtype=np.intp)
     cursor = indptr[:-1].copy()
     offsets = [0]
-    for cell, ((_, block_ids, block_values), count) in enumerate(zip(entries, counts)):
+    for index, (cell, counts) in enumerate(zip(cells, block_counts)):
+        base_counts, prior_ids, prior_values, top = selected[id(cell.corpus)]
+        # A cell's block entries are made as they are written, so only one
+        # cell's are held at a time.
+        _, block_ids, block_values = _block_entries(cell.block[rows], cell.corpus.size)
         for slots, cell_ids, cell_values in (
             (_slots(cursor, base_counts), prior_ids, prior_values),
-            (_slots(cursor + base_counts, count), block_ids, block_values),
+            (_slots(cursor + base_counts, counts), block_ids, block_values),
         ):
             ids[slots] = cell_ids + offsets[-1]
             values[slots] = cell_values
-            cells[slots] = cell
-        cursor += base_counts + count
-        top = max(prior_ids.max(initial=-1), block_ids.max(initial=-1))
-        offsets.append(offsets[-1] + int(top) + 1)
-    return CellRows(indptr, ids, values, cells, np.array(offsets), np.asarray(labels))
+            layout_cells[slots] = index
+        cursor += base_counts + counts
+        offsets.append(offsets[-1] + int(max(top, block_ids.max(initial=-1))) + 1)
+    return CellRows(indptr, ids, values, layout_cells, np.array(offsets), np.asarray(labels))
+
+
+def _cell_name(config: ExperimentConfig) -> str:
+    """``config``'s label with its table, e.g. ``L+S:emb-a``; a base cell
+    reads no table."""
+    return f"{config.label}:{config.embedding}" if config.embedding else config.label
 
 
 def _fold_predictions(
     instances: Sequence[LabeledInstance],
-    corpus: _Corpus,
-    blocks: Sequence[np.ndarray],
-    names: Sequence[str],
+    cells: Sequence[_GridCell],
     fold_index: int,
     train_idx: list[int],
     test_idx: list[int],
     train_config: TrainConfig,
 ) -> list[list[Prediction]]:
     """Train every cell on one fold's training rows in lockstep, then score
-    each cell's test rows in one pass.
+    each cell's test rows in one pass against its own corpus.
 
-    Cell c's row is a ``corpus`` row followed by its row of ``blocks[c]``.
+    A training error names the cell by its label, its table and the fold,
+    e.g. ``L+S:emb-a (fold 2)``.
     """
     labels = [instances[i].label for i in train_idx]
-    layout = _cell_rows(corpus, train_idx, blocks, labels)
-    models = train(layout, train_config, names)
-    test = _select(corpus, test_idx)
+    names = [f"{_cell_name(cell.config)} (fold {fold_index})" for cell in cells]
+    models = train(_cell_rows(cells, train_idx, labels), train_config, names)
+    tests = _selections(cells, test_idx)
     predictions = []
-    for model, block in zip(models, blocks):
+    for model, cell in zip(models, cells):
         # A row's block entries follow its prior entries, so the row's
         # products are still summed in ascending id.
         cell_test = [
             np.concatenate(pair)
-            for pair in zip(test, _block_entries(block[test_idx], corpus.size))
+            for pair in zip(
+                tests[id(cell.corpus)], _block_entries(cell.block[test_idx], cell.corpus.size)
+            )
         ]
         scores = model.decisions(*cell_test, len(test_idx)).tolist()
         predictions.append([
@@ -563,27 +595,22 @@ def _fold_predictions(
 
 
 def _cross_validate(
-    configs: Sequence[ExperimentConfig],
+    cells: Sequence[_GridCell],
     instances: Sequence[LabeledInstance],
-    corpus: _Corpus,
-    blocks: Sequence[np.ndarray],
     splits: Sequence[tuple[list[int], list[int]]],
     train_config: TrainConfig | None,
 ) -> list[ConfigResult]:
-    """Cross-validate each of ``configs``; config c's rows are ``corpus``
-    rows followed by the (n, width) ``blocks[c]`` rows.
+    """Cross-validate each of ``cells``.
 
     The cells share the splits, so per split they train together in
     lockstep.  The pooled metrics concatenate all test predictions.
     """
     train_config = train_config or TrainConfig()
-    names = [config.label for config in configs]
-    predictions: list[list[Prediction]] = [[] for _ in configs]
-    per_fold: list[list[FoldMetrics]] = [[] for _ in configs]
+    predictions: list[list[Prediction]] = [[] for _ in cells]
+    per_fold: list[list[FoldMetrics]] = [[] for _ in cells]
     for fold_index, (train_idx, test_idx) in enumerate(splits):
         cell_predictions = _fold_predictions(
-            instances, corpus, blocks, names, fold_index, train_idx, test_idx,
-            train_config,
+            instances, cells, fold_index, train_idx, test_idx, train_config
         )
         for cell, fold_predictions in enumerate(cell_predictions):
             fold_metrics = metrics_from_predictions(fold_predictions)
@@ -591,13 +618,13 @@ def _cross_validate(
             predictions[cell].extend(fold_predictions)
     return [
         ConfigResult(
-            config,
+            cell.config,
             MetricsReport(
                 *metrics_from_predictions(cell_predictions), per_fold=tuple(cell_folds)
             ),
             tuple(cell_predictions),
         )
-        for config, cell_predictions, cell_folds in zip(configs, predictions, per_fold)
+        for cell, cell_predictions, cell_folds in zip(cells, predictions, per_fold)
     ]
 
 
@@ -627,9 +654,10 @@ def run_matrix(
 
     A cell's features are its prior set's plus the columns of its table's
     S+WS block that its augmentation selects; each prior set is extracted
-    and compiled once, each block extracted once.  A prior set's cells
-    are trained in lockstep, one prior set at a time, so a fold's layout
-    holds one prior set's cells and not the whole grid's.
+    and compiled once, through its own registry, and each block extracted
+    once.  Per fold, every cell is trained in one lockstep group: each
+    prior set's base cell, then its augmented cells, prior sets in
+    ``PRIOR_SETS`` order.
     Cells with augmentation ``none`` do not depend on the embedding, so
     they are computed once per prior set and replicated across embedding
     keys; their metrics are consequently constant along that axis.
@@ -649,32 +677,33 @@ def run_matrix(
         name: similarity_block(tokens, table) for name, table in resources.embeddings.items()
     }
 
-    cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
+    grid = []
     for prior in PRIOR_SETS:
-        # The base cell, then its augmented cells, embedding by embedding.
-        base_config = ExperimentConfig(prior)
         corpus = _compile(
             build_config_features(tokens, prior, resources.lexicon),
             len(instances),
             FeatureRegistry(),
         )
-        configs = [base_config]
-        cell_blocks = [np.zeros((len(instances), 0))]
+        # The base cell, then its augmented cells, embedding by embedding.
+        grid.append(_GridCell(ExperimentConfig(prior), corpus, np.zeros((len(instances), 0))))
         for name in names:
             for augmentation in AUGMENTATIONS[1:]:
-                configs.append(ExperimentConfig(prior, augmentation, name))
-                cell_blocks.append(blocks[name][:, _columns(augmentation)])
-        base, *augmented = _cross_validate(
-            configs, instances, corpus, cell_blocks, splits, train_config
-        )
+                grid.append(_GridCell(
+                    ExperimentConfig(prior, augmentation, name),
+                    corpus,
+                    blocks[name][:, _columns(augmentation)],
+                ))
+
+    cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
+    for result in _cross_validate(grid, instances, splits, train_config):
+        config = result.config
+        if config.augmentation is not Augmentation.NONE:
+            cells[(config.prior_set, config.augmentation, config.embedding)] = result
+            continue
         for name in names:
-            cells[(prior, Augmentation.NONE, name)] = dataclasses.replace(
-                base,
-                config=dataclasses.replace(base_config, embedding=name),
+            cells[(config.prior_set, Augmentation.NONE, name)] = dataclasses.replace(
+                result, config=dataclasses.replace(config, embedding=name)
             )
-        for result in augmented:
-            config = result.config
-            cells[(prior, config.augmentation, config.embedding)] = result
     vocab_sizes = {name: len(resources.embeddings[name]) for name in names}
     return MatrixResult(
         cells=cells,

@@ -90,13 +90,14 @@ def tokenize(text: str) -> TokenizedSentence:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: UTF-8, one word per line, '#' comments allowed.
+    """Read a stopword file: UTF-8, one word per line, '#' comments allowed;
+    one leading byte-order mark is dropped.
 
     Entries are case-folded, so membership tests against the returned set
     should use case-folded tokens.
     """
     words = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for line in handle:
                 entry = line.split("#", 1)[0].strip()

@@ -371,6 +371,11 @@ class TestLexicon:
         with pytest.raises(LexiconFormatError, match="line 1"):
             load_lexicon(path)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"\xef\xbb\xbfgreat\tpositive\n")
+        assert load_lexicon(path).entries == {"great": {"positive"}}
+
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"ok\tpositive\n\xff\tpositive\n")

@@ -153,6 +153,33 @@ class TestLoadDataset:
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
     @pytest.mark.parametrize(
+        "name, body",
+        [
+            ("corpus.tsv", "a\t1\tfirst\nb\t0\tsecond\n"),
+            # With the mark kept, the file would be sniffed as TSV.
+            (
+                "corpus.jsonl",
+                '{"id": "a", "label": 1, "text": "first"}\n'
+                '{"id": "b", "label": 0, "text": "second"}\n',
+            ),
+        ],
+        ids=["tsv", "jsonl"],
+    )
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, name, body):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        assert load_dataset(path) == [
+            LabeledInstance("a", "first", 1),
+            LabeledInstance("b", "second", 0),
+        ]
+
+    def test_byte_order_mark_keeps_utf8_error_line(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"\xef\xbb\xbfa\t1\tfine\nb\t0\tbad \xff byte\n")
+        with pytest.raises(DatasetParseError, match="corpus.tsv: line 2: not valid UTF-8$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
         "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
     )
     def test_round_trip_keeps_other_line_separators(self, tmp_path, separator):
@@ -440,13 +467,25 @@ class TestCompiledFolds:
         for k, i in enumerate(train_idx):
             labels[i] = 1 - k % 2
         instances = [LabeledInstance(f"r{i}", "text", y) for i, y in enumerate(labels)]
-        corpus_names = FeatureRegistry()
-        corpus = harness._compile(fragments_of_rows(rows), len(rows), corpus_names)
-        size = corpus.size
-        assert size == len(corpus_names)
-        corpus_ids = {name: fid for fid, name in enumerate(corpus_names.names)}
-        corpus_ids.update({f"blk{j}": size + j for j in range(block.shape[1])})
-        blocks = [np.zeros((len(rows), 0)), block]
+        # Two corpora that number the same names differently: the second
+        # reads each row's fragments in reverse order.  Each has a base cell
+        # and a cell with a block.
+        cells, sources = [], []
+        for prior, corpus_rows, corpus_block in (
+            ("L", rows, block),
+            ("G", [row[::-1] for row in rows], block[:, ::-1]),
+        ):
+            corpus_names = FeatureRegistry()
+            corpus = harness._compile(
+                fragments_of_rows(corpus_rows), len(rows), corpus_names
+            )
+            assert corpus.size == len(corpus_names)
+            for config, cell_block in (
+                (ExperimentConfig(prior), np.zeros((len(rows), 0))),
+                (ExperimentConfig(prior, Augmentation.S_AND_WS, "t"), corpus_block),
+            ):
+                cells.append(harness._GridCell(config, corpus, cell_block))
+                sources.append((corpus_rows, corpus_names))
 
         groups = []
 
@@ -458,15 +497,19 @@ class TestCompiledFolds:
         train_cells = harness.train
         with mock.patch.object(harness, "train", recording):
             predictions = harness._fold_predictions(
-                instances, corpus, blocks, ["base", "augmented"], 0,
-                list(train_idx), list(test_idx), TrainConfig(epochs=2),
+                instances, cells, 0, list(train_idx), list(test_idx), TrainConfig(epochs=2),
             )
         [(layout, models)] = groups
 
-        for cell, (model, cell_block) in enumerate(zip(models, blocks)):
+        for cell, (model, grid_cell, (corpus_rows, corpus_names)) in enumerate(
+            zip(models, cells, sources)
+        ):
+            size = grid_cell.corpus.size
+            corpus_ids = {name: fid for fid, name in enumerate(corpus_names.names)}
+            corpus_ids.update({f"blk{j}": size + j for j in range(grid_cell.block.shape[1])})
             cell_rows = [
                 [*fragments, {f"blk{j}": value for j, value in enumerate(block_row)}]
-                for fragments, block_row in zip(rows, cell_block.tolist())
+                for fragments, block_row in zip(corpus_rows, grid_cell.block.tolist())
             ]
             registry = FeatureRegistry()
             fit = [oracles.number_row(registry, cell_rows[i]) for i in train_idx]
@@ -736,10 +779,11 @@ class TestRunMatrix:
         run_matrix(
             instances, resources, folds=3, seed=0, train_config=TrainConfig(epochs=2)
         )
-        assert len(groups) == len(PRIOR_SETS) * 3
+        # One group per fold holds every prior set's cells.
+        assert len(groups) == 3
         for rows, config, names, models in groups:
             labels = rows.labels.tolist()
-            assert len(models) == 1 + 3 * len(resources.embeddings)
+            assert len(models) == len(PRIOR_SETS) * (1 + 3 * len(resources.embeddings))
             for cell, (name, model) in enumerate(zip(names, models)):
                 alone = single_cell(rows, cell)
                 bounds = zip(alone.indptr[:-1], alone.indptr[1:])
@@ -751,6 +795,47 @@ class TestRunMatrix:
                 assert model.weights.tobytes() == weights.tobytes(), name
                 assert model.weights.tobytes() == single.weights.tobytes(), name
                 assert model.threshold == single.threshold == threshold, name
+
+    def test_group_names_each_cell_by_label_table_and_fold(self, resources, monkeypatch):
+        groups = []
+
+        def recording(rows, config, names):
+            groups.append(list(names))
+            return train_cells(rows, config, names)
+
+        train_cells = harness.train
+        monkeypatch.setattr(harness, "train", recording)
+        run_matrix(
+            generate_corpus(30, 0.4, seed=9), resources, folds=3,
+            train_config=TrainConfig(epochs=1),
+        )
+        assert len(groups) == 3
+        for fold, names in enumerate(groups):
+            expected = []
+            for prior in PRIOR_SETS:
+                expected.append(f"{prior} (fold {fold})")
+                for table in resources.embeddings:
+                    for augmentation in AUGMENTATIONS[1:]:
+                        expected.append(f"{prior}+{augmentation.label}:{table} (fold {fold})")
+            assert names == expected
+            assert len(set(names)) == len(names)
+
+    def test_training_error_names_table_and_fold(self, resources, monkeypatch):
+        def overflowing(tokens, table):
+            block = similarity_block(tokens, table)
+            if table is resources.embeddings["emb-b"]:
+                block[:, 0] = 1e308
+            return block
+
+        monkeypatch.setattr(harness, "similarity_block", overflowing)
+        with pytest.raises(
+            classify.TrainingError,
+            match=re.escape("non-finite margin for cell 'L+S:emb-b (fold 0)' in epoch 0"),
+        ):
+            run_matrix(
+                generate_corpus(30, 0.4, seed=9), resources, folds=3,
+                train_config=TrainConfig(epochs=1),
+            )
 
     def test_name_emitted_twice_is_rejected(self, resources, monkeypatch):
         def colliding(tokens, *args):

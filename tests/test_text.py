@@ -95,6 +95,11 @@ class TestStopwords:
         words = load_stopwords(path)
         assert words == frozenset({"the", "a", "of"})
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"\xef\xbb\xbfthe\nand\n")
+        assert load_stopwords(path) == frozenset({"the", "and"})
+
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes(b"the\n\xff\n")
