@@ -46,18 +46,18 @@ contribute zero.  Training is bit-deterministic for a fixed seed.
 ``train_cells`` trains several models ("cells") on the same labelled rows
 in lockstep: the instance order, the ``eta`` schedule and the scale are
 shared, so one step gathers every cell's entries of the row at once.  It
-and :meth:`LinearModel.decisions` sum a row's products in one canonical
-order, left to right in ascending feature id from +0.0 (see
-``_segment_sums``), so their results do not depend on the CPU's BLAS
-kernel.  ``train`` and :meth:`LinearModel.decision` still sum with
-``np.dot``, which agrees with that order below 16 entries.
+and :func:`cell_scores`, which scores training and test rows alike, sum a
+row's products in one canonical order, left to right in ascending feature
+id from +0.0 (see ``_segment_sums``), so their results do not depend on
+the CPU's BLAS kernel.  ``train`` and :meth:`LinearModel.decision` still
+sum with ``np.dot``, which agrees with that order below 16 entries.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -144,19 +144,6 @@ class LinearModel:
         """(score, label): label is 1 iff score >= threshold (inclusive)."""
         score = self.decision(vector)
         return score, int(score >= self.threshold)
-
-    def decisions(
-        self, rows: np.ndarray, ids: np.ndarray, values: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Raw scores of ``n`` rows whose entries are (row, id, value) triples.
-
-        Each row's products are summed in the canonical order (see
-        ``_segment_sums``), so entries should come in ascending id within a
-        row; unknown ids contribute 0.
-        """
-        known = ids < len(self.weights)
-        products = self.weights[ids[known]] * values[known]
-        return _segment_sums(rows[known], products, n) + self.bias
 
 
 def tune_threshold(
@@ -370,14 +357,16 @@ def _certified_steps(
 class CellRows:
     """Labelled rows of several cells, laid out for :func:`train_cells`.
 
-    Row i has label ``labels[i]`` and entries ``ids[indptr[i]:indptr[i + 1]]``
+    Row i has label ``labels[i]`` and entries ``ids[starts[i]:stops[i]]``
     with their ``values`` and ``cells``: cell after cell, ids ascending
     within a cell, values nonzero.  The ids index one flat weight vector in
     which cell c owns ``offsets[c]:offsets[c + 1]``; ``cells`` holds intp
-    cell indices.  ``len(rows)`` is the number of rows.
+    cell indices.  ``len(rows)`` is the number of rows; :meth:`take`
+    selects rows without copying an entry.
     """
 
-    indptr: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
     ids: np.ndarray
     values: np.ndarray
     cells: np.ndarray
@@ -386,6 +375,29 @@ class CellRows:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def take(self, rows: Sequence[int]) -> CellRows:
+        """Rows ``rows``, row k being row ``rows[k]``, over the same entries."""
+        return replace(
+            self, starts=self.starts[rows], stops=self.stops[rows], labels=self.labels[rows]
+        )
+
+
+def cell_scores(rows: CellRows, weights: np.ndarray) -> np.ndarray:
+    """The scores of ``rows`` under the flat weight vector ``weights``, one
+    row per row and one column per cell (the models of :func:`train_cells`
+    have no bias).
+
+    Each (row, cell) sums its products in the canonical order (see
+    ``_segment_sums``).  Rows are scored one at a time, so no temporary
+    spans more than one row's entries.
+    """
+    count = len(rows.offsets) - 1
+    scores = np.empty((len(rows), count))
+    for row, (a, b) in enumerate(zip(rows.starts.tolist(), rows.stops.tolist())):
+        products = weights[rows.ids[a:b]] * rows.values[a:b]
+        scores[row] = _segment_sums(rows.cells[a:b], products, count)
+    return scores
 
 
 def train_cells(
@@ -414,16 +426,15 @@ def train_cells(
     count = len(rows.offsets) - 1
     offsets = rows.offsets
     positive = labels == 1
-    bounds = rows.indptr[1:-1]
-    prepared = list(
-        zip(
-            np.split(rows.ids, bounds),
-            np.split(rows.values, bounds),
-            np.split(rows.cells, bounds),
+    prepared = [
+        (rows.ids[a:b], rows.values[a:b], rows.cells[a:b], y, class_weight)
+        for a, b, y, class_weight in zip(
+            rows.starts.tolist(),
+            rows.stops.tolist(),
             np.where(positive, 1.0, -1.0).tolist(),
             np.where(positive, config.w, 1.0).tolist(),
         )
-    )
+    ]
 
     v = np.zeros(int(offsets[-1]), dtype=np.float64)
     scale = 1.0
@@ -473,11 +484,7 @@ def train_cells(
 
         # Materialize the weights in place: v becomes scale * v.
         v *= scale
-        # One row per instance, one column per cell.
-        scores = np.array([
-            _segment_sums(cells, v[ids] * values, count)
-            for ids, values, cells, _, _ in prepared
-        ])
+        scores = cell_scores(rows, v)
     finite = np.isfinite(scores).all(axis=0)
     if not finite.all():
         raise TrainingError(
@@ -525,7 +532,11 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
-    """Read a model file back into a model and a frozen registry."""
+    """Read a model file back into a model and a frozen registry.
+
+    A file that breaks the format raises :class:`ModelFormatError` naming
+    the file and the line.
+    """
     data = Path(path).read_bytes()
     try:
         lines = data.decode("utf-8").splitlines()
@@ -533,67 +544,86 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
         # The bytes before the error decode; "x" stands for the bad one.
         lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ModelFormatError(f"{path}: line {lineno}: not valid UTF-8") from exc
-    try:
-        if lines[0] != f"{_MODEL_MAGIC} v{_MODEL_VERSION}":
-            raise ModelFormatError(f"unsupported model header {lines[0]!r}")
-        dimension = int(_expect(lines[1], "dim"))
-        bias = _finite(path, 3, _expect(lines[2], "bias"))
-        threshold = _finite(path, 4, _expect(lines[3], "threshold"))
-        name_count = int(_expect(lines[4], "names"))
-        if dimension > name_count:
+    header = lines[0] if lines else ""
+    if header != f"{_MODEL_MAGIC} v{_MODEL_VERSION}":
+        raise ModelFormatError(f"{path}: line 1: unsupported model header {header!r}")
+    dimension = _count(path, lines, 2, "dim")
+    bias = _finite(path, 3, _expect(path, lines, 3, "bias"))
+    threshold = _finite(path, 4, _expect(path, lines, 4, "threshold"))
+    name_count = _count(path, lines, 5, "names")
+    if dimension > name_count:
+        raise ModelFormatError(
+            f"{path}: line 2: dim {dimension} exceeds {name_count} names"
+        )
+    names = lines[5 : 5 + name_count]
+    if len(names) != name_count:
+        raise ModelFormatError(
+            f"{path}: line 5: declares {name_count} names, file has {len(names)}"
+        )
+    registry = FeatureRegistry()
+    for lineno, name in enumerate(names, start=6):
+        if name in registry:
+            raise ModelFormatError(f"{path}: line {lineno}: name {name!r} listed twice")
+        registry.intern(name)
+    # Line numbers from here on count from 1, as in the messages.
+    weight_header = 6 + name_count
+    weight_count = _count(path, lines, weight_header, "weights")
+    weight_lines = lines[weight_header : weight_header + weight_count]
+    if len(weight_lines) != weight_count:
+        raise ModelFormatError(
+            f"{path}: line {weight_header}: declares {weight_count} "
+            f"weights, file has {len(weight_lines)}"
+        )
+    weights = np.zeros(dimension, dtype=np.float64)
+    seen: set[int] = set()
+    for lineno, line in enumerate(weight_lines, start=weight_header + 1):
+        fid_text, _, value_text = line.partition(" ")
+        try:
+            fid, value = int(fid_text), float(value_text)
+        except ValueError:
             raise ModelFormatError(
-                f"{path}: line 2: dim {dimension} exceeds {name_count} names"
-            )
-        names = lines[5 : 5 + name_count]
-        if len(names) != name_count:
-            raise ModelFormatError("truncated name section")
-        registry = FeatureRegistry()
-        for lineno, name in enumerate(names, start=6):
-            if name in registry:
-                raise ModelFormatError(f"{path}: line {lineno}: name {name!r} listed twice")
-            registry.intern(name)
-        weight_header = 5 + name_count
-        weight_count = int(_expect(lines[weight_header], "weights"))
-        weight_lines = lines[weight_header + 1 : weight_header + 1 + weight_count]
-        if len(weight_lines) != weight_count:
+                f"{path}: line {lineno}: expected '<id> <weight>', found {line!r}"
+            ) from None
+        if not 0 <= fid < dimension:
             raise ModelFormatError(
-                f"{path}: line {weight_header + 1}: declares {weight_count} "
-                f"weights, file has {len(weight_lines)}"
+                f"{path}: line {lineno}: weight id {fid} outside [0, {dimension})"
             )
-        weights = np.zeros(dimension, dtype=np.float64)
-        seen: set[int] = set()
-        for lineno, line in enumerate(weight_lines, start=weight_header + 2):
-            fid_text, _, value_text = line.partition(" ")
-            fid = int(fid_text)
-            if not 0 <= fid < dimension:
-                raise ModelFormatError(
-                    f"{path}: line {lineno}: weight id {fid} outside [0, {dimension})"
-                )
-            if fid in seen:
-                raise ModelFormatError(f"{path}: line {lineno}: weight id {fid} listed twice")
-            seen.add(fid)
-            weights[fid] = float(value_text)
-        if not np.isfinite(weights).all():
-            # Only a failed check pays for finding the line.
-            for lineno, line in enumerate(weight_lines, start=weight_header + 2):
-                _finite(path, lineno, line.partition(" ")[2])
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"malformed model file {path}") from exc
+        if fid in seen:
+            raise ModelFormatError(f"{path}: line {lineno}: weight id {fid} listed twice")
+        if not math.isfinite(value):
+            raise ModelFormatError(f"{path}: line {lineno}: non-finite value {value_text!r}")
+        seen.add(fid)
+        weights[fid] = value
     registry.freeze()
     return LinearModel(weights=weights, bias=bias, threshold=threshold), registry
 
 
 def _finite(path: str | Path, lineno: int, text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ModelFormatError(f"{path}: line {lineno}: not a number {text!r}") from None
     if not math.isfinite(value):
         raise ModelFormatError(f"{path}: line {lineno}: non-finite value {text!r}")
     return value
 
 
-def _expect(line: str, key: str) -> str:
-    prefix = key + " "
-    if not line.startswith(prefix):
-        raise ModelFormatError(f"expected '{key} ...' line, found {line!r}")
-    return line[len(prefix) :]
+def _count(path: str | Path, lines: Sequence[str], lineno: int, key: str) -> int:
+    """The whole number on line ``lineno`` (from 1), a ``key`` line."""
+    text = _expect(path, lines, lineno, key)
+    if not (text.isascii() and text.isdigit()):
+        raise ModelFormatError(
+            f"{path}: line {lineno}: {key} must be a whole number, found {text!r}"
+        )
+    return int(text)
+
+
+def _expect(path: str | Path, lines: Sequence[str], lineno: int, key: str) -> str:
+    """The rest of line ``lineno`` (from 1), which must start with ``key``."""
+    line = lines[lineno - 1] if lineno <= len(lines) else None
+    if line is None or not line.startswith(key + " "):
+        found = "the end of the file" if line is None else repr(line)
+        raise ModelFormatError(
+            f"{path}: line {lineno}: expected '{key} ...' line, found {found}"
+        )
+    return line[len(key) + 1 :]

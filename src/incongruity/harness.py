@@ -11,15 +11,17 @@ the same canonical summation order; a fold only selects rows.  Every S/WS
 value comes from one (n, 8) :func:`~incongruity.similarity.similarity_block`
 per table, computed once per corpus; a cell and ``extract_features``
 select its columns.  An augmented cell's row is its prior row followed by
-its nonzero S/WS block values, whose ids follow every prior id.  A name
-seen only in test rows is
-never updated in training, so its weight stays +0.0 (or its id lies past
-the cell's weight dimension): it changes no score.
+its nonzero S/WS block values, whose ids follow every prior id.  Every
+row of every cell is laid out once per corpus, and a cell owns a fixed id
+range (its corpus's names, then its block columns), so a fold takes its
+training and test rows out of that one layout without copying an entry.
+A name seen only in test rows is never updated in training, so its weight
+stays +0.0 and its product, +0.0 or -0.0, changes no score.
 Every cell shares the splits, the labels and the seed, so per fold all
 of them, the four prior sets' included, are trained together by one
-:func:`~incongruity.classify.train_cells` call, and each cell's test rows
-are scored in one pass against its own prior set's corpus; both sum in the
-classifier's canonical order.
+:func:`~incongruity.classify.train_cells` call, and their test rows are
+scored by the same :func:`~incongruity.classify.cell_scores` that scores
+the training rows, in the classifier's canonical order.
 Pooled metrics concatenate the per-fold test predictions and are the
 primary numbers; per-fold values are kept alongside.
 
@@ -41,7 +43,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import CellRows, TrainConfig
+from .classify import CellRows, TrainConfig, cell_scores
 # Folds train through the module attribute ``train``, the name under which
 # perfbench/tracing.py times training.
 from .classify import train_cells as train
@@ -468,23 +470,6 @@ def _slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
-def _select(corpus: _Corpus, rows: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """The entries (row, id, value) of corpus rows ``rows``, row k being
-    ``rows[k]``, row by row."""
-    starts = corpus.indptr[rows]
-    lengths = corpus.indptr[1:][rows] - starts
-    positions = _slots(starts, lengths)
-    row_of = np.repeat(np.arange(len(rows)), lengths)
-    return row_of, corpus.ids[positions], corpus.values[positions]
-
-
-def _block_entries(block: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """The entries (row, id, value) of ``block``'s nonzero values, row by
-    row; column j has id ``size + j``, after every corpus id."""
-    rows, columns = np.nonzero(block)
-    return rows, size + columns, block[rows, columns]
-
-
 class _GridCell(NamedTuple):
     """One cell to cross-validate: its row i is ``corpus`` row i followed by
     the nonzero values of the (n, width) ``block`` row i."""
@@ -494,56 +479,44 @@ class _GridCell(NamedTuple):
     block: np.ndarray
 
 
-def _selections(cells: Sequence[_GridCell], rows: Sequence[int]) -> dict[int, tuple]:
-    """:func:`_select` of corpus rows ``rows``, once per corpus that
-    ``cells`` read, keyed by the corpus's ``id``."""
-    corpora = {id(cell.corpus): cell.corpus for cell in cells}
-    return {key: _select(corpus, rows) for key, corpus in corpora.items()}
+def _cell_rows(cells: Sequence[_GridCell], labels: Sequence[int]) -> CellRows:
+    """Lay out every row of every cell for ``train_cells``; each fold takes
+    its training and test rows out of this one layout.
 
-
-def _cell_rows(
-    cells: Sequence[_GridCell], rows: Sequence[int], labels: Sequence[int]
-) -> CellRows:
-    """Lay out rows ``rows`` of every cell for ``train_cells``.
-
-    Cell c's row k is its corpus row ``rows[k]`` followed by the nonzero
-    values of its block row ``rows[k]`` (see :func:`_block_entries`).  Cells
-    may read different corpora; each corpus's rows are selected once.  Ids
-    were assigned once per corpus and rows sorted once, so the entries
-    already ascend and are written straight into their slots, with no
-    concatenation or sort.  Cell c's ids are shifted by its offset; its
-    weight dimension is its largest training id + 1, as in
-    ``classify.train``.  A name no training row carries keeps a zero weight
-    or lies past the dimension.
+    Cell c's row i is its corpus row i followed by the nonzero values of its
+    block row i, column j having id ``corpus.size + j``, after every corpus
+    id.  Ids were assigned once per corpus and rows sorted once, so the
+    entries already ascend and are written straight into their slots, with
+    no concatenation or sort.  Cell c owns ``corpus.size`` plus its block
+    width ids, shifted by its offset, so its range depends only on its
+    corpus: a name that no training row of a fold carries keeps a +0.0
+    weight in that fold.
     """
-    selected = {
-        key: (np.bincount(row_of, minlength=len(rows)), ids, values, ids.max(initial=-1))
-        for key, (row_of, ids, values) in _selections(cells, rows).items()
-    }
-    block_counts = [np.count_nonzero(cell.block[rows], axis=1) for cell in cells]
-    indptr = np.concatenate([[0], np.cumsum(sum(
-        selected[id(cell.corpus)][0] + counts for cell, counts in zip(cells, block_counts)
-    ))])
-    ids = np.empty(indptr[-1], dtype=np.int64)
-    values = np.empty(indptr[-1], dtype=np.float64)
-    layout_cells = np.empty(indptr[-1], dtype=np.intp)
-    cursor = indptr[:-1].copy()
-    offsets = [0]
+    block_counts = [np.count_nonzero(cell.block, axis=1) for cell in cells]
+    lengths = sum(
+        np.diff(cell.corpus.indptr) + counts for cell, counts in zip(cells, block_counts)
+    )
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    ids = np.empty(stops[-1], dtype=np.int64)
+    values = np.empty(stops[-1], dtype=np.float64)
+    layout_cells = np.empty(stops[-1], dtype=np.intp)
+    offsets = np.cumsum([0, *(cell.corpus.size + cell.block.shape[1] for cell in cells)])
+    cursor = starts.copy()
     for index, (cell, counts) in enumerate(zip(cells, block_counts)):
-        base_counts, prior_ids, prior_values, top = selected[id(cell.corpus)]
-        # A cell's block entries are made as they are written, so only one
-        # cell's are held at a time.
-        _, block_ids, block_values = _block_entries(cell.block[rows], cell.corpus.size)
+        corpus = cell.corpus
+        prior_counts = np.diff(corpus.indptr)
+        rows, columns = np.nonzero(cell.block)
+        block_ids = corpus.size + columns
         for slots, cell_ids, cell_values in (
-            (_slots(cursor, base_counts), prior_ids, prior_values),
-            (_slots(cursor + base_counts, counts), block_ids, block_values),
+            (_slots(cursor, prior_counts), corpus.ids, corpus.values),
+            (_slots(cursor + prior_counts, counts), block_ids, cell.block[rows, columns]),
         ):
-            ids[slots] = cell_ids + offsets[-1]
+            ids[slots] = cell_ids + offsets[index]
             values[slots] = cell_values
             layout_cells[slots] = index
-        cursor += base_counts + counts
-        offsets.append(offsets[-1] + int(max(top, block_ids.max(initial=-1))) + 1)
-    return CellRows(indptr, ids, values, layout_cells, np.array(offsets), np.asarray(labels))
+        cursor += prior_counts + counts
+    return CellRows(starts, stops, ids, values, layout_cells, offsets, np.asarray(labels))
 
 
 def _cell_name(config: ExperimentConfig) -> str:
@@ -555,33 +528,24 @@ def _cell_name(config: ExperimentConfig) -> str:
 def _fold_predictions(
     instances: Sequence[LabeledInstance],
     cells: Sequence[_GridCell],
+    layout: CellRows,
     fold_index: int,
     train_idx: list[int],
     test_idx: list[int],
     train_config: TrainConfig,
 ) -> list[list[Prediction]]:
-    """Train every cell on one fold's training rows in lockstep, then score
-    each cell's test rows in one pass against its own corpus.
+    """Train every cell on one fold's training rows of ``layout`` in
+    lockstep, then score the fold's test rows of every cell at once.
 
     A training error names the cell by its label, its table and the fold,
     e.g. ``L+S:emb-a (fold 2)``.
     """
-    labels = [instances[i].label for i in train_idx]
     names = [f"{_cell_name(cell.config)} (fold {fold_index})" for cell in cells]
-    models = train(_cell_rows(cells, train_idx, labels), train_config, names)
-    tests = _selections(cells, test_idx)
-    predictions = []
-    for model, cell in zip(models, cells):
-        # A row's block entries follow its prior entries, so the row's
-        # products are still summed in ascending id.
-        cell_test = [
-            np.concatenate(pair)
-            for pair in zip(
-                tests[id(cell.corpus)], _block_entries(cell.block[test_idx], cell.corpus.size)
-            )
-        ]
-        scores = model.decisions(*cell_test, len(test_idx)).tolist()
-        predictions.append([
+    models = train(layout.take(train_idx), train_config, names)
+    weights = np.concatenate([model.weights for model in models])
+    scores = cell_scores(layout.take(test_idx), weights)
+    return [
+        [
             Prediction(
                 instances[i].id,
                 instances[i].label,
@@ -589,9 +553,10 @@ def _fold_predictions(
                 score,
                 fold_index,
             )
-            for i, score in zip(test_idx, scores)
-        ])
-    return predictions
+            for i, score in zip(test_idx, column)
+        ]
+        for model, column in zip(models, scores.T.tolist())
+    ]
 
 
 def _cross_validate(
@@ -602,15 +567,17 @@ def _cross_validate(
 ) -> list[ConfigResult]:
     """Cross-validate each of ``cells``.
 
-    The cells share the splits, so per split they train together in
-    lockstep.  The pooled metrics concatenate all test predictions.
+    The cells are laid out once; they share the splits, so per split they
+    train together in lockstep.  The pooled metrics concatenate all test
+    predictions.
     """
     train_config = train_config or TrainConfig()
+    layout = _cell_rows(cells, [instance.label for instance in instances])
     predictions: list[list[Prediction]] = [[] for _ in cells]
     per_fold: list[list[FoldMetrics]] = [[] for _ in cells]
     for fold_index, (train_idx, test_idx) in enumerate(splits):
         cell_predictions = _fold_predictions(
-            instances, cells, fold_index, train_idx, test_idx, train_config
+            instances, cells, layout, fold_index, train_idx, test_idx, train_config
         )
         for cell, fold_predictions in enumerate(cell_predictions):
             fold_metrics = metrics_from_predictions(fold_predictions)

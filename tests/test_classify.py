@@ -81,8 +81,10 @@ def cell_rows(cells, labels):
             values.extend(row_values.tolist())
             cell_index.extend([cell] * len(row_ids))
         indptr.append(len(ids))
+    indptr = np.array(indptr, dtype=np.int64)
     return CellRows(
-        np.array(indptr, dtype=np.int64),
+        indptr[:-1],
+        indptr[1:],
         np.array(ids, dtype=np.int64),
         np.array(values, dtype=np.float64),
         np.array(cell_index, dtype=np.intp),
@@ -604,20 +606,96 @@ class TestPredict:
         )
         assert model.decision(FeatureVector([], [])) == 0.5
 
-    def test_batched_decisions_match_decision(self):
-        model = LinearModel(
-            weights=np.array([1.0, -1.0, 0.5]), bias=0.25, threshold=0.0
+
+class TestCellScores:
+    """The one scorer of training and test rows against the sequential oracle."""
+
+    def test_scores_match_sequential_sum_of_trained_entries(self):
+        rng = np.random.default_rng(4)
+        labels = [0, 1] * 6 + [1, 0, 1]
+        # Training rows 0-11 carry ids 0-19 of cell 0 (20 entries a row, past
+        # np.dot's left-to-right range) and 0-2 of cell 1.  Test rows 12-14
+        # also carry ids no training row has: 20-23 and 3.  Row 13 holds
+        # only such ids, with negative values, so its products are -0.0.
+        wide, narrow = [], []
+        for row, label in enumerate(labels):
+            values = rng.normal(size=24) + label
+            if row < 12:
+                wide.append(FeatureVector(np.arange(20), values[:20]))
+                narrow.append(FeatureVector([0, 1, 2], values[:3]))
+            elif row == 13:
+                wide.append(FeatureVector([20, 21, 22, 23], -np.abs(values[20:])))
+                narrow.append(FeatureVector([3], [-3.0]))
+            else:
+                wide.append(FeatureVector(np.arange(24), values))
+                narrow.append(FeatureVector([0, 1, 2, 3], values[:4]))
+        layout = cell_rows([wide, narrow], labels)
+        assert layout.offsets.tolist() == [0, 24, 28]
+        models = train_cells(
+            layout.take(range(12)), TrainConfig(epochs=4, seed=2), ["wide", "narrow"]
         )
-        vectors = [
-            FeatureVector([0, 7], [2.0, 100.0]),
-            FeatureVector([], []),
-            FeatureVector([1, 2], [3.0, 1.0]),
+        weights = np.concatenate([model.weights for model in models])
+        scores = classify.cell_scores(layout.take([12, 13, 14]), weights)
+        assert scores.shape == (3, 2)
+        for cell, (vectors, model, trained_ids) in enumerate(
+            zip([wide, narrow], models, [range(20), range(3)])
+        ):
+            # Every trained weight moved, so the oracle reads only trained
+            # ids; the others stay +0.0.
+            assert np.all(model.weights[list(trained_ids)] != 0.0)
+            untrained = model.weights[len(trained_ids):]
+            assert not np.any(untrained) and not np.any(np.signbit(untrained))
+            for k, row in enumerate([12, 13, 14]):
+                ids, values = vectors[row].as_arrays()
+                expected = oracles.sequential_sum(
+                    model.weights[fid] * value
+                    for fid, value in zip(ids.tolist(), values.tolist())
+                    if fid in trained_ids
+                )
+                assert scores[k, cell].hex() == expected.hex(), (cell, row)
+        # Row 13 holds only untrained names: +0.0 in both cells.
+        assert scores[1].tolist() == [0.0, 0.0]
+        assert not np.any(np.signbit(scores[1]))
+
+
+class TestTake:
+    def test_taken_rows_train_as_a_layout_of_only_those_rows(self):
+        rng = np.random.default_rng(12)
+        n = 14
+        labels = [int(label) for label in rng.integers(2, size=n)]
+        labels[:2] = [0, 1]
+        # Cell 0: 18 entries a row (past np.dot's left-to-right range).
+        # Cell 1: sparse rows; row 9 carries its largest id, so a layout of
+        # the selected rows alone has the same id ranges.
+        wide = [
+            FeatureVector(list(range(18)), (rng.normal(size=18) + label).tolist())
+            for label in labels
         ]
-        rows = np.array([0, 0, 2, 2])
-        ids = np.array([0, 7, 1, 2])
-        values = np.array([2.0, 100.0, 3.0, 1.0])
-        scores = model.decisions(rows, ids, values, 3)
-        assert scores.tolist() == [model.decision(vector) for vector in vectors]
+        sparse = []
+        for row, label in enumerate(labels):
+            ids = sorted(rng.choice(9, size=3, replace=False).tolist())
+            if row == 9:
+                ids = [*ids[:2], 11]
+            sparse.append(FeatureVector(ids, (rng.normal(size=3) - label).tolist()))
+        cells = [wide, sparse]
+        selection = [9, 2, 11, 4, 0, 13, 7, 5, 1]
+        layout = cell_rows(cells, labels)
+        alone = cell_rows(
+            [[vectors[i] for i in selection] for vectors in cells],
+            [labels[i] for i in selection],
+        )
+        taken = layout.take(selection)
+        assert len(taken) == len(selection)
+        assert taken.offsets.tolist() == alone.offsets.tolist()
+        # The taken view shares the layout's entries.
+        assert taken.ids is layout.ids and taken.values is layout.values
+        config = TrainConfig(epochs=7, seed=5)
+        for model, single in zip(
+            train_cells(taken, config, ["wide", "sparse"]),
+            train_cells(alone, config, ["wide", "sparse"]),
+        ):
+            assert model.weights.tobytes() == single.weights.tobytes()
+            assert model.threshold == single.threshold
 
 
 # Feature names never contain line breaks: tokens are split on whitespace.
@@ -714,6 +792,48 @@ class TestModelIO:
         lines = edit(path.read_text(encoding="utf-8").splitlines())
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: ["something-else v1", *lines[1:]],
+                "line 1: unsupported model header 'something-else v1'",
+            ),
+            (lambda lines: lines[:6], "line 5: declares 2 names, file has 1"),
+            (
+                lambda lines: [lines[0], "dimension 2", *lines[2:]],
+                "line 2: expected 'dim ...' line, found 'dimension 2'",
+            ),
+            (lambda lines: [], "line 1: unsupported model header ''"),
+            (
+                lambda lines: lines[:3],
+                "line 4: expected 'threshold ...' line, found the end of the file",
+            ),
+            (
+                lambda lines: [*lines[:4], "names two", *lines[5:]],
+                "line 5: names must be a whole number, found 'two'",
+            ),
+            (lambda lines: [*lines[:2], "bias zero", *lines[3:]], "line 3: not a number 'zero'"),
+            (
+                lambda lines: [*lines[:9], "1 two"],
+                "line 10: expected '<id> <weight>', found '1 two'",
+            ),
+            (
+                lambda lines: lines[:7],
+                "line 8: expected 'weights ...' line, found the end of the file",
+            ),
+        ],
+        ids=[
+            "header", "truncated-names", "dim-key", "empty", "no-threshold",
+            "names-count", "bias-text", "weight-text", "no-weights",
+        ],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, edit, message):
+        path = self.write_model(tmp_path / "model.txt", edit)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("fid", ["-1", "2"])
     def test_out_of_range_weight_id_names_line(self, tmp_path, fid):

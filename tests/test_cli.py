@@ -344,6 +344,55 @@ class TestLexiconCorpusFeatures:
         assert digest == LEXICON_CORPUS_MODEL_SHA256[prior]
 
 
+# sha256 of the ``run-matrix --folds 3 --epochs 3`` report of
+# ``gen-synthetic --n 200 --skew 0.3 --seed 0 --separability 0.8``, per
+# format; CI checks the same bytes under other hash seeds and OpenBLAS
+# kernels.  The predictions file is not pinned: its scores carry the S/WS
+# cosines' last bits, which change with the kernel.
+N200_REPORT_SHA256 = {
+    "markdown": "f90d3e25424b6b1969307fc81df35b7f0881b64e8d27552596ba95ec26ee7127",
+    "tsv": "8ef940975eaf193c895fbdf58d9caf29c6a9120eb56547602a08383536c4eeaf",
+}
+
+
+class TestPinnedReports:
+    @pytest.fixture(scope="class")
+    def corpus(self, runner, tmp_path_factory):
+        root = tmp_path_factory.mktemp("n200")
+        result = runner.invoke(
+            main,
+            [
+                "gen-synthetic",
+                "--n", "200",
+                "--skew", "0.3",
+                "--seed", "0",
+                "--separability", "0.8",
+                "--out", str(root / "corpus.tsv"),
+                "--embeddings-out", str(root / "emb"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        return root
+
+    @pytest.mark.parametrize("fmt", sorted(N200_REPORT_SHA256))
+    def test_n200_report_bytes_are_pinned(self, runner, corpus, tmp_path, fmt):
+        report = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            [
+                "run-matrix",
+                "--dataset", str(corpus / "corpus.tsv"),
+                "--embeddings", str(corpus / "emb"),
+                "--folds", "3",
+                "--epochs", "3",
+                "--format", fmt,
+                "--report", str(report),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == N200_REPORT_SHA256[fmt]
+
+
 class TestRunMatrix:
     def run_it(self, runner, workspace, report_path, fmt="markdown", env=None,
                extra=()):

@@ -495,16 +495,21 @@ class TestCompiledFolds:
             return models
 
         train_cells = harness.train
+        whole = harness._cell_rows(cells, labels)
         with mock.patch.object(harness, "train", recording):
             predictions = harness._fold_predictions(
-                instances, cells, 0, list(train_idx), list(test_idx), TrainConfig(epochs=2),
+                instances, cells, whole, 0, list(train_idx), list(test_idx),
+                TrainConfig(epochs=2),
             )
         [(layout, models)] = groups
+        assert layout.labels.tolist() == [labels[i] for i in train_idx]
 
         for cell, (model, grid_cell, (corpus_rows, corpus_names)) in enumerate(
             zip(models, cells, sources)
         ):
             size = grid_cell.corpus.size
+            # A cell owns its corpus's names, then its block columns.
+            assert len(model.weights) == size + grid_cell.block.shape[1]
             corpus_ids = {name: fid for fid, name in enumerate(corpus_names.names)}
             corpus_ids.update({f"blk{j}": size + j for j in range(grid_cell.block.shape[1])})
             cell_rows = [
@@ -516,7 +521,7 @@ class TestCompiledFolds:
             registry.freeze()
             seen = set()
             for k, pairs in enumerate(fit):
-                start, stop = layout.indptr[k], layout.indptr[k + 1]
+                start, stop = layout.starts[k], layout.stops[k]
                 mine = layout.cells[start:stop] == cell
                 ids = layout.ids[start:stop][mine] - layout.offsets[cell]
                 values = layout.values[start:stop][mine]
@@ -546,16 +551,20 @@ class TestCompiledFolds:
 
 
 def single_cell(rows, cell):
-    """Cell ``cell`` of a lockstep layout as a one-cell layout."""
-    mask = rows.cells == cell
-    n = len(rows.indptr) - 1
-    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
-    lengths = np.bincount(row_of[mask], minlength=n)
+    """Cell ``cell`` of a lockstep layout's rows as a one-cell layout."""
+    positions = [
+        np.arange(start, stop)[rows.cells[start:stop] == cell]
+        for start, stop in zip(rows.starts.tolist(), rows.stops.tolist())
+    ]
+    lengths = [len(row) for row in positions]
+    stops = np.cumsum(lengths)
+    kept = np.concatenate(positions)
     return classify.CellRows(
-        np.concatenate([[0], np.cumsum(lengths)]),
-        rows.ids[mask] - rows.offsets[cell],
-        rows.values[mask],
-        np.zeros(int(mask.sum()), dtype=np.intp),
+        stops - lengths,
+        stops,
+        rows.ids[kept] - rows.offsets[cell],
+        rows.values[kept],
+        np.zeros(len(kept), dtype=np.intp),
         np.array([0, rows.offsets[cell + 1] - rows.offsets[cell]]),
         rows.labels,
     )
@@ -672,7 +681,7 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("folds", [2, 4])
     def test_features_built_once_per_corpus(self, resources, monkeypatch, folds):
-        calls = {"tokenize": 0, "table": 0, "build": 0, "block": 0}
+        calls = {"tokenize": 0, "table": 0, "build": 0, "block": 0, "layout": 0, "train": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -691,6 +700,9 @@ class TestRunMatrix:
         monkeypatch.setattr(
             harness, "similarity_block", counting("block", harness.similarity_block)
         )
+        # One layout of every row serves all folds; each fold trains once.
+        monkeypatch.setattr(harness, "_cell_rows", counting("layout", harness._cell_rows))
+        monkeypatch.setattr(harness, "train", counting("train", harness.train))
         instances = generate_corpus(30, 0.4, seed=9)
         run_matrix(
             instances,
@@ -705,6 +717,8 @@ class TestRunMatrix:
             "table": 1,
             "build": len(PRIOR_SETS),
             "block": tables,
+            "layout": 1,
+            "train": folds,
         }
 
     @pytest.mark.parametrize("folds", [2, 4])
@@ -786,13 +800,17 @@ class TestRunMatrix:
             assert len(models) == len(PRIOR_SETS) * (1 + 3 * len(resources.embeddings))
             for cell, (name, model) in enumerate(zip(names, models)):
                 alone = single_cell(rows, cell)
-                bounds = zip(alone.indptr[:-1], alone.indptr[1:])
+                bounds = zip(alone.starts, alone.stops)
                 vectors = [FeatureVector(alone.ids[a:b], alone.values[a:b]) for a, b in bounds]
                 weights, threshold = oracles.sequential_sgd_weights(
                     list(zip(vectors, labels)), config
                 )
                 [single] = train_cells(alone, config, [name])
-                assert model.weights.tobytes() == weights.tobytes(), name
+                # The oracle's dimension is the largest training id + 1; the
+                # cell's fixed range past it holds names no training row has.
+                prefix, rest = np.split(model.weights, [len(weights)])
+                assert prefix.tobytes() == weights.tobytes(), name
+                assert not np.any(rest) and not np.any(np.signbit(rest)), name
                 assert model.weights.tobytes() == single.weights.tobytes(), name
                 assert model.threshold == single.threshold == threshold, name
 
