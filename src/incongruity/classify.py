@@ -120,10 +120,12 @@ class TrainConfig:
                 raise TrainConfigError(
                     f"{name} must be finite and positive, got {value!r}"
                 )
-        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
-            raise TrainConfigError(
-                f"epochs must be an integer of at least 1, got {self.epochs!r}"
-            )
+        for name, least in (("epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise TrainConfigError(
+                    f"{name} must be an integer of at least {least}, got {value!r}"
+                )
 
 
 @dataclass

@@ -44,19 +44,20 @@ from .harness import (
     metrics_from_predictions,
     run_matrix,
 )
-from .synthetic import generate_corpus, toy_embedding_tables, write_corpus_and_tables
+from .synthetic import (
+    SyntheticConfigError,
+    generate_corpus,
+    toy_embedding_tables,
+    write_corpus_and_tables,
+)
 from .text import StopwordFormatError, default_stopwords, load_stopwords, tokenize
 
 _EMBED_DIR_ENVVAR = "INCONGRUITY_EMBED_DIR"
 
 
-def _detect_format(path: Path) -> str:
-    return "binary_w2v" if path.suffix == ".bin" else "text_vectors"
-
-
 def _load_one(path: Path, fmt: str) -> EmbeddingTable:
     if fmt == "auto":
-        fmt = _detect_format(path)
+        fmt = "binary_w2v" if path.suffix == ".bin" else "text_vectors"
     return load_embeddings(path, fmt)
 
 
@@ -91,28 +92,31 @@ def _build_resources(embeddings_dir, stopwords_file, lexicon_file) -> Resources:
     )
 
 
-_embeddings_option = click.option(
-    "--embeddings",
-    "embeddings_dir",
-    type=click.Path(exists=True, file_okay=False),
-    envvar=_EMBED_DIR_ENVVAR,
-    default=None,
-    help=f"Directory of embedding files (default: ${_EMBED_DIR_ENVVAR}).",
-)
+def _embeddings_option(required: bool = False):
+    return click.option(
+        "--embeddings",
+        "embeddings_dir",
+        type=click.Path(exists=True, file_okay=False),
+        envvar=_EMBED_DIR_ENVVAR,
+        required=required,
+        help=f"Directory of embedding files (default: ${_EMBED_DIR_ENVVAR}).",
+    )
+
+
 _stopwords_option = click.option(
     "--stopwords",
     "stopwords_file",
     type=click.Path(exists=True, dir_okay=False),
-    default=None,
     help="Stopword file (default: shipped list).",
 )
 _lexicon_option = click.option(
     "--lexicon",
     "lexicon_file",
     type=click.Path(exists=True, dir_okay=False),
-    default=None,
     help="Tag lexicon file (default: shipped lexicon).",
 )
+# numpy's generators take no negative seed.
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 
 
 # Faults in the files and options a user gives; each names what is wrong.
@@ -126,6 +130,7 @@ _INPUT_ERRORS = (
     ModelFormatError,
     SplitError,
     StopwordFormatError,
+    SyntheticConfigError,
     TrainConfigError,
 )
 
@@ -196,7 +201,7 @@ def _config_and_resources(config_str, embeddings_dir, stopwords_file, lexicon_fi
 @click.option(
     "--dataset", required=True, type=click.Path(exists=True, dir_okay=False)
 )
-@_embeddings_option
+@_embeddings_option()
 @_stopwords_option
 @_lexicon_option
 @click.option("--out", "out_file", required=True, type=click.Path(dir_okay=False))
@@ -226,13 +231,13 @@ def extract_features_command(
 @main.command("train")
 @click.option("--config", "config_str", required=True)
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
-@_embeddings_option
+@_embeddings_option()
 @_stopwords_option
 @_lexicon_option
 @click.option("--c", "c", type=float, default=20.0, show_default=True)
 @click.option("--w", "w", type=float, default=3.0, show_default=True)
 @click.option("--epochs", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--model-out", required=True, type=click.Path(dir_okay=False))
 def train_command(
     config_str, dataset, embeddings_dir, stopwords_file, lexicon_file,
@@ -261,7 +266,7 @@ def train_command(
 @click.option("--config", "config_str", required=True)
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_file", required=True, type=click.Path(exists=True, dir_okay=False))
-@_embeddings_option
+@_embeddings_option()
 @_stopwords_option
 @_lexicon_option
 def evaluate_command(
@@ -287,14 +292,7 @@ def evaluate_command(
 
 @main.command("run-matrix")
 @click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--embeddings",
-    "embeddings_dir",
-    type=click.Path(exists=True, file_okay=False),
-    envvar=_EMBED_DIR_ENVVAR,
-    required=True,
-    help=f"Directory of embedding files (default: ${_EMBED_DIR_ENVVAR}).",
-)
+@_embeddings_option(required=True)
 @click.option("--intersect", is_flag=True, help="Intersect vocabularies first.")
 @click.option("--report", "report_file", required=True, type=click.Path(dir_okay=False))
 @click.option(
@@ -305,7 +303,7 @@ def evaluate_command(
     show_default=True,
 )
 @click.option("--folds", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--c", "c", type=float, default=20.0, show_default=True)
 @click.option("--w", "w", type=float, default=3.0, show_default=True)
 @click.option("--epochs", type=int, default=50, show_default=True)
@@ -315,7 +313,6 @@ def evaluate_command(
     "--predictions",
     "predictions_file",
     type=click.Path(dir_okay=False),
-    default=None,
     help="Also dump per-instance predictions as TSV.",
 )
 def run_matrix_command(
@@ -336,16 +333,19 @@ def run_matrix_command(
     gains = compute_gains(matrix)
     emit_report(matrix, gains, fmt, report_file)
     if predictions_file:
+        tested = [
+            f"{fold}\t{instances[i].id}\t{instances[i].label}"
+            for i, fold in zip(matrix.test_rows.tolist(), matrix.test_folds.tolist())
+        ]
         with open(predictions_file, "w", encoding="utf-8") as handle:
             handle.write("prior\taugmentation\tembedding\tfold\tid\tlabel\tpredicted\tscore\n")
-            for key in sorted(
-                matrix.cells, key=lambda k: (k[0], k[1].label, k[2])
-            ):
+            for key in sorted(matrix.cells, key=lambda k: (k[0], k[1].label, k[2])):
                 result = matrix.cells[key]
-                for p in result.predictions:
+                for row, predicted, score in zip(
+                    tested, result.predicted.tolist(), result.scores.tolist()
+                ):
                     handle.write(
-                        f"{key[0]}\t{key[1].label}\t{key[2]}\t{p.fold}\t"
-                        f"{p.instance_id}\t{p.label}\t{p.predicted}\t{p.score!r}\n"
+                        f"{key[0]}\t{key[1].label}\t{key[2]}\t{row}\t{predicted:d}\t{score!r}\n"
                     )
     click.echo(f"wrote {report_file} ({len(matrix.cells)} grid cells)")
 
@@ -353,14 +353,13 @@ def run_matrix_command(
 @main.command("gen-synthetic")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--skew", type=float, required=True, help="Sarcastic fraction.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--separability", type=float, default=1.0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path(dir_okay=False))
 @click.option(
     "--embeddings-out",
     "embeddings_out",
     type=click.Path(file_okay=False),
-    default=None,
     help="Also write the matching toy embedding tables here.",
 )
 def gen_synthetic_command(n, skew, seed, separability, out_file, embeddings_out):

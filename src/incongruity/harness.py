@@ -22,8 +22,9 @@ of them, the four prior sets' included, are trained together by one
 :func:`~incongruity.classify.train_cells` call, and their test rows are
 scored by the same :func:`~incongruity.classify.cell_scores` that scores
 the training rows, in the classifier's canonical order.
-Pooled metrics concatenate the per-fold test predictions and are the
-primary numbers; per-fold values are kept alongside.
+The folds' test scores and predicted labels are pooled as (n, cells)
+arrays; tp/fp/fn are counted per fold and cell, and their sums give the
+pooled metrics, the primary numbers; per-fold values are kept alongside.
 
 ``run_matrix`` evaluates every (prior set, augmentation, embedding)
 cell; ``compute_gains`` reduces the grid to mean F gains per
@@ -267,7 +268,6 @@ class MetricsReport:
     per_fold: tuple[FoldMetrics, ...] = ()
 
 
-# Slots: a grid holds one prediction per (cell, sentence), 52 per sentence.
 @dataclass(frozen=True, slots=True)
 class Prediction:
     instance_id: str
@@ -283,6 +283,11 @@ def metrics_from_predictions(
     tp = sum(1 for p in predictions if p.predicted == 1 and p.label == 1)
     fp = sum(1 for p in predictions if p.predicted == 1 and p.label == 0)
     fn = sum(1 for p in predictions if p.predicted == 0 and p.label == 1)
+    return _precision_recall_f(tp, fp, fn)
+
+
+def _precision_recall_f(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Positive-class precision, recall and F in percent from the counts."""
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
     # The count form of F that classify.tune_threshold maximizes.
@@ -305,9 +310,13 @@ class Resources:
 
 @dataclass(frozen=True)
 class ConfigResult:
+    """One cell's metrics, and its test scores and predicted labels (bool)
+    in the pooled order of :class:`MatrixResult`."""
+
     config: ExperimentConfig
     metrics: MetricsReport
-    predictions: tuple[Prediction, ...]
+    scores: np.ndarray
+    predicted: np.ndarray
 
 
 def _columns(augmentation: Augmentation) -> slice:
@@ -525,73 +534,47 @@ def _cell_name(config: ExperimentConfig) -> str:
     return f"{config.label}:{config.embedding}" if config.embedding else config.label
 
 
-def _fold_predictions(
-    instances: Sequence[LabeledInstance],
-    cells: Sequence[_GridCell],
-    layout: CellRows,
-    fold_index: int,
-    train_idx: list[int],
-    test_idx: list[int],
-    train_config: TrainConfig,
-) -> list[list[Prediction]]:
-    """Train every cell on one fold's training rows of ``layout`` in
-    lockstep, then score the fold's test rows of every cell at once.
-
-    A training error names the cell by its label, its table and the fold,
-    e.g. ``L+S:emb-a (fold 2)``.
-    """
-    names = [f"{_cell_name(cell.config)} (fold {fold_index})" for cell in cells]
-    models = train(layout.take(train_idx), train_config, names)
-    weights = np.concatenate([model.weights for model in models])
-    scores = cell_scores(layout.take(test_idx), weights)
-    return [
-        [
-            Prediction(
-                instances[i].id,
-                instances[i].label,
-                int(score >= model.threshold),
-                score,
-                fold_index,
-            )
-            for i, score in zip(test_idx, column)
-        ]
-        for model, column in zip(models, scores.T.tolist())
-    ]
-
-
 def _cross_validate(
     cells: Sequence[_GridCell],
-    instances: Sequence[LabeledInstance],
+    labels: np.ndarray,
     splits: Sequence[tuple[list[int], list[int]]],
     train_config: TrainConfig | None,
 ) -> list[ConfigResult]:
     """Cross-validate each of ``cells``.
 
     The cells are laid out once; they share the splits, so per split they
-    train together in lockstep.  The pooled metrics concatenate all test
-    predictions.
+    train together in lockstep, and the split's test rows of every cell
+    are scored at once.  A training error names the cell by its label, its
+    table and the fold, e.g. ``L+S:emb-a (fold 2)``.  Scores and predicted
+    labels are pooled in split order.
     """
     train_config = train_config or TrainConfig()
-    layout = _cell_rows(cells, [instance.label for instance in instances])
-    predictions: list[list[Prediction]] = [[] for _ in cells]
-    per_fold: list[list[FoldMetrics]] = [[] for _ in cells]
-    for fold_index, (train_idx, test_idx) in enumerate(splits):
-        cell_predictions = _fold_predictions(
-            instances, cells, layout, fold_index, train_idx, test_idx, train_config
-        )
-        for cell, fold_predictions in enumerate(cell_predictions):
-            fold_metrics = metrics_from_predictions(fold_predictions)
-            per_fold[cell].append(FoldMetrics(*fold_metrics))
-            predictions[cell].extend(fold_predictions)
+    layout = _cell_rows(cells, labels)
+    scores, predicted, counts = [], [], []
+    for fold, (train_idx, test_idx) in enumerate(splits):
+        names = [f"{_cell_name(cell.config)} (fold {fold})" for cell in cells]
+        models = train(layout.take(train_idx), train_config, names)
+        weights = np.concatenate([model.weights for model in models])
+        scores.append(cell_scores(layout.take(test_idx), weights))
+        predicted.append(scores[-1] >= [model.threshold for model in models])
+        positive = labels[test_idx, None] == SARCASTIC
+        hits = predicted[-1] & positive
+        # Per cell: tp, fp, fn.
+        counts.append([hits.sum(0), (predicted[-1] ^ hits).sum(0), (positive ^ hits).sum(0)])
+    scores, predicted = np.concatenate(scores), np.concatenate(predicted)
+    # Cell by fold by (tp, fp, fn), as ints; the pooled counts are their sums.
+    counts = np.moveaxis(np.array(counts), 2, 0).tolist()
     return [
         ConfigResult(
             cell.config,
             MetricsReport(
-                *metrics_from_predictions(cell_predictions), per_fold=tuple(cell_folds)
+                *_precision_recall_f(*map(sum, zip(*cell_counts))),
+                per_fold=tuple(FoldMetrics(*_precision_recall_f(*c)) for c in cell_counts),
             ),
-            tuple(cell_predictions),
+            scores[:, index],
+            predicted[:, index],
         )
-        for cell, cell_predictions, cell_folds in zip(cells, predictions, per_fold)
+        for index, (cell, cell_counts) in enumerate(zip(cells, counts))
     ]
 
 
@@ -606,6 +589,9 @@ class MatrixResult:
     n_instances: int
     folds: int
     seed: int
+    # Entry k of a cell's scores is corpus row test_rows[k], of fold test_folds[k].
+    test_rows: np.ndarray
+    test_folds: np.ndarray
 
 
 def run_matrix(
@@ -662,7 +648,8 @@ def run_matrix(
                 ))
 
     cells: dict[tuple[str, Augmentation, str], ConfigResult] = {}
-    for result in _cross_validate(grid, instances, splits, train_config):
+    labels = np.array([instance.label for instance in instances])
+    for result in _cross_validate(grid, labels, splits, train_config):
         config = result.config
         if config.augmentation is not Augmentation.NONE:
             cells[(config.prior_set, config.augmentation, config.embedding)] = result
@@ -680,6 +667,8 @@ def run_matrix(
         n_instances=len(instances),
         folds=folds,
         seed=seed,
+        test_rows=np.concatenate([test_idx for _, test_idx in splits]),
+        test_folds=np.repeat(np.arange(folds), [len(test_idx) for _, test_idx in splits]),
     )
 
 

@@ -110,6 +110,10 @@ def toy_embedding_tables(seed: int = 0) -> dict[str, EmbeddingTable]:
     return tables
 
 
+class SyntheticConfigError(ValueError):
+    """A synthetic-corpus parameter is out of range."""
+
+
 def _sarcastic_slots(rng: random.Random) -> list[str]:
     family = rng.randrange(len(FAMILIES))
     clusters = FAMILIES[family]
@@ -134,11 +138,14 @@ def _plain_slots(rng: random.Random) -> list[str]:
 def generate_corpus(
     n: int, skew: float, seed: int = 0, separability: float = 1.0
 ) -> list[LabeledInstance]:
-    """Generate ``n`` labeled instances; ``skew`` is the sarcastic fraction."""
+    """Generate ``n`` labeled instances; ``skew`` is the sarcastic fraction.
+    An out-of-range or NaN value raises :class:`SyntheticConfigError`."""
+    if n < 1:
+        raise SyntheticConfigError(f"n must be at least 1, got {n!r}")
     if not 0.0 < skew < 1.0:
-        raise ValueError("skew must be strictly between 0 and 1")
+        raise SyntheticConfigError(f"skew must be strictly between 0 and 1, got {skew!r}")
     if not 0.0 <= separability <= 1.0:
-        raise ValueError("separability must lie in [0, 1]")
+        raise SyntheticConfigError(f"separability must lie in [0, 1], got {separability!r}")
     rng = random.Random(seed)
     n_sarcastic = round(n * skew)
     labels = [1] * n_sarcastic + [0] * (n - n_sarcastic)

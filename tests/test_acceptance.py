@@ -256,7 +256,8 @@ def hand_built_matrix(f_scores, embeddings):
         cells[(prior, augmentation, name)] = ConfigResult(
             ExperimentConfig(prior, augmentation, name),
             MetricsReport(f_score, f_score, f_score),
-            (),
+            np.zeros(0),
+            np.zeros(0, dtype=bool),
         )
     return MatrixResult(
         cells=cells,
@@ -266,6 +267,8 @@ def hand_built_matrix(f_scores, embeddings):
         n_instances=1,
         folds=5,
         seed=0,
+        test_rows=np.zeros(0, dtype=int),
+        test_folds=np.zeros(0, dtype=int),
     )
 
 

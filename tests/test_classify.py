@@ -925,6 +925,8 @@ class TestTrainConfig:
             ("w", float("inf")),
             ("eta0", float("nan")),
             ("epochs", 2.5),
+            ("seed", -1),
+            ("seed", 1.5),
         ],
     )
     def test_error_names_the_field(self, field, value):

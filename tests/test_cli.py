@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oracles
+from incongruity.classify import TrainConfig
 from incongruity.cli import main
 from incongruity.embeddings import load_embeddings
-from incongruity.harness import load_dataset
+from incongruity.features import default_lexicon
+from incongruity.harness import load_dataset, stratified_kfold
 from incongruity.synthetic import toy_embedding_tables
+from incongruity.text import default_stopwords
 from test_harness import table_rows
 
 
@@ -135,6 +139,11 @@ class TestInputErrors:
             ("one-class", "training data must contain both classes"),
             ("folds", "class 0 has 1 instances; need at least 5 for 5-fold splits"),
             ("intersection", "no common vocabulary across tables"),
+            ("synthetic-n", "n must be at least 1, got 0"),
+            ("synthetic-negative-n", "n must be at least 1, got -5"),
+            ("synthetic-skew", "skew must be strictly between 0 and 1, got 2.0"),
+            ("synthetic-nan-skew", "skew must be strictly between 0 and 1, got nan"),
+            ("synthetic-separability", "separability must lie in [0, 1], got 5.0"),
         ],
     )
     def test_error_is_one_line_and_exit_one(self, runner, workspace, tmp_path, kind, message):
@@ -155,6 +164,8 @@ class TestInputErrors:
         train = ["train", "--config", "L", "--model-out", str(tmp_path / "m.txt")]
         matrix = ["run-matrix", "--embeddings", str(workspace / "emb"),
                   "--report", str(tmp_path / "report.md"), "--epochs", "1"]
+        synthetic = ["gen-synthetic", "--out", str(tmp_path / "synthetic.tsv"),
+                     "--embeddings-out", str(tmp_path / "synthetic-emb")]
         args = {
             "dataset": [*extract, "--config", "L", "--dataset", str(tmp_path / "corpus.tsv")],
             "lexicon": [*extract, "--config", "G", "--dataset", corpus,
@@ -173,11 +184,39 @@ class TestInputErrors:
             "folds": [*matrix, "--dataset", str(tmp_path / "three.tsv"), "--folds", "5"],
             "intersection": ["intersect-vocab", str(tmp_path / "x.txt"),
                              str(tmp_path / "y.txt"), "--out", str(tmp_path / "shared")],
+            "synthetic-n": [*synthetic, "--n", "0", "--skew", "0.5"],
+            "synthetic-negative-n": [*synthetic, "--n", "-5", "--skew", "0.5"],
+            "synthetic-skew": [*synthetic, "--n", "10", "--skew", "2"],
+            "synthetic-nan-skew": [*synthetic, "--n", "10", "--skew", "nan"],
+            "synthetic-separability": [*synthetic, "--n", "10", "--skew", "0.5",
+                                       "--separability", "5"],
         }[kind]
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         [line] = result.output.splitlines()
         assert line.startswith("Error: ") and message in line
+        assert not (tmp_path / "synthetic.tsv").exists()
+        assert not (tmp_path / "synthetic-emb").exists()
+
+    @pytest.mark.parametrize("command", ["run-matrix", "train", "gen-synthetic"])
+    def test_negative_seed_is_one_error_line(self, runner, workspace, tmp_path, command):
+        corpus = str(workspace / "corpus.tsv")
+        args = {
+            "run-matrix": ["run-matrix", "--dataset", corpus, "--embeddings",
+                           str(workspace / "emb"), "--report", str(tmp_path / "report.md")],
+            "train": ["train", "--config", "L", "--dataset", corpus,
+                      "--model-out", str(tmp_path / "model.txt")],
+            "gen-synthetic": ["gen-synthetic", "--n", "10", "--skew", "0.5",
+                              "--out", str(tmp_path / "corpus.tsv"),
+                              "--embeddings-out", str(tmp_path / "emb")],
+        }[command]
+        result = runner.invoke(main, [*args, "--seed", "-1"])
+        assert result.exit_code != 0
+        # A usage error, not an escaped exception and its traceback.
+        assert isinstance(result.exception, SystemExit), result.exception
+        [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert "'--seed'" in line
+        assert not any(tmp_path.iterdir())
 
 
 class TestSameNamedTables:
@@ -448,6 +487,30 @@ class TestRunMatrix:
         )
         assert result.exit_code == 0, result.output
         lines = predictions.read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("prior\taugmentation\tembedding\tfold")
+        assert lines[0] == "prior\taugmentation\tembedding\tfold\tid\tlabel\tpredicted\tscore"
+        instances = load_dataset(workspace / "corpus.tsv")
+        tables = {
+            path.stem: load_embeddings(path, "text_vectors")
+            for path in sorted((workspace / "emb").iterdir())
+        }
+        expected = oracles.reference_matrix(
+            instances,
+            tables,
+            default_lexicon(),
+            default_stopwords(),
+            stratified_kfold(instances, k=3, seed=0),
+            TrainConfig(epochs=2),
+        )
+        rendered = [
+            f"{prior}\t{augmentation.label}\t{name}\t{fold}\t{instance_id}\t{label}\t"
+            f"{predicted}\t{score!r}"
+            for prior, augmentation, name in sorted(
+                expected, key=lambda k: (k[0], k[1].label, k[2])
+            )
+            for instance_id, label, predicted, score, fold in expected[
+                (prior, augmentation, name)
+            ][0]
+        ]
         # 64 grid cells x 30 pooled test predictions each.
-        assert len(lines) == 1 + 64 * 30
+        assert len(rendered) == 64 * 30
+        assert lines[1:] == rendered

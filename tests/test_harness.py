@@ -76,6 +76,20 @@ def small_matrix(resources):
     )
 
 
+def pooled_predictions(matrix, instances, cell):
+    """``cell``'s test outcomes in the pooled order, each as (id, label,
+    predicted, score, fold)."""
+    return [
+        (instances[i].id, instances[i].label, int(predicted), score, fold)
+        for i, fold, predicted, score in zip(
+            matrix.test_rows.tolist(),
+            matrix.test_folds.tolist(),
+            cell.predicted.tolist(),
+            cell.scores.tolist(),
+        )
+    ]
+
+
 class TestLoadDataset:
     def test_tsv_round_trip(self, tmp_path):
         instances = generate_corpus(20, 0.5, seed=1)
@@ -357,18 +371,27 @@ class TestRunConfig:
         self, fixture_instances, fixture_matrix
     ):
         for key, cell in fixture_matrix.cells.items():
-            recounted = metrics_from_predictions(cell.predictions)
+            predictions = [
+                Prediction(*p)
+                for p in pooled_predictions(fixture_matrix, fixture_instances, cell)
+            ]
+            recounted = metrics_from_predictions(predictions)
             assert recounted == (
                 cell.metrics.precision,
                 cell.metrics.recall,
                 cell.metrics.f_score,
             ), key
-            assert len(cell.predictions) == len(fixture_instances), key
+            assert len(predictions) == len(fixture_instances), key
             assert len(cell.metrics.per_fold) == 5, key
+            for fold, metrics in enumerate(cell.metrics.per_fold):
+                recounted = metrics_from_predictions(
+                    [p for p in predictions if p.fold == fold]
+                )
+                assert recounted == dataclasses.astuple(metrics), (key, fold)
 
     def test_every_instance_predicted_once(self, fixture_instances, fixture_matrix):
         for key, cell in fixture_matrix.cells.items():
-            ids = [p.instance_id for p in cell.predictions]
+            ids = [p[0] for p in pooled_predictions(fixture_matrix, fixture_instances, cell)]
             assert sorted(ids) == sorted(i.id for i in fixture_instances), key
 
     def test_frozen_registry_blocks_test_only_features(self, resources):
@@ -466,7 +489,6 @@ class TestCompiledFolds:
         labels = [0] * len(rows)
         for k, i in enumerate(train_idx):
             labels[i] = 1 - k % 2
-        instances = [LabeledInstance(f"r{i}", "text", y) for i, y in enumerate(labels)]
         # Two corpora that number the same names differently: the second
         # reads each row's fragments in reverse order.  Each has a base cell
         # and a cell with a block.
@@ -495,10 +517,9 @@ class TestCompiledFolds:
             return models
 
         train_cells = harness.train
-        whole = harness._cell_rows(cells, labels)
         with mock.patch.object(harness, "train", recording):
-            predictions = harness._fold_predictions(
-                instances, cells, whole, 0, list(train_idx), list(test_idx),
+            results = harness._cross_validate(
+                cells, np.array(labels), [(list(train_idx), list(test_idx))],
                 TrainConfig(epochs=2),
             )
         [(layout, models)] = groups
@@ -538,7 +559,8 @@ class TestCompiledFolds:
             # A name no training row carries keeps a +0.0 weight.
             unseen = model.weights[np.setdiff1d(np.arange(len(model.weights)), list(seen))]
             assert not np.any(unseen) and not np.any(np.signbit(unseen))
-            for i, prediction in zip(test_idx, predictions[cell]):
+            assert len(results[cell].scores) == len(test_idx)
+            for i, score in zip(test_idx, results[cell].scores.tolist()):
                 terms = sorted(
                     (corpus_ids[registry.name_of(fid)], value)
                     for fid, value in oracles.number_row(registry, cell_rows[i])
@@ -546,8 +568,7 @@ class TestCompiledFolds:
                 expected = oracles.sequential_sum(
                     model.weights[fid] * value for fid, value in terms if fid in seen
                 )
-                assert prediction.instance_id == instances[i].id
-                assert prediction.score.hex() == expected.hex()
+                assert score.hex() == expected.hex()
 
 
 def single_cell(rows, cell):
@@ -667,8 +688,9 @@ class TestRunMatrix:
         for key, cell in matrix.cells.items():
             predictions, per_fold, pooled = expected[key]
             assert [
-                (p.instance_id, p.label, p.predicted, p.score.hex(), p.fold)
-                for p in cell.predictions
+                (instance_id, label, predicted, score.hex(), fold)
+                for instance_id, label, predicted, score, fold
+                in pooled_predictions(matrix, instances, cell)
             ] == [
                 (instance_id, label, predicted, score.hex(), fold)
                 for instance_id, label, predicted, score, fold in predictions
@@ -724,7 +746,8 @@ class TestRunMatrix:
     @pytest.mark.parametrize("folds", [2, 4])
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
         # Folds select rows and train in lockstep: no per-fold interning, no
-        # FeatureVector, no one-cell fit and no per-row prediction.  Each
+        # FeatureVector, no one-cell fit, no per-row prediction and no
+        # Prediction: outcomes stay in arrays.  Each
         # prior set interns each distinct name it emits once per corpus, so
         # the intern count is the same at every fold count.
         instances = generate_corpus(30, 0.4, seed=9)
@@ -744,6 +767,7 @@ class TestRunMatrix:
             "train": 0,
             "predict": 0,
             "decision": 0,
+            "Prediction": 0,
         }
 
         def counting(key, fn):
@@ -761,6 +785,9 @@ class TestRunMatrix:
             FeatureVector, "__init__", counting("FeatureVector", FeatureVector.__init__)
         )
         monkeypatch.setattr(classify, "train", counting("train", classify.train))
+        monkeypatch.setattr(
+            Prediction, "__init__", counting("Prediction", Prediction.__init__)
+        )
         for method in ("predict", "decision"):
             monkeypatch.setattr(
                 LinearModel, method, counting(method, getattr(LinearModel, method))
@@ -884,7 +911,8 @@ def constant_matrix(f_scores):
         cells[(prior, augmentation, name)] = ConfigResult(
             config,
             MetricsReport(f_score, f_score, f_score),
-            (),
+            np.zeros(0),
+            np.zeros(0, dtype=bool),
         )
     return MatrixResult(
         cells=cells,
@@ -894,6 +922,8 @@ def constant_matrix(f_scores):
         n_instances=10,
         folds=5,
         seed=0,
+        test_rows=np.zeros(0, dtype=int),
+        test_folds=np.zeros(0, dtype=int),
     )
 
 

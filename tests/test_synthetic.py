@@ -12,6 +12,7 @@ from incongruity.synthetic import (
     TEMPLATES,
     VARIANTS,
     WORD_CLUSTERS,
+    SyntheticConfigError,
     generate_corpus,
     toy_embedding_tables,
     write_corpus_and_tables,
@@ -160,6 +161,20 @@ class TestGenerateCorpus:
             generate_corpus(10, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_corpus(10, 0.5, seed=0, separability=1.5)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0.5), "n must be at least 1, got 0"),
+            ((-5, 0.5), "n must be at least 1, got -5"),
+            ((10, float("nan")), "skew must be strictly between 0 and 1, got nan"),
+            ((10, 0.5, 0, float("nan")), "separability must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_error_names_the_argument(self, args, message):
+        with pytest.raises(SyntheticConfigError) as excinfo:
+            generate_corpus(*args)
+        assert str(excinfo.value) == message
 
 
 class TestWriteCorpusAndTables:
