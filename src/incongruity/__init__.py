@@ -14,6 +14,7 @@ from .embeddings import (
     load_embeddings,
     save_text_vectors,
 )
+from .errors import InputError
 from .features import (
     ExperimentConfig,
     FeatureRegistry,
@@ -52,6 +53,7 @@ __all__ = [
     "ExperimentConfig",
     "FeatureRegistry",
     "FeatureVector",
+    "InputError",
     "LabeledInstance",
     "Lexicon",
     "LinearModel",

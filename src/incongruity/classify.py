@@ -63,6 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InputError
 from .features import FeatureRegistry, FeatureVector
 
 
@@ -70,19 +71,20 @@ from .features import FeatureRegistry, FeatureVector
 _SCALE_FLOOR = 1e-9
 
 
-class DegenerateTrainingError(ValueError):
+class DegenerateTrainingError(InputError):
     """Training data does not contain both classes."""
 
 
-class TrainingError(RuntimeError):
-    """Optimization produced a non-finite scale, weight, margin or score."""
+class TrainingError(InputError, RuntimeError):
+    """Optimization produced a non-finite scale, weight, margin or score: the
+    user's features or hyperparameters overflow."""
 
 
-class TrainConfigError(ValueError):
+class TrainConfigError(InputError):
     """A training hyperparameter is not finite, positive or whole."""
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """A model file violates the versioned text format."""
 
 

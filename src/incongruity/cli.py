@@ -1,42 +1,32 @@
-"""Command-line interface for the experiment pipeline."""
+"""Command-line interface for the experiment pipeline.
+
+A fault in the user's input, an :class:`~incongruity.errors.InputError` or
+an ``OSError``, is reported as one ``Error:`` line naming the file, line,
+option value or grid cell, with exit status 1.  Any other exception is a
+bug and keeps its traceback.
+"""
 
 from __future__ import annotations
 
+import errno
+import os
 from pathlib import Path
 from typing import Iterable
 
 import click
 
-from .classify import (
-    DegenerateTrainingError,
-    ModelFormatError,
-    TrainConfig,
-    TrainConfigError,
-    load_model,
-    save_model,
-    train,
-)
+from .classify import TrainConfig, load_model, save_model, train
 from .embeddings import (
-    EmbeddingFormatError,
     EmbeddingTable,
-    EmptyIntersectionError,
     intersect_vocabularies,
     load_embeddings,
     save_text_vectors,
 )
-from .features import (
-    ConfigurationError,
-    ExperimentConfig,
-    FeatureRegistry,
-    LexiconFormatError,
-    default_lexicon,
-    load_lexicon,
-)
+from .errors import InputError
+from .features import ExperimentConfig, FeatureRegistry, default_lexicon, load_lexicon
 from .harness import (
-    DatasetParseError,
     Prediction,
     Resources,
-    SplitError,
     compute_gains,
     emit_report,
     extract_features,
@@ -44,13 +34,8 @@ from .harness import (
     metrics_from_predictions,
     run_matrix,
 )
-from .synthetic import (
-    SyntheticConfigError,
-    generate_corpus,
-    toy_embedding_tables,
-    write_corpus_and_tables,
-)
-from .text import StopwordFormatError, default_stopwords, load_stopwords, tokenize
+from .synthetic import generate_corpus, toy_embedding_tables, write_corpus_and_tables
+from .text import default_stopwords, load_stopwords, tokenize
 
 _EMBED_DIR_ENVVAR = "INCONGRUITY_EMBED_DIR"
 
@@ -78,6 +63,14 @@ def _load_embedding_dir(directory: str | None) -> dict[str, EmbeddingTable]:
         return {}
     paths = sorted(Path(directory).iterdir())
     return _load_tables(p for p in paths if p.suffix in (".txt", ".vec", ".bin"))
+
+
+def _check_out_dirs(*paths: str | None) -> None:
+    """Refuse an output file in a missing directory before any work is done,
+    with the error that writing it would raise."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _build_resources(embeddings_dir, stopwords_file, lexicon_file) -> Resources:
@@ -119,29 +112,11 @@ _lexicon_option = click.option(
 _seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 
 
-# Faults in the files and options a user gives; each names what is wrong.
-_INPUT_ERRORS = (
-    ConfigurationError,
-    DatasetParseError,
-    DegenerateTrainingError,
-    EmbeddingFormatError,
-    EmptyIntersectionError,
-    LexiconFormatError,
-    ModelFormatError,
-    SplitError,
-    StopwordFormatError,
-    SyntheticConfigError,
-    TrainConfigError,
-)
-
-
 class _Main(click.Group):
     def invoke(self, ctx):
-        # An input error is reported as one line and exit status 1, not as a
-        # traceback.
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
+        except (InputError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -212,6 +187,7 @@ def extract_features_command(
 
     Each output line is '<id>\\t<label>\\t<name>:<value> ...'.
     """
+    _check_out_dirs(out_file)
     config, resources = _config_and_resources(
         config_str, embeddings_dir, stopwords_file, lexicon_file
     )
@@ -234,9 +210,9 @@ def extract_features_command(
 @_embeddings_option()
 @_stopwords_option
 @_lexicon_option
-@click.option("--c", "c", type=float, default=20.0, show_default=True)
-@click.option("--w", "w", type=float, default=3.0, show_default=True)
-@click.option("--epochs", type=int, default=50, show_default=True)
+@click.option("--c", "c", type=float, default=TrainConfig.c, show_default=True)
+@click.option("--w", "w", type=float, default=TrainConfig.w, show_default=True)
+@click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True)
 @_seed_option
 @click.option("--model-out", required=True, type=click.Path(dir_okay=False))
 def train_command(
@@ -244,6 +220,7 @@ def train_command(
     c, w, epochs, seed, model_out,
 ):
     """Train on the full dataset and save the model."""
+    _check_out_dirs(model_out)
     config, resources = _config_and_resources(
         config_str, embeddings_dir, stopwords_file, lexicon_file
     )
@@ -304,9 +281,9 @@ def evaluate_command(
 )
 @click.option("--folds", type=int, default=5, show_default=True)
 @_seed_option
-@click.option("--c", "c", type=float, default=20.0, show_default=True)
-@click.option("--w", "w", type=float, default=3.0, show_default=True)
-@click.option("--epochs", type=int, default=50, show_default=True)
+@click.option("--c", "c", type=float, default=TrainConfig.c, show_default=True)
+@click.option("--w", "w", type=float, default=TrainConfig.w, show_default=True)
+@click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True)
 @_stopwords_option
 @_lexicon_option
 @click.option(
@@ -320,7 +297,10 @@ def run_matrix_command(
     folds, seed, c, w, epochs, stopwords_file, lexicon_file, predictions_file,
 ):
     """Run the full prior-set x augmentation x embedding grid."""
+    _check_out_dirs(report_file, predictions_file)
     resources = _build_resources(embeddings_dir, stopwords_file, lexicon_file)
+    if not resources.embeddings:
+        raise InputError(f"{embeddings_dir} holds no .txt, .vec or .bin table")
     instances = load_dataset(dataset)
     matrix = run_matrix(
         instances,

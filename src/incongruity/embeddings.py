@@ -32,14 +32,16 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import InputError
+
 FORMATS = ("binary_w2v", "text_vectors")
 
 
-class EmbeddingFormatError(ValueError):
+class EmbeddingFormatError(InputError):
     """An embedding file violates its declared format."""
 
 
-class EmptyIntersectionError(ValueError):
+class EmptyIntersectionError(InputError):
     """Vocabulary intersection across tables produced no common words."""
 
 
@@ -153,6 +155,12 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
     count, dim = int(header[0]), int(header[1])
     if count <= 0 or dim <= 0:
         raise EmbeddingFormatError(f"{path}: non-positive count or dimension in header")
+    # A record is at least a space and dim floats; check before allocating.
+    if count * (4 * dim + 1) > len(data) - newline - 1:
+        raise EmbeddingFormatError(
+            f"{path}: header declares {count} records of dimension {dim}, "
+            f"more than the file's {len(data)} bytes can hold"
+        )
 
     vocab: list[str] = []
     seen: set[str] = set()

@@ -38,6 +38,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .errors import InputError
 from .similarity import Augmentation
 from .text import TokenTable
 
@@ -56,11 +57,11 @@ LEXICON_TAGS = frozenset(
 )
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(InputError):
     """A feature configuration references unknown resources or ids."""
 
 
-class LexiconFormatError(ValueError):
+class LexiconFormatError(InputError):
     """A lexicon file line violates the '<entry>\\t<tag>[,<tag>...]' format."""
 
 

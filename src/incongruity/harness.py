@@ -49,6 +49,7 @@ from .classify import CellRows, TrainConfig, cell_scores
 # perfbench/tracing.py times training.
 from .classify import train_cells as train
 from .embeddings import EmbeddingTable, intersect_vocabularies
+from .errors import InputError
 from .features import (
     PRIOR_SETS,
     ExperimentConfig,
@@ -79,11 +80,11 @@ SARCASTIC = 1
 NON_SARCASTIC = 0
 
 
-class DatasetParseError(ValueError):
+class DatasetParseError(InputError):
     """A corpus file line violates the dataset contract."""
 
 
-class SplitError(ValueError):
+class SplitError(InputError):
     """The corpus cannot be split as requested."""
 
 
@@ -616,7 +617,7 @@ def run_matrix(
     keys; their metrics are consequently constant along that axis.
     """
     if not resources.embeddings:
-        raise ValueError("run_matrix needs at least one embedding table")
+        raise InputError("run_matrix needs at least one embedding table")
     if intersect:
         tables = intersect_vocabularies(list(resources.embeddings.values()))
         resources = dataclasses.replace(

@@ -40,6 +40,7 @@ import enum
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .errors import InputError
 from .text import CHUNK_BYTES, TokenTable, content_index
 
 
@@ -67,7 +68,9 @@ class Augmentation(enum.Enum):
         for member in cls:
             if member.value == text:
                 return member
-        raise ValueError(f"unknown augmentation {text!r}")
+        raise InputError(
+            f"unknown augmentation {text!r}; expected one of {tuple(m.value for m in cls)}"
+        )
 
 
 S_FEATURE_NAMES = (

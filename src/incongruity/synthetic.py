@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable, save_text_vectors
+from .errors import InputError
 from .harness import LabeledInstance, save_dataset_tsv
 
 WORD_CLUSTERS = (
@@ -110,7 +111,7 @@ def toy_embedding_tables(seed: int = 0) -> dict[str, EmbeddingTable]:
     return tables
 
 
-class SyntheticConfigError(ValueError):
+class SyntheticConfigError(InputError):
     """A synthetic-corpus parameter is out of range."""
 
 
@@ -139,15 +140,21 @@ def generate_corpus(
     n: int, skew: float, seed: int = 0, separability: float = 1.0
 ) -> list[LabeledInstance]:
     """Generate ``n`` labeled instances; ``skew`` is the sarcastic fraction.
-    An out-of-range or NaN value raises :class:`SyntheticConfigError`."""
+    An out-of-range or NaN value, or an ``n`` and ``skew`` that leave one
+    class empty, raise :class:`SyntheticConfigError`."""
     if n < 1:
         raise SyntheticConfigError(f"n must be at least 1, got {n!r}")
     if not 0.0 < skew < 1.0:
         raise SyntheticConfigError(f"skew must be strictly between 0 and 1, got {skew!r}")
     if not 0.0 <= separability <= 1.0:
         raise SyntheticConfigError(f"separability must lie in [0, 1], got {separability!r}")
-    rng = random.Random(seed)
     n_sarcastic = round(n * skew)
+    if n_sarcastic in (0, n):
+        raise SyntheticConfigError(
+            f"n={n!r} and skew={skew!r} give {n_sarcastic} sarcastic and "
+            f"{n - n_sarcastic} plain instances; both classes need at least one"
+        )
+    rng = random.Random(seed)
     labels = [1] * n_sarcastic + [0] * (n - n_sarcastic)
     rng.shuffle(labels)
     instances = []

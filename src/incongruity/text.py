@@ -28,13 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .errors import InputError
 
 
-class EmptySentenceError(ValueError):
+class EmptySentenceError(InputError):
     """Raised when asked to tokenize input with no tokens."""
 
 
-class StopwordFormatError(ValueError):
+class StopwordFormatError(InputError):
     """A stopword file is not valid UTF-8."""
 
 

@@ -144,6 +144,18 @@ class TestInputErrors:
             ("synthetic-skew", "skew must be strictly between 0 and 1, got 2.0"),
             ("synthetic-nan-skew", "skew must be strictly between 0 and 1, got nan"),
             ("synthetic-separability", "separability must lie in [0, 1], got 5.0"),
+            ("synthetic-no-sarcastic", "n=3 and skew=0.1 give 0 sarcastic and 3 plain"),
+            ("synthetic-no-plain", "n=3 and skew=0.9 give 3 sarcastic and 0 plain"),
+            ("augmentation", "unknown augmentation 'X'; expected one of ('none', 'S', 'WS'"),
+            ("no-tables", "no-tables holds no .txt, .vec or .bin table"),
+            ("binary-header", "huge.bin: header declares 1000000000000 records of dimension 300"),
+            ("train-overflow", "non-finite margin in epoch 0"),
+            ("matrix-overflow", "non-finite margin for cell 'L (fold 0)' in epoch 0"),
+            ("extract-out-dir", "No such file or directory: '{missing}/features.txt'"),
+            ("train-out-dir", "No such file or directory: '{missing}/m.txt'"),
+            ("matrix-report-dir", "No such file or directory: '{missing}/report.md'"),
+            ("matrix-predictions-dir", "No such file or directory: '{missing}/p.tsv'"),
+            ("synthetic-out-dir", "No such file or directory: '{missing}/synthetic.tsv'"),
         ],
     )
     def test_error_is_one_line_and_exit_one(self, runner, workspace, tmp_path, kind, message):
@@ -159,6 +171,10 @@ class TestInputErrors:
         (tmp_path / "x.txt").write_text("x 1.0\n", encoding="utf-8")
         (tmp_path / "y.txt").write_text("y 1.0\n", encoding="utf-8")
         (tmp_path / "model.txt").write_text("not a model\n", encoding="utf-8")
+        (tmp_path / "no-tables").mkdir()
+        (tmp_path / "no-tables" / "notes.md").write_text("no table\n", encoding="utf-8")
+        (tmp_path / "huge.bin").write_bytes(b"1000000000000 300\n")
+        missing = tmp_path / "missing"
         corpus = str(workspace / "corpus.tsv")
         extract = ["extract-features", "--out", str(tmp_path / "features.txt")]
         train = ["train", "--config", "L", "--model-out", str(tmp_path / "m.txt")]
@@ -190,13 +206,34 @@ class TestInputErrors:
             "synthetic-nan-skew": [*synthetic, "--n", "10", "--skew", "nan"],
             "synthetic-separability": [*synthetic, "--n", "10", "--skew", "0.5",
                                        "--separability", "5"],
+            "synthetic-no-sarcastic": [*synthetic, "--n", "3", "--skew", "0.1"],
+            "synthetic-no-plain": [*synthetic, "--n", "3", "--skew", "0.9"],
+            "augmentation": [*extract, "--config", "L+X", "--dataset", corpus,
+                             "--embeddings", str(workspace / "emb")],
+            # The last --embeddings given wins.
+            "no-tables": [*matrix, "--dataset", corpus,
+                          "--embeddings", str(tmp_path / "no-tables")],
+            "binary-header": ["load-embeddings", str(tmp_path / "huge.bin")],
+            "train-overflow": [*train, "--dataset", corpus, "--w", "1e308"],
+            "matrix-overflow": [*matrix, "--dataset", corpus, "--w", "1e308"],
+            "extract-out-dir": ["extract-features", "--config", "L", "--dataset", corpus,
+                                "--out", str(missing / "features.txt")],
+            "train-out-dir": ["train", "--config", "L", "--dataset", corpus,
+                              "--model-out", str(missing / "m.txt")],
+            "matrix-report-dir": [*matrix, "--dataset", corpus,
+                                  "--report", str(missing / "report.md")],
+            "matrix-predictions-dir": [*matrix, "--dataset", corpus,
+                                       "--predictions", str(missing / "p.tsv")],
+            "synthetic-out-dir": [*synthetic, "--n", "10", "--skew", "0.5",
+                                  "--out", str(missing / "synthetic.tsv")],
         }[kind]
+        written = sorted(tmp_path.rglob("*"))
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         [line] = result.output.splitlines()
-        assert line.startswith("Error: ") and message in line
-        assert not (tmp_path / "synthetic.tsv").exists()
-        assert not (tmp_path / "synthetic-emb").exists()
+        assert line.startswith("Error: ") and message.format(missing=missing) in line
+        # No output file, and no output directory, is left behind.
+        assert sorted(tmp_path.rglob("*")) == written
 
     @pytest.mark.parametrize("command", ["run-matrix", "train", "gen-synthetic"])
     def test_negative_seed_is_one_error_line(self, runner, workspace, tmp_path, command):
@@ -255,6 +292,15 @@ class TestSameNamedTables:
         assert result.exit_code == 2, result.output
         assert f"{paths[0]} and {paths[1]}" in result.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "run-matrix"])
+def test_training_option_defaults_are_train_configs(command):
+    defaults = {param.name: param.default for param in main.commands[command].params}
+    config = TrainConfig()
+    assert (defaults["c"], defaults["w"], defaults["epochs"]) == (
+        config.c, config.w, config.epochs
+    )
 
 
 class TestTrainEvaluateRoundTrip:

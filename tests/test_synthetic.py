@@ -169,6 +169,16 @@ class TestGenerateCorpus:
             ((-5, 0.5), "n must be at least 1, got -5"),
             ((10, float("nan")), "skew must be strictly between 0 and 1, got nan"),
             ((10, 0.5, 0, float("nan")), "separability must lie in [0, 1], got nan"),
+            (
+                (3, 0.1),
+                "n=3 and skew=0.1 give 0 sarcastic and 3 plain instances; "
+                "both classes need at least one",
+            ),
+            (
+                (3, 0.9),
+                "n=3 and skew=0.9 give 3 sarcastic and 0 plain instances; "
+                "both classes need at least one",
+            ),
         ],
     )
     def test_error_names_the_argument(self, args, message):
