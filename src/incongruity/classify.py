@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_lines
 from .features import FeatureRegistry, FeatureVector
 
 
@@ -538,16 +538,11 @@ def save_model(
 def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
     """Read a model file back into a model and a frozen registry.
 
-    A file that breaks the format raises :class:`ModelFormatError` naming
-    the file and the line.
+    The file is read by :func:`~incongruity.errors.read_lines`.  A file that
+    breaks the format raises :class:`ModelFormatError` naming the file and
+    the line.
     """
-    data = Path(path).read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # The bytes before the error decode; "x" stands for the bad one.
-        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ModelFormatError(f"{path}: line {lineno}: not valid UTF-8") from exc
+    lines = [line for _, line in read_lines(path, ModelFormatError)]
     header = lines[0] if lines else ""
     if header != f"{_MODEL_MAGIC} v{_MODEL_VERSION}":
         raise ModelFormatError(f"{path}: line 1: unsupported model header {header!r}")

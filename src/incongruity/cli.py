@@ -344,6 +344,7 @@ def run_matrix_command(
 )
 def gen_synthetic_command(n, skew, seed, separability, out_file, embeddings_out):
     """Generate a synthetic corpus (and optionally toy embeddings)."""
+    _check_out_dirs(out_file)
     instances = generate_corpus(n, skew, seed, separability)
     tables = toy_embedding_tables(seed) if embeddings_out else None
     write_corpus_and_tables(instances, out_file, tables, embeddings_out)

@@ -3,8 +3,9 @@
 Two interchange formats used by common pre-trained vector distributions are
 supported:
 
-* ``text_vectors`` -- UTF-8 lines ``<word> <f1> ... <fd>``, any whitespace
-  between fields, blank lines skipped.  Components are ASCII decimal
+* ``text_vectors`` -- lines ``<word> <f1> ... <fd>`` of a text file read
+  by :func:`~incongruity.errors.read_lines`, any whitespace between
+  fields, blank lines skipped.  Components are ASCII decimal
   floats (optional sign, digits with an optional '.', optional exponent),
   each read as a double and rounded to float32; ``nan`` and ``inf`` are
   rejected as non-finite, digit separators (``1_0``) and non-ASCII digits
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_lines
 
 FORMATS = ("binary_w2v", "text_vectors")
 
@@ -207,19 +208,6 @@ def _parse_components(lines: Iterable[str]) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.float32, comments=None, ndmin=2)
 
 
-def _text_lines(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield each non-blank line's number and its ``[word, components]`` split."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                parts = line.split(None, 1)
-                if parts:
-                    yield lineno, parts
-        except UnicodeDecodeError as exc:
-            # Decoding runs ahead by a buffer, so the line is not known.
-            raise EmbeddingFormatError(f"{path}: not valid UTF-8") from exc
-
-
 def _text_header(path: Path, lineno: int, parts: list[str]) -> tuple[int, int] | None:
     """Return ``(count, dim)`` if the first non-blank line is a header."""
     if len(parts) != 2:
@@ -268,9 +256,9 @@ def _parse_rows(path: Path, rows: Iterable[str], linenos: list[int], dim: int) -
         # The bulk parse does not name a file line: check the rows it was
         # given one at a time, in file order.
         given = set(linenos)
-        for lineno, parts in _text_lines(path):
+        for lineno, line in read_lines(path, EmbeddingFormatError):
             if lineno in given:
-                error = _bad_row(path, lineno, parts[1], dim)
+                error = _bad_row(path, lineno, line.split(None, 1)[1], dim)
                 if error is not None:
                     raise error from None
         raise
@@ -299,7 +287,10 @@ def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
     def components() -> Iterator[str]:
         nonlocal header, stop
         seen: set[str] = set()
-        for lineno, parts in _text_lines(path):
+        for lineno, line in read_lines(path, EmbeddingFormatError):
+            parts = line.split(None, 1)
+            if not parts:
+                continue
             if not linenos and header is None:
                 header = _text_header(path, lineno, parts)
                 if header is not None:

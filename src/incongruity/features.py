@@ -38,7 +38,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import InputError
+from .errors import InputError, read_lines
 from .similarity import Augmentation
 from .text import TokenTable
 
@@ -69,7 +69,6 @@ class LexiconFormatError(InputError):
 class Lexicon:
     """Tagged word / phrase list.  Entries are stored lowercased."""
 
-    name: str
     entries: Mapping[str, frozenset[str]]
 
     def with_tag(self, tag: str) -> tuple[str, ...]:
@@ -85,47 +84,33 @@ def _polarity(tags: frozenset[str]) -> int:
     return 1 if positive else -1
 
 
-def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
-    """Parse a lexicon file.
+def load_lexicon(path: str | Path) -> Lexicon:
+    """Parse a lexicon file through :func:`~incongruity.errors.read_lines`.
 
     Each non-comment line is ``<word-or-phrase>\\t<tag>[,<tag>...]``;
     phrases may contain spaces.  Unknown tags raise
     :class:`LexiconFormatError` naming the line.  Repeated entries merge
-    their tag sets, so entry keys are unique in the result.  One leading
-    UTF-8 byte-order mark is dropped.
+    their tag sets, so entry keys are unique in the result.
     """
-    path = Path(path)
     entries: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = stripped.split("\t")
-                if len(parts) != 2:
-                    raise LexiconFormatError(
-                        f"{path}: line {lineno}: expected '<entry>\\t<tags>'"
-                    )
-                entry = unicodedata.normalize("NFC", parts[0].strip()).lower()
-                tags = {t.strip() for t in parts[1].split(",") if t.strip()}
-                if not entry or not tags:
-                    raise LexiconFormatError(
-                        f"{path}: line {lineno}: empty entry or tag list"
-                    )
-                unknown = tags - LEXICON_TAGS
-                if unknown:
-                    raise LexiconFormatError(
-                        f"{path}: line {lineno}: unknown tag(s) {sorted(unknown)}"
-                    )
-                entries.setdefault(entry, set()).update(tags)
-        except UnicodeDecodeError as exc:
-            # Decoding runs ahead by a buffer, so the line is not known.
-            raise LexiconFormatError(f"{path}: not valid UTF-8") from exc
-    return Lexicon(
-        name or path.stem,
-        {entry: frozenset(tags) for entry, tags in entries.items()},
-    )
+    for lineno, line in read_lines(path, LexiconFormatError):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise LexiconFormatError(f"{path}: line {lineno}: expected '<entry>\\t<tags>'")
+        entry = unicodedata.normalize("NFC", parts[0].strip()).lower()
+        tags = {t.strip() for t in parts[1].split(",") if t.strip()}
+        if not entry or not tags:
+            raise LexiconFormatError(f"{path}: line {lineno}: empty entry or tag list")
+        unknown = tags - LEXICON_TAGS
+        if unknown:
+            raise LexiconFormatError(
+                f"{path}: line {lineno}: unknown tag(s) {sorted(unknown)}"
+            )
+        entries.setdefault(entry, set()).update(tags)
+    return Lexicon({entry: frozenset(tags) for entry, tags in entries.items()})
 
 
 _DEFAULT_LEXICON: Lexicon | None = None
@@ -137,7 +122,7 @@ def default_lexicon() -> Lexicon:
     if _DEFAULT_LEXICON is None:
         ref = resources.files("incongruity.data").joinpath("sentiment_lexicon.tsv")
         with resources.as_file(ref) as path:
-            _DEFAULT_LEXICON = load_lexicon(path, name="default")
+            _DEFAULT_LEXICON = load_lexicon(path)
     return _DEFAULT_LEXICON
 
 

@@ -49,7 +49,7 @@ from .classify import CellRows, TrainConfig, cell_scores
 # perfbench/tracing.py times training.
 from .classify import train_cells as train
 from .embeddings import EmbeddingTable, intersect_vocabularies
-from .errors import InputError
+from .errors import InputError, read_lines
 from .features import (
     PRIOR_SETS,
     ExperimentConfig,
@@ -115,30 +115,23 @@ def load_dataset(path: str | Path) -> list[LabeledInstance]:
     TSV rows are ``<id>\\t<label>\\t<text>`` with label 0 or 1
     (1 = sarcastic); JSONL rows are objects with ``id`` (a string or an
     integer), ``label`` (the integer 0 or 1) and ``text`` (a string) keys.
-    Lines end at ``\\n`` only, with one trailing ``\\r`` dropped, so CRLF
-    files load and a text may hold any other line separator.  One leading
-    UTF-8 byte-order mark is dropped.  A file
-    whose first non-blank character is ``{`` is read as JSONL, any other
-    as TSV.  Bad labels, ids of another type, empty or holding a tab or
-    line break (which :func:`save_dataset_tsv` could not write back),
-    duplicate ids, and empty or non-string text raise
-    :class:`DatasetParseError` naming the line.
+    The file is read by :func:`~incongruity.errors.read_lines`, so a text
+    may hold any line separator but ``\\n``.  A file whose first non-blank
+    character is ``{`` is read as JSONL, any other as TSV.  Bad labels, ids
+    of another type, empty or holding a tab or line break (which
+    :func:`save_dataset_tsv` could not write back), duplicate ids, and
+    empty or non-string text raise :class:`DatasetParseError` naming the
+    line.
     """
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        content = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DatasetParseError(f"{path}: line {lineno}: not valid UTF-8") from exc
-    tsv = content.lstrip()[:1] != "{"
-
+    tsv: bool | None = None
     instances: list[LabeledInstance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(content.split("\n"), start=1):
-        line = line.removesuffix("\r")
+    for lineno, line in read_lines(path, DatasetParseError):
         if not line.strip():
             continue
+        if tsv is None:
+            tsv = line.lstrip()[0] != "{"
         if tsv:
             parts = line.split("\t", 2)
             if len(parts) != 3:

@@ -175,10 +175,12 @@ def write_corpus_and_tables(
     tables: dict[str, EmbeddingTable] | None = None,
     tables_dir: str | Path | None = None,
 ) -> None:
-    """Write a corpus TSV and, optionally, toy embedding text files."""
+    """Write a corpus TSV and, optionally, toy embedding text files.  The
+    tables' directory is made first, so a directory that cannot be made
+    leaves no corpus behind."""
+    if tables_dir is not None:
+        Path(tables_dir).mkdir(parents=True, exist_ok=True)
     save_dataset_tsv(instances, corpus_path)
     if tables_dir is not None:
-        directory = Path(tables_dir)
-        directory.mkdir(parents=True, exist_ok=True)
         for name, table in (tables or {}).items():
-            save_text_vectors(table, directory / f"{name}.txt")
+            save_text_vectors(table, Path(tables_dir) / f"{name}.txt")

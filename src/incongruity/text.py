@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import InputError
+from .errors import InputError, read_lines
 
 
 class EmptySentenceError(InputError):
@@ -36,7 +36,7 @@ class EmptySentenceError(InputError):
 
 
 class StopwordFormatError(InputError):
-    """A stopword file is not valid UTF-8."""
+    """A stopword file is not valid UTF-8, or an entry holds whitespace."""
 
 
 def _is_punct_char(ch: str) -> bool:
@@ -91,21 +91,20 @@ def tokenize(text: str) -> TokenizedSentence:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: UTF-8, one word per line, '#' comments allowed;
-    one leading byte-order mark is dropped.
+    """Read a stopword file through :func:`~incongruity.errors.read_lines`:
+    one word per line, '#' comments allowed.
 
     Entries are case-folded, so membership tests against the returned set
-    should use case-folded tokens.
+    should use case-folded tokens.  No token holds whitespace, so an entry
+    that does raises :class:`StopwordFormatError` naming the line.
     """
     words = set()
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            for line in handle:
-                entry = line.split("#", 1)[0].strip()
-                if entry:
-                    words.add(unicodedata.normalize("NFC", entry).casefold())
-        except UnicodeDecodeError as exc:
-            raise StopwordFormatError(f"{path}: not valid UTF-8") from exc
+    for lineno, line in read_lines(path, StopwordFormatError):
+        entry = line.split("#", 1)[0].strip()
+        if len(entry.split()) > 1:
+            raise StopwordFormatError(f"{path}: line {lineno}: {entry!r} holds whitespace")
+        if entry:
+            words.add(unicodedata.normalize("NFC", entry).casefold())
     return frozenset(words)
 
 

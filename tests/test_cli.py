@@ -1,4 +1,5 @@
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import incongruity
 import oracles
-from incongruity.classify import TrainConfig
+from incongruity.classify import ModelFormatError, TrainConfig, load_model
 from incongruity.cli import main
-from incongruity.embeddings import load_embeddings
-from incongruity.features import default_lexicon
-from incongruity.harness import load_dataset, stratified_kfold
+from incongruity.embeddings import EmbeddingFormatError, load_embeddings
+from incongruity.features import LexiconFormatError, default_lexicon, load_lexicon
+from incongruity.harness import DatasetParseError, load_dataset, stratified_kfold
 from incongruity.synthetic import toy_embedding_tables
-from incongruity.text import default_stopwords
+from incongruity.text import StopwordFormatError, default_stopwords, load_stopwords
 from test_harness import table_rows
 
 
@@ -132,7 +134,7 @@ class TestInputErrors:
             ("embeddings", "bad.txt: line 2: expected 2 components, found 1"),
             ("model", "unsupported model header 'not a model'"),
             ("config", "unknown embedding id 'missing'"),
-            ("stopwords", "stop.txt: not valid UTF-8"),
+            ("stopwords", "stop.txt: line 2: not valid UTF-8"),
             ("train-c", "c must be finite and positive, got nan"),
             ("train-negative-c", "c must be finite and positive, got -1.0"),
             ("matrix-w", "w must be finite and positive, got inf"),
@@ -156,6 +158,7 @@ class TestInputErrors:
             ("matrix-report-dir", "No such file or directory: '{missing}/report.md'"),
             ("matrix-predictions-dir", "No such file or directory: '{missing}/p.tsv'"),
             ("synthetic-out-dir", "No such file or directory: '{missing}/synthetic.tsv'"),
+            ("synthetic-tables-dir", "Not a directory: '{tmp}/afile/x'"),
         ],
     )
     def test_error_is_one_line_and_exit_one(self, runner, workspace, tmp_path, kind, message):
@@ -174,6 +177,7 @@ class TestInputErrors:
         (tmp_path / "no-tables").mkdir()
         (tmp_path / "no-tables" / "notes.md").write_text("no table\n", encoding="utf-8")
         (tmp_path / "huge.bin").write_bytes(b"1000000000000 300\n")
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         missing = tmp_path / "missing"
         corpus = str(workspace / "corpus.tsv")
         extract = ["extract-features", "--out", str(tmp_path / "features.txt")]
@@ -226,12 +230,14 @@ class TestInputErrors:
                                        "--predictions", str(missing / "p.tsv")],
             "synthetic-out-dir": [*synthetic, "--n", "10", "--skew", "0.5",
                                   "--out", str(missing / "synthetic.tsv")],
+            "synthetic-tables-dir": [*synthetic, "--n", "10", "--skew", "0.5",
+                                     "--embeddings-out", str(tmp_path / "afile" / "x")],
         }[kind]
         written = sorted(tmp_path.rglob("*"))
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         [line] = result.output.splitlines()
-        assert line.startswith("Error: ") and message.format(missing=missing) in line
+        assert line.startswith("Error: ") and message.format(missing=missing, tmp=tmp_path) in line
         # No output file, and no output directory, is left behind.
         assert sorted(tmp_path.rglob("*")) == written
 
@@ -254,6 +260,107 @@ class TestInputErrors:
         [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert "'--seed'" in line
         assert not any(tmp_path.iterdir())
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 names the file and its line in every text
+    reader, and the CLI prints it as one error line."""
+
+    @pytest.mark.parametrize("reader", ["dataset", "lexicon", "stopwords", "table", "model"])
+    def test_error_names_line(self, runner, workspace, tmp_path, reader):
+        corpus = str(workspace / "corpus.tsv")
+        extract = ["extract-features", "--config", "G", "--out", str(tmp_path / "f.txt")]
+        good, error, load, args = {
+            "dataset": (b"a\t1\tfine\nb\t0\tgood\n", DatasetParseError, load_dataset,
+                        [*extract, "--dataset"]),
+            "lexicon": (b"# tags\nbad\tnegative\n", LexiconFormatError, load_lexicon,
+                        [*extract, "--dataset", corpus, "--lexicon"]),
+            "stopwords": (b"the\n\n", StopwordFormatError, load_stopwords,
+                          [*extract, "--dataset", corpus, "--stopwords"]),
+            "table": (b"2 2\na 1 2\n", EmbeddingFormatError,
+                      lambda path: load_embeddings(path, "text_vectors"), ["load-embeddings"]),
+            "model": (b"incongruity-model v1\ndim 1\n", ModelFormatError, load_model,
+                      ["evaluate", "--config", "L", "--dataset", corpus, "--model"]),
+        }[reader]
+        path = tmp_path / "input.txt"
+        path.write_bytes(good + b"x\xffy 1\n")
+        with pytest.raises(error, match=r"input\.txt: line 3: not valid UTF-8$") as info:
+            load(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {info.value}\n"
+
+
+def bom_crlf_copy(source, target):
+    """Copy a text file with a byte-order mark and CRLF line ends."""
+    target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes().replace(b"\n", b"\r\n"))
+
+
+class TestByteOrderMarkAndCrlf:
+    """A BOM + CRLF copy of every text input gives the bytes its LF
+    original gives."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("lf")
+        # The synthetic rows reach the tables; the lexicon-corpus rows reach
+        # the lexicon.
+        rows = (workspace / "corpus.tsv").read_bytes() + LEXICON_CORPUS.read_bytes()
+        (root / "corpus.tsv").write_bytes(rows)
+        (root / "corpus.jsonl").write_text(
+            "".join(
+                json.dumps({"id": i.id, "label": i.label, "text": i.text}) + "\n"
+                for i in load_dataset(root / "corpus.tsv")
+            ),
+            encoding="utf-8",
+        )
+        (root / "emb").mkdir()
+        shutil.copy(workspace / "emb" / "emb-a.txt", root / "emb")
+        # emb-b without its "<count> <dim>" header line.
+        headed = (workspace / "emb" / "emb-b.txt").read_bytes()
+        (root / "emb" / "emb-b.txt").write_bytes(headed.split(b"\n", 1)[1])
+        data = Path(incongruity.__file__).parent / "data"
+        shutil.copy(data / "sentiment_lexicon.tsv", root / "lexicon.tsv")
+        shutil.copy(data / "stopwords.txt", root / "stopwords.txt")
+        return root
+
+    @pytest.mark.parametrize("corpus", ["corpus.tsv", "corpus.jsonl"])
+    def test_outputs_are_byte_identical(self, runner, originals, tmp_path, corpus):
+        copies = tmp_path / "copies"
+        (copies / "emb").mkdir(parents=True)
+        for path in originals.rglob("*.*"):
+            bom_crlf_copy(path, copies / path.relative_to(originals))
+
+        def run(*args):
+            result = runner.invoke(main, [str(arg) for arg in args])
+            assert result.exit_code == 0, result.output
+            return result.output
+
+        def given(root):
+            return ["--dataset", root / corpus, "--embeddings", root / "emb",
+                    "--lexicon", root / "lexicon.tsv", "--stopwords", root / "stopwords.txt"]
+
+        config = ["--config", "J+S+WS:emb-b"]
+
+        def outputs(root, out):
+            out.mkdir()
+            matrix = ["run-matrix", *given(root), "--folds", "3", "--epochs", "2"]
+            run(*matrix, "--report", out / "report.md", "--predictions", out / "predictions.tsv")
+            run(*matrix, "--format", "tsv", "--report", out / "report.tsv")
+            run("extract-features", *given(root), *config, "--out", out / "features.txt")
+            run("train", *given(root), *config, "--epochs", "5", "--model-out", out / "model.txt")
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        expected = outputs(originals, tmp_path / "lf")
+        assert outputs(copies, tmp_path / "crlf") == expected
+        bom_crlf_copy(tmp_path / "lf" / "model.txt", copies / "model.txt")
+        scores = [
+            run("evaluate", *given(root), *config, "--model", model)
+            for root, model in [(originals, tmp_path / "lf" / "model.txt"),
+                                (copies, copies / "model.txt")]
+        ]
+        assert scores[0] == scores[1]
 
 
 class TestSameNamedTables:

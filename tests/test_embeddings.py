@@ -47,6 +47,12 @@ class TestTextLoader:
         assert table.dimension == 2
         np.testing.assert_array_equal(table.vector("beta"), np.array([0.0, 2.5], dtype=np.float32))
 
+    @pytest.mark.parametrize("header", [b"", b"2 2\n"], ids=["headerless", "header"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, header):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"alpha 1.0 0.0\nbeta 0.0 2.5\n")
+        assert load_embeddings(path, "text_vectors").vocab == ("alpha", "beta")
+
     def test_header_line_auto_detected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1 2 3\nb 4 5 6\n", encoding="utf-8")
@@ -268,7 +274,8 @@ class TestStreamedTextLoader:
         path = tmp_path / "vecs.txt"
         good = "".join(f"w{i} {i}.5\n" for i in range(rows_before))
         path.write_bytes(good.encode("utf-8") + b"\xff 2\n")
-        with pytest.raises(EmbeddingFormatError, match="vecs.txt: not valid UTF-8$") as info:
+        message = f"vecs.txt: line {rows_before + 1}: not valid UTF-8$"
+        with pytest.raises(EmbeddingFormatError, match=message) as info:
             load_embeddings(path, "text_vectors")
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 

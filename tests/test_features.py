@@ -34,7 +34,6 @@ from incongruity.text import token_table, tokenize
 
 def make_lexicon() -> Lexicon:
     return Lexicon(
-        "test",
         {
             "great": frozenset({"positive"}),
             "love": frozenset({"positive", "emotion"}),
@@ -256,7 +255,7 @@ class TestCorpusPriors:
     """The prior fragments of a whole corpus give every sentence the names,
     values and first-occurrence numbering of the per-sentence oracle."""
 
-    lexicon = Lexicon("oracle", ORACLE_LEXICON_ENTRIES)
+    lexicon = Lexicon(ORACLE_LEXICON_ENTRIES)
 
     def check(self, texts, prior, held):
         """Compare through a fresh registry, then one frozen holding ``held``
@@ -379,7 +378,7 @@ class TestLexicon:
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"ok\tpositive\n\xff\tpositive\n")
-        with pytest.raises(LexiconFormatError, match="lex.tsv: not valid UTF-8$") as info:
+        with pytest.raises(LexiconFormatError, match="lex.tsv: line 2: not valid UTF-8$") as info:
             load_lexicon(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
@@ -466,7 +465,7 @@ class TestIncongruity:
 
     def test_implicit_phrase_matches_decomposed_text(self):
         # NFC and NFD spellings of "café" tokenize alike, so they match alike.
-        lexicon = Lexicon("nfc", {"café again": frozenset({"implicit_incongruity_phrase"})})
+        lexicon = Lexicon({"café again": frozenset({"implicit_incongruity_phrase"})})
         composed = unicodedata.normalize("NFC", "great, café again")
         decomposed = unicodedata.normalize("NFD", composed)
         assert decomposed != composed

@@ -13,6 +13,7 @@ import oracles
 from conftest import ORACLE_LEXICON_ENTRIES, fragments_of_rows, oracle_chunk, random_table
 from incongruity import classify, harness
 from incongruity.classify import LinearModel, TrainConfig
+from incongruity.embeddings import EmbeddingTable, intersect_vocabularies
 from incongruity.features import (
     ExperimentConfig,
     FeatureRegistry,
@@ -591,7 +592,7 @@ def single_cell(rows, cell):
     )
 
 
-GRID_LEXICON = Lexicon("oracle", ORACLE_LEXICON_ENTRIES)
+GRID_LEXICON = Lexicon(ORACLE_LEXICON_ENTRIES)
 GRID_STOPWORDS = frozenset({"a", "in", "w005"})
 GRID_WORDS = ("w000", "w001", "W001", "w002", "w003", "w004", "w005", "w006")
 
@@ -667,6 +668,48 @@ class TestRunMatrix:
         # Each variant carries unique filler words, so intersecting must
         # shrink every vocabulary.
         assert sizes.pop() < min(len(t) for t in resources.embeddings.values())
+
+    def test_intersect_makes_a_word_one_table_lacks_oov_in_both(self):
+        # "rain" is a content word of the corpus that "short" lacks; with
+        # --intersect, "full" loses it too.
+        words = ["love", "rain", "sunny", "traffic", "monday", "beach", "cold"]
+        vectors = np.random.default_rng(0).standard_normal((len(words), 4))
+        full = EmbeddingTable("full", words, vectors)
+        short = EmbeddingTable("short", words[:1] + words[2:], vectors[[0, *range(2, 7)]])
+        texts = [
+            "love rain on a cold monday", "sunny beach and rain", "rain in traffic again",
+            "cold rain at the beach", "love sunny monday traffic", "rain rain and love",
+            "sunny beach on monday", "traffic on a cold monday", "love the sunny beach",
+            "monday traffic is cold", "beach love and sunny rain", "cold traffic at the beach",
+        ]
+        instances = [
+            LabeledInstance(f"s{i}", text, i % 2) for i, text in enumerate(texts)
+        ]
+        intersected = intersect_vocabularies([full, short])
+        assert "rain" not in intersected[0].vocab
+        tokens = token_table([tokenize(t) for t in texts], Resources().stopwords)
+        assert not np.array_equal(
+            similarity_block(tokens, full), similarity_block(tokens, intersected[0])
+        )
+
+        def grid(tables, intersect):
+            resources = Resources({t.name: t for t in tables})
+            return run_matrix(
+                instances, resources, intersect=intersect, folds=3, seed=0,
+                train_config=TrainConfig(epochs=5),
+            ).cells
+
+        plain, merged = grid([full, short], False), grid([full, short], True)
+        reference = grid(intersected, False)
+        assert any(
+            not np.array_equal(plain[key].scores, merged[key].scores) for key in plain
+        )
+        assert merged.keys() == reference.keys()
+        for key, cell in merged.items():
+            expected = reference[key]
+            assert cell.scores.tobytes() == expected.scores.tobytes(), key
+            assert cell.predicted.tobytes() == expected.predicted.tobytes(), key
+            assert cell.metrics == expected.metrics, key
 
     @settings(max_examples=25, deadline=None)
     @given(grid_inputs())

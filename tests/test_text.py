@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 import unicodedata
@@ -100,10 +101,19 @@ class TestStopwords:
         path.write_bytes(b"\xef\xbb\xbfthe\nand\n")
         assert load_stopwords(path) == frozenset({"the", "and"})
 
+    @pytest.mark.parametrize("entry", [b"of course", b"and\rof"])
+    def test_entry_holding_whitespace_names_line(self, tmp_path, entry):
+        # No token holds whitespace, so no token could match the entry.
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\n" + entry + b"  # comment\n")
+        message = f"stop.txt: line 2: {entry.decode()!r} holds whitespace"
+        with pytest.raises(StopwordFormatError, match=re.escape(message) + "$"):
+            load_stopwords(path)
+
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes(b"the\n\xff\n")
-        with pytest.raises(StopwordFormatError, match="stop.txt: not valid UTF-8$") as info:
+        with pytest.raises(StopwordFormatError, match="stop.txt: line 2: not valid UTF-8$") as info:
             load_stopwords(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
