@@ -1,15 +1,21 @@
 """The one exception type for a fault in a user's input, and the one reader
 of a user's text files."""
 
+import io
+import itertools
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
+
+_BOM = b"\xef\xbb\xbf"
 
 
 class InputError(ValueError):
     """A file, path or option a user gave is at fault; the message names it."""
 
 
-def read_lines(path: str | Path, error: type[InputError]) -> Iterator[tuple[int, str]]:
+def read_lines(
+    path: str | Path, error: type[InputError], start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, str]]:
     """Yield ``(number, line)`` for each line of a text file, counted from 1.
 
     The one rule for every text input: the file is UTF-8, one leading
@@ -17,18 +23,38 @@ def read_lines(path: str | Path, error: type[InputError]) -> Iterator[tuple[int,
     before it dropped, so a CRLF file reads as its LF copy.  A byte that is
     not UTF-8 raises ``error`` as ``<path>: line N: not valid UTF-8``,
     chained to the ``UnicodeDecodeError``.
+
+    ``start`` and ``stop`` read a byte range: the lines that begin at an
+    offset in ``[start, stop)``, numbered from 1 at the first.  ``start``
+    must be the offset of a line start.
     """
-    with open(path, encoding="utf-8-sig", newline="\n") as handle:
+    with open(path, "rb") as handle:
+        raws: Iterable[bytes] = handle
+        if start:
+            handle.seek(start)
+        else:
+            # Read the mark rather than seek back over it: a pipe cannot seek.
+            head = handle.read(len(_BOM))
+            if head == _BOM:
+                start = len(_BOM)
+            else:
+                # Put back the bytes read, completed to the end of their line.
+                raws = itertools.chain(io.BytesIO(head + handle.readline()), handle)
+        if stop is not None:
+            raws = _lines_within(raws, stop - start)
+        lineno = 0
         try:
-            for lineno, line in enumerate(handle, start=1):
+            for lineno, line in enumerate(map(bytes.decode, raws), start=1):
                 yield lineno, line.removesuffix("\n").removesuffix("\r")
-        except UnicodeDecodeError:
-            # Decoding runs ahead by a buffer, so this error's offset is not
-            # the file's; decoding the whole file again places the bad byte.
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                lineno = data.count(b"\n", 0, exc.start) + 1
-                raise error(f"{path}: line {lineno}: not valid UTF-8") from exc
-            raise
+        except UnicodeDecodeError as exc:
+            # The decode failed before enumerate counted its line.
+            raise error(f"{path}: line {lineno + 1}: not valid UTF-8") from exc
+
+
+def _lines_within(raws: Iterable[bytes], size: int) -> Iterator[bytes]:
+    """The lines of ``raws`` that begin within its first ``size`` bytes."""
+    for raw in raws:
+        if size <= 0:
+            return
+        size -= len(raw)
+        yield raw

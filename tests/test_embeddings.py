@@ -1,15 +1,25 @@
+import contextlib
+import multiprocessing
+import os
 import re
+import signal
 import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
+import unicodedata
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from incongruity import embeddings
 from incongruity.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -18,8 +28,41 @@ from incongruity.embeddings import (
     load_embeddings,
     save_text_vectors,
 )
+from incongruity.errors import read_lines
 from incongruity.similarity import similarity_block
+from incongruity.synthetic import toy_embedding_tables
 from incongruity.text import content_index, token_table, tokenize
+
+
+def _nfc(word):
+    return unicodedata.normalize("NFC", word)
+
+
+@contextlib.contextmanager
+def fifo_of(directory, data):
+    """A named pipe in ``directory`` that a thread fills with ``data``."""
+    path = Path(directory) / "fifo"
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:
+            pass  # the reader stopped early
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    try:
+        yield path
+    finally:
+        # Free a writer still waiting for a reader to open the pipe.
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+_needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 
 
 def write_binary(path, records, header=None, trailing_newlines=False, extra=b""):
@@ -148,11 +191,11 @@ _separators = st.sampled_from([" ", "\t", "   ", " \t ", "\t\t"])
 
 
 @st.composite
-def text_tables(draw):
-    """A text table file with varied layout and its expected rows."""
+def text_tables(draw, name=st.from_regex(r"[a-z]{1,6}", fullmatch=True)):
+    """A text table file with varied layout, its words as loaded (NFC) and
+    its expected rows."""
     dim = draw(st.integers(1, 5))
-    name = st.from_regex(r"[a-z]{1,6}", fullmatch=True)
-    words = draw(st.lists(name, min_size=1, max_size=40, unique=True))
+    words = draw(st.lists(name, min_size=1, max_size=40, unique_by=_nfc))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     blank = st.sampled_from(["", "  ", "\t"])
     lines = []
@@ -169,7 +212,7 @@ def text_tables(draw):
             line += field + draw(_separators)
         lines.append(line)
         rows.append(components)
-    return newline.join(lines) + newline, words, rows
+    return newline.join(lines) + newline, [_nfc(word) for word in words], rows
 
 
 class TestStreamedTextLoader:
@@ -280,7 +323,329 @@ class TestStreamedTextLoader:
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
+@pytest.fixture(scope="class")
+def forced_ranges():
+    """Parse every text table in three byte ranges, whatever its size and the
+    host's CPU count.  Yields the range loader's results in call order: None
+    where it found a fault and the in-process pass ran."""
+    results = []
+    load = embeddings._load_text_ranges
+
+    def spy(path, starts):
+        results.append(load(path, starts))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "_RANGE_MIN_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        patch.setattr(embeddings, "_load_text_ranges", spy)
+        yield results
+
+
+def assert_loads_take_the_range_path(results, directory):
+    path = Path(directory) / "check.txt"
+    path.write_text("a 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
+    load_embeddings(path, "text_vectors")
+    path.write_text("a 1 2\nb 3 4\nc 5 x\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="line 3: non-numeric"):
+        load_embeddings(path, "text_vectors")
+    assert results[-2][0] == ["a", "b", "c"] and results[-1] is None
+
+
+_linux_only = pytest.mark.skipif(
+    sys.platform != "linux", reason="byte ranges are parsed in forked workers on Linux only"
+)
+
+
+@_linux_only
+@pytest.mark.usefixtures("forced_ranges")
+class TestTextLoaderOnRanges(TestTextLoader):
+    """Every TestTextLoader case, each table parsed in byte ranges."""
+
+    # Hypothesis runs a given-test for one class: re-wrap the inherited body.
+    # Forks take longer on a busy host, so no example has a deadline.
+    test_component_parses_as_float32_of_its_float = settings(deadline=None)(
+        given(st.floats(min_value=-_FLOAT32_MAX, max_value=_FLOAT32_MAX), _renders)(
+            TestTextLoader.test_component_parses_as_float32_of_its_float.hypothesis.inner_test
+        )
+    )
+
+    def test_loads_take_the_range_path(self, forced_ranges, tmp_path):
+        assert_loads_take_the_range_path(forced_ranges, tmp_path)
+
+
+@_linux_only
+@pytest.mark.usefixtures("forced_ranges")
+class TestStreamedTextLoaderOnRanges(TestStreamedTextLoader):
+    """Every TestStreamedTextLoader case, each table parsed in byte ranges."""
+
+    test_matches_per_line_float32_of_float = settings(deadline=None)(
+        given(text_tables())(
+            TestStreamedTextLoader.test_matches_per_line_float32_of_float.hypothesis.inner_test
+        )
+    )
+
+    def test_loads_take_the_range_path(self, forced_ranges, tmp_path):
+        assert_loads_take_the_range_path(forced_ranges, tmp_path)
+
+
+# Words whose NFC and NFD forms differ, beside plain ASCII ones.
+_variant_names = st.lists(
+    st.sampled_from(["a", "z", "é", "e\u0301", "ñ", "n\u0303", "Å", "A\u030a"]),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+def _no_children():
+    return not multiprocessing.active_children() and _waitpid_finds_none()
+
+
+def _waitpid_finds_none():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@_linux_only
+class TestTextRanges:
+    """The byte-range path gives the in-process load's bytes, or falls back
+    to it, and leaves no process behind."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text_tables(name=_variant_names), st.booleans(), st.data())
+    def test_every_split_loads_the_in_process_bytes(self, case, bom, data):
+        content, words, _ = case
+        encoded = (b"\xef\xbb\xbf" if bom else b"") + content.encode("utf-8")
+        # A worker sends its rows in parts: one row each, a few, or all.
+        part_values = data.draw(st.sampled_from([1, 5, embeddings._PART_VALUES]))
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+            embeddings, "_PART_VALUES", part_values
+        ):
+            path = Path(directory) / "vecs.txt"
+            path.write_bytes(encoded)
+            vocab, matrix = embeddings._load_text_in_process(path)
+            line_starts = [0] + [i + 1 for i, b in enumerate(encoded[:-1]) if b == ord("\n")]
+            cuts = data.draw(st.lists(st.sampled_from(line_starts), max_size=3, unique=True))
+            splits = [embeddings._line_starts(path, len(encoded), n) for n in range(1, 5)]
+            splits.append(sorted({0, *cuts}) + [len(encoded)])
+            for starts in splits:
+                loaded = embeddings._load_text_ranges(path, starts)
+                if loaded is None:
+                    # Only a first range of blank lines leaves the header
+                    # undecided, so the in-process pass decides it.
+                    assert not encoded[: starts[1]].decode("utf-8-sig").split()
+                    continue
+                assert loaded[0] == vocab == words
+                assert loaded[1].tobytes() == matrix.tobytes()
+        assert _no_children()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("w7 1 inf", "line 8: non-finite vector component"), ("w7 1", "line 8: expected 2")],
+    )
+    def test_a_later_part_names_its_own_line(self, tmp_path, row, message):
+        # Parts of one row each: the fault is in the eighth part.
+        path = tmp_path / "vecs.txt"
+        lines = [f"w{i} {i} 1" for i in range(10)]
+        lines[7] = row
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parts = embeddings._TextRows(path).read(read_lines(path, EmbeddingFormatError), 2)
+        with pytest.raises(EmbeddingFormatError, match=message):
+            for _ in parts:
+                pass
+
+    def test_bad_row_in_the_last_range_is_named(self, forced_ranges, tmp_path):
+        path = tmp_path / "vecs.txt"
+        rows = [f"w{i} {i}.5 1" for i in range(300)]
+        rows[-1] = "w299 1 nan"
+        path.write_text("300 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        starts = embeddings._line_starts(path, path.stat().st_size, 3)
+        assert len(starts) == 4 and starts[2] < path.read_bytes().rindex(b"w299")
+        with pytest.raises(EmbeddingFormatError, match="vecs.txt: line 301: non-finite"):
+            load_embeddings(path, "text_vectors")
+        assert forced_ranges[-1] is None
+
+    def test_duplicate_word_across_two_ranges_is_named(self, forced_ranges, tmp_path):
+        # Each range alone is valid; only their union repeats a word.
+        path = tmp_path / "vecs.txt"
+        rows = [f"w{i} {i}" for i in range(300)]
+        rows[250] = "w10 7"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        starts = embeddings._line_starts(path, path.stat().st_size, 3)
+        data = path.read_bytes()
+        assert data.index(b"w10 ") < starts[1] and data.index(b"w10 7") >= starts[2]
+        with pytest.raises(EmbeddingFormatError, match=r"duplicate word 'w10' \(line 251\)$"):
+            load_embeddings(path, "text_vectors")
+        assert forced_ranges[-1] is None
+
+    def test_only_the_first_non_blank_line_can_be_a_header(self, tmp_path):
+        # "7 1" opening a later range is the row of the word "7".
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1\nb 2\n7 1\nc 3\n", encoding="utf-8")
+        loaded = embeddings._load_text_ranges(path, [0, 8, 16])
+        assert loaded is not None and loaded[0] == ["a", "b", "7", "c"]
+        assert loaded[1].tobytes() == embeddings._load_text_in_process(path)[1].tobytes()
+        # Behind a first range of blank lines, "2 1" is the header; the
+        # ranges cannot tell, so the in-process pass reads the file.
+        path.write_text("\n2 1\na 1\nb 2\n", encoding="utf-8")
+        assert embeddings._load_text_ranges(path, [0, 1, 13]) is None
+        assert embeddings._load_text_in_process(path)[0] == ["a", "b"]
+
+    def test_header_count_across_ranges_is_checked(self, forced_ranges, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("301 1\n" + "".join(f"w{i} {i}\n" for i in range(300)), encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="declares 301 words but file has 300"):
+            load_embeddings(path, "text_vectors")
+        assert forced_ranges[-1] is None
+
+    def test_no_worker_outlives_a_load(self, forced_ranges, tmp_path):
+        good = tmp_path / "good.txt"
+        good.write_text("".join(f"w{i} {i} 1\n" for i in range(100)), encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(f"w{i} {i} 1\n" for i in range(99)) + "w99 1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error", ResourceWarning)
+            assert len(load_embeddings(good, "text_vectors")) == 100
+            with pytest.raises(EmbeddingFormatError, match="line 100: expected 2 components"):
+                load_embeddings(bad, "text_vectors")
+        assert [r is None for r in forced_ranges[-2:]] == [False, True]
+        assert _no_children()
+
+    def test_interrupt_reaps_the_workers(self, monkeypatch, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("".join(f"w{i} {i}\n" for i in range(100)), encoding="utf-8")
+
+        def interrupted(pipes):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_receive_ranges", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            embeddings._load_text_ranges(path, embeddings._line_starts(path, 700, 3))
+        assert _no_children()
+
+    def test_worker_ends_once_no_one_reads_its_pipe(self, monkeypatch, tmp_path):
+        # Each range's rows overfill a pipe.  Left unread and not killed, as
+        # when the parent dies mid-load, a worker must fail its write and
+        # exit rather than block for ever.
+        path = tmp_path / "vecs.txt"
+        row = " ".join(["1.5"] * 20)
+        path.write_text("".join(f"w{i} {row}\n" for i in range(3000)), encoding="utf-8")
+        fork, kill = os.fork, os.kill
+        forked = []
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def timed_out(signum, frame):
+            raise TimeoutError("a worker is still blocked on its pipe")
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: None)
+        monkeypatch.setattr(embeddings, "_receive_ranges", lambda pipes: None)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            starts = embeddings._line_starts(path, path.stat().st_size, 3)
+            assert embeddings._load_text_ranges(path, starts) is None
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for pid in forked:
+                try:
+                    kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass
+        assert len(forked) == 3 and _no_children()
+
+    @_needs_fifo
+    def test_pipe_parses_in_process(self, forced_ranges, tmp_path):
+        # A pipe has no size to cut; its bytes are read once, in-process.
+        calls = len(forced_ranges)
+        with fifo_of(tmp_path, b"\xef\xbb\xbf2 2\r\na 1 2\r\nb 3 4\r\n") as path:
+            table = load_embeddings(path, "text_vectors")
+        assert table.vocab == ("a", "b") and len(forced_ranges) == calls
+        assert table.vectors.tolist() == [[1, 2], [3, 4]]
+
+    def test_no_process_to_be_had_parses_in_process(self, forced_ranges, monkeypatch, tmp_path):
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
+        assert load_embeddings(path, "text_vectors").vocab == ("a", "b", "c")
+        assert forced_ranges[-1] is None
+
+
+class TestRangeGate:
+    """Only a file of two minimum ranges or more, with more than one CPU and
+    no other Python thread, takes the range path; it then gets one range
+    per usable CPU, but none under the minimum."""
+
+    @_linux_only
+    def test_no_range_is_under_the_minimum(self, monkeypatch):
+        minimum = embeddings._RANGE_MIN_BYTES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert embeddings._range_count(2 * minimum - 1) == 1
+        assert embeddings._range_count(2 * minimum) == 2
+        assert embeddings._range_count(5 * minimum + minimum // 2) == 5
+        assert embeddings._range_count(100 * minimum) == 64
+
+    @_linux_only
+    def test_one_range_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert embeddings._range_count(10 * embeddings._RANGE_MIN_BYTES) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
+        assert embeddings._range_count(10 * embeddings._RANGE_MIN_BYTES) == 1
+
+    def test_another_thread_parses_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert embeddings._range_count(10 * embeddings._RANGE_MIN_BYTES) == 1
+        finally:
+            release.set()
+            thread.join()
+
+    def test_toy_tables_are_far_below_the_size(self, tmp_path):
+        for table in toy_embedding_tables(0).values():
+            save_text_vectors(table, tmp_path / "toy.txt")
+            assert (tmp_path / "toy.txt").stat().st_size * 50 < embeddings._RANGE_MIN_BYTES
+
+
 class TestBinaryLoader:
+    @_needs_fifo
+    def test_loads_from_a_pipe(self, tmp_path):
+        # A pipe's size reads as 0: only the records it holds can bound it.
+        records = [("alpha", [1.0, 2.0]), ("beta", [3.0, 4.0])]
+        data = write_binary(tmp_path / "vecs.bin", records, trailing_newlines=True).read_bytes()
+        with fifo_of(tmp_path, data) as path:
+            table = load_embeddings(path, "binary_w2v")
+        assert table.vocab == ("alpha", "beta")
+        np.testing.assert_array_equal(table.vectors, [[1, 2], [3, 4]])
+
+    @_needs_fifo
+    @pytest.mark.parametrize(
+        "header, message",
+        [(b"3 2\n", "record 2: unterminated word"), (b"9" * 30 + b" 2\n", "more than memory")],
+        ids=["short", "huge"],
+    )
+    def test_pipe_holding_fewer_records_than_its_header(self, tmp_path, header, message):
+        data = write_binary(tmp_path / "vecs.bin", [("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
+        with fifo_of(tmp_path, header + data.read_bytes().split(b"\n", 1)[1]) as path:
+            with pytest.raises(EmbeddingFormatError, match=message):
+                load_embeddings(path, "binary_w2v")
+
     def test_without_record_newlines(self, tmp_path):
         path = write_binary(
             tmp_path / "vecs.bin",
@@ -339,6 +704,32 @@ class TestBinaryLoader:
         path = write_binary(tmp_path / "vecs.bin", [("w", [1.0])], extra=b"junk")
         with pytest.raises(EmbeddingFormatError, match="trailing"):
             load_embeddings(path, "binary_w2v")
+
+    def test_load_keeps_no_copy_of_the_file(self, tmp_path):
+        # The words cost the same at any width, so a one-column table with
+        # the same vocabulary measures everything but the vectors: a loader
+        # that held the file's bytes would reach about twice the matrix.
+        rng = np.random.default_rng(0)
+
+        def peak(dim):
+            matrix = rng.standard_normal((20_000, dim)).astype("<f4")
+            path = tmp_path / f"vecs-{dim}.bin"
+            with open(path, "wb") as handle:
+                handle.write(f"20000 {dim}\n".encode())
+                for i, row in enumerate(matrix):
+                    handle.write(f"w{i} ".encode() + row.tobytes())
+            tracemalloc.start()
+            try:
+                table = load_embeddings(path, "binary_w2v")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.vectors.tobytes() == matrix.tobytes()
+            return peak, matrix.nbytes
+
+        baseline, _ = peak(1)
+        wide, nbytes = peak(100)
+        assert wide - baseline < 1.25 * nbytes
 
 
 class TestRoundTrip:
