@@ -14,14 +14,17 @@ supported:
   count and dim above 0, and the file must hold ``count`` rows of ``dim``
   components.  A regular file of at least two ``_RANGE_MIN_BYTES`` is
   cut into byte ranges of whole lines, one per usable CPU but none
-  smaller than that; a forked worker parses each range with the same
-  row code and pipes its rows, a part at a time, into their place in the
-  one final matrix.  The parent holds no parse buffer, and a worker one
-  part of rows and its range's words.  Any fault in a range or across
-  ranges drops the workers' output and runs the streamed pass, so every
-  error message, and which fault is named first, come from that pass.
-  Any other file, a pipe, a one-CPU host, another platform than Linux,
-  or a process running other Python threads, gets the streamed pass.
+  smaller than that; a worker forked by :mod:`~incongruity._workers`
+  parses each range with the same row code and pipes its rows, a part at
+  a time, into their place in the one final matrix.  The parent holds no
+  parse buffer, and a worker one part of rows and its range's words.  Any
+  fault in a range or across ranges drops the workers' output and runs
+  the streamed pass, so every error message, and which fault is named
+  first, come from that pass.  Any other file, a pipe, a one-CPU host,
+  another platform than Linux, or a process running other Python
+  threads, gets the streamed pass.  It too parses in parts, into a matrix
+  it grows in place, and names a bad row from its part's own lines: a
+  pipe is read once.
 * ``binary_w2v`` -- an ASCII header line ``<count> <dim>\\n`` followed by
   one record per word: the word's UTF-8 bytes terminated by a single
   space, then ``dim`` little-endian float32 values, optionally followed
@@ -36,21 +39,20 @@ sentence tokens resolve against a table.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import os
 import select
-import signal
 import stat
 import struct
-import sys
-import threading
 import unicodedata
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._workers import read_into, run_forked, usable_cpus
 from .errors import InputError, read_lines
 
 FORMATS = ("binary_w2v", "text_vectors")
@@ -319,15 +321,10 @@ class _TextRows:
             self.linenos.append(lineno)
             yield text
 
-    def read(
-        self, lines: Iterable[tuple[int, str]], part_values: int | None = None
-    ) -> Iterator[np.ndarray]:
-        """Yield the rows' matrix: in parts of about ``part_values``
-        components each, or in one part if None; nothing if there is no row.
-
-        A row the bulk parse rejects raises its bare ``ValueError``, which
-        names no line; :attr:`linenos` then holds the rows it was given.
-        """
+    def read(self, lines: Iterable[tuple[int, str]], part_values: int) -> Iterator[np.ndarray]:
+        """Yield the rows' matrix in parts of about ``part_values`` components
+        each; nothing if there is no row.  A bad row raises
+        :class:`EmbeddingFormatError` naming its line, found in its part."""
         rows = self._components(lines)
         first = next(rows, None)
         if self.header is not None:
@@ -337,14 +334,19 @@ class _TextRows:
         if first is None:
             return
         texts = itertools.chain([first], rows)
-        if part_values is None:
-            parts: Iterable[Iterable[str]] = [texts]
-        else:
-            size = max(1, part_values // self.dim)
-            parts = iter(lambda: list(itertools.islice(texts, size)), [])
+        size = max(1, part_values // self.dim)
         done = 0
-        for part in parts:
-            matrix = _parse_components(part)
+        for part in iter(lambda: list(itertools.islice(texts, size)), []):
+            try:
+                matrix = _parse_components(part)
+            except ValueError:
+                # The bulk parse names no line: check the part's rows one at
+                # a time, in file order.
+                for lineno, text in zip(self.linenos[done:], part):
+                    error = _bad_row(self.path, lineno, text, self.dim)
+                    if error is not None:
+                        raise error from None
+                raise
             if matrix.shape[1] != self.dim:
                 raise EmbeddingFormatError(
                     f"{self.path}: line {self.linenos[done]}: expected {self.dim} "
@@ -372,20 +374,7 @@ def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
 
 def _load_text_in_process(path: Path) -> tuple[list[str], np.ndarray]:
     rows = _TextRows(path)
-    try:
-        matrix = next(rows.read(read_lines(path, EmbeddingFormatError)), None)
-    except EmbeddingFormatError:
-        raise  # the header, a row's shape or the file's bytes: named already
-    except ValueError:
-        # The bulk parse does not name a file line: check the rows it was
-        # given one at a time, in file order.
-        given = set(rows.linenos)
-        for lineno, line in read_lines(path, EmbeddingFormatError):
-            if lineno in given:
-                error = _bad_row(path, lineno, line.split(None, 1)[1], rows.dim)
-                if error is not None:
-                    raise error from None
-        raise
+    matrix = _stacked(rows.read(read_lines(path, EmbeddingFormatError), _PART_VALUES))
     if rows.stop is not None:
         lineno, text, word = rows.stop
         raise _bad_row(path, lineno, text, rows.dim) or EmbeddingFormatError(
@@ -398,6 +387,24 @@ def _load_text_in_process(path: Path) -> tuple[list[str], np.ndarray]:
             f"{path}: header declares {rows.header[0]} words but file has {len(rows.vocab)}"
         )
     return rows.vocab, matrix
+
+
+def _stacked(parts: Iterator[np.ndarray]) -> np.ndarray | None:
+    """The rows of ``parts`` in one matrix that owns its memory; None if
+    there is no part.  A pipe's row count is known only at its end, so the
+    matrix grows in place by a quarter, as ``np.loadtxt`` grows its own."""
+    matrix = np.empty((0, 0), dtype=np.float32)
+    filled = 0
+    for part in parts:
+        if filled + len(part) > len(matrix):
+            rows = max(len(matrix) + len(matrix) // 4, filled + len(part))
+            matrix.resize((rows, part.shape[1]), refcheck=False)
+        matrix[filled : filled + len(part)] = part
+        filled += len(part)
+    if not filled:
+        return None
+    matrix.resize((filled, matrix.shape[1]), refcheck=False)
+    return matrix
 
 
 # No byte range is smaller than this, so that a worker's parse outweighs its
@@ -420,14 +427,9 @@ _WORDS = struct.Struct("<q")
 
 def _range_count(size: int) -> int:
     """Into how many byte ranges to cut a text table of ``size`` bytes: one
-    per usable CPU, but none under ``_RANGE_MIN_BYTES``.
-
-    One, parsed in-process, off Linux, or while other Python threads run (a
-    fork copies only the calling one).
-    """
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_MIN_BYTES))
+    per usable CPU (:func:`~incongruity._workers.usable_cpus`), but none
+    under ``_RANGE_MIN_BYTES``."""
+    return max(1, min(usable_cpus(), size // _RANGE_MIN_BYTES))
 
 
 def _line_starts(path: Path, size: int, ranges: int) -> list[int]:
@@ -452,72 +454,37 @@ def _load_text_ranges(path: Path, starts: list[int]) -> tuple[list[str], np.ndar
     pipe or process can be had: the caller then parses the file in-process,
     which names any fault.  Every worker is gone when this returns or raises.
     """
-    pids: list[int] = []
-    pipes: list[io.FileIO] = []
-    loaded = None
-    try:
-        for start, stop in zip(starts, starts[1:]):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb", buffering=0))
-            try:
-                # Fork, not spawn: a fresh interpreter spends about as long
-                # importing numpy as a worker saves.  The caller has checked
-                # that no other Python thread runs; numpy's OpenBLAS stops
-                # its own threads across a fork.
-                pid = os.fork()
-                if pid == 0:
-                    _range_worker(path, start, stop, write_fd, pipes)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        loaded = _receive_ranges(pipes)
-    except OSError:
-        pass  # no pipe or process to be had: the caller parses in-process
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if loaded is None:
-                os.kill(pid, signal.SIGKILL)  # it may still be parsing
-            if os.waitpid(pid, 0)[1] != 0:
-                loaded = None
-    return loaded
+    jobs = [
+        functools.partial(_range_worker, path, start, stop)
+        for start, stop in zip(starts, starts[1:])
+    ]
+    return run_forked(jobs, _receive_ranges)
 
 
-def _range_worker(
-    path: Path, start: int, stop: int, write_fd: int, pipes: list[io.FileIO]
-) -> NoReturn:
+def _range_worker(path: Path, start: int, stop: int, out: BinaryIO) -> bool:
     """Parse one range; write its summary, its rows part by part, then its
-    words.  Exit 0 only if the range holds nothing but valid rows."""
-    status = 1
-    try:
-        # Keep no read end, its own pipe's included: a write then fails as
-        # soon as the parent's end is closed, also if the parent died.
-        for pipe in pipes:
-            pipe.close()
-        # Each line that is not blank is a row or the header: count them
-        # first, so that the parent can place the rows before they are parsed.
-        count = sum(
-            1
-            for _, line in read_lines(path, EmbeddingFormatError, start, stop)
-            if line and not line.isspace()
-        )
-        rows = _TextRows(path, header_allowed=start == 0)
-        parts = rows.read(read_lines(path, EmbeddingFormatError, start, stop), _PART_VALUES)
-        first = next(parts, None)  # decides the header and the dimension
-        count -= rows.header is not None
-        with open(write_fd, "wb", closefd=False) as out:
-            header = -1 if rows.header is None else rows.header[0]
-            out.write(_SUMMARY.pack(count, rows.dim or 0, header))
-            for part in itertools.chain([] if first is None else [first], parts):
-                out.write(memoryview(part).cast("B"))
-            if rows.stop is None and len(rows.vocab) == count:
-                words = "\n".join(rows.vocab).encode("utf-8")
-                out.write(_WORDS.pack(len(words)))
-                out.write(words)
-                status = 0
-    finally:
-        os._exit(status)
+    words.  True only if the range holds nothing but valid rows."""
+    # Each line that is not blank is a row or the header: count them first,
+    # so that the parent can place the rows before they are parsed.
+    count = sum(
+        1
+        for _, line in read_lines(path, EmbeddingFormatError, start, stop)
+        if line and not line.isspace()
+    )
+    rows = _TextRows(path, header_allowed=start == 0)
+    parts = rows.read(read_lines(path, EmbeddingFormatError, start, stop), _PART_VALUES)
+    first = next(parts, None)  # decides the header and the dimension
+    count -= rows.header is not None
+    header = -1 if rows.header is None else rows.header[0]
+    out.write(_SUMMARY.pack(count, rows.dim or 0, header))
+    for part in itertools.chain([] if first is None else [first], parts):
+        out.write(memoryview(part).cast("B"))
+    if rows.stop is not None or len(rows.vocab) != count:
+        return False
+    words = "\n".join(rows.vocab).encode("utf-8")
+    out.write(_WORDS.pack(len(words)))
+    out.write(words)
+    return True
 
 
 def _receive_ranges(pipes: list[io.FileIO]) -> tuple[list[str], np.ndarray] | None:
@@ -526,7 +493,7 @@ def _receive_ranges(pipes: list[io.FileIO]) -> tuple[list[str], np.ndarray] | No
     summaries = []
     for pipe in pipes:
         summary = bytearray(_SUMMARY.size)
-        if not _read_into(pipe, summary):
+        if not read_into(pipe, summary):
             return None
         summaries.append(_SUMMARY.unpack(summary))
     first_rows, _, header = summaries[0]
@@ -561,27 +528,16 @@ def _receive_ranges(pipes: list[io.FileIO]) -> tuple[list[str], np.ndarray] | No
     vocab: list[str] = []
     for pipe, (rows, _, _) in zip(pipes, summaries):
         length = bytearray(_WORDS.size)
-        if not _read_into(pipe, length):
+        if not read_into(pipe, length):
             return None
         words = bytearray(_WORDS.unpack(length)[0])
-        if not _read_into(pipe, words):
+        if not read_into(pipe, words):
             return None
         if rows:
             vocab += words.decode("utf-8").split("\n")
     if len(vocab) != total or len(set(vocab)) != total:
         return None
     return vocab, matrix
-
-
-def _read_into(pipe: io.FileIO, buffer) -> bool:
-    """Fill ``buffer`` from ``pipe``; False if the pipe ends first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        read = pipe.readinto(view)
-        if not read:
-            return False
-        view = view[read:]
-    return True
 
 
 def save_text_vectors(table: EmbeddingTable, path: str | Path) -> None:

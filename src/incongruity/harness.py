@@ -22,6 +22,13 @@ of them, the four prior sets' included, are trained together by one
 :func:`~incongruity.classify.train_cells` call, and their test rows are
 scored by the same :func:`~incongruity.classify.cell_scores` that scores
 the training rows, in the classifier's canonical order.
+The folds run on ``min(usable CPUs, folds)`` processes: this one and
+forked workers (:mod:`~incongruity._workers`), process p training folds
+p, p + processes, ...  Each fold's outcome is computed by the same code in
+any process and sent back whole, so no byte depends on the process count.
+A fault anywhere (a training error in any fold, a worker that ends early,
+no pipe or process) drops the workers' outcomes and runs every fold here,
+which names the first fault in fold order.
 The folds' test scores and predicted labels are pooled as (n, cells)
 arrays; tp/fp/fn are counted per fold and cell, and their sums give the
 pooled metrics, the primary numbers; per-fold values are kept alongside.
@@ -36,14 +43,17 @@ percentages.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import io
 import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._workers import read_into, run_forked, usable_cpus
 from .classify import CellRows, TrainConfig, cell_scores
 # Folds train through the module attribute ``train``, the name under which
 # perfbench/tracing.py times training.
@@ -528,6 +538,15 @@ def _cell_name(config: ExperimentConfig) -> str:
     return f"{config.label}:{config.embedding}" if config.embedding else config.label
 
 
+class _FoldOutcome(NamedTuple):
+    """One fold's test scores and predicted labels, (n_test, cells) float64
+    and bool, and its (3, cells) int64 tp, fp and fn per cell."""
+
+    scores: np.ndarray
+    predicted: np.ndarray
+    counts: np.ndarray
+
+
 def _cross_validate(
     cells: Sequence[_GridCell],
     labels: np.ndarray,
@@ -538,26 +557,36 @@ def _cross_validate(
 
     The cells are laid out once; they share the splits, so per split they
     train together in lockstep, and the split's test rows of every cell
-    are scored at once.  A training error names the cell by its label, its
-    table and the fold, e.g. ``L+S:emb-a (fold 2)``.  Scores and predicted
-    labels are pooled in split order.
+    are scored at once.  The folds run in :func:`_fold_pool`, or one after
+    another here if it gives None.  A training error names the cell by its
+    label, its table and the fold, e.g. ``L+S:emb-a (fold 2)``.  Scores and
+    predicted labels are pooled in split order.
     """
     train_config = train_config or TrainConfig()
     layout = _cell_rows(cells, labels)
-    scores, predicted, counts = [], [], []
-    for fold, (train_idx, test_idx) in enumerate(splits):
-        names = [f"{_cell_name(cell.config)} (fold {fold})" for cell in cells]
-        models = train(layout.take(train_idx), train_config, names)
+    names = [_cell_name(cell.config) for cell in cells]
+
+    def outcome(fold: int) -> _FoldOutcome:
+        train_idx, test_idx = splits[fold]
+        models = train(
+            layout.take(train_idx), train_config, [f"{name} (fold {fold})" for name in names]
+        )
         weights = np.concatenate([model.weights for model in models])
-        scores.append(cell_scores(layout.take(test_idx), weights))
-        predicted.append(scores[-1] >= [model.threshold for model in models])
+        scores = cell_scores(layout.take(test_idx), weights)
+        predicted = scores >= [model.threshold for model in models]
         positive = labels[test_idx, None] == SARCASTIC
-        hits = predicted[-1] & positive
+        hits = predicted & positive
         # Per cell: tp, fp, fn.
-        counts.append([hits.sum(0), (predicted[-1] ^ hits).sum(0), (positive ^ hits).sum(0)])
-    scores, predicted = np.concatenate(scores), np.concatenate(predicted)
+        counts = [hits.sum(0), (predicted ^ hits).sum(0), (positive ^ hits).sum(0)]
+        return _FoldOutcome(scores, predicted, np.array(counts, dtype=np.int64))
+
+    outcomes = _fold_pool(outcome, [len(test_idx) for _, test_idx in splits], len(cells))
+    if outcomes is None:
+        outcomes = [outcome(fold) for fold in range(len(splits))]
+    scores = np.concatenate([o.scores for o in outcomes])
+    predicted = np.concatenate([o.predicted for o in outcomes])
     # Cell by fold by (tp, fp, fn), as ints; the pooled counts are their sums.
-    counts = np.moveaxis(np.array(counts), 2, 0).tolist()
+    counts = np.moveaxis(np.array([o.counts for o in outcomes]), 2, 0).tolist()
     return [
         ConfigResult(
             cell.config,
@@ -570,6 +599,54 @@ def _cross_validate(
         )
         for index, (cell, cell_counts) in enumerate(zip(cells, counts))
     ]
+
+
+def _fold_pool(
+    outcome: Callable[[int], _FoldOutcome], test_sizes: Sequence[int], width: int
+) -> list[_FoldOutcome] | None:
+    """Every fold's ``outcome``, in fold order, computed on ``min(usable
+    CPUs, folds)`` processes: process p computes folds p, p + processes, ...
+    and process 0 is this one.  ``test_sizes`` and ``width`` (the cells)
+    give each outcome's shape.
+
+    None if one process is all there is, or at any fault: a training error
+    in any fold, a worker that ends early or sends too little, or no pipe
+    or process to be had.  The caller then computes every fold in-process,
+    which names the first fault in fold order.
+    """
+    folds = len(test_sizes)
+    processes = min(usable_cpus(), folds)
+    if processes < 2:
+        return None
+
+    def send(worker: int, out: BinaryIO) -> bool:
+        # Compute every fold before writing: a write blocks until the
+        # running process reads, which it does after its own folds.
+        done = [outcome(fold) for fold in range(worker, folds, processes)]
+        for arrays in done:
+            for array in arrays:
+                out.write(memoryview(array).cast("B"))
+        return True
+
+    def receive(pipes: list[io.FileIO]) -> list[_FoldOutcome] | None:
+        try:
+            outcomes = {fold: outcome(fold) for fold in range(0, folds, processes)}
+        except InputError:
+            return None
+        for worker, pipe in enumerate(pipes, start=1):
+            for fold in range(worker, folds, processes):
+                received = _FoldOutcome(
+                    np.empty((test_sizes[fold], width)),
+                    np.empty((test_sizes[fold], width), dtype=bool),
+                    np.empty((3, width), dtype=np.int64),
+                )
+                if not all(read_into(pipe, array) for array in received):
+                    return None
+                outcomes[fold] = received
+        return [outcomes[fold] for fold in range(folds)]
+
+    jobs = [functools.partial(send, worker) for worker in range(1, processes)]
+    return run_forked(jobs, receive)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import unicodedata
 
 import numpy as np
@@ -178,3 +180,13 @@ def fragments_of_rows(rows):
         )
     return fragments
 
+
+def no_children():
+    """True if this process has no child, running or unreaped."""
+    if multiprocessing.active_children():
+        return False
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -84,6 +85,20 @@ class TestLoadEmbeddings:
         bad.write_text("word 1.0 2.0\nshort 3.0\n", encoding="utf-8")
         result = runner.invoke(main, ["load-embeddings", str(bad)])
         assert result.exit_code != 0
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_bad_component_in_a_pipe_is_named(self, runner):
+        # A pipe is read once: the bad row must be named from that one read,
+        # as a shell's <(printf ...) hands a table to the command.
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, b"a 1 2\nb 3 x\n")
+            os.close(write_fd)
+            result = runner.invoke(main, ["load-embeddings", f"/dev/fd/{read_fd}"])
+        finally:
+            os.close(read_fd)
+        assert result.exit_code == 1
+        assert result.output == f"Error: /dev/fd/{read_fd}: line 2: non-numeric vector component\n"
 
 
 class TestIntersectVocab:

@@ -1,5 +1,4 @@
 import contextlib
-import multiprocessing
 import os
 import re
 import signal
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import no_children
 from incongruity import embeddings
 from incongruity.embeddings import (
     EmbeddingFormatError,
@@ -397,18 +397,6 @@ _variant_names = st.lists(
 ).map("".join)
 
 
-def _no_children():
-    return not multiprocessing.active_children() and _waitpid_finds_none()
-
-
-def _waitpid_finds_none():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 @_linux_only
 class TestTextRanges:
     """The byte-range path gives the in-process load's bytes, or falls back
@@ -440,7 +428,7 @@ class TestTextRanges:
                     continue
                 assert loaded[0] == vocab == words
                 assert loaded[1].tobytes() == matrix.tobytes()
-        assert _no_children()
+        assert no_children()
 
     @pytest.mark.parametrize(
         "row, message",
@@ -513,7 +501,7 @@ class TestTextRanges:
             with pytest.raises(EmbeddingFormatError, match="line 100: expected 2 components"):
                 load_embeddings(bad, "text_vectors")
         assert [r is None for r in forced_ranges[-2:]] == [False, True]
-        assert _no_children()
+        assert no_children()
 
     def test_interrupt_reaps_the_workers(self, monkeypatch, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -525,7 +513,7 @@ class TestTextRanges:
         monkeypatch.setattr(embeddings, "_receive_ranges", interrupted)
         with pytest.raises(KeyboardInterrupt):
             embeddings._load_text_ranges(path, embeddings._line_starts(path, 700, 3))
-        assert _no_children()
+        assert no_children()
 
     def test_worker_ends_once_no_one_reads_its_pipe(self, monkeypatch, tmp_path):
         # Each range's rows overfill a pipe.  Left unread and not killed, as
@@ -563,7 +551,7 @@ class TestTextRanges:
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):
                     pass
-        assert len(forked) == 3 and _no_children()
+        assert len(forked) == 3 and no_children()
 
     @_needs_fifo
     def test_pipe_parses_in_process(self, forced_ranges, tmp_path):

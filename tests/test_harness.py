@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import ORACLE_LEXICON_ENTRIES, fragments_of_rows, oracle_chunk, random_table
+from conftest import (
+    ORACLE_LEXICON_ENTRIES,
+    fragments_of_rows,
+    no_children,
+    oracle_chunk,
+    random_table,
+)
 from incongruity import classify, harness
 from incongruity.classify import LinearModel, TrainConfig
 from incongruity.embeddings import EmbeddingTable, intersect_vocabularies
@@ -51,6 +60,13 @@ FIXTURE_CORPUS = Path(__file__).parent / "data" / "fixture_corpus.tsv"
 @pytest.fixture(scope="module")
 def resources():
     return Resources(embeddings=toy_embedding_tables(seed=0))
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Run every fold in this process, where a test can count or record
+    calls: a forked worker's calls are not seen here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -745,6 +761,7 @@ class TestRunMatrix:
             assert hexes(m.precision, m.recall, m.f_score) == hexes(*pooled), key
 
     @pytest.mark.parametrize("folds", [2, 4])
+    @pytest.mark.usefixtures("one_process")
     def test_features_built_once_per_corpus(self, resources, monkeypatch, folds):
         calls = {"tokenize": 0, "table": 0, "build": 0, "block": 0, "layout": 0, "train": 0}
 
@@ -787,6 +804,7 @@ class TestRunMatrix:
         }
 
     @pytest.mark.parametrize("folds", [2, 4])
+    @pytest.mark.usefixtures("one_process")
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
         # Folds select rows and train in lockstep: no per-fold interning, no
         # FeatureVector, no one-cell fit, no per-row prediction and no
@@ -846,6 +864,7 @@ class TestRunMatrix:
         assert calls.pop("intern") == emitted
         assert not any(calls.values()), calls
 
+    @pytest.mark.usefixtures("one_process")
     def test_lockstep_cells_match_sequential_oracle(self, resources, monkeypatch):
         # 31 instances in 3 folds: the training sizes differ by one.
         instances = generate_corpus(31, 0.4, seed=9)
@@ -884,6 +903,7 @@ class TestRunMatrix:
                 assert model.weights.tobytes() == single.weights.tobytes(), name
                 assert model.threshold == single.threshold == threshold, name
 
+    @pytest.mark.usefixtures("one_process")
     def test_group_names_each_cell_by_label_table_and_fold(self, resources, monkeypatch):
         groups = []
 
@@ -916,14 +936,19 @@ class TestRunMatrix:
             return block
 
         monkeypatch.setattr(harness, "similarity_block", overflowing)
-        with pytest.raises(
-            classify.TrainingError,
-            match=re.escape("non-finite margin for cell 'L+S:emb-b (fold 0)' in epoch 0"),
-        ):
-            run_matrix(
-                generate_corpus(30, 0.4, seed=9), resources, folds=3,
-                train_config=TrainConfig(epochs=1),
+        # In one process, and with fold 1 in a forked worker.
+        for processes in (1, 2):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False
             )
+            with pytest.raises(
+                classify.TrainingError,
+                match=re.escape("non-finite margin for cell 'L+S:emb-b (fold 0)' in epoch 0"),
+            ):
+                run_matrix(
+                    generate_corpus(30, 0.4, seed=9), resources, folds=3,
+                    train_config=TrainConfig(epochs=1),
+                )
 
     def test_name_emitted_twice_is_rejected(self, resources, monkeypatch):
         def colliding(tokens, *args):
@@ -939,6 +964,115 @@ class TestRunMatrix:
     def test_missing_embeddings_rejected(self):
         with pytest.raises(ValueError):
             run_matrix(generate_corpus(30, 0.4, seed=9), Resources())
+
+
+
+def matrix_bytes(matrix):
+    """Everything a MatrixResult holds, scores and predicted labels as bytes."""
+    return (
+        {
+            key: (cell.config, cell.metrics, cell.scores.tobytes(), cell.predicted.tobytes())
+            for key, cell in matrix.cells.items()
+        },
+        matrix.test_rows.tobytes(),
+        matrix.test_folds.tobytes(),
+        dataclasses.replace(matrix, cells={}, test_rows=None, test_folds=None),
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="folds are forked on Linux only")
+class TestFoldPool:
+    """The folds run on min(usable CPUs, folds) processes, give the bytes of
+    one process, fall back to it at any fault, and leave no process behind."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Records each fold pool's worker count and whether it gave a result."""
+        records = []
+
+        def spy(jobs, receive):
+            result = run_forked(jobs, receive)
+            records.append((len(jobs), result is not None))
+            return result
+
+        run_forked = harness.run_forked
+        monkeypatch.setattr(harness, "run_forked", spy)
+        return records
+
+    @staticmethod
+    def grid(resources, folds, processes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+        return run_matrix(
+            generate_corpus(30, 0.4, seed=9), resources, folds=folds, seed=3,
+            train_config=TrainConfig(epochs=2),
+        )
+
+    @pytest.mark.parametrize("folds", [2, 3, 4, 5])
+    def test_process_count_changes_no_byte(self, resources, monkeypatch, pools, folds):
+        alone = matrix_bytes(self.grid(resources, folds, 1, monkeypatch))
+        assert pools == []
+        for processes in (2, 3):
+            pooled = self.grid(resources, folds, processes, monkeypatch)
+            assert matrix_bytes(pooled) == alone, processes
+            assert pools[-1] == (min(processes, folds) - 1, True)
+        assert no_children()
+
+    def test_training_error_in_a_workers_fold_is_named_in_process(
+        self, resources, monkeypatch, pools
+    ):
+        def failing(rows, config, names):
+            if names[0].endswith(("(fold 1)", "(fold 2)")):
+                raise classify.TrainingError(f"no fit for {names[0]}")
+            return train_cells(rows, config, names)
+
+        train_cells = harness.train
+        monkeypatch.setattr(harness, "train", failing)
+        # Fold 1 runs in the worker, fold 2 in this process; the first fault
+        # in fold order is named.
+        with pytest.raises(classify.TrainingError, match=r"^no fit for L \(fold 1\)$"):
+            self.grid(resources, 3, 2, monkeypatch)
+        assert pools == [(1, False)]
+        assert no_children()
+
+    def test_a_worker_that_ends_early_is_run_in_process(self, resources, monkeypatch, pools):
+        parent = os.getpid()
+        alone = matrix_bytes(self.grid(resources, 3, 1, monkeypatch))
+
+        def ending(rows, config, names):
+            if os.getpid() != parent:
+                os._exit(0)  # a clean exit status, but no payload
+            return train_cells(rows, config, names)
+
+        train_cells = harness.train
+        monkeypatch.setattr(harness, "train", ending)
+        assert matrix_bytes(self.grid(resources, 3, 2, monkeypatch)) == alone
+        assert pools == [(1, False)]
+        assert no_children()
+
+    def test_interrupt_kills_the_running_workers(self, resources, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(rows, config, names):
+            if os.getpid() != parent:
+                time.sleep(60)  # still training when the parent is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "train", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.grid(resources, 3, 3, monkeypatch)
+        assert time.monotonic() - start < 30
+        assert no_children()
+
+    def test_refused_fork_runs_in_process(self, resources, monkeypatch, pools):
+        alone = matrix_bytes(self.grid(resources, 3, 1, monkeypatch))
+
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert matrix_bytes(self.grid(resources, 3, 2, monkeypatch)) == alone
+        assert pools == [(1, False)]
 
 
 def constant_matrix(f_scores):
