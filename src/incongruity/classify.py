@@ -406,8 +406,10 @@ def cell_scores(rows: CellRows, weights: np.ndarray) -> np.ndarray:
 
 def train_cells(
     rows: CellRows, config: TrainConfig, names: Sequence[str]
-) -> list[LinearModel]:
-    """Train one model per cell of ``rows``, all cells in lockstep.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train one model per cell of ``rows``, all cells in lockstep: the flat
+    weight vector, cell c's weights being ``offsets[c]:offsets[c + 1]``, and
+    the cells' thresholds (the models have no bias).
 
     The cells share the labels, so they share the seeded instance order,
     the ``eta`` schedule and the scale of ``w = scale * v``, floor folds
@@ -495,14 +497,7 @@ def train_cells(
             f"non-finite training scores for cell {names[int(np.argmin(finite))]!r} "
             f"after epoch {config.epochs - 1}"
         )
-    return [
-        LinearModel(
-            weights=v[offsets[cell] : offsets[cell + 1]],
-            bias=0.0,
-            threshold=tune_threshold(scores[:, cell], labels)[0],
-        )
-        for cell in range(count)
-    ]
+    return v, np.array([tune_threshold(scores[:, cell], labels)[0] for cell in range(count)])
 
 
 _MODEL_MAGIC = "incongruity-model"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import errno
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import click
 
@@ -34,7 +34,13 @@ from .harness import (
     metrics_from_predictions,
     run_matrix,
 )
-from .synthetic import generate_corpus, toy_embedding_tables, write_corpus_and_tables
+from .similarity import Augmentation
+from .synthetic import (
+    VARIANTS,
+    generate_corpus,
+    toy_embedding_tables,
+    write_corpus_and_tables,
+)
 from .text import default_stopwords, load_stopwords, tokenize
 
 _EMBED_DIR_ENVVAR = "INCONGRUITY_EMBED_DIR"
@@ -46,40 +52,56 @@ def _load_one(path: Path, fmt: str) -> EmbeddingTable:
     return load_embeddings(path, fmt)
 
 
-def _load_tables(paths: Iterable[Path]) -> dict[str, EmbeddingTable]:
-    """Load each file as the table named by its stem.  Two files with one
-    stem raise :class:`click.UsageError` naming both: one table would
-    silently replace the other."""
+def _table_paths(paths: Iterable[Path]) -> dict[str, Path]:
+    """Each file by the name of the table it loads as, its stem.  Two files
+    with one stem raise :class:`click.UsageError` naming both: one table
+    would silently replace the other."""
     first: dict[str, Path] = {}
     for path in paths:
         other = first.setdefault(path.stem, path)
         if other is not path:
             raise click.UsageError(f"{other} and {path} both load as table {path.stem!r}")
-    return {stem: _load_one(path, "auto") for stem, path in first.items()}
+    return first
 
 
-def _load_embedding_dir(directory: str | None) -> dict[str, EmbeddingTable]:
+def _dir_tables(directory: str | None) -> dict[str, Path]:
+    """The tables of an embedding directory, by name, in file name order."""
     if directory is None:
         return {}
     paths = sorted(Path(directory).iterdir())
-    return _load_tables(p for p in paths if p.suffix in (".txt", ".vec", ".bin"))
+    return _table_paths(p for p in paths if p.suffix in (".txt", ".vec", ".bin"))
 
 
-def _check_out_dirs(*paths: str | None) -> None:
-    """Refuse an output file in a missing directory before any work is done,
-    with the error that writing it would raise."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _check_files(
+    inputs: Iterable[str | Path | None],
+    outputs: Iterable[str | Path | None],
+    made: Path | None = None,
+) -> None:
+    """The one check of a command's files, before any work is done.
+
+    An output in a missing directory, other than the directory ``made`` by
+    the command, raises the error that writing it would raise.  An output
+    that is an input or an earlier output raises :class:`InputError` naming
+    both; two paths are compared resolved, or as files where both exist.
+    """
+    seen = list(map(Path, filter(None, inputs)))
+    for path in map(Path, filter(None, outputs)):
+        if path.parent != made and not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        for other in seen:
+            both = path.exists() and other.exists()
+            if os.path.samefile(path, other) if both else path.resolve() == other.resolve():
+                raise InputError(f"output {path} would overwrite {other}")
+        seen.append(path)
 
 
-def _build_resources(embeddings_dir, stopwords_file, lexicon_file) -> Resources:
+def _resources(tables: Mapping[str, Path], stopwords_file, lexicon_file) -> Resources:
     stopwords = (
         load_stopwords(stopwords_file) if stopwords_file else default_stopwords()
     )
     lexicon = load_lexicon(lexicon_file) if lexicon_file else default_lexicon()
     return Resources(
-        embeddings=_load_embedding_dir(embeddings_dir),
+        embeddings={name: _load_one(path, "auto") for name, path in tables.items()},
         lexicon=lexicon,
         stopwords=stopwords,
     )
@@ -153,7 +175,9 @@ def load_embeddings_command(path: Path, fmt: str):
 )
 def intersect_vocab_command(paths: tuple[Path, ...], out_dir: Path):
     """Restrict embedding tables to their common vocabulary."""
-    tables = list(_load_tables(paths).values())
+    named = _table_paths(paths)
+    _check_files(paths, [out_dir / f"{name}.txt" for name in named], made=out_dir)
+    tables = [_load_one(path, "auto") for path in named.values()]
     intersected = intersect_vocabularies(tables)
     out_dir.mkdir(parents=True, exist_ok=True)
     for table in intersected:
@@ -163,12 +187,18 @@ def intersect_vocab_command(paths: tuple[Path, ...], out_dir: Path):
     )
 
 
-def _config_and_resources(config_str, embeddings_dir, stopwords_file, lexicon_file):
-    resources = _build_resources(embeddings_dir, stopwords_file, lexicon_file)
-    config = ExperimentConfig.parse(
-        config_str, embedding=next(iter(resources.embeddings), "")
-    )
-    return config, resources
+def _config_and_resources(
+    config_str, dataset, embeddings_dir, stopwords_file, lexicon_file, *outputs
+):
+    """``--config`` and the resources it reads, once :func:`_check_files`
+    passes.  An augmented config loads only its table, and may leave it
+    unnamed only in a directory of one table; a base config loads none."""
+    paths = _dir_tables(embeddings_dir)
+    config = ExperimentConfig.parse(config_str, tables=list(paths))
+    read = [config.embedding] if config.augmentation is not Augmentation.NONE else []
+    paths = {name: paths[name] for name in read}
+    _check_files([dataset, stopwords_file, lexicon_file, *paths.values()], outputs)
+    return config, _resources(paths, stopwords_file, lexicon_file)
 
 
 @main.command("extract-features")
@@ -187,9 +217,8 @@ def extract_features_command(
 
     Each output line is '<id>\\t<label>\\t<name>:<value> ...'.
     """
-    _check_out_dirs(out_file)
     config, resources = _config_and_resources(
-        config_str, embeddings_dir, stopwords_file, lexicon_file
+        config_str, dataset, embeddings_dir, stopwords_file, lexicon_file, out_file
     )
     instances = load_dataset(dataset)
     registry = FeatureRegistry()
@@ -220,9 +249,8 @@ def train_command(
     c, w, epochs, seed, model_out,
 ):
     """Train on the full dataset and save the model."""
-    _check_out_dirs(model_out)
     config, resources = _config_and_resources(
-        config_str, embeddings_dir, stopwords_file, lexicon_file
+        config_str, dataset, embeddings_dir, stopwords_file, lexicon_file, model_out
     )
     instances = load_dataset(dataset)
     registry = FeatureRegistry()
@@ -251,7 +279,7 @@ def evaluate_command(
 ):
     """Evaluate a saved model on a dataset; prints P/R/F percentages."""
     config, resources = _config_and_resources(
-        config_str, embeddings_dir, stopwords_file, lexicon_file
+        config_str, dataset, embeddings_dir, stopwords_file, lexicon_file
     )
     instances = load_dataset(dataset)
     model, registry = load_model(model_file)
@@ -297,10 +325,14 @@ def run_matrix_command(
     folds, seed, c, w, epochs, stopwords_file, lexicon_file, predictions_file,
 ):
     """Run the full prior-set x augmentation x embedding grid."""
-    _check_out_dirs(report_file, predictions_file)
-    resources = _build_resources(embeddings_dir, stopwords_file, lexicon_file)
-    if not resources.embeddings:
+    tables = _dir_tables(embeddings_dir)
+    if not tables:
         raise InputError(f"{embeddings_dir} holds no .txt, .vec or .bin table")
+    _check_files(
+        [dataset, stopwords_file, lexicon_file, *tables.values()],
+        [report_file, predictions_file],
+    )
+    resources = _resources(tables, stopwords_file, lexicon_file)
     instances = load_dataset(dataset)
     matrix = run_matrix(
         instances,
@@ -344,7 +376,9 @@ def run_matrix_command(
 )
 def gen_synthetic_command(n, skew, seed, separability, out_file, embeddings_out):
     """Generate a synthetic corpus (and optionally toy embeddings)."""
-    _check_out_dirs(out_file)
+    made = Path(embeddings_out) if embeddings_out else None
+    tables_out = [made / f"{name}.txt" for name in VARIANTS] if made else []
+    _check_files([], [out_file, *tables_out], made)
     instances = generate_corpus(n, skew, seed, separability)
     tables = toy_embedding_tables(seed) if embeddings_out else None
     write_corpus_and_tables(instances, out_file, tables, embeddings_out)

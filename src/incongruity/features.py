@@ -466,6 +466,9 @@ def _incongruity(tokens: TokenTable, lexicon: Lexicon, polarity: np.ndarray) -> 
     return _dense(_INCONGRUITY_NAMES, values)
 
 
+_NO_TABLE = "an embedding id is required when an augmentation is selected"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell of the experiment grid: prior set, augmentation, embedding."""
@@ -480,9 +483,7 @@ class ExperimentConfig:
                 f"unknown prior set {self.prior_set!r}; expected one of {PRIOR_SETS}"
             )
         if self.augmentation is not Augmentation.NONE and not self.embedding:
-            raise ConfigurationError(
-                "an embedding id is required when an augmentation is selected"
-            )
+            raise ConfigurationError(_NO_TABLE)
 
     @property
     def label(self) -> str:
@@ -491,12 +492,26 @@ class ExperimentConfig:
         return f"{self.prior_set}+{self.augmentation.label}"
 
     @classmethod
-    def parse(cls, text: str, embedding: str = "") -> "ExperimentConfig":
-        """Parse strings like ``L``, ``G+S``, ``J+S+WS:emb-a``."""
+    def parse(
+        cls, text: str, embedding: str = "", tables: Sequence[str] | None = None
+    ) -> "ExperimentConfig":
+        """Parse strings like ``L``, ``G+S``, ``J+S+WS:emb-a``.
+
+        An augmented config that names no table takes ``embedding``.  Given
+        the names of the ``tables`` at hand, it takes the one table when
+        there is one, and a table that is not among them raises
+        :class:`ConfigurationError` listing them.
+        """
         spec, _, named = text.partition(":")
         prior, _, aug = spec.partition("+")
         augmentation = Augmentation.parse(aug) if aug else Augmentation.NONE
-        return cls(prior.strip(), augmentation, named.strip() or embedding)
+        name = named.strip() or embedding
+        if augmentation is not Augmentation.NONE and tables is not None:
+            name = name or (tables[0] if len(tables) == 1 else "")
+            if name not in tables:
+                wanted = f"unknown embedding id {name!r}" if name else _NO_TABLE
+                raise ConfigurationError(f"{wanted}; available: {sorted(tables)}")
+        return cls(prior.strip(), augmentation, name)
 
 
 def embedding_table(tables: Mapping[str, EmbeddingTable], name: str) -> EmbeddingTable:

@@ -24,11 +24,11 @@ scored by the same :func:`~incongruity.classify.cell_scores` that scores
 the training rows, in the classifier's canonical order.
 The folds run on ``min(usable CPUs, folds)`` processes: this one and
 forked workers (:mod:`~incongruity._workers`), process p training folds
-p, p + processes, ...  Each fold's outcome is computed by the same code in
-any process and sent back whole, so no byte depends on the process count.
-A fault anywhere (a training error in any fold, a worker that ends early,
-no pipe or process) drops the workers' outcomes and runs every fold here,
-which names the first fault in fold order.
+p, p + processes, ...  Each fold is computed once, by the same code in
+any process, and its outcome or training error is sent back whole as a
+value, so no byte depends on the process count.  The folds are read in
+fold order, a fold no process sent being computed here, so the first
+failing fold in fold order is the one raised.
 The folds' test scores and predicted labels are pooled as (n, cells)
 arrays; tp/fp/fn are counted per fold and cell, and their sums give the
 pooled metrics, the primary numbers; per-fold values are kept alongside.
@@ -46,6 +46,7 @@ import dataclasses
 import functools
 import io
 import json
+import pickle
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -53,7 +54,7 @@ from typing import BinaryIO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._workers import read_into, run_forked, usable_cpus
+from ._workers import run_forked, usable_cpus
 from .classify import CellRows, TrainConfig, cell_scores
 # Folds train through the module attribute ``train``, the name under which
 # perfbench/tracing.py times training.
@@ -557,10 +558,11 @@ def _cross_validate(
 
     The cells are laid out once; they share the splits, so per split they
     train together in lockstep, and the split's test rows of every cell
-    are scored at once.  The folds run in :func:`_fold_pool`, or one after
-    another here if it gives None.  A training error names the cell by its
-    label, its table and the fold, e.g. ``L+S:emb-a (fold 2)``.  Scores and
-    predicted labels are pooled in split order.
+    are scored at once.  Folds come in order from :func:`_fold_pool`, one
+    it lacks computed here, so no fold trains twice and the first training
+    error in fold order is raised, naming the cell by its label, its table
+    and the fold, e.g. ``L+S:emb-a (fold 2)``.  Scores and predicted labels
+    are pooled in split order.
     """
     train_config = train_config or TrainConfig()
     layout = _cell_rows(cells, labels)
@@ -568,21 +570,24 @@ def _cross_validate(
 
     def outcome(fold: int) -> _FoldOutcome:
         train_idx, test_idx = splits[fold]
-        models = train(
+        weights, thresholds = train(
             layout.take(train_idx), train_config, [f"{name} (fold {fold})" for name in names]
         )
-        weights = np.concatenate([model.weights for model in models])
         scores = cell_scores(layout.take(test_idx), weights)
-        predicted = scores >= [model.threshold for model in models]
+        predicted = scores >= thresholds
         positive = labels[test_idx, None] == SARCASTIC
         hits = predicted & positive
         # Per cell: tp, fp, fn.
         counts = [hits.sum(0), (predicted ^ hits).sum(0), (positive ^ hits).sum(0)]
         return _FoldOutcome(scores, predicted, np.array(counts, dtype=np.int64))
 
-    outcomes = _fold_pool(outcome, [len(test_idx) for _, test_idx in splits], len(cells))
-    if outcomes is None:
-        outcomes = [outcome(fold) for fold in range(len(splits))]
+    pooled = _fold_pool(outcome, len(splits))
+    outcomes = []
+    for fold in range(len(splits)):
+        result = pooled[fold] if fold in pooled else outcome(fold)
+        if isinstance(result, InputError):
+            raise result
+        outcomes.append(result)
     scores = np.concatenate([o.scores for o in outcomes])
     predicted = np.concatenate([o.predicted for o in outcomes])
     # Cell by fold by (tp, fp, fn), as ints; the pooled counts are their sums.
@@ -602,51 +607,46 @@ def _cross_validate(
 
 
 def _fold_pool(
-    outcome: Callable[[int], _FoldOutcome], test_sizes: Sequence[int], width: int
-) -> list[_FoldOutcome] | None:
-    """Every fold's ``outcome``, in fold order, computed on ``min(usable
-    CPUs, folds)`` processes: process p computes folds p, p + processes, ...
-    and process 0 is this one.  ``test_sizes`` and ``width`` (the cells)
-    give each outcome's shape.
-
-    None if one process is all there is, or at any fault: a training error
-    in any fold, a worker that ends early or sends too little, or no pipe
-    or process to be had.  The caller then computes every fold in-process,
-    which names the first fault in fold order.
+    outcome: Callable[[int], _FoldOutcome], folds: int
+) -> dict[int, _FoldOutcome | InputError]:
+    """Folds' ``outcome`` by fold, on ``min(usable CPUs, folds)`` processes:
+    process p, 0 being this one, computes folds p, p + processes, ... and
+    stops at its first ``InputError``, kept as that fold's value; a worker
+    pickles its folds when done.  Folds are missing if one process is all
+    there is, no pipe or process is to be had, a worker exits otherwise
+    than 0 (every fold), or a worker sends nothing (its folds).
     """
-    folds = len(test_sizes)
     processes = min(usable_cpus(), folds)
     if processes < 2:
-        return None
+        return {}
+
+    def share(process: int) -> dict:
+        done = {}
+        for fold in range(process, folds, processes):
+            try:
+                done[fold] = outcome(fold)
+            except InputError as error:
+                done[fold] = error
+                break
+        return done
 
     def send(worker: int, out: BinaryIO) -> bool:
-        # Compute every fold before writing: a write blocks until the
-        # running process reads, which it does after its own folds.
-        done = [outcome(fold) for fold in range(worker, folds, processes)]
-        for arrays in done:
-            for array in arrays:
-                out.write(memoryview(array).cast("B"))
+        # The write blocks until the running process is done with its folds.
+        out.write(pickle.dumps(share(worker)))
         return True
 
-    def receive(pipes: list[io.FileIO]) -> list[_FoldOutcome] | None:
-        try:
-            outcomes = {fold: outcome(fold) for fold in range(0, folds, processes)}
-        except InputError:
-            return None
-        for worker, pipe in enumerate(pipes, start=1):
-            for fold in range(worker, folds, processes):
-                received = _FoldOutcome(
-                    np.empty((test_sizes[fold], width)),
-                    np.empty((test_sizes[fold], width), dtype=bool),
-                    np.empty((3, width), dtype=np.int64),
-                )
-                if not all(read_into(pipe, array) for array in received):
-                    return None
-                outcomes[fold] = received
-        return [outcomes[fold] for fold in range(folds)]
+    def receive(pipes: list[io.FileIO]) -> tuple[dict, list[bytes]]:
+        return share(0), [pipe.readall() for pipe in pipes]
 
     jobs = [functools.partial(send, worker) for worker in range(1, processes)]
-    return run_forked(jobs, receive)
+    received = run_forked(jobs, receive)
+    if received is None:
+        return {}
+    # Unpickled only once every worker has exited 0, so a payload is whole.
+    pooled, payloads = received
+    for payload in filter(None, payloads):
+        pooled.update(pickle.loads(payload))
+    return pooled
 
 
 @dataclass(frozen=True)

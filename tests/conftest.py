@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from incongruity.classify import LinearModel
 from incongruity.embeddings import EmbeddingTable
 from incongruity.features import Fragment
 
@@ -179,6 +180,18 @@ def fragments_of_rows(rows):
             )
         )
     return fragments
+
+
+def cell_models(rows, trained):
+    """``train_cells``' flat weights and thresholds over ``rows`` as one
+    model per cell, whose weights are views of the flat vector."""
+    weights, thresholds = trained
+    return [
+        LinearModel(cell_weights, 0.0, threshold)
+        for cell_weights, threshold in zip(
+            np.split(weights, rows.offsets[1:-1]), thresholds.tolist()
+        )
+    ]
 
 
 def no_children():

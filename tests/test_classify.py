@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import cell_models
 from incongruity import classify
 from incongruity.classify import (
     CellRows,
@@ -511,13 +512,10 @@ class TestTrainCells:
         registry = FeatureRegistry()
         instances = make_instances(registry, noisy_rows(60, seed=2))
         config = TrainConfig(epochs=15, seed=7)
-        [model] = train_cells(
-            cell_rows(
-                [[vector for vector, _ in instances]], [label for _, label in instances]
-            ),
-            config,
-            ["noisy"],
+        rows = cell_rows(
+            [[vector for vector, _ in instances]], [label for _, label in instances]
         )
+        [model] = cell_models(rows, train_cells(rows, config, ["noisy"]))
         weights, threshold = oracles.sequential_sgd_weights(instances, config)
         assert float_bytes(model.weights) == float_bytes(weights)
         assert model.threshold == threshold
@@ -544,9 +542,11 @@ class TestTrainCells:
         cells = [wide, noisy, [FeatureVector([], [])] * len(labels)]
         config = TrainConfig(c=0.5, epochs=6, seed=1)
         names = ["wide", "noisy", "empty"]
-        models = train_cells(cell_rows(cells, labels), config, names)
+        rows = cell_rows(cells, labels)
+        models = cell_models(rows, train_cells(rows, config, names))
         for cell, (vectors, model) in enumerate(zip(cells, models)):
-            [alone] = train_cells(cell_rows([vectors], labels), config, ["alone"])
+            single = cell_rows([vectors], labels)
+            [alone] = cell_models(single, train_cells(single, config, ["alone"]))
             weights, threshold = oracles.sequential_sgd_weights(
                 list(zip(vectors, labels)), config
             )
@@ -631,10 +631,11 @@ class TestCellScores:
                 narrow.append(FeatureVector([0, 1, 2, 3], values[:4]))
         layout = cell_rows([wide, narrow], labels)
         assert layout.offsets.tolist() == [0, 24, 28]
-        models = train_cells(
+        trained = train_cells(
             layout.take(range(12)), TrainConfig(epochs=4, seed=2), ["wide", "narrow"]
         )
-        weights = np.concatenate([model.weights for model in models])
+        weights = trained[0]
+        models = cell_models(layout, trained)
         scores = classify.cell_scores(layout.take([12, 13, 14]), weights)
         assert scores.shape == (3, 2)
         for cell, (vectors, model, trained_ids) in enumerate(
@@ -694,8 +695,7 @@ class TestTake:
             train_cells(taken, config, ["wide", "sparse"]),
             train_cells(alone, config, ["wide", "sparse"]),
         ):
-            assert model.weights.tobytes() == single.weights.tobytes()
-            assert model.threshold == single.threshold
+            assert model.tobytes() == single.tobytes()
 
 
 # Feature names never contain line breaks: tokens are split on whitespace.

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from click.testing import CliRunner
 
 import incongruity
 import oracles
-from incongruity.classify import ModelFormatError, TrainConfig, load_model
+from incongruity import harness
+from incongruity.classify import ModelFormatError, TrainConfig, TrainingError, load_model
 from incongruity.cli import main
 from incongruity.embeddings import EmbeddingFormatError, load_embeddings
 from incongruity.features import LexiconFormatError, default_lexicon, load_lexicon
@@ -174,6 +176,14 @@ class TestInputErrors:
             ("matrix-predictions-dir", "No such file or directory: '{missing}/p.tsv'"),
             ("synthetic-out-dir", "No such file or directory: '{missing}/synthetic.tsv'"),
             ("synthetic-tables-dir", "Not a directory: '{tmp}/afile/x'"),
+            ("config-unnamed", "an embedding id is required when an augmentation is "
+                               "selected; available: ['emb-a', 'emb-b', 'emb-c', 'emb-d']"),
+            ("matrix-report-is-predictions", "output {tmp}/r.md would overwrite {tmp}/r.md"),
+            ("extract-out-is-dataset", "output {tmp}/c.tsv would overwrite {tmp}/c.tsv"),
+            ("train-model-is-dataset", "output {tmp}/c.tsv would overwrite {tmp}/c.tsv"),
+            ("train-model-links-to-dataset", "output {tmp}/link.tsv would overwrite {tmp}/c.tsv"),
+            ("synthetic-out-is-a-table", "output {tmp}/g/emb-a.txt would overwrite {tmp}/g/emb-a.txt"),
+            ("intersect-out-is-input", "output {tmp}/iv/emb-a.txt would overwrite {tmp}/iv/emb-a.txt"),
         ],
     )
     def test_error_is_one_line_and_exit_one(self, runner, workspace, tmp_path, kind, message):
@@ -193,6 +203,12 @@ class TestInputErrors:
         (tmp_path / "no-tables" / "notes.md").write_text("no table\n", encoding="utf-8")
         (tmp_path / "huge.bin").write_bytes(b"1000000000000 300\n")
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        shutil.copy(workspace / "corpus.tsv", tmp_path / "c.tsv")
+        (tmp_path / "link.tsv").symlink_to(tmp_path / "c.tsv")
+        (tmp_path / "iv").mkdir()
+        for name in ("emb-a.txt", "emb-b.txt"):
+            shutil.copy(workspace / "emb" / name, tmp_path / "iv")
+        contents = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         missing = tmp_path / "missing"
         corpus = str(workspace / "corpus.tsv")
         extract = ["extract-features", "--out", str(tmp_path / "features.txt")]
@@ -205,7 +221,7 @@ class TestInputErrors:
             "dataset": [*extract, "--config", "L", "--dataset", str(tmp_path / "corpus.tsv")],
             "lexicon": [*extract, "--config", "G", "--dataset", corpus,
                         "--lexicon", str(tmp_path / "lexicon.tsv")],
-            "embeddings": [*extract, "--config", "L", "--dataset", corpus,
+            "embeddings": [*extract, "--config", "L+S:bad", "--dataset", corpus,
                            "--embeddings", str(tmp_path / "emb")],
             "model": ["evaluate", "--config", "L", "--dataset", corpus,
                       "--model", str(tmp_path / "model.txt")],
@@ -247,14 +263,36 @@ class TestInputErrors:
                                   "--out", str(missing / "synthetic.tsv")],
             "synthetic-tables-dir": [*synthetic, "--n", "10", "--skew", "0.5",
                                      "--embeddings-out", str(tmp_path / "afile" / "x")],
+            "config-unnamed": ["train", "--config", "J+S+WS", "--dataset", corpus,
+                               "--embeddings", str(workspace / "emb"),
+                               "--model-out", str(tmp_path / "m.txt")],
+            "matrix-report-is-predictions": [*matrix, "--dataset", corpus,
+                                             "--report", str(tmp_path / "r.md"),
+                                             "--predictions", str(tmp_path / "r.md")],
+            "extract-out-is-dataset": ["extract-features", "--config", "L", "--dataset",
+                                       str(tmp_path / "c.tsv"), "--out", str(tmp_path / "c.tsv")],
+            "train-model-is-dataset": ["train", "--config", "L", "--dataset",
+                                       str(tmp_path / "c.tsv"),
+                                       "--model-out", str(tmp_path / "c.tsv")],
+            "train-model-links-to-dataset": ["train", "--config", "L", "--dataset",
+                                             str(tmp_path / "c.tsv"),
+                                             "--model-out", str(tmp_path / "link.tsv")],
+            "synthetic-out-is-a-table": ["gen-synthetic", "--n", "10", "--skew", "0.5",
+                                         "--out", str(tmp_path / "g" / "emb-a.txt"),
+                                         "--embeddings-out", str(tmp_path / "g")],
+            "intersect-out-is-input": ["intersect-vocab", str(tmp_path / "iv" / "emb-a.txt"),
+                                       str(tmp_path / "iv" / "emb-b.txt"),
+                                       "--out", str(tmp_path / "iv")],
         }[kind]
         written = sorted(tmp_path.rglob("*"))
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         [line] = result.output.splitlines()
         assert line.startswith("Error: ") and message.format(missing=missing, tmp=tmp_path) in line
-        # No output file, and no output directory, is left behind.
+        # No output file, and no output directory, is left behind, and no
+        # input is changed.
         assert sorted(tmp_path.rglob("*")) == written
+        assert {path: path.read_bytes() for path in contents} == contents
 
     @pytest.mark.parametrize("command", ["run-matrix", "train", "gen-synthetic"])
     def test_negative_seed_is_one_error_line(self, runner, workspace, tmp_path, command):
@@ -423,6 +461,71 @@ def test_training_option_defaults_are_train_configs(command):
     assert (defaults["c"], defaults["w"], defaults["epochs"]) == (
         config.c, config.w, config.epochs
     )
+
+
+class TestTableChoice:
+    """A single-config command reads only the table its config names, and
+    infers it only from a directory of one table."""
+
+    def features(self, runner, workspace, tmp_path, config, tables):
+        out = tmp_path / "features.txt"
+        result = runner.invoke(main, [
+            "extract-features", "--config", config, "--dataset", str(workspace / "corpus.tsv"),
+            "--embeddings", str(tables), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    def test_one_table_is_inferred(self, runner, workspace, tmp_path):
+        (tmp_path / "one").mkdir()
+        shutil.copy(workspace / "emb" / "emb-b.txt", tmp_path / "one")
+        inferred = self.features(runner, workspace, tmp_path, "J+S+WS", tmp_path / "one")
+        named = self.features(runner, workspace, tmp_path, "J+S+WS:emb-b", workspace / "emb")
+        assert inferred == named
+
+    def test_only_the_named_table_is_loaded(self, runner, workspace, tmp_path):
+        tables = tmp_path / "emb"
+        shutil.copytree(workspace / "emb", tables)
+        (tables / "bad.txt").write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
+        for config in ("L", "J+S+WS:emb-c"):
+            expected = self.features(runner, workspace, tmp_path, config, workspace / "emb")
+            assert self.features(runner, workspace, tmp_path, config, tables) == expected
+
+    def test_unknown_table_lists_the_directory(self, runner, workspace, tmp_path):
+        # The config is checked before any file is read: the "model" is not one.
+        result = runner.invoke(main, [
+            "evaluate", "--config", "L+S:emb-z", "--dataset", str(workspace / "corpus.tsv"),
+            "--embeddings", str(workspace / "emb"), "--model", str(workspace / "corpus.tsv"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: unknown embedding id 'emb-z'; "
+            "available: ['emb-a', 'emb-b', 'emb-c', 'emb-d']\n"
+        )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="folds are forked on Linux only")
+def test_a_workers_training_error_is_one_error_line(runner, workspace, tmp_path, monkeypatch):
+    def failing(rows, config, names):
+        if names[0].endswith("(fold 1)"):
+            raise TrainingError(f"no fit for {names[0]}")
+        return train_cells(rows, config, names)
+
+    train_cells = harness.train
+    monkeypatch.setattr(harness, "train", failing)
+    outputs = []
+    # Fold 1 is trained here, then in a forked worker.
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        result = runner.invoke(main, [
+            "run-matrix", "--dataset", str(workspace / "corpus.tsv"),
+            "--embeddings", str(workspace / "emb"), "--folds", "3", "--epochs", "1",
+            "--report", str(tmp_path / "report.md"),
+        ])
+        assert result.exit_code == 1
+        outputs.append(result.output)
+    assert outputs == ["Error: no fit for L (fold 1)\n"] * 2
+    assert not (tmp_path / "report.md").exists()
 
 
 class TestTrainEvaluateRoundTrip:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     ORACLE_LEXICON_ENTRIES,
+    cell_models,
     fragments_of_rows,
     no_children,
     oracle_chunk,
@@ -529,9 +530,9 @@ class TestCompiledFolds:
         groups = []
 
         def recording(layout, config, names):
-            models = train_cells(layout, config, names)
-            groups.append((layout, models))
-            return models
+            trained = train_cells(layout, config, names)
+            groups.append((layout, cell_models(layout, trained)))
+            return trained
 
         train_cells = harness.train
         with mock.patch.object(harness, "train", recording):
@@ -873,9 +874,9 @@ class TestRunMatrix:
         groups = []
 
         def recording(rows, config, names):
-            models = train_cells(rows, config, names)
-            groups.append((rows, config, names, models))
-            return models
+            trained = train_cells(rows, config, names)
+            groups.append((rows, config, names, cell_models(rows, trained)))
+            return trained
 
         train_cells = harness.train
         monkeypatch.setattr(harness, "train", recording)
@@ -894,7 +895,7 @@ class TestRunMatrix:
                 weights, threshold = oracles.sequential_sgd_weights(
                     list(zip(vectors, labels)), config
                 )
-                [single] = train_cells(alone, config, [name])
+                [single] = cell_models(alone, train_cells(alone, config, [name]))
                 # The oracle's dimension is the largest training id + 1; the
                 # cell's fixed range past it holds names no training row has.
                 prefix, rest = np.split(model.weights, [len(weights)])
@@ -980,10 +981,16 @@ def matrix_bytes(matrix):
     )
 
 
+def fold_of(names):
+    """The fold of a ``train`` call's cell names: 1 for ``L (fold 1)``."""
+    return int(names[0].rpartition("(fold ")[2].rstrip(")"))
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="folds are forked on Linux only")
 class TestFoldPool:
-    """The folds run on min(usable CPUs, folds) processes, give the bytes of
-    one process, fall back to it at any fault, and leave no process behind."""
+    """The folds run on min(usable CPUs, folds) processes, each once, give
+    the bytes and the first error of one process, and leave no process
+    behind."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -1020,32 +1027,97 @@ class TestFoldPool:
     def test_training_error_in_a_workers_fold_is_named_in_process(
         self, resources, monkeypatch, pools
     ):
+        parent = os.getpid()
+        trained = []
+
         def failing(rows, config, names):
-            if names[0].endswith(("(fold 1)", "(fold 2)")):
+            if os.getpid() == parent:
+                trained.append(fold_of(names))
+            if fold_of(names) == 1:
                 raise classify.TrainingError(f"no fit for {names[0]}")
             return train_cells(rows, config, names)
 
         train_cells = harness.train
         monkeypatch.setattr(harness, "train", failing)
-        # Fold 1 runs in the worker, fold 2 in this process; the first fault
-        # in fold order is named.
-        with pytest.raises(classify.TrainingError, match=r"^no fit for L \(fold 1\)$"):
-            self.grid(resources, 3, 2, monkeypatch)
-        assert pools == [(1, False)]
+        # Fold 1 runs in a worker from 2 processes on, and is named as in
+        # one process; this process trains no fold twice and no fold of a
+        # worker's.
+        for processes, own in [(1, [0, 1]), (2, [0, 2]), (3, [0])]:
+            trained.clear()
+            with pytest.raises(classify.TrainingError, match=r"^no fit for L \(fold 1\)$"):
+                self.grid(resources, 3, processes, monkeypatch)
+            assert trained == own, processes
+        assert pools == [(1, True), (2, True)]
+        assert no_children()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_first_failing_fold_is_named_and_no_fold_trains_twice(self, resources, data):
+        folds = data.draw(st.integers(2, 5), "folds")
+        processes = data.draw(st.integers(1, 3), "processes")
+        failing = data.draw(st.sets(st.integers(0, folds - 1), min_size=1), "failing")
+        parent = os.getpid()
+        trained = []
+
+        def train(rows, config, names):
+            if os.getpid() == parent:
+                trained.append(fold_of(names))
+            if fold_of(names) in failing:
+                raise classify.TrainingError(f"no fit for {names[0]}")
+            return train_cells(rows, config, names)
+
+        train_cells = harness.train
+        with (
+            mock.patch.object(harness, "train", train),
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(processes))),
+            pytest.raises(classify.TrainingError) as raised,
+        ):
+            run_matrix(
+                generate_corpus(30, 0.4, seed=9), resources, folds=folds,
+                train_config=TrainConfig(epochs=1),
+            )
+        assert str(raised.value) == f"no fit for L (fold {min(failing)})"
+        # This process trains its own folds up to its first failing one.
+        share = range(0, folds, min(processes, folds))
+        stop = min(failing & {*share}, default=folds)
+        assert trained == [fold for fold in share if fold <= stop]
         assert no_children()
 
     def test_a_worker_that_ends_early_is_run_in_process(self, resources, monkeypatch, pools):
         parent = os.getpid()
         alone = matrix_bytes(self.grid(resources, 3, 1, monkeypatch))
+        trained = []
 
         def ending(rows, config, names):
             if os.getpid() != parent:
                 os._exit(0)  # a clean exit status, but no payload
+            trained.append(fold_of(names))
             return train_cells(rows, config, names)
 
         train_cells = harness.train
         monkeypatch.setattr(harness, "train", ending)
         assert matrix_bytes(self.grid(resources, 3, 2, monkeypatch)) == alone
+        # This process's own folds, then the worker's missing fold, once each.
+        assert trained == [0, 2, 1]
+        assert pools == [(1, True)]
+        assert no_children()
+
+    def test_a_worker_that_fails_is_run_in_process(self, resources, monkeypatch, pools):
+        parent = os.getpid()
+        alone = matrix_bytes(self.grid(resources, 3, 1, monkeypatch))
+        trained = []
+
+        def crashing(rows, config, names):
+            if os.getpid() != parent:
+                raise ZeroDivisionError  # a bug, not an input error: exit 1
+            trained.append(fold_of(names))
+            return train_cells(rows, config, names)
+
+        train_cells = harness.train
+        monkeypatch.setattr(harness, "train", crashing)
+        assert matrix_bytes(self.grid(resources, 3, 2, monkeypatch)) == alone
+        # Every fold is computed again in this process.
+        assert trained == [0, 2, 0, 1, 2]
         assert pools == [(1, False)]
         assert no_children()
 
