@@ -18,18 +18,24 @@ One sort of each class's scores yields the true- and false-positive
 counts of every candidate at once.
 
 ``train`` runs its step loop only on steps that might update.  After a
-run of steps without an update it certifies the rest of the epoch at
-once: one product over the corpus gives every row's dot with ``v`` in
-some summation order, and each remaining step's ``eta``, decay factor
-and scale are computed elementwise with the loop's association, the
-scales by a left-to-right product, so they are the loop's bit for bit.
+run of steps without an update it certifies the rest of the epoch in
+blocks of pending rows, each twice as long as the last while every step
+so far is certified.  A block needs each row's dot with ``v`` in some
+summation order; a dot is computed only for a row whose dot was not kept
+since the last write to ``v`` (a hinge update or a scale-floor fold), and
+an exact step that does not update keeps its own.  So an epoch on
+weights that stood still through the one before computes no dot.  Each
+step's ``eta``, decay factor and scale are computed elementwise with the
+loop's association, the scales by a left-to-right product continued from
+block to block, so they are the loop's bit for bit.
 Any two summation orders of a row's m products, blocked or fused BLAS
 kernels included, differ by at most ``2 * gamma_m * sum |v_i x_i|``,
 where ``gamma_m = m*u / (1 - m*u)`` and ``u = 2**-53`` (Higham, *Accuracy
 and Stability of Numerical Algorithms*, 2002, section 3.1), and
-``sum |v_i x_i| <= V * ||x||_1`` for ``V = max |v|``, which stays fixed
-while no step updates.  A step is certified
-when its margin exceeds 1 by more than the allowance
+``sum |v_i x_i| <= V * ||x||_1`` for any ``V >= max |v|``.  ``train``
+keeps V as a running upper bound: an update grows it by the update's
+largest term, rounded up, and a fold sets it to ``max |v|``.  A step is
+certified when its margin exceeds 1 by more than the allowance
 ``4*m*u * |scale| * V * ||x||_1 + 2**-50 * |margin|`` (the second term
 covers the rounding of the margin's own product and of underflow), when
 ``V * ||x||_1`` and ``|scale| * V * ||x||_1`` stay below ``2**1022``, so
@@ -200,11 +206,11 @@ def train(
         y = 1.0 if label == 1 else -1.0
         class_weight = config.w if label == 1 else 1.0
         prepared.append((ids, values, y, class_weight))
-    rows = _Rows.of(prepared)
 
     # The weights are scale * v: the decay rescales one number, and a
     # step writes only the instance's own ids.
     v = np.zeros(dimension, dtype=np.float64)
+    rows = _Rows(prepared)
     scale = 1.0
     eta0 = config.eta0
     lam = 1.0 / (config.c * n)
@@ -218,6 +224,7 @@ def train(
             order = rng.permutation(n)
             pending = order.tolist()
             position = 0
+            written = rows.writes
             while position < n:
                 if clean >= _CLEAN_RUN:
                     count, scale = _certified_steps(
@@ -228,28 +235,37 @@ def train(
                     if position == n:
                         break
                     clean = 0
-                ids, values, y, class_weight = prepared[pending[position]]
+                index = pending[position]
+                ids, values, y, class_weight = prepared[index]
                 eta = eta0 / (1.0 + eta0 * lam * step)
-                margin = y * scale * float(np.dot(v[ids], values))
+                dot = float(np.dot(v[ids], values))
+                margin = y * scale * dot
                 if not math.isfinite(margin):
                     raise TrainingError(f"non-finite margin in epoch {epoch}")
                 scale *= 1.0 - eta * lam
+                # Kept before a fold, which forgets it with every other dot.
+                if margin >= 1.0:
+                    rows.keep(index, dot)
+                    clean += 1
                 # Fold the scale into v before dividing by it: a decay
                 # factor of exactly 0 (eta0 * lam == 1) zeroes the scale.
                 if abs(scale) < _SCALE_FLOOR:
                     v *= scale
                     scale = 1.0
+                    rows.rescaled(v)
                 if margin < 1.0:
-                    v[ids] += (eta * class_weight * y / scale) * values
+                    coefficient = eta * class_weight * y / scale
+                    v[ids] += coefficient * values
+                    rows.updated(index, coefficient)
                     clean = 0
-                else:
-                    clean += 1
                 step += 1
                 position += 1
-            if not (
-                math.isfinite(scale)
-                and math.isfinite(v.min(initial=0.0))
-                and math.isfinite(v.max(initial=0.0))
+            # v is checked only after an epoch that wrote to it.
+            if not math.isfinite(scale) or (
+                rows.writes != written
+                and not (
+                    math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))
+                )
             ):
                 raise TrainingError(f"non-finite weights after epoch {epoch}")
 
@@ -265,51 +281,102 @@ def train(
 
 
 # After this many exact steps without an update, ``train`` certifies the
-# rest of the epoch.  One certification costs about as much as 250-300
-# exact steps (0.65-0.73 ms against about 2.5 us a step, on 3,629 rows with
-# 175k entries), so the loop waits about that long before it bets that the
-# rest of the epoch is clean.  On that corpus, clean runs of 64, 256 and
-# 1,024 steps need 134, 68 and 46 certifications and 15k, 25k and 33k
-# exact steps per 50-epoch fit: 256 spends the least on the two together.
-_CLEAN_RUN = 256
+# rest of the epoch.  Measured on the 3,629 rows (175k entries) of the
+# benchmark's fit-highdim corpus, one 50-epoch fit, medians of 11 fits
+# interleaved across the lengths on a 2-core host:
+#
+#   clean run          8      16      32      64     128     256
+#   certifications   353     234     167     134     101      68
+#   exact steps     7.7k    9.5k   11.8k   15.1k   19.6k   24.6k
+#   row dots        101k     71k     55k     46k     35k     24k
+#   fit (ms)         105      92      85      88      92      91
+#
+# 32 and 64 are the fastest, within each other's noise; 64 certifies less.
+_CLEAN_RUN = 64
+
+# A certification examines this many pending rows first, then twice as many
+# at each block whose steps are all certified.
+_FIRST_BLOCK = 256
+
+# A running bound grown by (V + |c| * max|x|) * (1 + 2**-50) stays at or
+# above max |v| after the rounded update v + c * x (each rounding is within
+# 2**-53 relative).
+_ROUND_UP = 1.0 + 2.0**-50
 
 
-@dataclass(frozen=True)
 class _Rows:
-    """The training rows end to end, for :func:`_certified_steps`.
+    """The training rows, for :func:`_certified_steps`, and the row dots
+    ``train`` keeps while ``v`` stands still.
 
-    ``ids`` and ``values`` hold every row's entries in row order, and
-    ``starts`` where each row with entries (``nonempty``) begins.  Per
-    row: the sign ``y``, ``norms`` its ``||x||_1`` and ``slack`` its
+    ``ids`` and ``values`` hold every row's entries in row order, row i's
+    being ``bounds[i]:bounds[i + 1]``.  Per row: the sign ``y``, ``norms``
+    its ``||x||_1``, ``peaks`` its ``max |x|`` and ``slack`` its
     ``m * 2**-51`` for m entries.
+
+    ``writes`` counts the writes to ``v``: hinge updates and scale-floor
+    folds.  ``dots[i]`` is row i's dot with ``v``, in some summation order,
+    while ``stamps[i] >= writes``.  An empty row's dot is 0 whatever ``v``
+    holds, so its stamp never falls behind (its margin, 0, is never kept
+    by an exact step).  ``top`` is V, an upper bound on
+    ``max |v|``: an update grows it by the update's largest term, and a fold
+    sets it to ``max |v|`` (NaN if v holds a NaN, which certifies nothing).
     """
 
-    ids: np.ndarray
-    values: np.ndarray
-    starts: np.ndarray
-    nonempty: np.ndarray
-    y: np.ndarray
-    norms: np.ndarray
-    slack: np.ndarray
-
-    @classmethod
-    def of(cls, prepared) -> "_Rows":
-        """The rows of ``train``'s (ids, values, y, class weight) tuples."""
+    def __init__(self, prepared):
+        """The rows of ``train``'s (ids, values, y, class weight) tuples,
+        with ``v`` all zeros."""
         lengths = np.array([len(ids) for ids, _, _, _ in prepared], dtype=np.int64)
+        self.bounds = np.concatenate([[0], np.cumsum(lengths)])
+        self.ids = np.concatenate([np.zeros(0, np.int64), *(ids for ids, _, _, _ in prepared)])
+        self.values = np.concatenate([np.zeros(0), *(values for _, values, _, _ in prepared)])
+        magnitudes = np.abs(self.values)
         nonempty = lengths > 0
-        starts = (np.cumsum(lengths) - lengths)[nonempty]
-        values = np.concatenate([values for _, values, _, _ in prepared])
-        norms = np.zeros(len(prepared))
-        norms[nonempty] = np.add.reduceat(np.abs(values), starts)
-        return cls(
-            ids=np.concatenate([ids for ids, _, _, _ in prepared]),
-            values=values,
-            starts=starts,
-            nonempty=nonempty,
-            y=np.array([y for _, _, y, _ in prepared]),
-            norms=norms,
-            slack=lengths * 2.0**-51,
-        )
+        self.norms = np.zeros(len(prepared))
+        self.norms[nonempty] = np.add.reduceat(magnitudes, self.bounds[:-1][nonempty])
+        peaks = np.zeros(len(prepared))
+        peaks[nonempty] = np.maximum.reduceat(magnitudes, self.bounds[:-1][nonempty])
+        self.peaks = peaks.tolist()
+        self.y = np.array([y for _, _, y, _ in prepared])
+        self.slack = lengths * 2.0**-51
+        self.dots = np.zeros(len(prepared))
+        self.stamps = np.where(nonempty, -1, np.iinfo(np.int64).max)
+        self.writes = 0
+        self.top = 0.0
+
+    def keep(self, row: int, dot: float) -> None:
+        """Row ``row``'s dot with the current ``v`` is ``dot``."""
+        self.dots[row] = dot
+        self.stamps[row] = self.writes
+
+    def updated(self, row: int, coefficient: float) -> None:
+        """``v`` was updated by ``coefficient`` times row ``row``."""
+        self.writes += 1
+        self.top = (self.top + abs(coefficient) * self.peaks[row]) * _ROUND_UP
+
+    def rescaled(self, v: np.ndarray) -> None:
+        """``v`` was rewritten as a whole."""
+        self.writes += 1
+        self.top = float(np.abs(v).max(initial=0.0))
+
+    def dots_of(self, v: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        """The dots of rows ``chosen`` with ``v``, computing only those not
+        kept since the last write, and keeping them."""
+        # Ascending rows read their entries in memory order.
+        stale = np.sort(chosen[self.stamps[chosen] < self.writes])
+        if len(stale):
+            self.dots[stale] = _row_dots(self, v, stale)
+            self.stamps[stale] = self.writes
+        return self.dots[chosen]
+
+
+def _row_dots(rows: _Rows, v: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """The dots of the nonempty rows ``chosen`` with ``v``, each summed in
+    some order."""
+    starts = rows.bounds[chosen]
+    lengths = rows.bounds[chosen + 1] - starts
+    firsts = np.cumsum(lengths) - lengths
+    slots = np.arange(firsts[-1] + lengths[-1]) + np.repeat(starts - firsts, lengths)
+    return np.add.reduceat(v[rows.ids[slots]] * rows.values[slots], firsts)
 
 
 def _certified_steps(
@@ -325,36 +392,44 @@ def _certified_steps(
     make no update; and the scale after them.
 
     The steps are ``step``, ``step + 1``, ... with the weights
-    ``scale * v``.  One product over the corpus gives every row's dot
-    with ``v`` in an order other than ``np.dot``'s, and each step's
-    ``eta``, decay factor and scale are computed as in ``train``'s loop,
-    bit for bit.  A step is certified when its margin exceeds 1 by more
-    than the allowance, its magnitudes cannot overflow and the scale
-    stays at or above the floor through it (see the module docstring);
-    the count is the length of the certified prefix.
+    ``scale * v``.  The pending rows are examined in blocks, the first of
+    ``_FIRST_BLOCK`` rows and each next one twice as long, while every step
+    of a block is certified.  A block's row dots come from ``rows``, which
+    computes only those not kept since ``v`` was last written, in an order
+    other than ``np.dot``'s; each step's ``eta``, decay factor and scale
+    are computed as in ``train``'s loop, the scales continuing from block
+    to block, bit for bit.  A step is certified when its margin exceeds 1
+    by more than the allowance, its magnitudes cannot overflow and the
+    scale stays at or above the floor through it (see the module
+    docstring); the count is the length of the certified prefix.
     """
-    # NaN if v holds a NaN, which certifies nothing.
-    top = np.abs(v).max(initial=0.0)
-    products = v[rows.ids] * rows.values
-    dots = np.zeros(len(rows.y))
-    dots[rows.nonempty] = np.add.reduceat(products, rows.starts)
-    steps = np.arange(step, step + len(pending), dtype=np.float64)
-    eta = eta0 / (1.0 + eta0 * lam * steps)
-    # Left to right: scales[t] is the scale before step t, bit for bit.
-    scales = np.multiply.accumulate(np.concatenate([[scale], 1.0 - eta * lam]))
-    before = scales[:-1]
-    margins = rows.y[pending] * before * dots[pending]
-    reach = top * rows.norms[pending]
-    bound = np.abs(before) * reach
-    allowance = bound * rows.slack[pending] + 2.0**-50 * np.abs(margins)
-    certified = (
-        (margins - allowance > 1.0)
-        & (reach < 2.0**1022)
-        & (bound < 2.0**1022)
-        & (np.abs(scales[1:]) >= _SCALE_FLOOR)
-    )
-    count = len(pending) if certified.all() else int(np.argmin(certified))
-    return count, float(scales[count])
+    done = 0
+    size = _FIRST_BLOCK
+    while done < len(pending):
+        block = pending[done : done + size]
+        dots = rows.dots_of(v, block)
+        steps = np.arange(step + done, step + done + len(block), dtype=np.float64)
+        eta = eta0 / (1.0 + eta0 * lam * steps)
+        # Left to right: scales[t] is the scale before step t, bit for bit.
+        scales = np.multiply.accumulate(np.concatenate([[scale], 1.0 - eta * lam]))
+        before = scales[:-1]
+        margins = rows.y[block] * before * dots
+        reach = rows.top * rows.norms[block]
+        bound = np.abs(before) * reach
+        allowance = bound * rows.slack[block] + 2.0**-50 * np.abs(margins)
+        certified = (
+            (margins - allowance > 1.0)
+            & (reach < 2.0**1022)
+            & (bound < 2.0**1022)
+            & (np.abs(scales[1:]) >= _SCALE_FLOOR)
+        )
+        if not certified.all():
+            count = int(np.argmin(certified))
+            return done + count, float(scales[count])
+        done += len(block)
+        scale = float(scales[-1])
+        size *= 2
+    return done, scale
 
 
 @dataclass(frozen=True)
@@ -555,10 +630,13 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
             f"{path}: line 5: declares {name_count} names, file has {len(names)}"
         )
     registry = FeatureRegistry()
-    for lineno, name in enumerate(names, start=6):
-        if name in registry:
-            raise ModelFormatError(f"{path}: line {lineno}: name {name!r} listed twice")
-        registry.intern(name)
+    registry.intern_all(names)
+    if len(registry) < name_count:
+        seen: set[str] = set()
+        for lineno, name in enumerate(names, start=6):
+            if name in seen:
+                raise ModelFormatError(f"{path}: line {lineno}: name {name!r} listed twice")
+            seen.add(name)
     # Line numbers from here on count from 1, as in the messages.
     weight_header = 6 + name_count
     weight_count = _count(path, lines, weight_header, "weights")

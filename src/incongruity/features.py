@@ -148,6 +148,24 @@ class FeatureRegistry:
             self._ids[name] = fid
         return fid
 
+    def intern_all(self, names: Sequence[str]) -> np.ndarray:
+        """The int64 ids of ``names``, as one :meth:`intern` call each in
+        order would give them, with -1 for a name a frozen registry does not
+        hold.
+
+        A fresh registry numbers distinct names with one dict; a repeated
+        name, or a registry that already holds names, takes the in-order
+        path.
+        """
+        if self._frozen:
+            return np.fromiter(map(self._ids.get, names, repeat(-1)), np.int64, len(names))
+        if not self._names:
+            ids = dict(zip(names, range(len(names))))
+            if len(ids) == len(names):
+                self._ids, self._names = ids, list(names)
+                return np.arange(len(names), dtype=np.int64)
+        return np.fromiter(map(self.intern, names), np.int64, len(names))
+
     def freeze(self) -> None:
         self._frozen = True
 
@@ -281,15 +299,16 @@ def _word_tokens(tokens: TokenTable) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _gram_names(
-    prefix: str, words: np.ndarray, columns: list[np.ndarray]
+    prefix: str, words: np.ndarray, columns: list[np.ndarray], joins_collide: bool
 ) -> tuple[list[str], np.ndarray]:
     """The names of the grams whose i-th words are ``words[columns[i]]``, and
-    each gram's name id; tuples that join to one name share an id."""
-    form = f"{prefix}:" + "_".join(["%s"] * len(columns))
-    names = list(map(form.__mod__, zip(*(words[column] for column in columns))))
+    each gram's name id; tuples that join to one name share an id, which
+    ``joins_collide`` (some word holds "_") allows."""
+    joined = map("_".join, zip(*(words[column] for column in columns)))
+    names = list(map(f"{prefix}:".__add__, joined))
     # Only a word holding "_" lets two tuples join to one name ("a_b c" and
     # "a b_c").
-    if len(columns) == 1 or not any("_" in word for word in words):
+    if len(columns) == 1 or not joins_collide:
         return names, np.arange(len(names))
     position = dict(zip(names, range(len(names))))
     return names, np.fromiter(map(position.__getitem__, names), np.int64, len(names))
@@ -304,6 +323,7 @@ def _ngrams(tokens: TokenTable, n_max: int) -> list[Fragment]:
     """
     words, sequence, rows = _word_tokens(tokens)
     width = max(len(words), 1)
+    joins_collide = any("_" in word for word in words)
     # The order-n grams start at word tokens ``starts``; the one starting at
     # token j has id ``grams[j]``, and gram g is the words ``columns[i][g]``.
     starts = np.arange(len(sequence))
@@ -322,7 +342,7 @@ def _ngrams(tokens: TokenTable, n_max: int) -> list[Fragment]:
             columns = [*(column[heads] for column in columns), tails]
             grams = np.zeros(len(sequence), dtype=np.int64)
             grams[starts] = inverse.ravel()
-        names, name_of_gram = _gram_names(_NGRAM_PREFIX[n], words, columns)
+        names, name_of_gram = _gram_names(_NGRAM_PREFIX[n], words, columns, joins_collide)
         gram_rows, name_ids = rows[starts], name_of_gram[grams[starts]]
         keep = _first_per_row(gram_rows, name_ids, len(names))
         fragments.append(Fragment(names, gram_rows[keep], name_ids[keep], _ones(len(keep))))
@@ -497,18 +517,21 @@ class ExperimentConfig:
     ) -> "ExperimentConfig":
         """Parse strings like ``L``, ``G+S``, ``J+S+WS:emb-a``.
 
-        An augmented config that names no table takes ``embedding``.  Given
-        the names of the ``tables`` at hand, it takes the one table when
-        there is one, and a table that is not among them raises
-        :class:`ConfigurationError` listing them.
+        A config that names no table takes ``embedding``.  Given the names
+        of the ``tables`` at hand, an augmented config that names none takes
+        the one table when there is one, and a table, named by any config,
+        that is not among them raises :class:`ConfigurationError` listing
+        them.
         """
         spec, _, named = text.partition(":")
         prior, _, aug = spec.partition("+")
         augmentation = Augmentation.parse(aug) if aug else Augmentation.NONE
         name = named.strip() or embedding
-        if augmentation is not Augmentation.NONE and tables is not None:
-            name = name or (tables[0] if len(tables) == 1 else "")
-            if name not in tables:
+        augmented = augmentation is not Augmentation.NONE
+        if tables is not None:
+            if augmented and not name and len(tables) == 1:
+                name = tables[0]
+            if (augmented or name) and name not in tables:
                 wanted = f"unknown embedding id {name!r}" if name else _NO_TABLE
                 raise ConfigurationError(f"{wanted}; available: {sorted(tables)}")
         return cls(prior.strip(), augmentation, name)

@@ -466,12 +466,12 @@ def _name_ids(
     every_name = chain.from_iterable(f.names for f in fragments)
     n_names = sum(len(f.names) for f in fragments)
     names = np.fromiter(every_name, object, n_names)[used]
-    fids = list(map(registry.intern, names))
+    fids = registry.intern_all(names)
     unknown: dict[str, int] = {}
-    if None in fids:
-        fids = [
-            -1 - unknown.setdefault(name, len(unknown)) if fid is None else fid
-            for name, fid in zip(names, fids)
+    missing = np.flatnonzero(fids < 0)
+    if len(missing):
+        fids[missing] = [
+            -1 - unknown.setdefault(name, len(unknown)) for name in names[missing]
         ]
     ids = np.zeros(n_names, dtype=np.int64)
     ids[used] = fids

@@ -25,7 +25,10 @@ from incongruity.classify import (
     train_cells,
     tune_threshold,
 )
-from incongruity.features import FeatureRegistry, FeatureVector
+from incongruity.features import ExperimentConfig, FeatureRegistry, FeatureVector
+from incongruity.harness import Resources, extract_features
+from incongruity.synthetic import generate_corpus
+from incongruity.text import tokenize
 
 
 def as_vector(pairs):
@@ -399,7 +402,34 @@ def step_loop_problems(draw):
     else:
         config = TrainConfig(c=0.5 / n, eta0=0.5, epochs=epochs, seed=seed)
     clean_run = draw(st.sampled_from([classify._CLEAN_RUN, 1, 7]))
-    return instances, config, clean_run
+    first_block = draw(st.sampled_from([classify._FIRST_BLOCK, 1, 3]))
+    return instances, config, clean_run, first_block
+
+
+def certification_log(monkeypatch):
+    """Wrap ``_certified_steps`` and ``_row_dots``: one dict per
+    certification with its ``step``, pending ``rows``, certified ``count``,
+    row ``dots`` computed, the ``writes`` to v before it, and ``top`` and
+    ``peak``, its V and max |v|."""
+    log = []
+    certify, row_dots = classify._certified_steps, classify._row_dots
+
+    def counted_dots(rows, v, chosen):
+        log[-1]["dots"] += len(chosen)
+        return row_dots(rows, v, chosen)
+
+    def counted(rows, v, scale, step, eta0, lam, pending):
+        log.append({
+            "step": step, "rows": len(pending), "dots": 0, "writes": rows.writes,
+            "top": rows.top, "peak": float(np.abs(v).max(initial=0.0)), "kept": rows,
+        })
+        count, scale = certify(rows, v, scale, step, eta0, lam, pending)
+        log[-1]["count"] = count
+        return count, scale
+
+    monkeypatch.setattr(classify, "_certified_steps", counted)
+    monkeypatch.setattr(classify, "_row_dots", counted_dots)
+    return log
 
 
 class TestStepLoopOracle:
@@ -408,9 +438,11 @@ class TestStepLoopOracle:
     @settings(max_examples=60, deadline=None)
     @given(step_loop_problems())
     def test_bit_identical_to_step_loop(self, problem):
-        instances, config, clean_run = problem
+        instances, config, clean_run, first_block = problem
         expected = model_bytes(oracles.step_loop_train, instances, config)
-        with mock.patch.object(classify, "_CLEAN_RUN", clean_run):
+        with mock.patch.object(classify, "_CLEAN_RUN", clean_run), mock.patch.object(
+            classify, "_FIRST_BLOCK", first_block
+        ):
             assert model_bytes(train, instances, config) == expected
 
     @pytest.mark.parametrize(
@@ -424,22 +456,65 @@ class TestStepLoopOracle:
         ],
     )
     def test_certified_path_runs(self, monkeypatch, config):
-        counts = {"calls": 0, "steps": 0}
-        certify = classify._certified_steps
-
-        def counted(*args):
-            count, scale = certify(*args)
-            counts["calls"] += 1
-            counts["steps"] += count
-            return count, scale
-
-        monkeypatch.setattr(classify, "_certified_steps", counted)
+        log = certification_log(monkeypatch)
         rows = separable_rows(40, seed=6, signal=100.0)
         instances = make_instances(FeatureRegistry(), rows)
         expected = model_bytes(oracles.step_loop_train, instances, config)
         assert model_bytes(train, instances, config) == expected
-        assert counts["calls"] > 0
-        assert counts["steps"] > len(instances) * config.epochs // 2
+        assert log
+        assert sum(entry["count"] for entry in log) > len(instances) * config.epochs // 2
+
+    def test_epoch_after_one_without_update_computes_no_row_dot(self, monkeypatch):
+        # A dot is kept until the next write to v, so once an epoch passes
+        # without an update every row's dot is kept: each step either ran
+        # exactly, keeping np.dot's value, or was examined by a
+        # certification.  A write counted before a certification happened
+        # no later than its epoch.
+        log = certification_log(monkeypatch)
+        instances = make_instances(FeatureRegistry(), separable_rows(300, seed=6, signal=10.0))
+        n, config = len(instances), TrainConfig(epochs=40, seed=2)
+        train(instances, config)
+        writes = log[-1]["kept"].writes
+        last_write_epoch = next(e["step"] // n for e in log if e["writes"] == writes)
+        quiet = [e for e in log if e["step"] // n >= last_write_epoch + 2]
+        assert log[0]["dots"] > 0
+        assert len(quiet) >= 10
+        assert [e["dots"] for e in quiet] == [0] * len(quiet)
+
+    def test_running_bound_above_max_weight_keeps_the_fit(self, monkeypatch):
+        # Every row holds "bias" at 5, the largest value: the two classes'
+        # updates cancel on its weight but add up in V, so V ends far above
+        # max |v|; the allowance only needs V >= max |v|.
+        log = certification_log(monkeypatch)
+        rows = [({**fragment, "bias": 5.0}, label) for fragment, label in separable_rows(40, 6)]
+        instances = make_instances(FeatureRegistry(), rows)
+        config = TrainConfig(epochs=60, seed=3)
+        expected = model_bytes(oracles.step_loop_train, instances, config)
+        assert model_bytes(train, instances, config) == expected
+        assert any(e["top"] > 5 * e["peak"] > 0 for e in log)
+        assert sum(e["count"] for e in log) > len(instances) * config.epochs // 2
+
+    def test_corpus_rows_with_partial_and_whole_epoch_certifications(self, monkeypatch):
+        # L-prior rows of a 300-sentence corpus, most with more than 16
+        # entries, where np.dot sums in blocks: 50 epochs equal the step
+        # loop bit for bit, through certifications that stop inside a block
+        # and ones that certify the rest of an epoch past the first block.
+        log = certification_log(monkeypatch)
+        corpus = generate_corpus(300, 0.3, seed=4, separability=0.8)
+        vectors = extract_features(
+            [tokenize(inst.text) for inst in corpus],
+            ExperimentConfig("L"),
+            Resources(),
+            FeatureRegistry(),
+        )
+        assert np.mean([len(vector) > 16 for vector in vectors]) > 0.5
+        instances = [(vector, inst.label) for vector, inst in zip(vectors, corpus)]
+        config = TrainConfig(epochs=50, seed=0)
+        assert model_bytes(train, instances, config) == model_bytes(
+            oracles.step_loop_train, instances, config
+        )
+        assert any(e["count"] < e["rows"] for e in log)
+        assert any(e["count"] == e["rows"] > classify._FIRST_BLOCK for e in log)
 
 
 class TestCertifiedSteps:
@@ -451,15 +526,12 @@ class TestCertifiedSteps:
             (np.arange(len(values)), np.asarray(values, dtype=np.float64), 1.0, 1.0)
             for values in rows
         ]
+        kept = classify._Rows(prepared)
+        # v is set by hand, as a fold sets it: V is max |v|.
+        kept.rescaled(v)
         with np.errstate(over="ignore", invalid="ignore"):
             return classify._certified_steps(
-                classify._Rows.of(prepared),
-                v,
-                scale,
-                step,
-                eta0,
-                lam,
-                np.arange(len(rows)),
+                kept, v, scale, step, eta0, lam, np.arange(len(rows))
             )
 
     def test_margin_within_allowance_is_not_certified(self):

@@ -178,6 +178,8 @@ class TestInputErrors:
             ("synthetic-tables-dir", "Not a directory: '{tmp}/afile/x'"),
             ("config-unnamed", "an embedding id is required when an augmentation is "
                                "selected; available: ['emb-a', 'emb-b', 'emb-c', 'emb-d']"),
+            ("base-config-missing-table", "unknown embedding id 'emb-z'; "
+                                          "available: ['emb-a', 'emb-b', 'emb-c', 'emb-d']"),
             ("matrix-report-is-predictions", "output {tmp}/r.md would overwrite {tmp}/r.md"),
             ("extract-out-is-dataset", "output {tmp}/c.tsv would overwrite {tmp}/c.tsv"),
             ("train-model-is-dataset", "output {tmp}/c.tsv would overwrite {tmp}/c.tsv"),
@@ -266,6 +268,8 @@ class TestInputErrors:
             "config-unnamed": ["train", "--config", "J+S+WS", "--dataset", corpus,
                                "--embeddings", str(workspace / "emb"),
                                "--model-out", str(tmp_path / "m.txt")],
+            "base-config-missing-table": [*train, "--config", "L:emb-z", "--dataset", corpus,
+                                          "--embeddings", str(workspace / "emb")],
             "matrix-report-is-predictions": [*matrix, "--dataset", corpus,
                                              "--report", str(tmp_path / "r.md"),
                                              "--predictions", str(tmp_path / "r.md")],

@@ -72,6 +72,30 @@ class TestRegistry:
         assert "x" in registry
         assert "y" not in registry
 
+    @given(
+        names=st.lists(st.sampled_from(["a", "b", "c", "a_b", "x", "é", ""]), max_size=12),
+        held=st.lists(st.sampled_from(["a", "c", "zz"]), max_size=3),
+        frozen=st.booleans(),
+    )
+    @example(names=["a", "b"], held=[], frozen=False)
+    @example(names=["a", "b", "a"], held=[], frozen=False)
+    def test_intern_all_matches_one_intern_per_name(self, names, held, frozen):
+        # Fresh (no name held), partly filled and frozen registries: one call
+        # gives the ids, the names and the unknown names (-1, None one at a
+        # time) that one intern call per name gives.
+        one_call, one_by_one = FeatureRegistry(), FeatureRegistry()
+        for registry in (one_call, one_by_one):
+            for name in held:
+                registry.intern(name)
+            if frozen:
+                registry.freeze()
+        ids = one_call.intern_all(np.array(names, dtype=object))
+        expected = [one_by_one.intern(name) for name in names]
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [-1 if fid is None else fid for fid in expected]
+        assert one_call.names == one_by_one.names
+        assert [one_call.intern(name) for name in names] == expected
+
 
 def extracted(rows, registry, augmentation=Augmentation.NONE, block=None):
     """``extract_features`` when sentence k's prior fragments are ``rows[k]``
@@ -499,6 +523,12 @@ class TestExperimentConfig:
     def test_augmentation_requires_embedding(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig("L", Augmentation.S, "")
+
+    def test_base_config_naming_a_missing_table_is_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"unknown embedding id 'emb-z'"):
+            ExperimentConfig.parse("L:emb-z", tables=["emb-a"])
+        assert ExperimentConfig.parse("L:emb-a", tables=["emb-a"]).embedding == "emb-a"
+        assert ExperimentConfig.parse("L", tables=[]).embedding == ""
 
 
 def fragment_dicts(fragments, row=0):

@@ -809,19 +809,28 @@ class TestRunMatrix:
     def test_interned_once_per_corpus(self, resources, monkeypatch, folds):
         # Folds select rows and train in lockstep: no per-fold interning, no
         # FeatureVector, no one-cell fit, no per-row prediction and no
-        # Prediction: outcomes stay in arrays.  Each
-        # prior set interns each distinct name it emits once per corpus, so
-        # the intern count is the same at every fold count.
+        # Prediction: outcomes stay in arrays.  Each prior set interns each
+        # distinct name it emits once per corpus, in order of first
+        # occurrence, so the names interned are the same at every fold count.
         instances = generate_corpus(30, 0.4, seed=9)
-        emitted = sum(
-            len({
+        emitted = [
+            name
+            for prior in PRIOR_SETS
+            for name in dict.fromkeys(
                 name
                 for inst in instances
                 for fragment in oracles.prior_fragments(inst.text, prior, resources.lexicon)
                 for name in fragment
-            })
-            for prior in PRIOR_SETS
-        )
+            )
+        ]
+        interned = []
+
+        def intern_all(registry, names):
+            interned.extend(names)
+            return intern_all_once(registry, names)
+
+        intern_all_once = FeatureRegistry.intern_all
+        monkeypatch.setattr(FeatureRegistry, "intern_all", intern_all)
         calls = {
             "intern": 0,
             "compile": 0,
@@ -862,7 +871,7 @@ class TestRunMatrix:
             train_config=TrainConfig(epochs=1),
         )
         assert calls.pop("compile") == len(PRIOR_SETS)
-        assert calls.pop("intern") == emitted
+        assert interned == emitted
         assert not any(calls.values()), calls
 
     @pytest.mark.usefixtures("one_process")
