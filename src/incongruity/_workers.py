@@ -1,10 +1,13 @@
 """Forked worker processes: the one place the package forks.
 
-The byte-range text loader (``embeddings``) and the fold pool (``harness``)
-both run their work here.  A fork, not a spawn: a fresh interpreter spends
-about as long importing numpy as a worker saves.  A fork copies only the
-calling thread, so work is forked only on Linux and only while no other
-Python thread runs; numpy's OpenBLAS stops its own threads across a fork.
+Three callers run their work here: the byte-range text loader
+(``embeddings``), the fold pool (``harness``) and the S/WS block pool
+(``similarity``), whose workers compute shares of a corpus's block while
+the running process builds its prior features.  A fork, not a spawn: a
+fresh interpreter spends about as long importing numpy as a worker saves.
+A fork copies only the calling thread, so work is forked only on Linux and
+only while no other Python thread runs; numpy's OpenBLAS stops its own
+threads across a fork.
 """
 
 from __future__ import annotations

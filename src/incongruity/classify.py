@@ -609,8 +609,8 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
     """Read a model file back into a model and a frozen registry.
 
     The file is read by :func:`~incongruity.errors.read_lines`.  A file that
-    breaks the format raises :class:`ModelFormatError` naming the file and
-    the line.
+    breaks the format, a line after the declared weights included, raises
+    :class:`ModelFormatError` naming the file and the line.
     """
     lines = [line for _, line in read_lines(path, ModelFormatError)]
     header = lines[0] if lines else ""
@@ -666,6 +666,13 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
             raise ModelFormatError(f"{path}: line {lineno}: non-finite value {value_text!r}")
         seen.add(fid)
         weights[fid] = value
+    # Two model files joined with ``cat`` must not load as the first one.
+    end = weight_header + weight_count
+    if len(lines) > end:
+        raise ModelFormatError(
+            f"{path}: line {end + 1}: expected the end of the file after "
+            f"{weight_count} weights, found {lines[end]!r}"
+        )
     registry.freeze()
     return LinearModel(weights=weights, bias=bias, threshold=threshold), registry
 

@@ -72,7 +72,7 @@ from .features import (
     default_lexicon,
     embedding_table,
 )
-from .similarity import Augmentation, similarity_block
+from .similarity import Augmentation, block_alongside, similarity_block
 from .text import (
     TokenizedSentence,
     default_stopwords,
@@ -354,15 +354,22 @@ def _fragments(
 ) -> list[Fragment]:
     """The prior fragments of ``sentences`` under ``config``, then one of its
     selected S/WS values that holds every block name in every row, zeros
-    included.  The token table is freed before the fragments are numbered."""
+    included.  The priors are built while forked workers compute shares of
+    the block (:func:`~incongruity.similarity.block_alongside`).  The token
+    table is freed before the fragments are numbered."""
     tokens = token_table(sentences, resources.stopwords)
-    block = np.zeros((len(sentences), 0))
-    if config.augmentation is not Augmentation.NONE:
+    priors = functools.partial(
+        build_config_features, tokens, config.prior_set, resources.lexicon
+    )
+    if config.augmentation is Augmentation.NONE:
+        block, fragments = np.zeros((len(sentences), 0)), priors()
+    else:
         table = embedding_table(resources.embeddings, config.embedding)
-        block = similarity_block(tokens, table)[:, _columns(config.augmentation)]
+        block, fragments = block_alongside(tokens, table, priors)
+        block = block[:, _columns(config.augmentation)]
     n, width = block.shape
     return [
-        *build_config_features(tokens, config.prior_set, resources.lexicon),
+        *fragments,
         Fragment(
             config.augmentation.feature_names,
             np.repeat(np.arange(n), width),

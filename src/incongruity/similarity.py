@@ -29,6 +29,17 @@ the content words of a corpus's token table from
 and runs each stage -- gather, normalize, Gram product, distances,
 extremes -- once per chunk of sentences with the same shape.
 
+A row's bits depend on nothing but its sentence, so the chunks may be
+computed in any process.  :func:`block_alongside` cuts them into runs of
+about equal cost, one per usable CPU, and forked workers
+(:mod:`~incongruity._workers`) compute all but the first while the running
+process computes the first and then builds the prior features.  A corpus
+whose chunks cost less than two ``_BLOCK_MIN_COST`` stays in one process,
+as do the grid's toy tables and the tests' toy corpora.  On score-long's
+inputs (2,000 sentences of 30-60 tokens, a 300-dim table) the kernel took
+about half of ``extract_features``, and two processes cut that operation
+by about a fifth.
+
 Feature names ("emb.s.max_sim", ...) are a persisted contract: anything
 written to feature files or model files uses exactly these strings.
 """
@@ -36,12 +47,19 @@ written to feature files or model files uses exactly these strings.
 from __future__ import annotations
 
 import enum
+import functools
+import io
+import itertools
+from typing import BinaryIO, Callable, NamedTuple, TypeVar
 
 import numpy as np
 
+from ._workers import read_into, run_forked, usable_cpus
 from .embeddings import EmbeddingTable
 from .errors import InputError
-from .text import CHUNK_BYTES, TokenTable, content_index
+from .text import CHUNK_BYTES, ContentIndex, TokenTable, content_index
+
+T = TypeVar("T")
 
 
 class Augmentation(enum.Enum):
@@ -135,6 +153,139 @@ def _extremes(matrices: np.ndarray) -> np.ndarray:
     return np.stack([best.max(-1), best.min(-1), worst.max(-1), worst.min(-1)], axis=-1)
 
 
+class _Chunk(NamedTuple):
+    """Sentences ``members`` that one step of the kernel scores: each has
+    ``n`` content-word types with ``s`` occurrences in all."""
+
+    members: np.ndarray
+    n: int
+    s: int
+
+
+def _values_per_member(n: int, s: int, dimension: int) -> int:
+    """The float64 values a step holds per sentence of shape (n, s): the rows,
+    a few (n, n) stages and the (s, s) gaps.  This is also a chunk's cost."""
+    return n * dimension + 4 * n * n + 2 * s * s
+
+
+def _chunks(index: ContentIndex, dimension: int) -> list[_Chunk]:
+    """The sentences of ``index`` with at least two content-word types,
+    stacked by shape, about :data:`~incongruity.text.CHUNK_BYTES` at a time."""
+    types = np.diff(index.type_ptr)
+    occurrences = np.diff(index.position_ptr[index.type_ptr])
+    scored = np.flatnonzero(types >= 2)
+    scored = scored[np.lexsort((occurrences[scored], types[scored]))]
+    edges = np.flatnonzero(np.diff(types[scored]) | np.diff(occurrences[scored])) + 1
+    chunks = []
+    for group in np.split(scored, edges) if len(scored) else ():
+        n, s = int(types[group[0]]), int(occurrences[group[0]])
+        step = max(1, CHUNK_BYTES // (8 * _values_per_member(n, s, dimension)))
+        chunks += [_Chunk(group[i : i + step], n, s) for i in range(0, len(group), step)]
+    return chunks
+
+
+def _chunk_rows(index: ContentIndex, table: EmbeddingTable, chunk: _Chunk) -> np.ndarray:
+    """The (members, 8) S+WS rows of ``chunk``'s sentences."""
+    members, n, s = chunk
+    type_ids = index.type_ptr[members, None] + np.arange(n)
+    scores = _cosines(table.vectors[index.rows[type_ids]])
+    first = index.position_ptr[index.type_ptr[members], None]
+    distances = _distances(
+        index.positions[first + np.arange(s)], index.position_ptr[type_ids] - first
+    )
+    # WS: each pair score over its squared distance.
+    weighted = scores / distances**2
+    return np.hstack([_extremes(scores), _extremes(weighted)])
+
+
+# No process gets a share of the block that costs less than this many values
+# (``_values_per_member``), so that a worker's share outweighs its fork and
+# its piped rows.  Measured with score-long's 300-dim table on a 2-CPU Xeon
+# VM, medians of 31 J+S+WS ``harness._fragments`` runs in one process against
+# two: 2.1M values in all broke even (22.6-23.5 against 22.1-25.5 ms), 4.2M
+# saved about a tenth (41.9-43.8 against 37.1-39.0 ms).
+_BLOCK_MIN_COST = 2_000_000
+
+_WIDTH = len(S_FEATURE_NAMES + WS_FEATURE_NAMES)
+
+
+def _shares(chunks: list[_Chunk], dimension: int) -> list[list[_Chunk]]:
+    """``chunks`` cut into runs of about equal cost, one per process: one per
+    usable CPU (:func:`~incongruity._workers.usable_cpus`), but none under
+    ``_BLOCK_MIN_COST``.  A chunk goes to the run that its cost's midpoint
+    falls in, so a run may be empty."""
+    costs = np.array(
+        [len(c.members) * _values_per_member(c.n, c.s, dimension) for c in chunks],
+        dtype=np.int64,
+    )
+    total = int(costs.sum())
+    processes = max(1, min(usable_cpus(), total // _BLOCK_MIN_COST))
+    owners = ((2 * np.cumsum(costs) - costs) * processes // max(2 * total, 1)).tolist()
+    return [[c for c, owner in zip(chunks, owners) if owner == p] for p in range(processes)]
+
+
+def _members(chunks: list[_Chunk]) -> np.ndarray:
+    return np.concatenate([np.zeros(0, np.int64), *(c.members for c in chunks)])
+
+
+def block_alongside(
+    tokens: TokenTable, table: EmbeddingTable, alongside: Callable[[], T]
+) -> tuple[np.ndarray, T]:
+    """:func:`similarity_block` of ``tokens`` under ``table``, and the value of
+    ``alongside()``, called once in this process.
+
+    The chunks are shared out by :func:`_shares`.  Forked workers
+    (:mod:`~incongruity._workers`) compute theirs while this process computes
+    the first share, then calls ``alongside``, then reads the workers' rows
+    into place.  If no pipe or process can be had, or a worker exits
+    otherwise than 0, this process computes the shares no worker sent, with
+    the one-process code.
+    """
+    index = content_index(tokens, table)
+    block = np.zeros((len(tokens.sentences), _WIDTH))
+    own, *theirs = _shares(_chunks(index, table.dimension), table.dimension)
+    theirs = [share for share in theirs if share]
+    value: list[T] = []
+
+    def place(shares: list[list[_Chunk]]) -> None:
+        """Compute ``shares`` here, in order, then call ``alongside`` once.
+        The index is not kept while it runs: a worker holds its own copy."""
+        nonlocal index
+        if index is None:
+            index = content_index(tokens, table)
+        for chunk in itertools.chain.from_iterable(shares):
+            block[chunk.members] = _chunk_rows(index, table, chunk)
+        index = None
+        if not value:
+            value.append(alongside())
+
+    def send(share: list[_Chunk], out: BinaryIO) -> bool:
+        # Written once all are computed, so that a full pipe holds up no chunk.
+        rows = [np.zeros((0, _WIDTH)), *(_chunk_rows(index, table, c) for c in share)]
+        out.write(memoryview(np.concatenate(rows)).cast("B"))
+        return True
+
+    def receive(pipes: list[io.FileIO]) -> list[np.ndarray] | None:
+        place([own])
+        received = []
+        for pipe, share in zip(pipes, theirs):
+            rows = np.empty((len(_members(share)), _WIDTH))
+            if not read_into(pipe, rows):
+                return None
+            received.append(rows)
+        return received
+
+    jobs = [functools.partial(send, share) for share in theirs]
+    received = run_forked(jobs, receive) if jobs else None
+    if received is None:
+        # Every share in one process; otherwise the ones no worker sent.
+        place(theirs if value else [own, *theirs])
+    else:
+        for share, rows in zip(theirs, received):
+            block[_members(share)] = rows
+    return block, value[0]
+
+
 def similarity_block(tokens: TokenTable, table: EmbeddingTable) -> np.ndarray:
     """The (n, 8) float64 S+WS values of the sentences of ``tokens`` under
     ``table``.
@@ -146,28 +297,7 @@ def similarity_block(tokens: TokenTable, table: EmbeddingTable) -> np.ndarray:
     occurrences are stacked, about :data:`~incongruity.text.CHUNK_BYTES`
     of them at a time, and each stage runs once per stack.  Every set of
     rows still gets its own Gram product, and maxima and minima do not
-    depend on order, so a row's bits do not depend on its neighbours.
+    depend on order, so a row's bits do not depend on its neighbours, nor
+    on the process that computes it (:func:`block_alongside`).
     """
-    index = content_index(tokens, table)
-    types = np.diff(index.type_ptr)
-    occurrences = np.diff(index.position_ptr[index.type_ptr])
-    scored = np.flatnonzero(types >= 2)
-    scored = scored[np.lexsort((occurrences[scored], types[scored]))]
-    edges = np.flatnonzero(np.diff(types[scored]) | np.diff(occurrences[scored])) + 1
-    block = np.zeros((len(tokens.sentences), len(S_FEATURE_NAMES + WS_FEATURE_NAMES)))
-    for group in np.split(scored, edges) if len(scored) else ():
-        n, s = int(types[group[0]]), int(occurrences[group[0]])
-        # The float64 rows, a few (n, n) stages and the (s, s) gaps.
-        step = max(1, CHUNK_BYTES // (8 * (n * table.dimension + 4 * n * n + 2 * s * s)))
-        for start in range(0, len(group), step):
-            members = group[start : start + step]
-            type_ids = index.type_ptr[members, None] + np.arange(n)
-            scores = _cosines(table.vectors[index.rows[type_ids]])
-            first = index.position_ptr[index.type_ptr[members], None]
-            distances = _distances(
-                index.positions[first + np.arange(s)], index.position_ptr[type_ids] - first
-            )
-            # WS: each pair score over its squared distance.
-            weighted = scores / distances**2
-            block[members] = np.hstack([_extremes(scores), _extremes(weighted)])
-    return block
+    return block_alongside(tokens, table, lambda: None)[0]

@@ -150,6 +150,8 @@ class TestInputErrors:
             ("lexicon", "lexicon.tsv: line 1: unknown tag(s) ['shiny']"),
             ("embeddings", "bad.txt: line 2: expected 2 components, found 1"),
             ("model", "unsupported model header 'not a model'"),
+            ("model-cat", "m-cat.txt: line 9: expected the end of the file after 1 weights, "
+                          "found 'incongruity-model v1'"),
             ("config", "unknown embedding id 'missing'"),
             ("stopwords", "stop.txt: line 2: not valid UTF-8"),
             ("train-c", "c must be finite and positive, got nan"),
@@ -201,6 +203,10 @@ class TestInputErrors:
         (tmp_path / "x.txt").write_text("x 1.0\n", encoding="utf-8")
         (tmp_path / "y.txt").write_text("y 1.0\n", encoding="utf-8")
         (tmp_path / "model.txt").write_text("not a model\n", encoding="utf-8")
+        # Two model files joined with cat.
+        model = "incongruity-model v1\ndim 1\nbias 0.0\nthreshold 0.0\n"
+        model += "names 1\nuni:fine\nweights 1\n0 1.0\n"
+        (tmp_path / "m-cat.txt").write_text(model + model, encoding="utf-8")
         (tmp_path / "no-tables").mkdir()
         (tmp_path / "no-tables" / "notes.md").write_text("no table\n", encoding="utf-8")
         (tmp_path / "huge.bin").write_bytes(b"1000000000000 300\n")
@@ -227,6 +233,8 @@ class TestInputErrors:
                            "--embeddings", str(tmp_path / "emb")],
             "model": ["evaluate", "--config", "L", "--dataset", corpus,
                       "--model", str(tmp_path / "model.txt")],
+            "model-cat": ["evaluate", "--config", "L", "--dataset", corpus,
+                          "--model", str(tmp_path / "m-cat.txt")],
             "config": [*extract, "--config", "L+S:missing", "--dataset", corpus],
             "stopwords": [*extract, "--config", "L", "--dataset", corpus,
                           "--stopwords", str(tmp_path / "stop.txt")],

@@ -109,7 +109,9 @@ def extracted(rows, registry, augmentation=Augmentation.NONE, block=None):
     resources = Resources(embeddings={"t": random_table(2, 2, seed=0, name="t")})
     with mock.patch.object(
         harness, "build_config_features", lambda tokens, prior, lexicon: fragments_of_rows(rows)
-    ), mock.patch.object(harness, "similarity_block", lambda tokens, table: full):
+    ), mock.patch.object(
+        harness, "block_alongside", lambda tokens, table, alongside: (full, alongside())
+    ):
         return extract_features(
             sentences, ExperimentConfig("L", augmentation, "t"), resources, registry
         )

@@ -1,4 +1,10 @@
+import os
+import sys
+import time
+import traceback
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_table
+from conftest import no_children, random_table
 from incongruity import similarity, text
 from incongruity.embeddings import EmbeddingTable
 from incongruity.features import ExperimentConfig, FeatureRegistry
@@ -301,22 +307,203 @@ class TestCorpusKernel:
             assert [index.positions[ptr[t] : ptr[t + 1]].tolist() for t in types] == positions
 
     def test_memory_stays_within_a_few_chunks(self):
-        # Ten distinct words per sentence make one stack of 2,000 sentences,
-        # whose float64 rows alone would take 2,000 x 10 x 64 x 8 bytes: 10 MB.
-        table = random_table(400, 64, seed=40)
-        rng = np.random.default_rng(41)
-        sentences = [
-            tokenize(" ".join(rng.choice(table.vocab, size=10, replace=False)))
-            for _ in range(2000)
-        ]
-        tracemalloc.start()
-        try:
-            block = similarity_block(token_table(sentences, frozenset()), table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert block.shape == (2000, 8) and block.any(axis=1).all()
-        assert peak < 4 * text.CHUNK_BYTES + block.nbytes
+        assert_memory_within_a_few_chunks()
+
+
+def assert_memory_within_a_few_chunks():
+    """The traced peak of this process while it computes a block is a few
+    chunks plus the block."""
+    # Ten distinct words per sentence make one stack of 2,000 sentences,
+    # whose float64 rows alone would take 2,000 x 10 x 64 x 8 bytes: 10 MB.
+    table = random_table(400, 64, seed=40)
+    rng = np.random.default_rng(41)
+    sentences = [
+        tokenize(" ".join(rng.choice(table.vocab, size=10, replace=False)))
+        for _ in range(2000)
+    ]
+    tracemalloc.start()
+    try:
+        block = similarity_block(token_table(sentences, frozenset()), table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (2000, 8) and block.any(axis=1).all()
+    assert peak < 4 * text.CHUNK_BYTES + block.nbytes
+
+
+def random_corpus(table, sentences, seed):
+    """``sentences`` sentences of 2 to 12 words of ``table``, with repeats,
+    stopwords and punctuation: stacks of many shapes."""
+    rng = np.random.default_rng(seed)
+    pool = [*table.vocab, "the", "of", "!", "oov"]
+    return [
+        tokenize(" ".join(rng.choice(pool, size=int(rng.integers(2, 13)))))
+        for _ in range(sentences)
+    ]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the block is forked on Linux only")
+class TestBlockPool:
+    """The block's chunks are shared out over the usable CPUs, here with no
+    minimum cost; every process count gives the bytes of one process, and no
+    process is left behind."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Forces no minimum, and records each block pool's worker count and
+        whether it gave a result."""
+        records = []
+
+        def spy(jobs, receive):
+            result = run_forked(jobs, receive)
+            records.append((len(jobs), result is not None))
+            return result
+
+        run_forked = similarity.run_forked
+        monkeypatch.setattr(similarity, "run_forked", spy)
+        monkeypatch.setattr(similarity, "_BLOCK_MIN_COST", 1)
+        return records
+
+    @staticmethod
+    def block(tokens, table, processes):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(processes))):
+            return similarity_block(tokens, table)
+
+    @staticmethod
+    def case():
+        table = random_table(30, 8, seed=50)
+        return token_table(random_corpus(table, 300, seed=51), frozenset({"the", "of"})), table
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_corpora())
+    def test_process_count_changes_no_byte(self, case):
+        table, sentences, budget = case
+        tokens = token_table(sentences, frozenset({"the", "of"}))
+        with (
+            mock.patch.object(similarity, "CHUNK_BYTES", budget),
+            mock.patch.object(similarity, "_BLOCK_MIN_COST", 1),
+        ):
+            alone = self.block(tokens, table, 1).tobytes()
+            for processes in (2, 3):
+                assert self.block(tokens, table, processes).tobytes() == alone, processes
+        assert no_children()
+
+    def test_every_process_takes_a_share(self, pools):
+        tokens, table = self.case()
+        alone = self.block(tokens, table, 1).tobytes()
+        for processes in (2, 3):
+            assert self.block(tokens, table, processes).tobytes() == alone
+        assert pools == [(1, True), (2, True)]
+        assert no_children()
+
+    def test_extracted_vectors_do_not_depend_on_the_pool(self, pools):
+        table = random_table(30, 8, seed=52)
+        sentences = random_corpus(table, 300, seed=53)
+        resources = Resources({table.name: table}, stopwords=frozenset({"the", "of"}))
+        extracted = []
+        for processes in (1, 2, 3):
+            registry = FeatureRegistry()
+            with mock.patch.object(
+                os, "sched_getaffinity", lambda pid: set(range(processes))
+            ):
+                vectors = extract_features(
+                    sentences, ExperimentConfig.parse("J+S+WS", table.name), resources, registry
+                )
+            extracted.append((
+                registry.names,
+                [tuple(a.tobytes() for a in vector.as_arrays()) for vector in vectors],
+            ))
+        assert extracted[1] == extracted[0] and extracted[2] == extracted[0]
+        assert pools == [(1, True), (2, True)]
+        assert no_children()
+
+    def test_refused_fork_computes_in_process(self, pools, monkeypatch):
+        tokens, table = self.case()
+        alone = self.block(tokens, table, 1).tobytes()
+
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert self.block(tokens, table, 2).tobytes() == alone
+        assert pools == [(1, False)]
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_a_worker_that_fails_is_computed_in_process_once(
+        self, pools, monkeypatch, processes
+    ):
+        tokens, table = self.case()
+        alone = self.block(tokens, table, 1).tobytes()
+        parent = os.getpid()
+        computed = []
+
+        def crashing(index, table, chunk):
+            if os.getpid() != parent:
+                raise ZeroDivisionError  # a bug: the worker exits 1
+            computed.append(chunk.members)
+            return chunk_rows(index, table, chunk)
+
+        chunk_rows = similarity._chunk_rows
+        monkeypatch.setattr(similarity, "_chunk_rows", crashing)
+        assert self.block(tokens, table, processes).tobytes() == alone
+        assert pools == [(processes - 1, False)]
+        # This process computes each chunk once: its own share, then the
+        # workers'.
+        index = content_index(tokens, table)
+        chunks = similarity._chunks(index, table.dimension)
+        assert len(computed) == len(chunks)
+        assert np.concatenate(computed).tobytes() == similarity._members(chunks).tobytes()
+        assert no_children()
+
+    def test_warning_in_a_workers_chunk_is_raised_as_in_one_process(
+        self, pools, monkeypatch
+    ):
+        tokens, table = self.case()
+        chunks = similarity._chunks(content_index(tokens, table), table.dimension)
+        last = chunks[-1].members.tobytes()
+
+        def warning(index, table, chunk):
+            if chunk.members.tobytes() == last:  # a worker's at 2 processes
+                np.float64(1.0) / np.float64(0.0)
+            return chunk_rows(index, table, chunk)
+
+        chunk_rows = similarity._chunk_rows
+        monkeypatch.setattr(similarity, "_chunk_rows", warning)
+        raised = []
+        for processes in (1, 2):
+            with (
+                warnings.catch_warnings(),
+                pytest.raises(RuntimeWarning, match="divide by zero") as error,
+            ):
+                warnings.simplefilter("error", RuntimeWarning)
+                self.block(tokens, table, processes)
+            raised.append(traceback.extract_tb(error.value.__traceback__))
+        assert raised[1] == raised[0]
+        assert pools == [(1, False)]
+        assert no_children()
+
+    def test_interrupt_kills_the_running_workers(self, pools, monkeypatch):
+        tokens, table = self.case()
+        parent = os.getpid()
+
+        def interrupted(index, table, chunk):
+            if os.getpid() != parent:
+                time.sleep(60)  # still computing when the parent is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(similarity, "_chunk_rows", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.block(tokens, table, 3)
+        assert time.monotonic() - start < 30
+        assert pools == []
+        assert no_children()
+
+    def test_memory_stays_within_a_few_chunks(self, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert_memory_within_a_few_chunks()
+        assert pools == [(1, True)]
+        assert no_children()
 
 
 def emb_names(config_text, sentence, table):
