@@ -17,33 +17,28 @@ threshold, and ties break toward the lower threshold (higher recall).
 One sort of each class's scores yields the true- and false-positive
 counts of every candidate at once.
 
+Every sum of a row's products, in training and in scoring, is taken in
+one canonical order: left to right in ascending feature id, from +0.0
+(see ``_segment_sums``).  So, for given features, weights, thresholds
+and scores do not depend on the CPU's BLAS kernel, and ``train`` equals
+a one-cell :func:`train_cells` bit for bit.
+
 ``train`` runs its step loop only on steps that might update.  After a
 run of steps without an update it certifies the rest of the epoch in
 blocks of pending rows, each twice as long as the last while every step
-so far is certified.  A block needs each row's dot with ``v`` in some
-summation order; a dot is computed only for a row whose dot was not kept
-since the last write to ``v`` (a hinge update or a scale-floor fold), and
-an exact step that does not update keeps its own.  So an epoch on
-weights that stood still through the one before computes no dot.  Each
-step's ``eta``, decay factor and scale are computed elementwise with the
-loop's association, the scales by a left-to-right product continued from
-block to block, so they are the loop's bit for bit.
-Any two summation orders of a row's m products, blocked or fused BLAS
-kernels included, differ by at most ``2 * gamma_m * sum |v_i x_i|``,
-where ``gamma_m = m*u / (1 - m*u)`` and ``u = 2**-53`` (Higham, *Accuracy
-and Stability of Numerical Algorithms*, 2002, section 3.1), and
-``sum |v_i x_i| <= V * ||x||_1`` for any ``V >= max |v|``.  ``train``
-keeps V as a running upper bound: an update grows it by the update's
-largest term, rounded up, and a fold sets it to ``max |v|``.  A step is
-certified when its margin exceeds 1 by more than the allowance
-``4*m*u * |scale| * V * ||x||_1 + 2**-50 * |margin|`` (the second term
-covers the rounding of the margin's own product and of underflow), when
-``V * ||x||_1`` and ``|scale| * V * ||x||_1`` stay below ``2**1022``, so
-that no summation order can overflow, and when the scale stays at or
-above the fold floor through it.  On such a step the loop would find
-``margin >= 1`` and only decay the scale, which the jump reproduces; so
-weights and thresholds are the step loop's on every BLAS kernel.  The
-first step that is not certified runs in the loop.
+so far is certified.  A block needs each row's dot with ``v``; a dot is
+computed only for a row whose dot was not kept since the last write to
+``v`` (a hinge update or a scale-floor fold), and an exact step that does
+not update keeps its own.  So an epoch on weights that stood still
+through the one before computes no dot.  The dots are summed in the
+canonical order, and each step's ``eta``, decay factor and scale are
+computed elementwise with the loop's association, the scales by a
+left-to-right product continued from block to block; so each margin is
+the one the loop would compute, bit for bit.  A step is certified exactly
+when the loop would not update: its margin is finite and at least 1, and
+the scale stays at or above the fold floor through it.  The jump then
+only decays the scale, as the loop would.  The first step that is not
+certified runs in the loop.
 
 Prediction is ``score = <w, x> + bias`` with the positive label assigned
 iff ``score >= threshold``; feature ids the model has never seen
@@ -51,12 +46,8 @@ contribute zero.  Training is bit-deterministic for a fixed seed.
 
 ``train_cells`` trains several models ("cells") on the same labelled rows
 in lockstep: the instance order, the ``eta`` schedule and the scale are
-shared, so one step gathers every cell's entries of the row at once.  It
-and :func:`cell_scores`, which scores training and test rows alike, sum a
-row's products in one canonical order, left to right in ascending feature
-id from +0.0 (see ``_segment_sums``), so their results do not depend on
-the CPU's BLAS kernel.  ``train`` and :meth:`LinearModel.decision` still
-sum with ``np.dot``, which agrees with that order below 16 entries.
+shared, so one step gathers every cell's entries of the row at once.
+:func:`cell_scores` scores its training and test rows alike.
 """
 
 from __future__ import annotations
@@ -101,10 +92,20 @@ def _segment_sums(segments: np.ndarray, terms: np.ndarray, count: int) -> np.nda
     right in array order, starting from +0.0, so a segment's sum does not
     depend on the other segments.  ``np.bincount`` adds its weights in
     input order; ``np.add.reduceat`` does not (it computes
-    ``x0 + (x1 + x2)`` for three terms), and ``np.dot`` and
+    ``x0 + (x1 + x2)`` for three terms), and BLAS dot products and
     ``np.add.reduce`` switch to blocked or pairwise sums on longer inputs.
     """
     return np.bincount(segments, weights=terms, minlength=count)
+
+
+def _row_sum(terms: np.ndarray) -> float:
+    """``terms`` summed in the canonical order (see ``_segment_sums``).
+
+    ``np.add.accumulate`` adds left to right from the first term.  The two
+    orders can differ only in the sign of a zero total, and a sum from
+    +0.0 is never -0.0, so adding +0.0 makes them agree.
+    """
+    return float(np.add.accumulate(terms)[-1]) + 0.0 if len(terms) else 0.0
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ class LinearModel:
         """Raw score for one feature vector; unknown ids contribute 0."""
         ids, values = vector.as_arrays()
         known = ids < len(self.weights)
-        return float(np.dot(self.weights[ids[known]], values[known]) + self.bias)
+        return _row_sum(self.weights[ids[known]] * values[known]) + self.bias
 
     def predict(self, vector: FeatureVector) -> tuple[float, int]:
         """(score, label): label is 1 iff score >= threshold (inclusive)."""
@@ -187,12 +188,16 @@ def train(
 ) -> LinearModel:
     """Train a linear model on (feature vector, label in {0, 1}) pairs.
 
-    Raises :class:`DegenerateTrainingError` unless both classes are
-    present, and :class:`TrainingError` naming the epoch if the scale,
-    the weights, a margin or a training score stops being finite.  Two
-    calls with identical data and seed produce bit-identical weights.
+    Raises :class:`InputError` naming the row of a label that is not 0 or
+    1, :class:`DegenerateTrainingError` unless both classes are present,
+    and :class:`TrainingError` naming the epoch if the scale, the weights,
+    a margin or a training score stops being finite.  Two calls with
+    identical data and seed produce bit-identical weights.
     """
     n = len(instances)
+    for row, (_, label) in enumerate(instances):
+        if label not in (0, 1):
+            raise InputError(f"row {row}: label {label!r} is not 0 or 1")
     labels = np.array([int(label) for _, label in instances])
     if not ((labels == 1).any() and (labels == 0).any()):
         raise DegenerateTrainingError("training data must contain both classes")
@@ -238,7 +243,7 @@ def train(
                 index = pending[position]
                 ids, values, y, class_weight = prepared[index]
                 eta = eta0 / (1.0 + eta0 * lam * step)
-                dot = float(np.dot(v[ids], values))
+                dot = _row_sum(v[ids] * values)
                 margin = y * scale * dot
                 if not math.isfinite(margin):
                     raise TrainingError(f"non-finite margin in epoch {epoch}")
@@ -252,11 +257,11 @@ def train(
                 if abs(scale) < _SCALE_FLOOR:
                     v *= scale
                     scale = 1.0
-                    rows.rescaled(v)
+                    rows.writes += 1
                 if margin < 1.0:
                     coefficient = eta * class_weight * y / scale
                     v[ids] += coefficient * values
-                    rows.updated(index, coefficient)
+                    rows.writes += 1
                     clean = 0
                 step += 1
                 position += 1
@@ -271,7 +276,7 @@ def train(
 
         # Materialize the weights in place: v becomes scale * v.
         v *= scale
-        scores = np.array([np.dot(v[ids], values) for ids, values, _, _ in prepared])
+        scores = np.array([_row_sum(v[ids] * values) for ids, values, _, _ in prepared])
     if not np.all(np.isfinite(scores)):
         raise TrainingError(
             f"non-finite training scores after epoch {config.epochs - 1}"
@@ -282,26 +287,28 @@ def train(
 
 # After this many exact steps without an update, ``train`` certifies the
 # rest of the epoch.  Measured on the 3,629 rows (175k entries) of the
-# benchmark's fit-highdim corpus, one 50-epoch fit, medians of 11 fits
-# interleaved across the lengths on a 2-core host:
+# benchmark's seed-0 fit-highdim corpus, one 50-epoch fit with a first
+# block of 64 rows, medians of 11 fits interleaved across the settings on
+# a 2-core host:
 #
-#   clean run          8      16      32      64     128     256
-#   certifications   353     234     167     134     101      68
-#   exact steps     7.7k    9.5k   11.8k   15.1k   19.6k   24.6k
-#   row dots        101k     71k     55k     46k     35k     24k
-#   fit (ms)         105      92      85      88      92      91
+#   clean run          8      16      32      64     128
+#   certifications   353     234     167     134     101
+#   exact steps     7.7k    9.5k   11.8k   15.1k   19.6k
+#   row dots         58k     49k     42k     37k     31k
+#   fit (ms)          95      92      94      92      99
 #
-# 32 and 64 are the fastest, within each other's noise; 64 certifies less.
-_CLEAN_RUN = 64
+# 16 to 64 lie within each other's noise.  Over 21 fits each on the seed-0
+# and seed-1 corpora, 32 took 97.6 and 96.3 ms, 64 took 104.4 and 98.2 ms.
+_CLEAN_RUN = 32
 
 # A certification examines this many pending rows first, then twice as many
-# at each block whose steps are all certified.
-_FIRST_BLOCK = 256
-
-# A running bound grown by (V + |c| * max|x|) * (1 + 2**-50) stays at or
-# above max |v| after the rounded update v + c * x (each rounding is within
-# 2**-53 relative).
-_ROUND_UP = 1.0 + 2.0**-50
+# at each block whose steps are all certified.  With a clean run of 32, on
+# the same fits:
+#
+#   first block       16      32      64     128     256
+#   row dots         40k     41k     42k     48k     55k
+#   fit (ms)         104      97      97     100     102
+_FIRST_BLOCK = 64
 
 
 class _Rows:
@@ -309,54 +316,30 @@ class _Rows:
     ``train`` keeps while ``v`` stands still.
 
     ``ids`` and ``values`` hold every row's entries in row order, row i's
-    being ``bounds[i]:bounds[i + 1]``.  Per row: the sign ``y``, ``norms``
-    its ``||x||_1``, ``peaks`` its ``max |x|`` and ``slack`` its
-    ``m * 2**-51`` for m entries.
+    being ``bounds[i]:bounds[i + 1]``, and ``y`` holds the rows' signs.
 
     ``writes`` counts the writes to ``v``: hinge updates and scale-floor
-    folds.  ``dots[i]`` is row i's dot with ``v``, in some summation order,
-    while ``stamps[i] >= writes``.  An empty row's dot is 0 whatever ``v``
-    holds, so its stamp never falls behind (its margin, 0, is never kept
-    by an exact step).  ``top`` is V, an upper bound on
-    ``max |v|``: an update grows it by the update's largest term, and a fold
-    sets it to ``max |v|`` (NaN if v holds a NaN, which certifies nothing).
+    folds.  ``dots[i]`` is row i's dot with ``v``, summed in the canonical
+    order, while ``stamps[i] >= writes``.  An empty row's dot is 0 whatever
+    ``v`` holds, so its stamp never falls behind (its margin, 0, is never
+    kept by an exact step).
     """
 
     def __init__(self, prepared):
-        """The rows of ``train``'s (ids, values, y, class weight) tuples,
-        with ``v`` all zeros."""
+        """The rows of ``train``'s (ids, values, y, class weight) tuples."""
         lengths = np.array([len(ids) for ids, _, _, _ in prepared], dtype=np.int64)
         self.bounds = np.concatenate([[0], np.cumsum(lengths)])
         self.ids = np.concatenate([np.zeros(0, np.int64), *(ids for ids, _, _, _ in prepared)])
         self.values = np.concatenate([np.zeros(0), *(values for _, values, _, _ in prepared)])
-        magnitudes = np.abs(self.values)
-        nonempty = lengths > 0
-        self.norms = np.zeros(len(prepared))
-        self.norms[nonempty] = np.add.reduceat(magnitudes, self.bounds[:-1][nonempty])
-        peaks = np.zeros(len(prepared))
-        peaks[nonempty] = np.maximum.reduceat(magnitudes, self.bounds[:-1][nonempty])
-        self.peaks = peaks.tolist()
         self.y = np.array([y for _, _, y, _ in prepared])
-        self.slack = lengths * 2.0**-51
         self.dots = np.zeros(len(prepared))
-        self.stamps = np.where(nonempty, -1, np.iinfo(np.int64).max)
+        self.stamps = np.where(lengths > 0, -1, np.iinfo(np.int64).max)
         self.writes = 0
-        self.top = 0.0
 
     def keep(self, row: int, dot: float) -> None:
         """Row ``row``'s dot with the current ``v`` is ``dot``."""
         self.dots[row] = dot
         self.stamps[row] = self.writes
-
-    def updated(self, row: int, coefficient: float) -> None:
-        """``v`` was updated by ``coefficient`` times row ``row``."""
-        self.writes += 1
-        self.top = (self.top + abs(coefficient) * self.peaks[row]) * _ROUND_UP
-
-    def rescaled(self, v: np.ndarray) -> None:
-        """``v`` was rewritten as a whole."""
-        self.writes += 1
-        self.top = float(np.abs(v).max(initial=0.0))
 
     def dots_of(self, v: np.ndarray, chosen: np.ndarray) -> np.ndarray:
         """The dots of rows ``chosen`` with ``v``, computing only those not
@@ -371,12 +354,15 @@ class _Rows:
 
 def _row_dots(rows: _Rows, v: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     """The dots of the nonempty rows ``chosen`` with ``v``, each summed in
-    some order."""
+    the canonical order, as ``train``'s step loop sums it."""
     starts = rows.bounds[chosen]
     lengths = rows.bounds[chosen + 1] - starts
-    firsts = np.cumsum(lengths) - lengths
-    slots = np.arange(firsts[-1] + lengths[-1]) + np.repeat(starts - firsts, lengths)
-    return np.add.reduceat(v[rows.ids[slots]] * rows.values[slots], firsts)
+    segments = np.repeat(np.arange(len(chosen)), lengths)
+    # Entry k of the gathered rows is entry k - first + start of its row.
+    slots = np.arange(len(segments)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    products = v.take(rows.ids.take(slots))
+    products *= rows.values.take(slots)
+    return _segment_sums(segments, products, len(chosen))
 
 
 def _certified_steps(
@@ -395,13 +381,12 @@ def _certified_steps(
     ``scale * v``.  The pending rows are examined in blocks, the first of
     ``_FIRST_BLOCK`` rows and each next one twice as long, while every step
     of a block is certified.  A block's row dots come from ``rows``, which
-    computes only those not kept since ``v`` was last written, in an order
-    other than ``np.dot``'s; each step's ``eta``, decay factor and scale
-    are computed as in ``train``'s loop, the scales continuing from block
-    to block, bit for bit.  A step is certified when its margin exceeds 1
-    by more than the allowance, its magnitudes cannot overflow and the
-    scale stays at or above the floor through it (see the module
-    docstring); the count is the length of the certified prefix.
+    computes only those not kept since ``v`` was last written; they, and
+    each step's ``eta``, decay factor, scale and margin, are computed as in
+    ``train``'s loop, the scales continuing from block to block, bit for
+    bit.  A step is certified when its margin is finite and at least 1 and
+    the scale stays at or above the floor through it; the count is the
+    length of the certified prefix.
     """
     done = 0
     size = _FIRST_BLOCK
@@ -414,14 +399,8 @@ def _certified_steps(
         scales = np.multiply.accumulate(np.concatenate([[scale], 1.0 - eta * lam]))
         before = scales[:-1]
         margins = rows.y[block] * before * dots
-        reach = rows.top * rows.norms[block]
-        bound = np.abs(before) * reach
-        allowance = bound * rows.slack[block] + 2.0**-50 * np.abs(margins)
         certified = (
-            (margins - allowance > 1.0)
-            & (reach < 2.0**1022)
-            & (bound < 2.0**1022)
-            & (np.abs(scales[1:]) >= _SCALE_FLOOR)
+            (margins >= 1.0) & np.isfinite(margins) & (np.abs(scales[1:]) >= _SCALE_FLOOR)
         )
         if not certified.all():
             count = int(np.argmin(certified))
@@ -493,7 +472,7 @@ def train_cells(
     (``_segment_sums``) and applies the hinge update to the cells whose
     margin is below 1.  A cell's weights and threshold therefore do not
     depend on the other cells: they equal a run on that cell alone, bit for
-    bit, and agree with :func:`train` up to ``np.dot``'s summation order.
+    bit, and equal :func:`train` on that cell's rows.
 
     Raises :class:`DegenerateTrainingError` unless both classes are
     present, and :class:`TrainingError` naming the cell (from ``names``) and

@@ -381,12 +381,18 @@ def sequential_sum(terms) -> float:
     return total
 
 
+def sequential_dot(v, ids, values) -> float:
+    """The dot of ``v[ids]`` with ``values``, its products summed by
+    ``sequential_sum``: the canonical order."""
+    return sequential_sum(v[i] * x for i, x in zip(ids.tolist(), values.tolist()))
+
+
 def sequential_sgd_weights(instances, config):
     """Reference one-cell weights and threshold in the canonical summation order.
 
     The scale-factor steps of ``classify.train`` with every dot product a
     Python loop over the instance's entries in ascending id, from +0.0
-    (``sequential_sum``); the threshold is ``brute_force_threshold`` of the
+    (``sequential_dot``); the threshold is ``brute_force_threshold`` of the
     training scores summed the same way.  Returns (weights, threshold).
     """
     n = len(instances)
@@ -400,9 +406,6 @@ def sequential_sgd_weights(instances, config):
         class_weight = config.w if label == 1 else 1.0
         prepared.append((ids, values, y, class_weight))
 
-    def dot(v, ids, values):
-        return sequential_sum(v[i] * x for i, x in zip(ids.tolist(), values.tolist()))
-
     v = np.zeros(dimension, dtype=np.float64)
     scale = 1.0
     lam = 1.0 / (config.c * n)
@@ -412,7 +415,7 @@ def sequential_sgd_weights(instances, config):
         for index in rng.permutation(n):
             ids, values, y, class_weight = prepared[index]
             eta = config.eta0 / (1.0 + config.eta0 * lam * step)
-            margin = y * scale * dot(v, ids, values)
+            margin = y * scale * sequential_dot(v, ids, values)
             scale *= 1.0 - eta * lam
             if abs(scale) < 1e-9:
                 v *= scale
@@ -421,7 +424,7 @@ def sequential_sgd_weights(instances, config):
                 v[ids] += (eta * class_weight * y / scale) * values
             step += 1
     v *= scale
-    scores = [dot(v, ids, values) for ids, values, _, _ in prepared]
+    scores = [sequential_dot(v, ids, values) for ids, values, _, _ in prepared]
     threshold, _ = brute_force_threshold(scores, [label for _, label in instances])
     return v, threshold
 
@@ -432,7 +435,7 @@ def step_loop_train(instances, config):
     ``classify.train`` skips the loop on steps it proves cannot update;
     it must return this function's weights and threshold bit for bit and
     raise its errors.  Trains a linear model on (feature vector, label in
-    {0, 1}) pairs.
+    {0, 1}) pairs; every dot product is ``sequential_dot``.
 
     Raises :class:`DegenerateTrainingError` unless both classes are
     present, and :class:`TrainingError` naming the epoch if the scale,
@@ -467,7 +470,7 @@ def step_loop_train(instances, config):
             for index in rng.permutation(n).tolist():
                 ids, values, y, class_weight = prepared[index]
                 eta = eta0 / (1.0 + eta0 * lam * step)
-                margin = y * scale * float(np.dot(v[ids], values))
+                margin = y * scale * sequential_dot(v, ids, values)
                 if not math.isfinite(margin):
                     raise TrainingError(f"non-finite margin in epoch {epoch}")
                 scale *= 1.0 - eta * lam
@@ -488,7 +491,7 @@ def step_loop_train(instances, config):
 
         # Materialize the weights in place: v becomes scale * v.
         v *= scale
-        scores = np.array([np.dot(v[ids], values) for ids, values, _, _ in prepared])
+        scores = np.array([sequential_dot(v, ids, values) for ids, values, _, _ in prepared])
     if not np.all(np.isfinite(scores)):
         raise TrainingError(
             f"non-finite training scores after epoch {config.epochs - 1}"

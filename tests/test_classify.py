@@ -25,6 +25,7 @@ from incongruity.classify import (
     train_cells,
     tune_threshold,
 )
+from incongruity.errors import InputError
 from incongruity.features import ExperimentConfig, FeatureRegistry, FeatureVector
 from incongruity.harness import Resources, extract_features
 from incongruity.synthetic import generate_corpus
@@ -128,6 +129,23 @@ class TestSegmentSums:
         sums = classify._segment_sums(segments, terms, 5)
         assert float_bytes(sums) == float_bytes(expected)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=80,
+        )
+    )
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([1e16, 1.0, -1e16, 1.0] * 5)
+    def test_row_sum_is_a_left_to_right_loop(self, terms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = classify._row_sum(np.array(terms, dtype=np.float64))
+        assert float_bytes(total) == float_bytes(oracles.sequential_sum(terms))
+
 
 class TestTuneThreshold:
     def test_picks_perfect_separator(self):
@@ -226,6 +244,16 @@ class TestTrain:
             registry, [({"a": 1.0}, 1), ({"b": 1.0}, 1)]
         )
         with pytest.raises(DegenerateTrainingError):
+            train(instances)
+
+    @pytest.mark.parametrize(
+        "labels, row, label",
+        [([1, 0, 2], 2, "2"), ([1.0, 0.5], 1, "0.5")],
+    )
+    def test_label_other_than_0_or_1_names_the_row(self, labels, row, label):
+        vectors = [FeatureVector([0], [1.0]), FeatureVector([1], [1.0])]
+        instances = [(vectors[k % 2], value) for k, value in enumerate(labels)]
+        with pytest.raises(InputError, match=rf"^row {row}: label {label} is not 0 or 1$"):
             train(instances)
 
     def test_positive_weighting_changes_solution(self):
@@ -345,8 +373,9 @@ def model_bytes(trainer, instances, config):
     return model.weights.tobytes(), float.hex(model.threshold)
 
 
-# np.dot sums left to right below 16 entries and in BLAS blocks above, so
-# the row lengths straddle 16 and 64.
+# BLAS dot products sum left to right below 16 entries and in blocks above,
+# and np.add.reduce goes pairwise at 8, so the row lengths straddle 8, 16
+# and 64: a trainer that summed in such an order would part from the loop.
 ROW_LENGTHS = [0, 1, 15, 16, 17, 65, 80]
 
 
@@ -409,8 +438,8 @@ def step_loop_problems(draw):
 def certification_log(monkeypatch):
     """Wrap ``_certified_steps`` and ``_row_dots``: one dict per
     certification with its ``step``, pending ``rows``, certified ``count``,
-    row ``dots`` computed, the ``writes`` to v before it, and ``top`` and
-    ``peak``, its V and max |v|."""
+    row ``dots`` computed, the ``writes`` to v before it and the ``kept``
+    rows."""
     log = []
     certify, row_dots = classify._certified_steps, classify._row_dots
 
@@ -419,10 +448,9 @@ def certification_log(monkeypatch):
         return row_dots(rows, v, chosen)
 
     def counted(rows, v, scale, step, eta0, lam, pending):
-        log.append({
-            "step": step, "rows": len(pending), "dots": 0, "writes": rows.writes,
-            "top": rows.top, "peak": float(np.abs(v).max(initial=0.0)), "kept": rows,
-        })
+        log.append(
+            {"step": step, "rows": len(pending), "dots": 0, "writes": rows.writes, "kept": rows}
+        )
         count, scale = certify(rows, v, scale, step, eta0, lam, pending)
         log[-1]["count"] = count
         return count, scale
@@ -444,6 +472,17 @@ class TestStepLoopOracle:
             classify, "_FIRST_BLOCK", first_block
         ):
             assert model_bytes(train, instances, config) == expected
+        # The same sums as the lockstep trainer on one cell and the
+        # sequential oracle, so the same fit.
+        rows = cell_rows([[vector for vector, _ in instances]], [label for _, label in instances])
+        if isinstance(expected, str):
+            with pytest.raises(TrainingError):
+                train_cells(rows, config, ["one"])
+            return
+        [cell] = cell_models(rows, train_cells(rows, config, ["one"]))
+        weights, threshold = oracles.sequential_sgd_weights(instances, config)
+        assert (float_bytes(cell.weights), float.hex(cell.threshold)) == expected
+        assert (float_bytes(weights), float.hex(threshold)) == expected
 
     @pytest.mark.parametrize(
         "config",
@@ -467,7 +506,7 @@ class TestStepLoopOracle:
     def test_epoch_after_one_without_update_computes_no_row_dot(self, monkeypatch):
         # A dot is kept until the next write to v, so once an epoch passes
         # without an update every row's dot is kept: each step either ran
-        # exactly, keeping np.dot's value, or was examined by a
+        # exactly, keeping its own dot, or was examined by a
         # certification.  A write counted before a certification happened
         # no later than its epoch.
         log = certification_log(monkeypatch)
@@ -481,24 +520,22 @@ class TestStepLoopOracle:
         assert len(quiet) >= 10
         assert [e["dots"] for e in quiet] == [0] * len(quiet)
 
-    def test_running_bound_above_max_weight_keeps_the_fit(self, monkeypatch):
+    def test_rows_sharing_the_largest_feature_equal_the_step_loop(self, monkeypatch):
         # Every row holds "bias" at 5, the largest value: the two classes'
-        # updates cancel on its weight but add up in V, so V ends far above
-        # max |v|; the allowance only needs V >= max |v|.
+        # updates pull its weight both ways, and most steps are certified.
         log = certification_log(monkeypatch)
         rows = [({**fragment, "bias": 5.0}, label) for fragment, label in separable_rows(40, 6)]
         instances = make_instances(FeatureRegistry(), rows)
         config = TrainConfig(epochs=60, seed=3)
         expected = model_bytes(oracles.step_loop_train, instances, config)
         assert model_bytes(train, instances, config) == expected
-        assert any(e["top"] > 5 * e["peak"] > 0 for e in log)
         assert sum(e["count"] for e in log) > len(instances) * config.epochs // 2
 
     def test_corpus_rows_with_partial_and_whole_epoch_certifications(self, monkeypatch):
         # L-prior rows of a 300-sentence corpus, most with more than 16
-        # entries, where np.dot sums in blocks: 50 epochs equal the step
-        # loop bit for bit, through certifications that stop inside a block
-        # and ones that certify the rest of an epoch past the first block.
+        # entries, where BLAS sums in blocks: 50 epochs equal the step loop
+        # bit for bit, through certifications that stop inside a block and
+        # ones that certify the rest of an epoch past the first block.
         log = certification_log(monkeypatch)
         corpus = generate_corpus(300, 0.3, seed=4, separability=0.8)
         vectors = extract_features(
@@ -516,9 +553,42 @@ class TestStepLoopOracle:
         assert any(e["count"] < e["rows"] for e in log)
         assert any(e["count"] == e["rows"] > classify._FIRST_BLOCK for e in log)
 
+    def test_kept_dots_are_the_canonical_sums(self, monkeypatch):
+        # Every dot the trainer holds for the current v, whether an exact
+        # step or a certification computed it, is the left-to-right sum the
+        # step loop's margin comes from.  Rows carry 17-40 entries, where
+        # BLAS and pairwise sums part from that order, and a class
+        # indicator, so long certified runs occur.
+        rng = np.random.default_rng(5)
+        instances = []
+        for k in range(60):
+            label = k % 2
+            length = int(rng.integers(16, 40))
+            ids = np.sort(rng.choice(np.arange(2, 200), size=length, replace=False))
+            values = rng.choice([-1.0, 1.0], size=len(ids)) * rng.uniform(0.1, 3.0, len(ids))
+            instances.append(
+                (FeatureVector([1 - label, *ids.tolist()], [3.0, *values.tolist()]), label)
+            )
+        checked = []
+        certify = classify._certified_steps
+
+        def checking(rows, v, scale, step, eta0, lam, pending):
+            kept = (rows.stamps >= rows.writes) & (np.diff(rows.bounds) > 0)
+            for row in np.flatnonzero(kept).tolist():
+                a, b = rows.bounds[row], rows.bounds[row + 1]
+                expected = oracles.sequential_dot(v, rows.ids[a:b], rows.values[a:b])
+                assert float.hex(float(rows.dots[row])) == float.hex(expected), row
+            checked.append(int(kept.sum()))
+            return certify(rows, v, scale, step, eta0, lam, pending)
+
+        monkeypatch.setattr(classify, "_certified_steps", checking)
+        train(instances, TrainConfig(epochs=30, seed=1))
+        assert sum(checked) > 1000
+
 
 class TestCertifiedSteps:
-    """One certification, on rows and weights set by hand."""
+    """One certification, on rows and weights set by hand: a step is
+    certified exactly when the step loop would not update."""
 
     def certify(self, v, rows, scale=1.0, step=0, eta0=0.5, lam=1e-3):
         v = np.asarray(v, dtype=np.float64)
@@ -526,34 +596,31 @@ class TestCertifiedSteps:
             (np.arange(len(values)), np.asarray(values, dtype=np.float64), 1.0, 1.0)
             for values in rows
         ]
-        kept = classify._Rows(prepared)
-        # v is set by hand, as a fold sets it: V is max |v|.
-        kept.rescaled(v)
         with np.errstate(over="ignore", invalid="ignore"):
             return classify._certified_steps(
-                kept, v, scale, step, eta0, lam, np.arange(len(rows))
+                classify._Rows(prepared), v, scale, step, eta0, lam, np.arange(len(rows))
             )
 
-    def test_margin_within_allowance_is_not_certified(self):
-        # One ulp above 1 could be below 1 in another summation order.
-        assert self.certify([1.0 + 2.0**-52], [[1.0]])[0] == 0
-        assert self.certify([1.0 + 2.0**-40], [[1.0]])[0] == 1
+    def test_margin_of_one_is_certified(self):
+        assert self.certify([1.0], [[1.0]])[0] == 1
+        assert self.certify([1.0 - 2.0**-53], [[1.0]])[0] == 0
 
-    def test_allowance_grows_with_the_row(self):
-        # The same margin, 1 + 2**-46, from one term and from 64: the order
-        # error of 64 terms may exceed its 64 ulps above 1.
-        assert self.certify([1.0 + 2.0**-46], [[1.0]])[0] == 1
-        assert self.certify([1.0 + 2.0**-46] * 64, [[1 / 64] * 64])[0] == 0
-        assert self.certify([1.0 + 2.0**-40] * 64, [[1 / 64] * 64])[0] == 1
+    def test_long_row_is_certified_on_its_canonical_sum(self):
+        # 64 terms of (1 + 2**-46) / 64 add up to 1 + 2**-46 exactly, and
+        # 64 terms of 1/64 to exactly 1.
+        assert self.certify([1.0 + 2.0**-46] * 64, [[1 / 64] * 64])[0] == 1
+        assert self.certify([1.0] * 64, [[1 / 64] * 64])[0] == 1
+        assert self.certify([1.0 - 2.0**-53] * 64, [[1 / 64] * 64])[0] == 0
+
+    def test_margin_of_another_summation_order_does_not_count(self):
+        # Left to right, 1e16 + 1 rounds to 1e16, so the sum is 1; a
+        # pairwise sum, (1e16 + 1) + (-1e16 + 1), is 0 and would update.
+        assert self.certify([1e16, 1.0, -1e16, 1.0], [[1.0] * 4])[0] == 1
+        assert self.certify([1e16, 1.0, 1.0, -1e16], [[1.0] * 4])[0] == 0
 
     @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
     def test_non_finite_margin_is_not_certified(self, weight):
         assert self.certify([weight], [[1.0]])[0] == 0
-
-    def test_row_that_could_overflow_is_not_certified(self):
-        # The margin is 4, but another order may sum 2**1021 + 2**1021.
-        v = [2.0**1021, 2.0**1021, -(2.0**1021), 4 - 2.0**1021]
-        assert self.certify(v, [[1.0, 1.0, -1.0, 1.0]])[0] == 0
 
     def test_scale_floor_stops_the_run(self):
         # Decay factors 1/2, then 2/3: the second step takes the scale
@@ -581,8 +648,15 @@ class TestTrainCells:
     """The lockstep trainer against the one-cell sequential oracle."""
 
     def test_single_cell_matches_oracle_and_train(self):
-        registry = FeatureRegistry()
-        instances = make_instances(registry, noisy_rows(60, seed=2))
+        # The noisy rows with 20 more features each: 22 entries a row, past
+        # the 16 below which BLAS sums left to right.
+        rng = np.random.default_rng(8)
+        rows = [
+            ({**fragment, **{f"f{j}": float(rng.normal()) for j in range(20)}}, label)
+            for fragment, label in noisy_rows(60, seed=2)
+        ]
+        instances = make_instances(FeatureRegistry(), rows)
+        assert min(len(vector) for vector, _ in instances) == 22
         config = TrainConfig(epochs=15, seed=7)
         rows = cell_rows(
             [[vector for vector, _ in instances]], [label for _, label in instances]
@@ -591,9 +665,9 @@ class TestTrainCells:
         weights, threshold = oracles.sequential_sgd_weights(instances, config)
         assert float_bytes(model.weights) == float_bytes(weights)
         assert model.threshold == threshold
-        np.testing.assert_allclose(
-            model.weights, train(instances, config).weights, rtol=1e-10, atol=0
-        )
+        alone = train(instances, config)
+        assert float_bytes(alone.weights) == float_bytes(weights)
+        assert float.hex(alone.threshold) == float.hex(threshold)
 
     def test_cells_do_not_see_each_other(self):
         # Three cells on the same labels: wide rows (20 features, past
@@ -677,6 +751,41 @@ class TestPredict:
             weights=np.array([1.0]), bias=0.5, threshold=0.0
         )
         assert model.decision(FeatureVector([], [])) == 0.5
+
+    # Rows of up to 80 entries, past the lengths where BLAS and pairwise
+    # sums leave the left-to-right order; -0.0 products included.
+    @given(
+        st.integers(1, 100).flatmap(
+            lambda width: st.tuples(
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16]), st.floats(-1e100, 1e100)),
+                    min_size=width,
+                    max_size=width,
+                ),
+                st.lists(
+                    st.dictionaries(
+                        st.integers(0, width - 1),
+                        st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1e100, 1e100)),
+                        max_size=80,
+                    ),
+                    min_size=1,
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    @example(([1e16, 1.0, -1e16, 1.0] * 5, [dict.fromkeys(range(20), 1.0)]))
+    @example(([-1.0, -0.0], [{0: 0.0}, {1: 1.0}, {}]))
+    def test_decision_equals_cell_scores_of_one_cell(self, problem):
+        weights, rows = problem
+        weights = np.array(weights)
+        vectors = [FeatureVector(sorted(row), [row[fid] for fid in sorted(row)]) for row in rows]
+        model = LinearModel(weights=weights, bias=0.0, threshold=0.0)
+        layout = cell_rows([vectors], [0] * len(vectors))
+        with np.errstate(over="ignore", invalid="ignore"):
+            decisions = [model.decision(vector) for vector in vectors]
+            scores = classify.cell_scores(layout, weights)
+        assert float_bytes(decisions) == float_bytes(scores[:, 0])
 
 
 class TestCellScores:

@@ -621,10 +621,10 @@ LEXICON_CORPUS_FEATURES_SHA256 = {
 }
 
 
-# sha256 of its ``train --config <prior> --epochs 50`` model file.  J rows
-# have fewer than 16 entries, where np.dot sums left to right on every BLAS
-# kernel; L rows reach 28, and their model bytes were the same under the
-# Haswell and Prescott OpenBLAS kernels as well.
+# sha256 of its ``train --config <prior> --epochs 50`` model file.  The
+# trainer sums in one canonical order and these configs have no S/WS block,
+# so the bytes do not depend on the BLAS kernel, though L rows reach 28
+# entries.
 LEXICON_CORPUS_MODEL_SHA256 = {
     "L": "ba1e3545f5b5bcf5af4ef95115a31f4d075a78cbcad90708da79fd33ee3957c5",
     "J": "b4c23be3c8f69bd7bbf16787252be1dd8f47fce0c40d408164cd72ed54e69b88",
