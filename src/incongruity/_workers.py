@@ -1,19 +1,24 @@
 """Forked worker processes: the one place the package forks.
 
-Three callers run their work here: the byte-range text loader
-(``embeddings``), the fold pool (``harness``) and the S/WS block pool
-(``similarity``), whose workers compute shares of a corpus's block while
-the running process builds its prior features.  A fork, not a spawn: a
-fresh interpreter spends about as long importing numpy as a worker saves.
-A fork copies only the calling thread, so work is forked only on Linux and
-only while no other Python thread runs; numpy's OpenBLAS stops its own
-threads across a fork.
+Three callers run their work here, each on :func:`process_count`
+processes.  The fold pool (``harness``) and the S/WS block pool
+(``similarity``) hand :func:`run_shares` one function of a share number,
+and get its values back in share order: this process computes share 0
+while forked workers compute the others, and pickle them back.  The
+byte-range text loader (``embeddings``) streams each worker's rows
+straight into one final matrix, through :func:`run_forked` and
+:func:`read_into`.  A fork, not a spawn: a fresh interpreter spends about
+as long importing numpy as a worker saves.  A fork copies only the
+calling thread, so work is forked only on Linux and only while no other
+Python thread runs; numpy's OpenBLAS stops its own threads across a fork.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -22,12 +27,46 @@ from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
 T = TypeVar("T")
 
 
-def usable_cpus() -> int:
-    """How many processes may share a piece of work: the CPUs this process
-    may run on, or 1 off Linux or while another Python thread runs."""
+def process_count(work: int, least: int) -> int:
+    """How many processes share ``work``: one per CPU this process may run
+    on, but none with less than ``least`` of it; 1 off Linux or while
+    another Python thread runs."""
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0))
+    return max(1, min(len(os.sched_getaffinity(0)), work // least))
+
+
+def run_shares(compute: Callable[[int], T], shares: int) -> list[T]:
+    """``compute(share)`` for each share in ``range(shares)``, in share order.
+
+    This process computes share 0 while a forked worker per other share
+    computes that share and pipes its value back pickled.  This process
+    then computes each share that no worker sent, or every worker's share
+    if a worker exits otherwise than 0 or no pipe or process can be had.
+    It does so with the same call as a one-process run, so a fault there
+    raises with the one-process traceback.  Share 0 is computed once.
+    """
+    values: dict[int, T] = {}
+
+    def send(share: int, out: BinaryIO) -> bool:
+        # The write blocks until this process is done with share 0.
+        out.write(pickle.dumps(compute(share)))
+        return True
+
+    def receive(pipes: list[io.FileIO]) -> list[bytes]:
+        values[0] = compute(0)
+        return [pipe.readall() for pipe in pipes]
+
+    jobs = [functools.partial(send, share) for share in range(1, shares)]
+    payloads = run_forked(jobs, receive) if jobs else None
+    # Unpickled only once every worker has exited 0, so a payload is whole.
+    for share, payload in enumerate(payloads or (), 1):
+        if payload:
+            values[share] = pickle.loads(payload)
+    for share in range(shares):
+        if share not in values:
+            values[share] = compute(share)
+    return [values[share] for share in range(shares)]
 
 
 def run_forked(

@@ -52,7 +52,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._workers import read_into, run_forked, usable_cpus
+from ._workers import process_count, read_into, run_forked
 from .errors import InputError, read_lines
 
 FORMATS = ("binary_w2v", "text_vectors")
@@ -364,8 +364,9 @@ class _TextRows:
 
 def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
     info = os.stat(path)
+    ranges = process_count(info.st_size, _RANGE_MIN_BYTES)
     # Only a regular file can be cut by its size; a pipe is read in-process.
-    if stat.S_ISREG(info.st_mode) and (ranges := _range_count(info.st_size)) > 1:
+    if stat.S_ISREG(info.st_mode) and ranges > 1:
         loaded = _load_text_ranges(path, _line_starts(path, info.st_size, ranges))
         if loaded is not None:
             return loaded
@@ -423,13 +424,6 @@ _PART_VALUES = 1 << 18
 # range's words, "\n"-joined, and the words.
 _SUMMARY = struct.Struct("<3q")
 _WORDS = struct.Struct("<q")
-
-
-def _range_count(size: int) -> int:
-    """Into how many byte ranges to cut a text table of ``size`` bytes: one
-    per usable CPU (:func:`~incongruity._workers.usable_cpus`), but none
-    under ``_RANGE_MIN_BYTES``."""
-    return max(1, min(usable_cpus(), size // _RANGE_MIN_BYTES))
 
 
 def _line_starts(path: Path, size: int, ranges: int) -> list[int]:

@@ -22,13 +22,13 @@ of them, the four prior sets' included, are trained together by one
 :func:`~incongruity.classify.train_cells` call, and their test rows are
 scored by the same :func:`~incongruity.classify.cell_scores` that scores
 the training rows, in the classifier's canonical order.
-The folds run on ``min(usable CPUs, folds)`` processes: this one and
-forked workers (:mod:`~incongruity._workers`), process p training folds
-p, p + processes, ...  Each fold is computed once, by the same code in
-any process, and its outcome or training error is sent back whole as a
-value, so no byte depends on the process count.  The folds are read in
-fold order, a fold no process sent being computed here, so the first
-failing fold in fold order is the one raised.
+The folds run on ``min(usable CPUs, folds)`` processes, this one and
+forked workers, as the shares of :func:`~incongruity._workers.run_shares`:
+process p trains folds p, p + processes, ...  Each fold is computed
+once, by the same code in any process, and its outcome or training error
+comes back whole as a value, so no byte depends on the process count.
+The folds are read in fold order, so the first failing fold in fold
+order is the one raised.
 The folds' test scores and predicted labels are pooled as (n, cells)
 arrays; tp/fp/fn are counted per fold and cell, and their sums give the
 pooled metrics, the primary numbers; per-fold values are kept alongside.
@@ -44,17 +44,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import json
-import pickle
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._workers import run_forked, usable_cpus
+from ._workers import process_count, run_shares
 from .classify import CellRows, TrainConfig, cell_scores
 # Folds train through the module attribute ``train``, the name under which
 # perfbench/tracing.py times training.
@@ -565,11 +563,13 @@ def _cross_validate(
 
     The cells are laid out once; they share the splits, so per split they
     train together in lockstep, and the split's test rows of every cell
-    are scored at once.  Folds come in order from :func:`_fold_pool`, one
-    it lacks computed here, so no fold trains twice and the first training
-    error in fold order is raised, naming the cell by its label, its table
-    and the fold, e.g. ``L+S:emb-a (fold 2)``.  Scores and predicted labels
-    are pooled in split order.
+    are scored at once.  The folds are shared out over ``min(usable CPUs,
+    folds)`` processes by :func:`~incongruity._workers.run_shares`: process
+    p trains folds p, p + processes, ... and stops at its first
+    ``InputError``, kept as that fold's value.  No fold trains twice, and
+    the first training error in fold order is raised, naming the cell by
+    its label, its table and the fold, e.g. ``L+S:emb-a (fold 2)``.
+    Scores and predicted labels are pooled in split order.
     """
     train_config = train_config or TrainConfig()
     layout = _cell_rows(cells, labels)
@@ -588,13 +588,25 @@ def _cross_validate(
         counts = [hits.sum(0), (predicted ^ hits).sum(0), (positive ^ hits).sum(0)]
         return _FoldOutcome(scores, predicted, np.array(counts, dtype=np.int64))
 
-    pooled = _fold_pool(outcome, len(splits))
+    processes = process_count(len(splits), 1)
+
+    def share(process: int) -> dict[int, _FoldOutcome | InputError]:
+        done: dict[int, _FoldOutcome | InputError] = {}
+        for fold in range(process, len(splits), processes):
+            try:
+                done[fold] = outcome(fold)
+            except InputError as error:
+                done[fold] = error
+                break
+        return done
+
+    pooled = {k: v for done in run_shares(share, processes) for k, v in done.items()}
     outcomes = []
+    # A fold is missing only if an earlier fold of its share failed.
     for fold in range(len(splits)):
-        result = pooled[fold] if fold in pooled else outcome(fold)
-        if isinstance(result, InputError):
-            raise result
-        outcomes.append(result)
+        if isinstance(pooled[fold], InputError):
+            raise pooled[fold]
+        outcomes.append(pooled[fold])
     scores = np.concatenate([o.scores for o in outcomes])
     predicted = np.concatenate([o.predicted for o in outcomes])
     # Cell by fold by (tp, fp, fn), as ints; the pooled counts are their sums.
@@ -611,49 +623,6 @@ def _cross_validate(
         )
         for index, (cell, cell_counts) in enumerate(zip(cells, counts))
     ]
-
-
-def _fold_pool(
-    outcome: Callable[[int], _FoldOutcome], folds: int
-) -> dict[int, _FoldOutcome | InputError]:
-    """Folds' ``outcome`` by fold, on ``min(usable CPUs, folds)`` processes:
-    process p, 0 being this one, computes folds p, p + processes, ... and
-    stops at its first ``InputError``, kept as that fold's value; a worker
-    pickles its folds when done.  Folds are missing if one process is all
-    there is, no pipe or process is to be had, a worker exits otherwise
-    than 0 (every fold), or a worker sends nothing (its folds).
-    """
-    processes = min(usable_cpus(), folds)
-    if processes < 2:
-        return {}
-
-    def share(process: int) -> dict:
-        done = {}
-        for fold in range(process, folds, processes):
-            try:
-                done[fold] = outcome(fold)
-            except InputError as error:
-                done[fold] = error
-                break
-        return done
-
-    def send(worker: int, out: BinaryIO) -> bool:
-        # The write blocks until the running process is done with its folds.
-        out.write(pickle.dumps(share(worker)))
-        return True
-
-    def receive(pipes: list[io.FileIO]) -> tuple[dict, list[bytes]]:
-        return share(0), [pipe.readall() for pipe in pipes]
-
-    jobs = [functools.partial(send, worker) for worker in range(1, processes)]
-    received = run_forked(jobs, receive)
-    if received is None:
-        return {}
-    # Unpickled only once every worker has exited 0, so a payload is whole.
-    pooled, payloads = received
-    for payload in filter(None, payloads):
-        pooled.update(pickle.loads(payload))
-    return pooled
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,10 @@ extremes -- once per chunk of sentences with the same shape.
 
 A row's bits depend on nothing but its sentence, so the chunks may be
 computed in any process.  :func:`block_alongside` cuts them into runs of
-about equal cost, one per usable CPU, and forked workers
-(:mod:`~incongruity._workers`) compute all but the first while the running
-process computes the first and then builds the prior features.  A corpus
+about equal cost, one per usable CPU, and runs them as the shares of
+:func:`~incongruity._workers.run_shares`: forked workers compute all but
+the first and send their rows back pickled, while the running process
+computes the first and then builds the prior features.  A corpus
 whose chunks cost less than two ``_BLOCK_MIN_COST`` stays in one process,
 as do the grid's toy tables and the tests' toy corpora.  On score-long's
 inputs (2,000 sentences of 30-60 tokens, a 300-dim table) the kernel took
@@ -47,14 +48,11 @@ written to feature files or model files uses exactly these strings.
 from __future__ import annotations
 
 import enum
-import functools
-import io
-import itertools
-from typing import BinaryIO, Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from ._workers import read_into, run_forked, usable_cpus
+from ._workers import process_count, run_shares
 from .embeddings import EmbeddingTable
 from .errors import InputError
 from .text import CHUNK_BYTES, ContentIndex, TokenTable, content_index
@@ -211,15 +209,15 @@ _WIDTH = len(S_FEATURE_NAMES + WS_FEATURE_NAMES)
 
 def _shares(chunks: list[_Chunk], dimension: int) -> list[list[_Chunk]]:
     """``chunks`` cut into runs of about equal cost, one per process: one per
-    usable CPU (:func:`~incongruity._workers.usable_cpus`), but none under
-    ``_BLOCK_MIN_COST``.  A chunk goes to the run that its cost's midpoint
-    falls in, so a run may be empty."""
+    usable CPU, but none under ``_BLOCK_MIN_COST``
+    (:func:`~incongruity._workers.process_count`).  A chunk goes to the run
+    that its cost's midpoint falls in, so a run may be empty."""
     costs = np.array(
         [len(c.members) * _values_per_member(c.n, c.s, dimension) for c in chunks],
         dtype=np.int64,
     )
     total = int(costs.sum())
-    processes = max(1, min(usable_cpus(), total // _BLOCK_MIN_COST))
+    processes = process_count(total, _BLOCK_MIN_COST)
     owners = ((2 * np.cumsum(costs) - costs) * processes // max(2 * total, 1)).tolist()
     return [[c for c, owner in zip(chunks, owners) if owner == p] for p in range(processes)]
 
@@ -234,55 +232,37 @@ def block_alongside(
     """:func:`similarity_block` of ``tokens`` under ``table``, and the value of
     ``alongside()``, called once in this process.
 
-    The chunks are shared out by :func:`_shares`.  Forked workers
-    (:mod:`~incongruity._workers`) compute theirs while this process computes
-    the first share, then calls ``alongside``, then reads the workers' rows
-    into place.  If no pipe or process can be had, or a worker exits
-    otherwise than 0, this process computes the shares no worker sent, with
-    the one-process code.
+    The chunks are shared out by :func:`_shares`, and the shares computed by
+    :func:`~incongruity._workers.run_shares`: forked workers compute theirs
+    while this process computes the first, drops the index and calls
+    ``alongside``.  A share that this process computes after that, if no
+    worker sent it, builds the index again.
     """
     index = content_index(tokens, table)
-    block = np.zeros((len(tokens.sentences), _WIDTH))
     own, *theirs = _shares(_chunks(index, table.dimension), table.dimension)
-    theirs = [share for share in theirs if share]
+    shares = [own, *filter(None, theirs)]
     value: list[T] = []
 
-    def place(shares: list[list[_Chunk]]) -> None:
-        """Compute ``shares`` here, in order, then call ``alongside`` once.
-        The index is not kept while it runs: a worker holds its own copy."""
+    def compute(share: int) -> np.ndarray:
         nonlocal index
         if index is None:
             index = content_index(tokens, table)
-        for chunk in itertools.chain.from_iterable(shares):
-            block[chunk.members] = _chunk_rows(index, table, chunk)
-        index = None
-        if not value:
+        rows = np.concatenate(
+            [np.zeros((0, _WIDTH)), *(_chunk_rows(index, table, c) for c in shares[share])]
+        )
+        if share == 0:
+            # The index is not kept while ``alongside`` runs: a worker holds
+            # its own copy.
+            index = None
             value.append(alongside())
+        return rows
 
-    def send(share: list[_Chunk], out: BinaryIO) -> bool:
-        # Written once all are computed, so that a full pipe holds up no chunk.
-        rows = [np.zeros((0, _WIDTH)), *(_chunk_rows(index, table, c) for c in share)]
-        out.write(memoryview(np.concatenate(rows)).cast("B"))
-        return True
-
-    def receive(pipes: list[io.FileIO]) -> list[np.ndarray] | None:
-        place([own])
-        received = []
-        for pipe, share in zip(pipes, theirs):
-            rows = np.empty((len(_members(share)), _WIDTH))
-            if not read_into(pipe, rows):
-                return None
-            received.append(rows)
-        return received
-
-    jobs = [functools.partial(send, share) for share in theirs]
-    received = run_forked(jobs, receive) if jobs else None
-    if received is None:
-        # Every share in one process; otherwise the ones no worker sent.
-        place(theirs if value else [own, *theirs])
-    else:
-        for share, rows in zip(theirs, received):
-            block[_members(share)] = rows
+    computed = run_shares(compute, len(shares))
+    # Allocated only now, so that while ``alongside`` runs this process holds
+    # no more of the block than the first share's rows.
+    block = np.zeros((len(tokens.sentences), _WIDTH))
+    for share, rows in zip(shares, computed):
+        block[_members(share)] = rows
     return block, value[0]
 
 

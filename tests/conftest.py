@@ -203,3 +203,10 @@ def no_children():
     except ChildProcessError:
         return True
     return False
+
+
+@pytest.fixture(autouse=True)
+def leaves_no_child():
+    """Fails a test that leaves a child process, running or unreaped."""
+    yield
+    assert no_children(), "the test left a child process behind"

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import no_children
 from incongruity import embeddings
+from incongruity._workers import process_count
 from incongruity.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -582,17 +583,18 @@ class TestRangeGate:
     def test_no_range_is_under_the_minimum(self, monkeypatch):
         minimum = embeddings._RANGE_MIN_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert embeddings._range_count(2 * minimum - 1) == 1
-        assert embeddings._range_count(2 * minimum) == 2
-        assert embeddings._range_count(5 * minimum + minimum // 2) == 5
-        assert embeddings._range_count(100 * minimum) == 64
+        assert process_count(2 * minimum - 1, minimum) == 1
+        assert process_count(2 * minimum, minimum) == 2
+        assert process_count(5 * minimum + minimum // 2, minimum) == 5
+        assert process_count(100 * minimum, minimum) == 64
 
     @_linux_only
     def test_one_range_per_usable_cpu(self, monkeypatch):
+        minimum = embeddings._RANGE_MIN_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert embeddings._range_count(10 * embeddings._RANGE_MIN_BYTES) == 3
+        assert process_count(10 * minimum, minimum) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
-        assert embeddings._range_count(10 * embeddings._RANGE_MIN_BYTES) == 1
+        assert process_count(10 * minimum, minimum) == 1
 
     def test_another_thread_parses_in_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -600,7 +602,8 @@ class TestRangeGate:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert embeddings._range_count(10 * embeddings._RANGE_MIN_BYTES) == 1
+            minimum = embeddings._RANGE_MIN_BYTES
+            assert process_count(10 * minimum, minimum) == 1
         finally:
             release.set()
             thread.join()

@@ -21,7 +21,7 @@ from conftest import (
     oracle_chunk,
     random_table,
 )
-from incongruity import classify, harness
+from incongruity import _workers, classify, harness
 from incongruity.classify import LinearModel, TrainConfig
 from incongruity.embeddings import EmbeddingTable, intersect_vocabularies
 from incongruity.features import (
@@ -1011,8 +1011,8 @@ class TestFoldPool:
             records.append((len(jobs), result is not None))
             return result
 
-        run_forked = harness.run_forked
-        monkeypatch.setattr(harness, "run_forked", spy)
+        run_forked = _workers.run_forked
+        monkeypatch.setattr(_workers, "run_forked", spy)
         return records
 
     @staticmethod
@@ -1125,8 +1125,8 @@ class TestFoldPool:
         train_cells = harness.train
         monkeypatch.setattr(harness, "train", crashing)
         assert matrix_bytes(self.grid(resources, 3, 2, monkeypatch)) == alone
-        # Every fold is computed again in this process.
-        assert trained == [0, 2, 0, 1, 2]
+        # This process's own folds, then the worker's, once each.
+        assert trained == [0, 2, 1]
         assert pools == [(1, False)]
         assert no_children()
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import no_children, random_table
-from incongruity import similarity, text
+from incongruity import _workers, similarity, text
 from incongruity.embeddings import EmbeddingTable
 from incongruity.features import ExperimentConfig, FeatureRegistry
 from incongruity.harness import Resources, extract_features
@@ -359,8 +359,8 @@ class TestBlockPool:
             records.append((len(jobs), result is not None))
             return result
 
-        run_forked = similarity.run_forked
-        monkeypatch.setattr(similarity, "run_forked", spy)
+        run_forked = _workers.run_forked
+        monkeypatch.setattr(_workers, "run_forked", spy)
         monkeypatch.setattr(similarity, "_BLOCK_MIN_COST", 1)
         return records
 
