@@ -68,23 +68,6 @@ from .features import FeatureRegistry, FeatureVector
 _SCALE_FLOOR = 1e-9
 
 
-class DegenerateTrainingError(InputError):
-    """Training data does not contain both classes."""
-
-
-class TrainingError(InputError, RuntimeError):
-    """Optimization produced a non-finite scale, weight, margin or score: the
-    user's features or hyperparameters overflow."""
-
-
-class TrainConfigError(InputError):
-    """A training hyperparameter is not finite, positive or whole."""
-
-
-class ModelFormatError(InputError):
-    """A model file violates the versioned text format."""
-
-
 def _segment_sums(segments: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
     """Sum ``terms`` per segment id in ``range(count)``.
 
@@ -126,15 +109,11 @@ class TrainConfig:
         for name in ("c", "w", "eta0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise TrainConfigError(
-                    f"{name} must be finite and positive, got {value!r}"
-                )
+                raise InputError(f"{name} must be finite and positive, got {value!r}")
         for name, least in (("epochs", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
-                raise TrainConfigError(
-                    f"{name} must be an integer of at least {least}, got {value!r}"
-                )
+                raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass
@@ -189,9 +168,8 @@ def train(
     """Train a linear model on (feature vector, label in {0, 1}) pairs.
 
     Raises :class:`InputError` naming the row of a label that is not 0 or
-    1, :class:`DegenerateTrainingError` unless both classes are present,
-    and :class:`TrainingError` naming the epoch if the scale, the weights,
-    a margin or a training score stops being finite.  Two calls with
+    1, unless both classes are present, and naming the epoch if the scale,
+    the weights, a margin or a training score stops being finite.  Two calls with
     identical data and seed produce bit-identical weights.
     """
     n = len(instances)
@@ -200,7 +178,7 @@ def train(
             raise InputError(f"row {row}: label {label!r} is not 0 or 1")
     labels = np.array([int(label) for _, label in instances])
     if not ((labels == 1).any() and (labels == 0).any()):
-        raise DegenerateTrainingError("training data must contain both classes")
+        raise InputError("training data must contain both classes")
 
     dimension = 0
     prepared = []
@@ -246,7 +224,7 @@ def train(
                 dot = _row_sum(v[ids] * values)
                 margin = y * scale * dot
                 if not math.isfinite(margin):
-                    raise TrainingError(f"non-finite margin in epoch {epoch}")
+                    raise InputError(f"non-finite margin in epoch {epoch}")
                 scale *= 1.0 - eta * lam
                 # Kept before a fold, which forgets it with every other dot.
                 if margin >= 1.0:
@@ -272,15 +250,13 @@ def train(
                     math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))
                 )
             ):
-                raise TrainingError(f"non-finite weights after epoch {epoch}")
+                raise InputError(f"non-finite weights after epoch {epoch}")
 
         # Materialize the weights in place: v becomes scale * v.
         v *= scale
         scores = np.array([_row_sum(v[ids] * values) for ids, values, _, _ in prepared])
     if not np.all(np.isfinite(scores)):
-        raise TrainingError(
-            f"non-finite training scores after epoch {config.epochs - 1}"
-        )
+        raise InputError(f"non-finite training scores after epoch {config.epochs - 1}")
     threshold, _ = tune_threshold(scores, labels)
     return LinearModel(weights=v, bias=0.0, threshold=threshold)
 
@@ -474,15 +450,14 @@ def train_cells(
     depend on the other cells: they equal a run on that cell alone, bit for
     bit, and equal :func:`train` on that cell's rows.
 
-    Raises :class:`DegenerateTrainingError` unless both classes are
-    present, and :class:`TrainingError` naming the cell (from ``names``) and
-    the epoch if a margin, the weights, the scale or a training score stops
-    being finite.
+    Raises :class:`InputError` unless both classes are present, and naming
+    the cell (from ``names``) and the epoch if a margin, the weights, the
+    scale or a training score stops being finite.
     """
     labels = np.asarray(rows.labels)
     n = len(labels)
     if not ((labels == 1).any() and (labels == 0).any()):
-        raise DegenerateTrainingError("training data must contain both classes")
+        raise InputError("training data must contain both classes")
     count = len(rows.offsets) - 1
     offsets = rows.offsets
     positive = labels == 1
@@ -513,9 +488,7 @@ def train_cells(
                     finite = np.isfinite(margins)
                     if not finite.all():
                         cell = names[int(np.argmin(finite))]
-                        raise TrainingError(
-                            f"non-finite margin for cell {cell!r} in epoch {epoch}"
-                        )
+                        raise InputError(f"non-finite margin for cell {cell!r} in epoch {epoch}")
                 scale *= 1.0 - eta * lam
                 # Fold the scale into v before dividing by it: a decay
                 # factor of exactly 0 (eta0 * lam == 1) zeroes the scale.
@@ -531,23 +504,21 @@ def train_cells(
                     np.add.at(v, ids[update], coefficient * values[update])
                 step += 1
             if not math.isfinite(scale):
-                raise TrainingError(
+                raise InputError(
                     f"non-finite scale for cells {', '.join(names)} after epoch {epoch}"
                 )
             finite = np.isfinite(v)
             if not finite.all():
                 position = int(np.argmin(finite))
                 cell = names[int(np.searchsorted(offsets, position, side="right")) - 1]
-                raise TrainingError(
-                    f"non-finite weights for cell {cell!r} after epoch {epoch}"
-                )
+                raise InputError(f"non-finite weights for cell {cell!r} after epoch {epoch}")
 
         # Materialize the weights in place: v becomes scale * v.
         v *= scale
         scores = cell_scores(rows, v)
     finite = np.isfinite(scores).all(axis=0)
     if not finite.all():
-        raise TrainingError(
+        raise InputError(
             f"non-finite training scores for cell {names[int(np.argmin(finite))]!r} "
             f"after epoch {config.epochs - 1}"
         )
@@ -589,39 +560,35 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
 
     The file is read by :func:`~incongruity.errors.read_lines`.  A file that
     breaks the format, a line after the declared weights included, raises
-    :class:`ModelFormatError` naming the file and the line.
+    :class:`InputError` naming the file and the line.
     """
-    lines = [line for _, line in read_lines(path, ModelFormatError)]
+    lines = [line for _, line in read_lines(path)]
     header = lines[0] if lines else ""
     if header != f"{_MODEL_MAGIC} v{_MODEL_VERSION}":
-        raise ModelFormatError(f"{path}: line 1: unsupported model header {header!r}")
+        raise InputError(f"{path}: line 1: unsupported model header {header!r}")
     dimension = _count(path, lines, 2, "dim")
     bias = _finite(path, 3, _expect(path, lines, 3, "bias"))
     threshold = _finite(path, 4, _expect(path, lines, 4, "threshold"))
     name_count = _count(path, lines, 5, "names")
     if dimension > name_count:
-        raise ModelFormatError(
-            f"{path}: line 2: dim {dimension} exceeds {name_count} names"
-        )
+        raise InputError(f"{path}: line 2: dim {dimension} exceeds {name_count} names")
     names = lines[5 : 5 + name_count]
     if len(names) != name_count:
-        raise ModelFormatError(
-            f"{path}: line 5: declares {name_count} names, file has {len(names)}"
-        )
+        raise InputError(f"{path}: line 5: declares {name_count} names, file has {len(names)}")
     registry = FeatureRegistry()
     registry.intern_all(names)
     if len(registry) < name_count:
         seen: set[str] = set()
         for lineno, name in enumerate(names, start=6):
             if name in seen:
-                raise ModelFormatError(f"{path}: line {lineno}: name {name!r} listed twice")
+                raise InputError(f"{path}: line {lineno}: name {name!r} listed twice")
             seen.add(name)
     # Line numbers from here on count from 1, as in the messages.
     weight_header = 6 + name_count
     weight_count = _count(path, lines, weight_header, "weights")
     weight_lines = lines[weight_header : weight_header + weight_count]
     if len(weight_lines) != weight_count:
-        raise ModelFormatError(
+        raise InputError(
             f"{path}: line {weight_header}: declares {weight_count} "
             f"weights, file has {len(weight_lines)}"
         )
@@ -632,23 +599,21 @@ def load_model(path: str | Path) -> tuple[LinearModel, FeatureRegistry]:
         try:
             fid, value = int(fid_text), float(value_text)
         except ValueError:
-            raise ModelFormatError(
+            raise InputError(
                 f"{path}: line {lineno}: expected '<id> <weight>', found {line!r}"
             ) from None
         if not 0 <= fid < dimension:
-            raise ModelFormatError(
-                f"{path}: line {lineno}: weight id {fid} outside [0, {dimension})"
-            )
+            raise InputError(f"{path}: line {lineno}: weight id {fid} outside [0, {dimension})")
         if fid in seen:
-            raise ModelFormatError(f"{path}: line {lineno}: weight id {fid} listed twice")
+            raise InputError(f"{path}: line {lineno}: weight id {fid} listed twice")
         if not math.isfinite(value):
-            raise ModelFormatError(f"{path}: line {lineno}: non-finite value {value_text!r}")
+            raise InputError(f"{path}: line {lineno}: non-finite value {value_text!r}")
         seen.add(fid)
         weights[fid] = value
     # Two model files joined with ``cat`` must not load as the first one.
     end = weight_header + weight_count
     if len(lines) > end:
-        raise ModelFormatError(
+        raise InputError(
             f"{path}: line {end + 1}: expected the end of the file after "
             f"{weight_count} weights, found {lines[end]!r}"
         )
@@ -660,9 +625,9 @@ def _finite(path: str | Path, lineno: int, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ModelFormatError(f"{path}: line {lineno}: not a number {text!r}") from None
+        raise InputError(f"{path}: line {lineno}: not a number {text!r}") from None
     if not math.isfinite(value):
-        raise ModelFormatError(f"{path}: line {lineno}: non-finite value {text!r}")
+        raise InputError(f"{path}: line {lineno}: non-finite value {text!r}")
     return value
 
 
@@ -670,9 +635,7 @@ def _count(path: str | Path, lines: Sequence[str], lineno: int, key: str) -> int
     """The whole number on line ``lineno`` (from 1), a ``key`` line."""
     text = _expect(path, lines, lineno, key)
     if not (text.isascii() and text.isdigit()):
-        raise ModelFormatError(
-            f"{path}: line {lineno}: {key} must be a whole number, found {text!r}"
-        )
+        raise InputError(f"{path}: line {lineno}: {key} must be a whole number, found {text!r}")
     return int(text)
 
 
@@ -681,7 +644,5 @@ def _expect(path: str | Path, lines: Sequence[str], lineno: int, key: str) -> st
     line = lines[lineno - 1] if lineno <= len(lines) else None
     if line is None or not line.startswith(key + " "):
         found = "the end of the file" if line is None else repr(line)
-        raise ModelFormatError(
-            f"{path}: line {lineno}: expected '{key} ...' line, found {found}"
-        )
+        raise InputError(f"{path}: line {lineno}: expected '{key} ...' line, found {found}")
     return line[len(key) + 1 :]

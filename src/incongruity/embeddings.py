@@ -58,14 +58,6 @@ from .errors import InputError, read_lines
 FORMATS = ("binary_w2v", "text_vectors")
 
 
-class EmbeddingFormatError(InputError):
-    """An embedding file violates its declared format."""
-
-
-class EmptyIntersectionError(InputError):
-    """Vocabulary intersection across tables produced no common words."""
-
-
 def _nfc(word: str) -> str:
     return unicodedata.normalize("NFC", word)
 
@@ -150,7 +142,7 @@ def load_embeddings(path: str | Path, fmt: str, name: str | None = None) -> Embe
     ``fmt`` must be one of ``"binary_w2v"`` or ``"text_vectors"``.  The
     table name defaults to the file stem.  Vocabulary order matches file
     order; duplicate words and malformed rows raise
-    :class:`EmbeddingFormatError` naming the offending word or line.
+    :class:`InputError` naming the offending word or line.
     """
     path = Path(path)
     if fmt not in FORMATS:
@@ -168,20 +160,18 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as handle:
         line = handle.readline()
         if not line.endswith(b"\n"):
-            raise EmbeddingFormatError(f"{path}: missing header line")
+            raise InputError(f"{path}: missing header line")
         header = line.split()
         if len(header) != 2 or not all(f.isdigit() for f in header):
-            raise EmbeddingFormatError(
-                f"{path}: malformed header {line[:-1]!r}; expected '<count> <dim>'"
-            )
+            raise InputError(f"{path}: malformed header {line[:-1]!r}; expected '<count> <dim>'")
         count, dim = int(header[0]), int(header[1])
         if count <= 0 or dim <= 0:
-            raise EmbeddingFormatError(f"{path}: non-positive count or dimension in header")
+            raise InputError(f"{path}: non-positive count or dimension in header")
         # A record is at least a space and dim floats; check before allocating.
         # Only a regular file has a size: a pipe ends where it ends, and a
         # short one fails as a truncated record.
         if stat.S_ISREG(info.st_mode) and count * (4 * dim + 1) > info.st_size - len(line):
-            raise EmbeddingFormatError(
+            raise InputError(
                 f"{path}: header declares {count} records of dimension {dim}, "
                 f"more than the file's {info.st_size} bytes can hold"
             )
@@ -190,7 +180,7 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
             # Untouched pages cost nothing: a short pipe fails as truncated.
             matrix = np.empty((count, dim), dtype="<f4")
         except (MemoryError, ValueError):
-            raise EmbeddingFormatError(
+            raise InputError(
                 f"{path}: header declares {count} records of dimension {dim}, "
                 "more than memory can hold"
             ) from None
@@ -199,19 +189,15 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
         for record in range(count):
             raw = _read_word(handle)
             if raw is None:
-                raise EmbeddingFormatError(f"{path}: record {record}: unterminated word")
+                raise InputError(f"{path}: record {record}: unterminated word")
             try:
                 word = _nfc(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}: record {record}: word is not valid UTF-8"
-                ) from exc
+                raise InputError(f"{path}: record {record}: word is not valid UTF-8") from exc
             if handle.readinto(matrix[record]) != 4 * dim:
-                raise EmbeddingFormatError(
-                    f"{path}: record {record} ({word!r}): truncated vector"
-                )
+                raise InputError(f"{path}: record {record} ({word!r}): truncated vector")
             if not np.isfinite(matrix[record]).all():
-                raise EmbeddingFormatError(
+                raise InputError(
                     f"{path}: record {record} ({word!r}): non-finite vector component"
                 )
             # Tolerate both record layouts: floats directly followed by the
@@ -219,11 +205,11 @@ def _load_binary_w2v(path: Path) -> tuple[list[str], np.ndarray]:
             if handle.peek(1)[:1] == b"\n":
                 handle.read(1)
             if word in seen:
-                raise EmbeddingFormatError(f"{path}: duplicate word {word!r}")
+                raise InputError(f"{path}: duplicate word {word!r}")
             seen.add(word)
             vocab.append(word)
         if handle.read(1):
-            raise EmbeddingFormatError(f"{path}: trailing data after final record")
+            raise InputError(f"{path}: trailing data after final record")
     return vocab, matrix.astype(np.float32, copy=False)
 
 
@@ -253,33 +239,29 @@ def _text_header(path: Path, lineno: int, parts: list[str]) -> tuple[int, int] |
     if len(fields) != 2 or not all(f.isdigit() for f in fields):
         return None
     if not all(f.isascii() for f in fields):
-        raise EmbeddingFormatError(
+        raise InputError(
             f"{path}: line {lineno}: malformed header {' '.join(fields)!r}; "
             "expected '<count> <dim>' in ASCII digits"
         )
     count, dim = int(fields[0]), int(fields[1])
     if count <= 0 or dim <= 0:
-        raise EmbeddingFormatError(
-            f"{path}: line {lineno}: non-positive count or dimension in header"
-        )
+        raise InputError(f"{path}: line {lineno}: non-positive count or dimension in header")
     return count, dim
 
 
-def _bad_row(path: Path, lineno: int, text: str, dim: int | None) -> EmbeddingFormatError | None:
+def _bad_row(path: Path, lineno: int, text: str, dim: int | None) -> InputError | None:
     """Check one row's component text alone; ``dim`` is None before the first row."""
     found = len(text.split())
     if dim is None and found == 0:
-        return EmbeddingFormatError(f"{path}: line {lineno}: no vector components")
+        return InputError(f"{path}: line {lineno}: no vector components")
     if found != dim:
-        return EmbeddingFormatError(
-            f"{path}: line {lineno}: expected {dim} components, found {found}"
-        )
+        return InputError(f"{path}: line {lineno}: expected {dim} components, found {found}")
     try:
         row = _parse_components([text])
     except ValueError:
-        return EmbeddingFormatError(f"{path}: line {lineno}: non-numeric vector component")
+        return InputError(f"{path}: line {lineno}: non-numeric vector component")
     if not np.isfinite(row).all():
-        return EmbeddingFormatError(f"{path}: line {lineno}: non-finite vector component")
+        return InputError(f"{path}: line {lineno}: non-finite vector component")
     return None
 
 
@@ -324,7 +306,7 @@ class _TextRows:
     def read(self, lines: Iterable[tuple[int, str]], part_values: int) -> Iterator[np.ndarray]:
         """Yield the rows' matrix in parts of about ``part_values`` components
         each; nothing if there is no row.  A bad row raises
-        :class:`EmbeddingFormatError` naming its line, found in its part."""
+        :class:`InputError` naming its line, found in its part."""
         rows = self._components(lines)
         first = next(rows, None)
         if self.header is not None:
@@ -348,13 +330,13 @@ class _TextRows:
                         raise error from None
                 raise
             if matrix.shape[1] != self.dim:
-                raise EmbeddingFormatError(
+                raise InputError(
                     f"{self.path}: line {self.linenos[done]}: expected {self.dim} "
                     f"components, found {matrix.shape[1]}"
                 )
             finite = np.isfinite(matrix).all(axis=1)
             if not finite.all():
-                raise EmbeddingFormatError(
+                raise InputError(
                     f"{self.path}: line {self.linenos[done + int(np.argmin(finite))]}: "
                     "non-finite vector component"
                 )
@@ -375,16 +357,16 @@ def _load_text_vectors(path: Path) -> tuple[list[str], np.ndarray]:
 
 def _load_text_in_process(path: Path) -> tuple[list[str], np.ndarray]:
     rows = _TextRows(path)
-    matrix = _stacked(rows.read(read_lines(path, EmbeddingFormatError), _PART_VALUES))
+    matrix = _stacked(rows.read(read_lines(path), _PART_VALUES))
     if rows.stop is not None:
         lineno, text, word = rows.stop
-        raise _bad_row(path, lineno, text, rows.dim) or EmbeddingFormatError(
+        raise _bad_row(path, lineno, text, rows.dim) or InputError(
             f"{path}: duplicate word {word!r} (line {lineno})"
         )
     if matrix is None:
-        raise EmbeddingFormatError(f"{path}: no vector rows")
+        raise InputError(f"{path}: no vector rows")
     if rows.header is not None and rows.header[0] != len(rows.vocab):
-        raise EmbeddingFormatError(
+        raise InputError(
             f"{path}: header declares {rows.header[0]} words but file has {len(rows.vocab)}"
         )
     return rows.vocab, matrix
@@ -462,11 +444,11 @@ def _range_worker(path: Path, start: int, stop: int, out: BinaryIO) -> bool:
     # so that the parent can place the rows before they are parsed.
     count = sum(
         1
-        for _, line in read_lines(path, EmbeddingFormatError, start, stop)
+        for _, line in read_lines(path, start, stop)
         if line and not line.isspace()
     )
     rows = _TextRows(path, header_allowed=start == 0)
-    parts = rows.read(read_lines(path, EmbeddingFormatError, start, stop), _PART_VALUES)
+    parts = rows.read(read_lines(path, start, stop), _PART_VALUES)
     first = next(parts, None)  # decides the header and the dimension
     count -= rows.header is not None
     header = -1 if rows.header is None else rows.header[0]
@@ -540,12 +522,12 @@ def save_text_vectors(table: EmbeddingTable, path: str | Path) -> None:
     Components use the shortest decimal representation that round-trips
     to the identical float32, so load(save(T)) reproduces T's vectors
     bit-for-bit.  A word that is empty or holds whitespace raises
-    :class:`EmbeddingFormatError` naming the word, since the reader could
-    not give it back.
+    :class:`InputError` naming the word, since the reader could not give it
+    back.
     """
     for word in table.vocab:
         if word.split() != [word]:
-            raise EmbeddingFormatError(
+            raise InputError(
                 f"word {word!r}: an empty word or one holding whitespace "
                 "cannot be written as a text-vector line"
             )
@@ -560,8 +542,8 @@ def intersect_vocabularies(tables: Sequence[EmbeddingTable]) -> list[EmbeddingTa
     """Restrict each table to the words present in every table.
 
     Each returned table keeps its own original word order, and kept rows
-    are copied bit-for-bit.  Raises :class:`EmptyIntersectionError` when
-    no word is shared by all tables.
+    are copied bit-for-bit.  Raises :class:`InputError` when no word is
+    shared by all tables.
     """
     if not tables:
         raise ValueError("need at least one table to intersect")
@@ -572,7 +554,7 @@ def intersect_vocabularies(tables: Sequence[EmbeddingTable]) -> list[EmbeddingTa
         common &= set(table.vocab)
     if not common:
         names = ", ".join(t.name for t in tables)
-        raise EmptyIntersectionError(f"no common vocabulary across tables: {names}")
+        raise InputError(f"no common vocabulary across tables: {names}")
     result = []
     for table in tables:
         keep = [i for i, word in enumerate(table.vocab) if word in common]

@@ -14,15 +14,15 @@ class InputError(ValueError):
 
 
 def read_lines(
-    path: str | Path, error: type[InputError], start: int = 0, stop: int | None = None
+    path: str | Path, start: int = 0, stop: int | None = None
 ) -> Iterator[tuple[int, str]]:
     """Yield ``(number, line)`` for each line of a text file, counted from 1.
 
     The one rule for every text input: the file is UTF-8, one leading
     byte-order mark is dropped, and a line ends at ``\\n`` with one ``\\r``
     before it dropped, so a CRLF file reads as its LF copy.  A byte that is
-    not UTF-8 raises ``error`` as ``<path>: line N: not valid UTF-8``,
-    chained to the ``UnicodeDecodeError``.
+    not UTF-8 raises :class:`InputError` as ``<path>: line N: not valid
+    UTF-8``, chained to the ``UnicodeDecodeError``.
 
     ``start`` and ``stop`` read a byte range: the lines that begin at an
     offset in ``[start, stop)``, numbered from 1 at the first.  ``start``
@@ -48,7 +48,7 @@ def read_lines(
                 yield lineno, line.removesuffix("\n").removesuffix("\r")
         except UnicodeDecodeError as exc:
             # The decode failed before enumerate counted its line.
-            raise error(f"{path}: line {lineno + 1}: not valid UTF-8") from exc
+            raise InputError(f"{path}: line {lineno + 1}: not valid UTF-8") from exc
 
 
 def _lines_within(raws: Iterable[bytes], size: int) -> Iterator[bytes]:

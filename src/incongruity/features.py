@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import compress, repeat
 from pathlib import Path
@@ -57,14 +58,6 @@ LEXICON_TAGS = frozenset(
 )
 
 
-class ConfigurationError(InputError):
-    """A feature configuration references unknown resources or ids."""
-
-
-class LexiconFormatError(InputError):
-    """A lexicon file line violates the '<entry>\\t<tag>[,<tag>...]' format."""
-
-
 @dataclass(frozen=True)
 class Lexicon:
     """Tagged word / phrase list.  Entries are stored lowercased."""
@@ -89,41 +82,34 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     Each non-comment line is ``<word-or-phrase>\\t<tag>[,<tag>...]``;
     phrases may contain spaces.  Unknown tags raise
-    :class:`LexiconFormatError` naming the line.  Repeated entries merge
+    :class:`InputError` naming the line.  Repeated entries merge
     their tag sets, so entry keys are unique in the result.
     """
     entries: dict[str, set[str]] = {}
-    for lineno, line in read_lines(path, LexiconFormatError):
+    for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split("\t")
         if len(parts) != 2:
-            raise LexiconFormatError(f"{path}: line {lineno}: expected '<entry>\\t<tags>'")
+            raise InputError(f"{path}: line {lineno}: expected '<entry>\\t<tags>'")
         entry = unicodedata.normalize("NFC", parts[0].strip()).lower()
         tags = {t.strip() for t in parts[1].split(",") if t.strip()}
         if not entry or not tags:
-            raise LexiconFormatError(f"{path}: line {lineno}: empty entry or tag list")
+            raise InputError(f"{path}: line {lineno}: empty entry or tag list")
         unknown = tags - LEXICON_TAGS
         if unknown:
-            raise LexiconFormatError(
-                f"{path}: line {lineno}: unknown tag(s) {sorted(unknown)}"
-            )
+            raise InputError(f"{path}: line {lineno}: unknown tag(s) {sorted(unknown)}")
         entries.setdefault(entry, set()).update(tags)
     return Lexicon({entry: frozenset(tags) for entry, tags in entries.items()})
 
 
-_DEFAULT_LEXICON: Lexicon | None = None
-
-
+@cache
 def default_lexicon() -> Lexicon:
     """The small open lexicon shipped with the package."""
-    global _DEFAULT_LEXICON
-    if _DEFAULT_LEXICON is None:
-        ref = resources.files("incongruity.data").joinpath("sentiment_lexicon.tsv")
-        with resources.as_file(ref) as path:
-            _DEFAULT_LEXICON = load_lexicon(path)
-    return _DEFAULT_LEXICON
+    ref = resources.files("incongruity.data").joinpath("sentiment_lexicon.tsv")
+    with resources.as_file(ref) as path:
+        return load_lexicon(path)
 
 
 class FeatureRegistry:
@@ -499,11 +485,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.prior_set not in PRIOR_SETS:
-            raise ConfigurationError(
-                f"unknown prior set {self.prior_set!r}; expected one of {PRIOR_SETS}"
-            )
+            raise InputError(f"unknown prior set {self.prior_set!r}; expected one of {PRIOR_SETS}")
         if self.augmentation is not Augmentation.NONE and not self.embedding:
-            raise ConfigurationError(_NO_TABLE)
+            raise InputError(_NO_TABLE)
 
     @property
     def label(self) -> str:
@@ -520,8 +504,7 @@ class ExperimentConfig:
         A config that names no table takes ``embedding``.  Given the names
         of the ``tables`` at hand, an augmented config that names none takes
         the one table when there is one, and a table, named by any config,
-        that is not among them raises :class:`ConfigurationError` listing
-        them.
+        that is not among them raises :class:`InputError` listing them.
         """
         spec, _, named = text.partition(":")
         prior, _, aug = spec.partition("+")
@@ -533,17 +516,15 @@ class ExperimentConfig:
                 name = tables[0]
             if (augmented or name) and name not in tables:
                 wanted = f"unknown embedding id {name!r}" if name else _NO_TABLE
-                raise ConfigurationError(f"{wanted}; available: {sorted(tables)}")
+                raise InputError(f"{wanted}; available: {sorted(tables)}")
         return cls(prior.strip(), augmentation, name)
 
 
 def embedding_table(tables: Mapping[str, EmbeddingTable], name: str) -> EmbeddingTable:
-    """``tables[name]``; an unknown name raises :class:`ConfigurationError`."""
+    """``tables[name]``; an unknown name raises :class:`InputError`."""
     table = tables.get(name)
     if table is None:
-        raise ConfigurationError(
-            f"unknown embedding id {name!r}; available: {sorted(tables)}"
-        )
+        raise InputError(f"unknown embedding id {name!r}; available: {sorted(tables)}")
     return table
 
 

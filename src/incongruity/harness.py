@@ -89,14 +89,6 @@ SARCASTIC = 1
 NON_SARCASTIC = 0
 
 
-class DatasetParseError(InputError):
-    """A corpus file line violates the dataset contract."""
-
-
-class SplitError(InputError):
-    """The corpus cannot be split as requested."""
-
-
 class IncompleteMatrixError(ValueError):
     """Gain computation found a missing grid cell."""
 
@@ -129,14 +121,13 @@ def load_dataset(path: str | Path) -> list[LabeledInstance]:
     character is ``{`` is read as JSONL, any other as TSV.  Bad labels, ids
     of another type, empty or holding a tab or line break (which
     :func:`save_dataset_tsv` could not write back), duplicate ids, and
-    empty or non-string text raise :class:`DatasetParseError` naming the
-    line.
+    empty or non-string text raise :class:`InputError` naming the line.
     """
     path = Path(path)
     tsv: bool | None = None
     instances: list[LabeledInstance] = []
     seen: set[str] = set()
-    for lineno, line in read_lines(path, DatasetParseError):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         if tsv is None:
@@ -144,12 +135,10 @@ def load_dataset(path: str | Path) -> list[LabeledInstance]:
         if tsv:
             parts = line.split("\t", 2)
             if len(parts) != 3:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: expected '<id>\\t<label>\\t<text>'"
-                )
+                raise InputError(f"{path}: line {lineno}: expected '<id>\\t<label>\\t<text>'")
             instance_id, label_text, text = parts
             if label_text not in ("0", "1"):
-                raise DatasetParseError(
+                raise InputError(
                     f"{path}: line {lineno}: label must be 0 or 1, got {label_text!r}"
                 )
             label = int(label_text)
@@ -157,48 +146,40 @@ def load_dataset(path: str | Path) -> list[LabeledInstance]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: invalid JSON"
-                ) from exc
+                raise InputError(f"{path}: line {lineno}: invalid JSON") from exc
             try:
                 instance_id = record["id"]
                 label = record["label"]
                 text = record["text"]
             except (KeyError, TypeError) as exc:
-                raise DatasetParseError(
+                raise InputError(
                     f"{path}: line {lineno}: need 'id', 'label', 'text' keys"
                 ) from exc
             # bool is an int subclass, and 1.0 == 1: both would come back
             # as a label or id other than the one written.
             if isinstance(instance_id, bool) or not isinstance(instance_id, (str, int)):
-                raise DatasetParseError(
+                raise InputError(
                     f"{path}: line {lineno}: id must be a string or an integer, "
                     f"got {instance_id!r}"
                 )
             instance_id = str(instance_id)
             if type(label) is not int or label not in (0, 1):
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {label!r}"
-                )
+                raise InputError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")
             if not isinstance(text, str):
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: text must be a string, got {text!r}"
-                )
+                raise InputError(f"{path}: line {lineno}: text must be a string, got {text!r}")
         if not instance_id or "\t" in instance_id or "\n" in instance_id or "\r" in instance_id:
-            raise DatasetParseError(
+            raise InputError(
                 f"{path}: line {lineno}: id {instance_id!r} is empty or holds "
                 "a tab or line break"
             )
         if instance_id in seen:
-            raise DatasetParseError(
-                f"{path}: line {lineno}: duplicate id {instance_id!r}"
-            )
+            raise InputError(f"{path}: line {lineno}: duplicate id {instance_id!r}")
         if not text.strip():
-            raise DatasetParseError(f"{path}: line {lineno}: empty text")
+            raise InputError(f"{path}: line {lineno}: empty text")
         seen.add(instance_id)
         instances.append(LabeledInstance(instance_id, text, label))
     if not instances:
-        raise DatasetParseError(f"{path}: no instances")
+        raise InputError(f"{path}: no instances")
     return instances
 
 
@@ -226,11 +207,11 @@ def stratified_kfold(
 
     Returns k (train_indices, test_indices) pairs.  Each class is
     shuffled with the seed and dealt round-robin, so per-fold class
-    counts differ by at most one.  Raises :class:`SplitError` when any
+    counts differ by at most one.  Raises :class:`InputError` when any
     class has fewer than k members.
     """
     if k < 2:
-        raise SplitError("need at least 2 folds")
+        raise InputError("need at least 2 folds")
     rng = np.random.default_rng(seed)
     test_folds: list[list[int]] = [[] for _ in range(k)]
     for label in (NON_SARCASTIC, SARCASTIC):
@@ -238,7 +219,7 @@ def stratified_kfold(
             i for i, inst in enumerate(instances) if inst.label == label
         ]
         if len(class_indices) < k:
-            raise SplitError(
+            raise InputError(
                 f"class {label} has {len(class_indices)} instances; "
                 f"need at least {k} for {k}-fold splits"
             )

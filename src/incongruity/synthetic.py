@@ -111,10 +111,6 @@ def toy_embedding_tables(seed: int = 0) -> dict[str, EmbeddingTable]:
     return tables
 
 
-class SyntheticConfigError(InputError):
-    """A synthetic-corpus parameter is out of range."""
-
-
 def _sarcastic_slots(rng: random.Random) -> list[str]:
     family = rng.randrange(len(FAMILIES))
     clusters = FAMILIES[family]
@@ -141,16 +137,16 @@ def generate_corpus(
 ) -> list[LabeledInstance]:
     """Generate ``n`` labeled instances; ``skew`` is the sarcastic fraction.
     An out-of-range or NaN value, or an ``n`` and ``skew`` that leave one
-    class empty, raise :class:`SyntheticConfigError`."""
+    class empty, raise :class:`InputError`."""
     if n < 1:
-        raise SyntheticConfigError(f"n must be at least 1, got {n!r}")
+        raise InputError(f"n must be at least 1, got {n!r}")
     if not 0.0 < skew < 1.0:
-        raise SyntheticConfigError(f"skew must be strictly between 0 and 1, got {skew!r}")
+        raise InputError(f"skew must be strictly between 0 and 1, got {skew!r}")
     if not 0.0 <= separability <= 1.0:
-        raise SyntheticConfigError(f"separability must lie in [0, 1], got {separability!r}")
+        raise InputError(f"separability must lie in [0, 1], got {separability!r}")
     n_sarcastic = round(n * skew)
     if n_sarcastic in (0, n):
-        raise SyntheticConfigError(
+        raise InputError(
             f"n={n!r} and skew={skew!r} give {n_sarcastic} sarcastic and "
             f"{n - n_sarcastic} plain instances; both classes need at least one"
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -29,14 +30,6 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import InputError, read_lines
-
-
-class EmptySentenceError(InputError):
-    """Raised when asked to tokenize input with no tokens."""
-
-
-class StopwordFormatError(InputError):
-    """A stopword file is not valid UTF-8, or an entry holds whitespace."""
 
 
 def _is_punct_char(ch: str) -> bool:
@@ -60,7 +53,7 @@ class TokenizedSentence:
 def tokenize(text: str) -> TokenizedSentence:
     """Split ``text`` into word and punctuation tokens.
 
-    Raises :class:`EmptySentenceError` for empty or whitespace-only input.
+    Raises :class:`InputError` for empty or whitespace-only input.
     Text is NFC-normalized before splitting.
     """
     normalized = unicodedata.normalize("NFC", text)
@@ -86,7 +79,7 @@ def tokenize(text: str) -> TokenizedSentence:
         if trail < len(chunk):
             tokens.append(chunk[trail:])
     if not tokens:
-        raise EmptySentenceError(f"no tokens in input {text!r}")
+        raise InputError(f"no tokens in input {text!r}")
     return TokenizedSentence(raw=text, tokens=tuple(tokens))
 
 
@@ -96,29 +89,24 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
     Entries are case-folded, so membership tests against the returned set
     should use case-folded tokens.  No token holds whitespace, so an entry
-    that does raises :class:`StopwordFormatError` naming the line.
+    that does raises :class:`InputError` naming the line.
     """
     words = set()
-    for lineno, line in read_lines(path, StopwordFormatError):
+    for lineno, line in read_lines(path):
         entry = line.split("#", 1)[0].strip()
         if len(entry.split()) > 1:
-            raise StopwordFormatError(f"{path}: line {lineno}: {entry!r} holds whitespace")
+            raise InputError(f"{path}: line {lineno}: {entry!r} holds whitespace")
         if entry:
             words.add(unicodedata.normalize("NFC", entry).casefold())
     return frozenset(words)
 
 
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-
-
+@cache
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package (function words only)."""
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        ref = resources.files("incongruity.data").joinpath("stopwords.txt")
-        with resources.as_file(ref) as path:
-            _DEFAULT_STOPWORDS = load_stopwords(path)
-    return _DEFAULT_STOPWORDS
+    ref = resources.files("incongruity.data").joinpath("stopwords.txt")
+    with resources.as_file(ref) as path:
+        return load_stopwords(path)
 
 
 # Bytes that one step of the content-word and S/WS passes may gather; a

@@ -14,11 +14,10 @@ import numpy as np
 
 from incongruity.classify import (
     _SCALE_FLOOR,
-    DegenerateTrainingError,
     LinearModel,
-    TrainingError,
     tune_threshold,
 )
+from incongruity.errors import InputError
 from incongruity.features import FeatureRegistry, FeatureVector
 from incongruity.similarity import Augmentation
 
@@ -437,15 +436,15 @@ def step_loop_train(instances, config):
     raise its errors.  Trains a linear model on (feature vector, label in
     {0, 1}) pairs; every dot product is ``sequential_dot``.
 
-    Raises :class:`DegenerateTrainingError` unless both classes are
-    present, and :class:`TrainingError` naming the epoch if the scale,
-    the weights, a margin or a training score stops being finite.  Two
-    calls with identical data and seed produce bit-identical weights.
+    Raises :class:`InputError` unless both classes are present, and
+    naming the epoch if the scale, the weights, a margin or a training
+    score stops being finite.  Two calls with identical data and seed
+    produce bit-identical weights.
     """
     n = len(instances)
     labels = np.array([int(label) for _, label in instances])
     if not ((labels == 1).any() and (labels == 0).any()):
-        raise DegenerateTrainingError("training data must contain both classes")
+        raise InputError("training data must contain both classes")
 
     dimension = 0
     prepared = []
@@ -472,7 +471,7 @@ def step_loop_train(instances, config):
                 eta = eta0 / (1.0 + eta0 * lam * step)
                 margin = y * scale * sequential_dot(v, ids, values)
                 if not math.isfinite(margin):
-                    raise TrainingError(f"non-finite margin in epoch {epoch}")
+                    raise InputError(f"non-finite margin in epoch {epoch}")
                 scale *= 1.0 - eta * lam
                 # Fold the scale into v before dividing by it: a decay
                 # factor of exactly 0 (eta0 * lam == 1) zeroes the scale.
@@ -487,15 +486,13 @@ def step_loop_train(instances, config):
                 and math.isfinite(v.min(initial=0.0))
                 and math.isfinite(v.max(initial=0.0))
             ):
-                raise TrainingError(f"non-finite weights after epoch {epoch}")
+                raise InputError(f"non-finite weights after epoch {epoch}")
 
         # Materialize the weights in place: v becomes scale * v.
         v *= scale
         scores = np.array([sequential_dot(v, ids, values) for ids, values, _, _ in prepared])
     if not np.all(np.isfinite(scores)):
-        raise TrainingError(
-            f"non-finite training scores after epoch {config.epochs - 1}"
-        )
+        raise InputError(f"non-finite training scores after epoch {config.epochs - 1}")
     threshold, _ = tune_threshold(scores, labels)
     return LinearModel(weights=v, bias=0.0, threshold=threshold)
 

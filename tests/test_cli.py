@@ -12,13 +12,14 @@ from click.testing import CliRunner
 import incongruity
 import oracles
 from incongruity import harness
-from incongruity.classify import ModelFormatError, TrainConfig, TrainingError, load_model
+from incongruity.classify import TrainConfig, load_model
 from incongruity.cli import main
-from incongruity.embeddings import EmbeddingFormatError, load_embeddings
-from incongruity.features import LexiconFormatError, default_lexicon, load_lexicon
-from incongruity.harness import DatasetParseError, load_dataset, stratified_kfold
+from incongruity.embeddings import load_embeddings
+from incongruity.errors import InputError
+from incongruity.features import default_lexicon, load_lexicon
+from incongruity.harness import load_dataset, stratified_kfold
 from incongruity.synthetic import toy_embedding_tables
-from incongruity.text import StopwordFormatError, default_stopwords, load_stopwords
+from incongruity.text import default_stopwords, load_stopwords
 from test_harness import table_rows
 
 
@@ -159,6 +160,8 @@ class TestInputErrors:
             ("matrix-w", "w must be finite and positive, got inf"),
             ("one-class", "training data must contain both classes"),
             ("folds", "class 0 has 1 instances; need at least 5 for 5-fold splits"),
+            ("one-fold", "need at least 2 folds"),
+            ("train-epochs", "epochs must be an integer of at least 1, got 0"),
             ("intersection", "no common vocabulary across tables"),
             ("synthetic-n", "n must be at least 1, got 0"),
             ("synthetic-negative-n", "n must be at least 1, got -5"),
@@ -243,6 +246,8 @@ class TestInputErrors:
             "matrix-w": [*matrix, "--dataset", corpus, "--w", "inf"],
             "one-class": [*train, "--dataset", str(tmp_path / "one-class.tsv")],
             "folds": [*matrix, "--dataset", str(tmp_path / "three.tsv"), "--folds", "5"],
+            "one-fold": [*matrix, "--dataset", corpus, "--folds", "1"],
+            "train-epochs": [*train, "--dataset", corpus, "--epochs", "0"],
             "intersection": ["intersect-vocab", str(tmp_path / "x.txt"),
                              str(tmp_path / "y.txt"), "--out", str(tmp_path / "shared")],
             "synthetic-n": [*synthetic, "--n", "0", "--skew", "0.5"],
@@ -335,21 +340,20 @@ class TestNotUtf8:
     def test_error_names_line(self, runner, workspace, tmp_path, reader):
         corpus = str(workspace / "corpus.tsv")
         extract = ["extract-features", "--config", "G", "--out", str(tmp_path / "f.txt")]
-        good, error, load, args = {
-            "dataset": (b"a\t1\tfine\nb\t0\tgood\n", DatasetParseError, load_dataset,
-                        [*extract, "--dataset"]),
-            "lexicon": (b"# tags\nbad\tnegative\n", LexiconFormatError, load_lexicon,
+        good, load, args = {
+            "dataset": (b"a\t1\tfine\nb\t0\tgood\n", load_dataset, [*extract, "--dataset"]),
+            "lexicon": (b"# tags\nbad\tnegative\n", load_lexicon,
                         [*extract, "--dataset", corpus, "--lexicon"]),
-            "stopwords": (b"the\n\n", StopwordFormatError, load_stopwords,
+            "stopwords": (b"the\n\n", load_stopwords,
                           [*extract, "--dataset", corpus, "--stopwords"]),
-            "table": (b"2 2\na 1 2\n", EmbeddingFormatError,
-                      lambda path: load_embeddings(path, "text_vectors"), ["load-embeddings"]),
-            "model": (b"incongruity-model v1\ndim 1\n", ModelFormatError, load_model,
+            "table": (b"2 2\na 1 2\n", lambda path: load_embeddings(path, "text_vectors"),
+                      ["load-embeddings"]),
+            "model": (b"incongruity-model v1\ndim 1\n", load_model,
                       ["evaluate", "--config", "L", "--dataset", corpus, "--model"]),
         }[reader]
         path = tmp_path / "input.txt"
         path.write_bytes(good + b"x\xffy 1\n")
-        with pytest.raises(error, match=r"input\.txt: line 3: not valid UTF-8$") as info:
+        with pytest.raises(InputError, match=r"input\.txt: line 3: not valid UTF-8$") as info:
             load(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
         result = runner.invoke(main, [*args, str(path)])
@@ -520,7 +524,7 @@ class TestTableChoice:
 def test_a_workers_training_error_is_one_error_line(runner, workspace, tmp_path, monkeypatch):
     def failing(rows, config, names):
         if names[0].endswith("(fold 1)"):
-            raise TrainingError(f"no fit for {names[0]}")
+            raise InputError(f"no fit for {names[0]}")
         return train_cells(rows, config, names)
 
     train_cells = harness.train

@@ -22,14 +22,12 @@ from conftest import no_children
 from incongruity import embeddings
 from incongruity._workers import process_count
 from incongruity.embeddings import (
-    EmbeddingFormatError,
     EmbeddingTable,
-    EmptyIntersectionError,
     intersect_vocabularies,
     load_embeddings,
     save_text_vectors,
 )
-from incongruity.errors import read_lines
+from incongruity.errors import InputError, read_lines
 from incongruity.similarity import similarity_block
 from incongruity.synthetic import toy_embedding_tables
 from incongruity.text import content_index, token_table, tokenize
@@ -106,32 +104,32 @@ class TestTextLoader:
     def test_header_count_mismatch(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("3 2\na 1 2\nb 3 4\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="declares 3"):
+        with pytest.raises(InputError, match="declares 3"):
             load_embeddings(path, "text_vectors")
 
     def test_wrong_component_count_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 0.0\nb 0.0 1.0\nc 1.0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 3"):
+        with pytest.raises(InputError, match="line 3"):
             load_embeddings(path, "text_vectors")
 
     def test_non_numeric_component_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 0.0\nb 0.0 x\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             load_embeddings(path, "text_vectors")
 
     @pytest.mark.parametrize("component", ["nan", "inf"])
     def test_non_finite_component_names_line(self, tmp_path, component):
         path = tmp_path / "vecs.txt"
         path.write_text(f"good 1.0 0.0\nbad {component} 1.0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+        with pytest.raises(InputError, match="line 2: non-finite"):
             load_embeddings(path, "text_vectors")
 
     def test_duplicate_word_names_word(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0\nb 2.0\na 3.0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="'a'"):
+        with pytest.raises(InputError, match="'a'"):
             load_embeddings(path, "text_vectors")
 
     def test_vocab_order_matches_file(self, tmp_path):
@@ -244,7 +242,7 @@ class TestStreamedTextLoader:
         # Header and blank lines first: the bad row is row 2 but line 6.
         path = tmp_path / "vecs.txt"
         path.write_text(f"2 2\n\n   \na 1 2\n\nb {row}\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match=f"vecs.txt: line 6: {message}$"):
+        with pytest.raises(InputError, match=f"vecs.txt: line 6: {message}$"):
             load_embeddings(path, "text_vectors")
 
     @pytest.mark.parametrize(
@@ -256,59 +254,59 @@ class TestStreamedTextLoader:
         lines[60_012] = f"bad {bad}"
         path = tmp_path / "vecs.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match=f"line 60013: {message}$"):
+        with pytest.raises(InputError, match=f"line 60013: {message}$"):
             load_embeddings(path, "text_vectors")
 
     def test_first_bad_line_in_file_order_is_named(self, tmp_path):
         # A non-finite row comes before a row the bulk parse rejects.
         path = tmp_path / "vecs.txt"
         path.write_text("a 1 2\nb nan 1\nc 1 x\nc 1 2\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+        with pytest.raises(InputError, match="line 2: non-finite"):
             load_embeddings(path, "text_vectors")
 
     def test_bad_components_on_a_repeated_word_are_named_first(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1 2\na 3\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 2: expected 2 components, found 1"):
+        with pytest.raises(InputError, match="line 2: expected 2 components, found 1"):
             load_embeddings(path, "text_vectors")
 
     def test_word_without_components_after_rows_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1 2\n\nb\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 3: expected 2 components, found 0"):
+        with pytest.raises(InputError, match="line 3: expected 2 components, found 0"):
             load_embeddings(path, "text_vectors")
 
     @pytest.mark.parametrize("component", ["1_0", "١٢", "１"])
     def test_non_ascii_decimal_rejected_naming_line(self, tmp_path, component):
         path = tmp_path / "vecs.txt"
         path.write_text(f"a 1.0\nb {component}\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 2: non-numeric vector component"):
+        with pytest.raises(InputError, match="line 2: non-numeric vector component"):
             load_embeddings(path, "text_vectors")
 
     def test_non_ascii_digit_header_rejected_naming_file(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("² 2\na 1 2\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="vecs.txt: line 1: malformed header"):
+        with pytest.raises(InputError, match="vecs.txt: line 1: malformed header"):
             load_embeddings(path, "text_vectors")
 
     @pytest.mark.parametrize("header", ["1 0", "0 2"])
     def test_non_positive_header_rejected_naming_file(self, tmp_path, header):
         path = tmp_path / "vecs.txt"
         path.write_text(f"{header}\na\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="vecs.txt: line 1: non-positive"):
+        with pytest.raises(InputError, match="vecs.txt: line 1: non-positive"):
             load_embeddings(path, "text_vectors")
 
     def test_header_dimension_checked_against_every_row(self, tmp_path):
         # Every row agrees with the others, so only the header disagrees.
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\n\na 1 2\nb 3 4\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 3: expected 3 components, found 2"):
+        with pytest.raises(InputError, match="line 3: expected 3 components, found 2"):
             load_embeddings(path, "text_vectors")
 
     def test_header_without_rows_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("3 2\n\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="no vector rows"):
+        with pytest.raises(InputError, match="no vector rows"):
             load_embeddings(path, "text_vectors")
 
     @pytest.mark.parametrize("rows_before", [1, 20_000])
@@ -319,7 +317,7 @@ class TestStreamedTextLoader:
         good = "".join(f"w{i} {i}.5\n" for i in range(rows_before))
         path.write_bytes(good.encode("utf-8") + b"\xff 2\n")
         message = f"vecs.txt: line {rows_before + 1}: not valid UTF-8$"
-        with pytest.raises(EmbeddingFormatError, match=message) as info:
+        with pytest.raises(InputError, match=message) as info:
             load_embeddings(path, "text_vectors")
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
@@ -348,7 +346,7 @@ def assert_loads_take_the_range_path(results, directory):
     path.write_text("a 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
     load_embeddings(path, "text_vectors")
     path.write_text("a 1 2\nb 3 4\nc 5 x\n", encoding="utf-8")
-    with pytest.raises(EmbeddingFormatError, match="line 3: non-numeric"):
+    with pytest.raises(InputError, match="line 3: non-numeric"):
         load_embeddings(path, "text_vectors")
     assert results[-2][0] == ["a", "b", "c"] and results[-1] is None
 
@@ -441,8 +439,8 @@ class TestTextRanges:
         lines = [f"w{i} {i} 1" for i in range(10)]
         lines[7] = row
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        parts = embeddings._TextRows(path).read(read_lines(path, EmbeddingFormatError), 2)
-        with pytest.raises(EmbeddingFormatError, match=message):
+        parts = embeddings._TextRows(path).read(read_lines(path), 2)
+        with pytest.raises(InputError, match=message):
             for _ in parts:
                 pass
 
@@ -453,7 +451,7 @@ class TestTextRanges:
         path.write_text("300 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
         starts = embeddings._line_starts(path, path.stat().st_size, 3)
         assert len(starts) == 4 and starts[2] < path.read_bytes().rindex(b"w299")
-        with pytest.raises(EmbeddingFormatError, match="vecs.txt: line 301: non-finite"):
+        with pytest.raises(InputError, match="vecs.txt: line 301: non-finite"):
             load_embeddings(path, "text_vectors")
         assert forced_ranges[-1] is None
 
@@ -466,7 +464,7 @@ class TestTextRanges:
         starts = embeddings._line_starts(path, path.stat().st_size, 3)
         data = path.read_bytes()
         assert data.index(b"w10 ") < starts[1] and data.index(b"w10 7") >= starts[2]
-        with pytest.raises(EmbeddingFormatError, match=r"duplicate word 'w10' \(line 251\)$"):
+        with pytest.raises(InputError, match=r"duplicate word 'w10' \(line 251\)$"):
             load_embeddings(path, "text_vectors")
         assert forced_ranges[-1] is None
 
@@ -486,7 +484,7 @@ class TestTextRanges:
     def test_header_count_across_ranges_is_checked(self, forced_ranges, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("301 1\n" + "".join(f"w{i} {i}\n" for i in range(300)), encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="declares 301 words but file has 300"):
+        with pytest.raises(InputError, match="declares 301 words but file has 300"):
             load_embeddings(path, "text_vectors")
         assert forced_ranges[-1] is None
 
@@ -499,7 +497,7 @@ class TestTextRanges:
             warnings.simplefilter("error", DeprecationWarning)
             warnings.simplefilter("error", ResourceWarning)
             assert len(load_embeddings(good, "text_vectors")) == 100
-            with pytest.raises(EmbeddingFormatError, match="line 100: expected 2 components"):
+            with pytest.raises(InputError, match="line 100: expected 2 components"):
                 load_embeddings(bad, "text_vectors")
         assert [r is None for r in forced_ranges[-2:]] == [False, True]
         assert no_children()
@@ -634,7 +632,7 @@ class TestBinaryLoader:
     def test_pipe_holding_fewer_records_than_its_header(self, tmp_path, header, message):
         data = write_binary(tmp_path / "vecs.bin", [("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
         with fifo_of(tmp_path, header + data.read_bytes().split(b"\n", 1)[1]) as path:
-            with pytest.raises(EmbeddingFormatError, match=message):
+            with pytest.raises(InputError, match=message):
                 load_embeddings(path, "binary_w2v")
 
     def test_without_record_newlines(self, tmp_path):
@@ -667,33 +665,33 @@ class TestBinaryLoader:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "vecs.bin"
         path.write_bytes(b"two 3\nxxxx")
-        with pytest.raises(EmbeddingFormatError, match="header"):
+        with pytest.raises(InputError, match="header"):
             load_embeddings(path, "binary_w2v")
 
     def test_truncated_record(self, tmp_path):
         path = write_binary(tmp_path / "vecs.bin", [("alpha", [1.0, 2.0])])
         data = path.read_bytes()
         path.write_bytes(data[:-4])
-        with pytest.raises(EmbeddingFormatError, match="truncated"):
+        with pytest.raises(InputError, match="truncated"):
             load_embeddings(path, "binary_w2v")
 
     def test_duplicate_word(self, tmp_path):
         path = write_binary(
             tmp_path / "vecs.bin", [("dup", [1.0]), ("dup", [2.0])]
         )
-        with pytest.raises(EmbeddingFormatError, match="'dup'"):
+        with pytest.raises(InputError, match="'dup'"):
             load_embeddings(path, "binary_w2v")
 
     def test_non_finite_component_names_record(self, tmp_path):
         path = write_binary(
             tmp_path / "vecs.bin", [("good", [1.0, 0.0]), ("bad", [float("nan"), 1.0])]
         )
-        with pytest.raises(EmbeddingFormatError, match="record 1 \\('bad'\\): non-finite"):
+        with pytest.raises(InputError, match="record 1 \\('bad'\\): non-finite"):
             load_embeddings(path, "binary_w2v")
 
     def test_trailing_garbage(self, tmp_path):
         path = write_binary(tmp_path / "vecs.bin", [("w", [1.0])], extra=b"junk")
-        with pytest.raises(EmbeddingFormatError, match="trailing"):
+        with pytest.raises(InputError, match="trailing"):
             load_embeddings(path, "binary_w2v")
 
     def test_load_keeps_no_copy_of_the_file(self, tmp_path):
@@ -862,7 +860,7 @@ class TestIntersection:
     def test_empty_intersection_raises(self):
         t1 = self.make("t1", ["a", "b"], 0)
         t2 = self.make("t2", ["x", "y"], 1)
-        with pytest.raises(EmptyIntersectionError):
+        with pytest.raises(InputError, match="^no common vocabulary across tables: "):
             intersect_vocabularies([t1, t2])
 
     def test_single_table_unchanged(self):

@@ -1,7 +1,7 @@
-"""Every exception class of the package reports a fault in the user's input,
-so the CLI turns it into one ``Error:`` line; the one exception is an
-internal invariant, which keeps its traceback.  The one text reader places
-a bad byte on its line."""
+"""The package has one exception class for a fault in the user's input,
+which the CLI turns into one ``Error:`` line, and one for an internal
+invariant, which keeps its traceback.  The one text reader places a bad
+byte on its line."""
 
 import importlib
 import inspect
@@ -13,12 +13,8 @@ import tracemalloc
 import pytest
 
 import incongruity
-from incongruity.classify import TrainingError
 from incongruity.errors import InputError, read_lines
 from incongruity.harness import IncompleteMatrixError
-
-# Internal invariants: a bug, not a fault in the input.
-INTERNAL = {IncompleteMatrixError}
 
 
 def exception_classes():
@@ -31,23 +27,22 @@ def exception_classes():
 
 
 def test_every_exception_class_is_an_input_error():
-    classes = set(exception_classes())
-    assert INTERNAL | {InputError, TrainingError} <= classes
-    strays = [cls.__qualname__ for cls in classes - INTERNAL if not issubclass(cls, InputError)]
-    assert strays == []
-    assert issubclass(TrainingError, RuntimeError)
+    # IncompleteMatrixError is an internal invariant: a bug, not a fault in
+    # the input.  A fault in the input is an InputError whose message names
+    # it, never a subclass.
+    assert set(exception_classes()) == {InputError, IncompleteMatrixError}
 
 
 class TestReadLines:
     def test_byte_range_reads_the_lines_that_begin_in_it(self, tmp_path):
         path = tmp_path / "text.txt"
         path.write_bytes(b"\xef\xbb\xbfa\r\nbb\n\ncc\n")
-        assert list(read_lines(path, InputError)) == [(1, "a"), (2, "bb"), (3, ""), (4, "cc")]
+        assert list(read_lines(path)) == [(1, "a"), (2, "bb"), (3, ""), (4, "cc")]
         # Lines begin at 0, 6, 9 and 10; one ends past the range's last byte.
-        assert list(read_lines(path, InputError, 0, 5)) == [(1, "a")]
-        assert list(read_lines(path, InputError, 6, 10)) == [(1, "bb"), (2, "")]
-        assert list(read_lines(path, InputError, 10, 13)) == [(1, "cc")]
-        assert list(read_lines(path, InputError, 6)) == [(1, "bb"), (2, ""), (3, "cc")]
+        assert list(read_lines(path, 0, 5)) == [(1, "a")]
+        assert list(read_lines(path, 6, 10)) == [(1, "bb"), (2, "")]
+        assert list(read_lines(path, 10, 13)) == [(1, "cc")]
+        assert list(read_lines(path, 6)) == [(1, "bb"), (2, ""), (3, "cc")]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize(
@@ -62,16 +57,16 @@ class TestReadLines:
         writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
         writer.start()
         try:
-            lines = list(read_lines(fifo, InputError))
+            lines = list(read_lines(fifo))
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert lines == list(read_lines(path, InputError))
+        assert lines == list(read_lines(path))
 
     def test_byte_order_mark_alone_is_an_empty_file(self, tmp_path):
         path = tmp_path / "text.txt"
         path.write_bytes(b"\xef\xbb\xbf")
-        assert list(read_lines(path, InputError)) == []
+        assert list(read_lines(path)) == []
 
     def test_bad_byte_is_placed_without_holding_the_file(self, tmp_path):
         path = tmp_path / "text.txt"
@@ -80,7 +75,7 @@ class TestReadLines:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match=r"text\.txt: line 40001: not valid UTF-8$") as info:
-                for _ in read_lines(path, InputError):
+                for _ in read_lines(path):
                     pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:

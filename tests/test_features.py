@@ -13,14 +13,13 @@ from conftest import (
     oracle_corpus,
     random_table,
 )
+from incongruity.errors import InputError
 from incongruity.features import (
     PRIOR_SETS,
-    ConfigurationError,
     ExperimentConfig,
     FeatureRegistry,
     FeatureVector,
     Lexicon,
-    LexiconFormatError,
     _type_tags,
     build_config_features,
     default_lexicon,
@@ -387,13 +386,13 @@ class TestLexicon:
     def test_unknown_tag_names_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("ok\tpositive\nbad\tshiny\n", encoding="utf-8")
-        with pytest.raises(LexiconFormatError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             load_lexicon(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("just-a-word\n", encoding="utf-8")
-        with pytest.raises(LexiconFormatError, match="line 1"):
+        with pytest.raises(InputError, match="line 1"):
             load_lexicon(path)
 
     def test_leading_byte_order_mark_is_dropped(self, tmp_path):
@@ -404,7 +403,7 @@ class TestLexicon:
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"ok\tpositive\n\xff\tpositive\n")
-        with pytest.raises(LexiconFormatError, match="lex.tsv: line 2: not valid UTF-8$") as info:
+        with pytest.raises(InputError, match="lex.tsv: line 2: not valid UTF-8$") as info:
             load_lexicon(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
@@ -519,15 +518,15 @@ class TestExperimentConfig:
         assert config.label == "L"
 
     def test_unknown_prior_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^unknown prior set 'Q'; expected one of "):
             ExperimentConfig.parse("Q+S:emb-a")
 
     def test_augmentation_requires_embedding(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^an embedding id is required when an augmentation"):
             ExperimentConfig("L", Augmentation.S, "")
 
     def test_base_config_naming_a_missing_table_is_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"unknown embedding id 'emb-z'"):
+        with pytest.raises(InputError, match=r"unknown embedding id 'emb-z'"):
             ExperimentConfig.parse("L:emb-z", tables=["emb-a"])
         assert ExperimentConfig.parse("L:emb-a", tables=["emb-a"]).embedding == "emb-a"
         assert ExperimentConfig.parse("L", tables=[]).embedding == ""
@@ -610,5 +609,5 @@ class TestBuildConfigFeatures:
 
     def test_unknown_embedding_id_rejected(self):
         config = ExperimentConfig("L", Augmentation.S, "missing")
-        with pytest.raises(ConfigurationError, match="missing"):
+        with pytest.raises(InputError, match="missing"):
             self.build("w000 w001", config)

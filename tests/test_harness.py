@@ -24,6 +24,7 @@ from conftest import (
 from incongruity import _workers, classify, harness
 from incongruity.classify import LinearModel, TrainConfig
 from incongruity.embeddings import EmbeddingTable, intersect_vocabularies
+from incongruity.errors import InputError
 from incongruity.features import (
     ExperimentConfig,
     FeatureRegistry,
@@ -35,7 +36,6 @@ from incongruity.features import (
 from incongruity.harness import (
     AUGMENTATIONS,
     ConfigResult,
-    DatasetParseError,
     IncompleteMatrixError,
     LabeledInstance,
     MatrixResult,
@@ -136,50 +136,50 @@ class TestLoadDataset:
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("a\t1\tok text\nb\t2\tbad label\n", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             load_dataset(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("a\t1\n", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="line 1"):
+        with pytest.raises(InputError, match="line 1"):
             load_dataset(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("a\t1\tfirst\na\t0\tsecond\n", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="duplicate id"):
+        with pytest.raises(InputError, match="duplicate id"):
             load_dataset(path)
 
     def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("a\t1\t \n", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="empty text"):
+        with pytest.raises(InputError, match="empty text"):
             load_dataset(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "label": 1, "text": "x"}\n{oops\n', encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             load_dataset(path)
 
     def test_missing_json_key_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "label": 1}\n', encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="'id', 'label', 'text'"):
+        with pytest.raises(InputError, match="'id', 'label', 'text'"):
             load_dataset(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match="no instances"):
+        with pytest.raises(InputError, match="no instances"):
             load_dataset(path)
 
     def test_non_utf8_file_names_file_and_line(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_bytes(b"a\t1\tfine\r\nb\t0\tbad \xff byte\n")
         with pytest.raises(
-            DatasetParseError, match="corpus.tsv: line 2: not valid UTF-8$"
+            InputError, match="corpus.tsv: line 2: not valid UTF-8$"
         ) as info:
             load_dataset(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
@@ -208,7 +208,7 @@ class TestLoadDataset:
     def test_byte_order_mark_keeps_utf8_error_line(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_bytes(b"\xef\xbb\xbfa\t1\tfine\nb\t0\tbad \xff byte\n")
-        with pytest.raises(DatasetParseError, match="corpus.tsv: line 2: not valid UTF-8$"):
+        with pytest.raises(InputError, match="corpus.tsv: line 2: not valid UTF-8$"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -276,14 +276,14 @@ class TestLoadDataset:
     def test_jsonl_row_the_writer_cannot_return_names_line(self, tmp_path, row, message):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": 7, "label": 0, "text": "fine"}\n' + row + "\n", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match=rf"corpus\.jsonl: line 2: {message}"):
+        with pytest.raises(InputError, match=rf"corpus\.jsonl: line 2: {message}"):
             load_dataset(path)
 
     @pytest.mark.parametrize("row", ["a\rb\t1\tx y", "\t1\tx y"])
     def test_tsv_id_the_writer_cannot_return_names_line(self, tmp_path, row):
         path = tmp_path / "corpus.tsv"
         path.write_text("a\t0\tfine\n" + row + "\n", encoding="utf-8")
-        with pytest.raises(DatasetParseError, match=r"corpus\.tsv: line 2: id .* is empty or holds"):
+        with pytest.raises(InputError, match=r"corpus\.tsv: line 2: id .* is empty or holds"):
             load_dataset(path)
 
     def test_jsonl_integer_id_loads_as_its_string(self, tmp_path):
@@ -952,7 +952,7 @@ class TestRunMatrix:
                 os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False
             )
             with pytest.raises(
-                classify.TrainingError,
+                InputError,
                 match=re.escape("non-finite margin for cell 'L+S:emb-b (fold 0)' in epoch 0"),
             ):
                 run_matrix(
@@ -1043,7 +1043,7 @@ class TestFoldPool:
             if os.getpid() == parent:
                 trained.append(fold_of(names))
             if fold_of(names) == 1:
-                raise classify.TrainingError(f"no fit for {names[0]}")
+                raise InputError(f"no fit for {names[0]}")
             return train_cells(rows, config, names)
 
         train_cells = harness.train
@@ -1053,7 +1053,7 @@ class TestFoldPool:
         # worker's.
         for processes, own in [(1, [0, 1]), (2, [0, 2]), (3, [0])]:
             trained.clear()
-            with pytest.raises(classify.TrainingError, match=r"^no fit for L \(fold 1\)$"):
+            with pytest.raises(InputError, match=r"^no fit for L \(fold 1\)$"):
                 self.grid(resources, 3, processes, monkeypatch)
             assert trained == own, processes
         assert pools == [(1, True), (2, True)]
@@ -1072,14 +1072,14 @@ class TestFoldPool:
             if os.getpid() == parent:
                 trained.append(fold_of(names))
             if fold_of(names) in failing:
-                raise classify.TrainingError(f"no fit for {names[0]}")
+                raise InputError(f"no fit for {names[0]}")
             return train_cells(rows, config, names)
 
         train_cells = harness.train
         with (
             mock.patch.object(harness, "train", train),
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(processes))),
-            pytest.raises(classify.TrainingError) as raised,
+            pytest.raises(InputError) as raised,
         ):
             run_matrix(
                 generate_corpus(30, 0.4, seed=9), resources, folds=folds,

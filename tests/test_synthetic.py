@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from incongruity.embeddings import intersect_vocabularies, load_embeddings
+from incongruity.errors import InputError
 from incongruity.harness import load_dataset
 from incongruity.similarity import similarity_block
 from incongruity.synthetic import (
@@ -12,7 +13,6 @@ from incongruity.synthetic import (
     TEMPLATES,
     VARIANTS,
     WORD_CLUSTERS,
-    SyntheticConfigError,
     generate_corpus,
     toy_embedding_tables,
     write_corpus_and_tables,
@@ -182,7 +182,7 @@ class TestGenerateCorpus:
         ],
     )
     def test_error_names_the_argument(self, args, message):
-        with pytest.raises(SyntheticConfigError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             generate_corpus(*args)
         assert str(excinfo.value) == message
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import oracle_sentence
 from incongruity.embeddings import EmbeddingTable
+from incongruity.errors import InputError
 from incongruity.text import (
-    EmptySentenceError,
-    StopwordFormatError,
     content_index,
     default_stopwords,
     is_punctuation,
@@ -49,7 +48,7 @@ class TestTokenize:
         assert sentence.tokens[4] == "man"
 
     def test_empty_input_raises(self):
-        with pytest.raises(EmptySentenceError):
+        with pytest.raises(InputError, match="^no tokens in input '   '$"):
             tokenize("   ")
 
     @given(st.text())
@@ -107,13 +106,13 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_bytes(b"the\n" + entry + b"  # comment\n")
         message = f"stop.txt: line 2: {entry.decode()!r} holds whitespace"
-        with pytest.raises(StopwordFormatError, match=re.escape(message) + "$"):
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
             load_stopwords(path)
 
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes(b"the\n\xff\n")
-        with pytest.raises(StopwordFormatError, match="stop.txt: line 2: not valid UTF-8$") as info:
+        with pytest.raises(InputError, match="stop.txt: line 2: not valid UTF-8$") as info:
             load_stopwords(path)
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
